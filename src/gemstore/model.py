@@ -11,6 +11,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field as dc_field, replace
 from enum import Enum
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from .embedding import EmbeddingVector, embed
@@ -146,7 +147,9 @@ class Topic:
     fields: dict[str, Field] = dc_field(default_factory=dict)
     archived: bool = False
     merged_into: Optional[str] = None
-    _canonical_cache: Optional[bytes] = dc_field(default=None, repr=False, compare=False)
+    # (canonical bytes, their SHA-256); cleared by the transaction layer
+    # before any delta touches the topic
+    _canonical_cache: Optional[tuple[bytes, bytes]] = dc_field(default=None, repr=False, compare=False)
 
     def clone(self) -> "Topic":
         return Topic(
@@ -194,8 +197,14 @@ class Topic:
 
     def canonical_bytes(self) -> bytes:
         if self._canonical_cache is None:
-            self._canonical_cache = canonical_json(self.to_dict()).encode("utf-8")
-        return self._canonical_cache
+            data = canonical_json(self.to_dict()).encode("utf-8")
+            self._canonical_cache = (data, hashlib.sha256(data).digest())
+        return self._canonical_cache[0]
+
+    def content_hash(self) -> bytes:
+        """SHA-256 of `canonical_bytes()`, memoised with them."""
+        self.canonical_bytes()  # fills the cache on a miss
+        return self._canonical_cache[1]
 
 
 @dataclass(frozen=True)
@@ -207,6 +216,10 @@ class Edge:
 
     def key(self) -> tuple[str, str, str]:
         return (self.src, self.dst, self.kind.value)
+
+    @cached_property
+    def canonical_bytes(self) -> bytes:
+        return canonical_json(self.to_dict()).encode("utf-8")
 
     def to_dict(self) -> dict:
         return {
@@ -338,16 +351,25 @@ def state_from_dict(d: dict) -> MemoryState:
 
 
 def state_digest(state: MemoryState) -> str:
-    """Content digest independent of container iteration order."""
+    """Content digest independent of container iteration order.
+
+    Two levels: each topic contributes the SHA-256 of its canonical JSON, so
+    a commit re-serialises only the topics it touched.  Every section is
+    self-delimiting: the clock, policies and revision queue are JSON values,
+    the edges a JSON list of their memoised encodings in byte order, and the
+    topic hashes, in topic id order, are fixed-width and preceded by their
+    count.
+    """
     from .policy import render_policy
 
     h = hashlib.sha256()
     h.update(canonical_json(state.clock.to_dict()).encode())
     h.update(canonical_json([render_policy(p) for p in state.policies]).encode())
-    h.update(canonical_json([e.to_dict() for _, e in sorted(state.edges.items())]).encode())
+    h.update(b"[" + b",".join(sorted(e.canonical_bytes for e in state.edges.values())) + b"]")
     h.update(canonical_json(sorted(list(pair) for pair in state.revision_queue)).encode())
-    for tid in sorted(state.topics):
-        h.update(state.topics[tid].canonical_bytes())
+    topics = state.topics
+    h.update(b"%d:" % len(topics))
+    h.update(b"".join(topics[tid].content_hash() for tid in sorted(topics)))
     return h.hexdigest()
 
 

@@ -16,7 +16,7 @@ from .model import MemoryState, canonical_json, state_digest, state_from_dict, s
 
 JOURNAL_MAGIC = b"GEMJ"
 SNAPSHOT_MAGIC = b"GEMS"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # 2: two-level state digest (one SHA-256 per topic)
 
 
 def _write_frame(fh, payload: bytes) -> None:

@@ -1,6 +1,8 @@
 import pytest
 
 from gemstore.model import (
+    Edge,
+    EdgeKind,
     Field,
     MemoryState,
     Provenance,
@@ -19,6 +21,7 @@ from gemstore.model import (
     state_to_dict,
     LookupError_,
 )
+from gemstore.transaction import apply_delta
 
 
 def make_topic(tid, title="a title", **field_values):
@@ -121,3 +124,53 @@ def test_digest_changes_on_content_change():
     state.topics["t"]._canonical_cache = None
     state.topics["t"].fields["A"].salience = 2.0
     assert state_digest(state) != before
+
+
+def _digest_sample():
+    from gemstore.policy import default_policy_set
+
+    state = MemoryState(policies=default_policy_set())
+    for tid in ("p", "q", "r"):
+        state.topics[tid] = make_topic(tid, A="1")
+    for src, dst in (("p", "q"), ("q", "r")):
+        e = Edge(src, dst, EdgeKind.EXTENSION, Timestamp(0))
+        state.edges[e.key()] = e
+    return state
+
+
+def _mutations():
+    def clock(s):
+        s.clock = Timestamp(s.clock.tick + 1)
+
+    def policy(s):
+        s.policies.pop()
+
+    def edge_added(s):
+        apply_delta(s, {"kind": "edge_added", "src": "r", "dst": "p", "edge_kind": "Association", "tick": 0})
+
+    def edge_removed(s):
+        apply_delta(s, {"kind": "edge_removed", "src": "p", "dst": "q", "edge_kind": "Extension"})
+
+    def queue_entry(s):
+        apply_delta(s, {"kind": "flag_added", "topic": "q", "cause": "p.A"})
+
+    def field_value(s):
+        apply_delta(s, {"kind": "salience_set", "topic": "r", "field": "A", "value": 0.5})
+
+    return [clock, policy, edge_added, edge_removed, queue_entry, field_value]
+
+
+@pytest.mark.parametrize("mutate", _mutations(), ids=lambda f: f.__name__)
+def test_every_state_section_changes_the_digest(mutate):
+    state = _digest_sample()
+    before = state_digest(state)  # fills the per-topic hash cache
+    mutate(state)
+    assert state_digest(state) != before
+    assert state_digest(state) == state_digest(state_from_dict(state_to_dict(state)))
+
+
+def test_digest_ignores_edge_insertion_order():
+    a, b = _digest_sample(), _digest_sample()
+    b.edges = dict(reversed(list(b.edges.items())))
+    assert list(a.edges) != list(b.edges)
+    assert state_digest(a) == state_digest(b)

@@ -1,11 +1,16 @@
+import random
+
 import pytest
 
 from conftest import build_state, build_topic
 from gemstore.config import EngineConfig
+from gemstore.embedding import cosine, embed, tokenize
 from gemstore.model import EdgeKind, Tier, current_value
 from gemstore.operators import (
     Fact,
     FactBundle,
+    PREFIX_FILTER_MIN_TOPICS,
+    EvidenceItem,
     OperatorError,
     Query,
     RuleTable,
@@ -319,3 +324,52 @@ def test_rule_table_parse_and_errors():
         RuleTable.parse("not a rule")
     with pytest.raises(ValueError, match="unknown transform"):
         RuleTable.parse("a.b -> c.d : frobnicate")
+
+
+# -- duplicate detection: prefix filter against the pairwise scan ------------
+
+_TITLE_WORDS = ["project", "is", "about", "the", "update", "plan", "alpha", "beta", "gamma", "delta", "kim", "q3"]
+_EMBED_WORDS = ["red", "green", "blue", "dark"]
+
+
+def _duplicates_oracle(state, cfg):
+    """The pairwise scan, kept as the reference for `detect_evidence`."""
+    live = [state.topics[tid] for tid in sorted(state.topics) if not state.topics[tid].archived]
+    items = []
+    for i, a in enumerate(live):
+        for b in live[i + 1 :]:
+            sim = cosine(a.embedding, b.embedding)
+            if sim < cfg.tau_dup:
+                continue
+            ta, tb = set(tokenize(a.title)), set(tokenize(b.title))
+            if not ta or not tb:
+                continue
+            if len(ta & tb) / min(len(ta), len(tb)) >= 0.5:
+                items.append(EvidenceItem("duplicate_topics", a.id, other=b.id, similarity=sim))
+    return items
+
+
+def _random_topic_state(rng):
+    topics = []
+    for i in range(rng.randint(0, 40)):
+        title = " ".join(rng.choice(_TITLE_WORDS[:4] if rng.random() < 0.5 else _TITLE_WORDS)
+                         for _ in range(rng.randint(0, 6)))
+        topic = build_topic(f"t{i:02d}", title=title or "-")
+        # a small embedding vocabulary makes exact ties and zero norms common
+        topic.embedding = embed(" ".join(rng.choices(_EMBED_WORDS, k=rng.randint(0, 2))))
+        topic.archived = rng.random() < 0.1
+        topics.append(topic)
+    return build_state(topics)
+
+
+@pytest.mark.parametrize("tau_dup", [0.0, 0.5, 0.9, 1.0])
+def test_duplicate_detection_matches_pairwise_scan(tau_dup):
+    cfg = EngineConfig(tau_dup=tau_dup)
+    rng = random.Random(f"dup-{tau_dup}")
+    sizes = set()
+    for _ in range(250):
+        state = _random_topic_state(rng)
+        found = [e for e in detect_evidence(state, cfg) if e.kind == "duplicate_topics"]
+        assert found == _duplicates_oracle(state, cfg)
+        sizes.add(sum(not t.archived for t in state.topics.values()) >= PREFIX_FILTER_MIN_TOPICS)
+    assert sizes == {False, True}  # both sides of the crossover were exercised

@@ -1,5 +1,6 @@
 import pytest
 
+from gemstore import storage
 from gemstore.config import EngineConfig
 from gemstore.engine import CorruptJournalError, Engine, EngineEvent, replay
 from gemstore.model import canonical_json, state_digest, state_to_dict
@@ -105,3 +106,16 @@ def test_resume_from_snapshot_continues_deterministically(tmp_path):
     e.submit(EngineEvent.tick())
     resumed.submit(EngineEvent.tick())
     assert resumed.digest() == e.digest()
+
+
+def test_version_1_journal_and_snapshot_are_refused(tmp_path, monkeypatch):
+    e = sample_engine()
+    jpath, spath = tmp_path / "v1.journal", tmp_path / "v1.snap"
+    monkeypatch.setattr(storage, "FORMAT_VERSION", 1)
+    write_journal(jpath, e.journal)
+    write_snapshot(spath, e.state, e.config)
+    monkeypatch.undo()
+    with pytest.raises(CorruptJournalError, match="unsupported journal version: 1"):
+        read_journal(jpath)
+    with pytest.raises(CorruptJournalError, match="unsupported snapshot version: 1"):
+        read_snapshot(spath)
