@@ -14,18 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from .engine import CorruptJournalError, Journal, TransitionRecord
-from .model import (
-    MemoryState,
-    Timestamp,
-    active_footprint,
-    canonical_json,
-    state_digest,
-    stale_current_exists,
-)
+from .engine import Journal, replay_record
+from .model import MemoryState, active_footprint, canonical_json, stale_current_exists
 from .operators import OperatorError, Query, hide_order, retrieve_read
 from .policy import EventKind, evaluate_condition
-from .transaction import apply_delta
 
 CONDITIONS = ("c1", "c2", "c3", "c4", "c5", "c6")
 
@@ -84,6 +76,10 @@ class ShadowLedger:
                 concept = owners[0] if len(owners) == 1 else f"anon-{tick}"
             self.concepts.setdefault(concept, {}).setdefault(name, []).append((tick, fact["value"]))
 
+    def latest_values(self, field_name: str) -> list[str]:
+        """The last ingested value of every concept holding `field_name`."""
+        return [fields[field_name][-1][1] for fields in self.concepts.values() if field_name in fields]
+
 
 def _owners(ledger: ShadowLedger, field_name: str) -> list[str]:
     return [c for c, fields in ledger.concepts.items() if field_name in fields]
@@ -104,8 +100,6 @@ def audit(journal: Journal, probes: list[Query]) -> ViolationReport:
     report = ViolationReport()
     cfg = journal.config
     state = journal.genesis_state()
-    if state_digest(state) != journal.genesis_digest:
-        raise CorruptJournalError("genesis digest mismatch")
 
     ledger = ShadowLedger()
     revision_touched: set[tuple[str, str]] = set()
@@ -144,7 +138,7 @@ def audit(journal: Journal, probes: list[Query]) -> ViolationReport:
         ):
             pre_prov = _reachable_provenance(pre_state)
 
-        state = _advance(state, record)
+        replay_record(state, record)
 
         # --- bookkeeping from deltas -----------------------------------
         changed_topics = set()
@@ -275,15 +269,6 @@ def _rank_vs_unaccessed(order: list[tuple[str, str]], unit: tuple[str, str], acc
         if other not in accessed:
             rank += 1
     return rank
-
-
-def _advance(state: MemoryState, record: TransitionRecord) -> MemoryState:
-    for delta in record.deltas:
-        apply_delta(state, delta)
-    state.clock = Timestamp(record.tick)
-    if state_digest(state) != record.digest_after:
-        raise CorruptJournalError(f"digest mismatch at tick {record.tick}")
-    return state
 
 
 def _reachable_provenance(state: MemoryState) -> set[tuple[str, int, str]]:

@@ -19,7 +19,7 @@ from .engine import CorruptJournalError, Engine, Journal
 from .model import state_digest
 from .operators import Query, RuleTable
 from .policy import PolicyParseError, parse_policies
-from .storage import read_journal, read_snapshot, write_journal, write_snapshot
+from .storage import read_journal, read_snapshot, snapshot_from_journal, write_journal
 from .workload import WorkloadError, compare, load_workload, rows_to_csv, run_workload
 
 
@@ -96,13 +96,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_snapshot(args) -> int:
-    from .engine import replay as replay_journal
-
-    journal = read_journal(args.journal)
-    state = replay_journal(journal)
-    write_snapshot(args.out, state, journal.config)
+    digest = snapshot_from_journal(args.journal, args.out)
     print(f"snapshot written: {args.out}")
-    print(f"digest: {state_digest(state)}")
+    print(f"digest: {digest}")
     return 0
 
 

@@ -42,14 +42,6 @@ class EmbeddingVector:
     components: np.ndarray  # float64, length DIM, integer-valued
     norm: float
 
-    def to_list(self) -> list[int]:
-        return [int(c) for c in self.components]
-
-    @staticmethod
-    def from_list(values: list) -> "EmbeddingVector":
-        arr = np.asarray(values, dtype=np.float64)
-        return EmbeddingVector(arr, float(np.linalg.norm(arr)))
-
 
 @lru_cache(maxsize=8192)
 def _embed_tuple(text: str) -> tuple[int, ...]:
@@ -107,7 +99,7 @@ def select_host(state: "MemoryState", text: str, topic_hint: Optional[str], tau_
         topic = state.topics[tid]
         if topic.archived:
             continue
-        score = cosine(query, topic.embedding)
+        score = cosine(query, topic.vector())
         if score > best_score:
             best_id, best_score = tid, score
     if best_id is not None and best_score >= tau_topic:

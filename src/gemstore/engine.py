@@ -144,7 +144,11 @@ class Journal:
     records: list[TransitionRecord] = dc_field(default_factory=list)
 
     def genesis_state(self) -> MemoryState:
-        return state_from_dict(self.genesis)
+        """The genesis state, checked against its digest."""
+        state = state_from_dict(self.genesis)
+        if state_digest(state) != self.genesis_digest:
+            raise CorruptJournalError("genesis digest mismatch")
+        return state
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +238,17 @@ class Engine:
         if reject is not None:
             return None, self._abort(event, reject, policy_log)
 
+        # ingest and revise pay for the embeddings they change, not the next read
+        txn.derive_embeddings()
         txn.state.clock = Timestamp(next_tick)
         record = TransitionRecord(
             tick=next_tick,
             operator=event.kind,
             input=event.to_dict(),
             deltas=txn.deltas,
-            policy_log=policy_log,
+            # the auditor re-evaluates every pre_commit condition on the
+            # replayed state, so only the evaluations that fired are kept
+            policy_log=[entry for entry in policy_log if entry["fired"]],
             outcome="committed",
             digest_after=state_digest(txn.state),
         )
@@ -362,21 +370,22 @@ class Engine:
 # ---------------------------------------------------------------------------
 
 
+def replay_record(state: MemoryState, record: TransitionRecord) -> None:
+    """Advance `state` in place by one committed record, checking that its
+    tick follows the state's clock and that the result matches its digest."""
+    if record.tick != state.clock.tick + 1:
+        raise CorruptJournalError(f"non-consecutive tick at {record.tick}")
+    for delta in record.deltas:
+        apply_delta(state, delta)
+    state.clock = Timestamp(record.tick)
+    if state_digest(state) != record.digest_after:
+        raise CorruptJournalError(f"digest mismatch at tick {record.tick}")
+
+
 def replay(journal: Journal) -> MemoryState:
     """Reconstruct the final state by applying committed deltas from genesis."""
     state = journal.genesis_state()
-    if state_digest(state) != journal.genesis_digest:
-        raise CorruptJournalError("genesis digest mismatch")
-    expected_tick = state.clock.tick
     for record in journal.records:
-        if not record.committed:
-            continue
-        expected_tick += 1
-        if record.tick != expected_tick:
-            raise CorruptJournalError(f"non-consecutive tick at {record.tick}")
-        for delta in record.deltas:
-            apply_delta(state, delta)
-        state.clock = Timestamp(record.tick)
-        if state_digest(state) != record.digest_after:
-            raise CorruptJournalError(f"digest mismatch at tick {record.tick}")
+        if record.committed:
+            replay_record(state, record)
     return state

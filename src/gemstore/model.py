@@ -140,10 +140,14 @@ class Field:
 
 @dataclass
 class Topic:
+    """A stored topic.  Its embedding is derived state: `vector()` computes it
+    from `content_text()`, and it is never serialised, hashed or journalled."""
+
     id: str
     title: str
     summary: str
-    embedding: EmbeddingVector
+    # memo of embed(content_text()); apply_delta clears it when the text may change
+    embedding: Optional[EmbeddingVector] = dc_field(default=None, repr=False, compare=False)
     fields: dict[str, Field] = dc_field(default_factory=dict)
     archived: bool = False
     merged_into: Optional[str] = None
@@ -163,7 +167,8 @@ class Topic:
         )
 
     def content_text(self) -> str:
-        """Deterministic text the topic embedding is computed from."""
+        """Deterministic text the topic embedding is derived from: the title,
+        the summary and each field's name and current value, by field name."""
         parts = [self.title, self.summary]
         for name in sorted(self.fields):
             entry = self.fields[name].current_entry()
@@ -172,12 +177,17 @@ class Topic:
                 parts.append(entry.value)
         return " ".join(parts)
 
+    def vector(self) -> EmbeddingVector:
+        """The topic embedding, derived on a miss of the memo."""
+        if self.embedding is None:
+            self.embedding = embed(self.content_text())
+        return self.embedding
+
     def to_dict(self) -> dict:
         return {
             "id": self.id,
             "title": self.title,
             "summary": self.summary,
-            "embedding": self.embedding.to_list(),
             "fields": {name: f.to_dict() for name, f in sorted(self.fields.items())},
             "archived": self.archived,
             "merged_into": self.merged_into,
@@ -189,7 +199,6 @@ class Topic:
             id=d["id"],
             title=d["title"],
             summary=d["summary"],
-            embedding=EmbeddingVector.from_list(d["embedding"]),
             fields={name: Field.from_dict(f) for name, f in d["fields"].items()},
             archived=d["archived"],
             merged_into=d.get("merged_into"),

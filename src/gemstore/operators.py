@@ -126,7 +126,7 @@ class RetrievalOutput:
 
 @dataclass(frozen=True)
 class EvidenceItem:
-    kind: str  # duplicate_topics | conflicting_values | schema_drift | dependency_flag | promotion_candidate
+    kind: str  # duplicate_topics | conflicting_values | dependency_flag | promotion_candidate
     topic: str
     other: Optional[str] = None  # duplicate partner / cause / entity tag
     field: Optional[str] = None
@@ -263,8 +263,6 @@ def ingest(txn: Txn, bundle: FactBundle, cfg: EngineConfig, next_tick: int) -> l
             txn.set_entry_flags(topic_id, fact.field, idx, superseded=True, compressed=False)
         txn.append_entry(topic_id, fact.field, ValueEntry(fact.value, Timestamp(next_tick), (prov,)))
         events.append(("field_updated", {"updated_topic": topic_id, "updated_field": fact.field}))
-
-    txn.refresh_embedding(topic_id)
     return events
 
 
@@ -317,7 +315,7 @@ def retrieve_read(state: MemoryState, q: Query, cfg: EngineConfig) -> RetrievalO
     query_vec = embed(q.text)
     ranked = sorted(
         (t for t in state.topics.values() if not t.archived),
-        key=lambda t: (-cosine(query_vec, t.embedding), t.id),
+        key=lambda t: (-cosine(query_vec, t.vector()), t.id),
     )[: cfg.k_topics]
     q_tokens = set(tokenize(q.text))
 
@@ -393,7 +391,7 @@ def detect_evidence(state: MemoryState, cfg: EngineConfig) -> list[EvidenceItem]
     if len(live) < PREFIX_FILTER_MIN_TOPICS:
         for i, a in enumerate(live):
             for b in live[i + 1 :]:
-                sim = cosine(a.embedding, b.embedding)
+                sim = cosine(a.vector(), b.vector())
                 if sim < cfg.tau_dup:
                     continue
                 ta, tb = set(tokenize(a.title)), set(tokenize(b.title))
@@ -409,7 +407,7 @@ def detect_evidence(state: MemoryState, cfg: EngineConfig) -> list[EvidenceItem]
             if len(ta & tb) / min(len(ta), len(tb)) < 0.5:
                 continue
             a, b = live[i], live[j]
-            sim = cosine(a.embedding, b.embedding)
+            sim = cosine(a.vector(), b.vector())
             if sim >= cfg.tau_dup:
                 items.append(EvidenceItem("duplicate_topics", a.id, other=b.id, similarity=sim))
 
@@ -487,8 +485,6 @@ def revise(
             _resolve_conflict(txn, item.topic, item.field)
         elif item.kind == "promotion_candidate":
             events.extend(_promote(txn, item.topic, item.other, next_tick))
-        elif item.kind == "schema_drift":
-            pass  # detected for reporting; no automatic repair
         else:
             raise OperatorError(f"unknown evidence kind: {item.kind}")
     return events
@@ -514,7 +510,6 @@ def _repair_dependency(txn: Txn, item: EvidenceItem, rules: RuleTable, next_tick
 
     events = []
     topic = txn.state.topics[topic_id]
-    changed = False
     for rule in rules.for_dependency(cause_topic, cause_field, topic_id):
         dep = topic.fields.get(rule.dependent_field)
         if dep is None:
@@ -530,9 +525,6 @@ def _repair_dependency(txn: Txn, item: EvidenceItem, rules: RuleTable, next_tick
         txn.set_entry_flags(topic_id, rule.dependent_field, idx, superseded=True, compressed=False)
         txn.append_entry(topic_id, rule.dependent_field, ValueEntry(new_value, Timestamp(next_tick), (prov,)))
         events.append(("field_updated", {"updated_topic": topic_id, "updated_field": rule.dependent_field}))
-        changed = True
-    if changed:
-        txn.refresh_embedding(topic_id)
     return events
 
 
@@ -571,7 +563,6 @@ def _merge_topics(txn: Txn, a_id: str, b_id: str, cfg: EngineConfig, next_tick: 
         if src != dst and (src, dst, edge.kind.value) not in txn.state.edges:
             txn.add_edge(src, dst, edge.kind, edge.created_at.tick)
     txn.archive_topic(loser_id, merged_into=winner_id)
-    txn.refresh_embedding(winner_id)
     return [("topic_merged", {"updated_topic": winner_id})]
 
 
@@ -614,8 +605,6 @@ def _promote(txn: Txn, src_id: str, tag: str, next_tick: int) -> list[tuple[str,
         txn.install_field(new_id, payload)
         txn.remove_field(src_id, name)
     txn.add_edge(src_id, new_id, EdgeKind.EXTENSION, next_tick)
-    txn.refresh_embedding(src_id)
-    txn.refresh_embedding(new_id)
     return [("topic_created", {"updated_topic": new_id})]
 
 
@@ -681,22 +670,13 @@ def _compress_field(txn: Txn, topic_id: str, name: str, k_recent: int) -> None:
 
 
 def _enforce_footprint(txn: Txn, cfg: EngineConfig, next_tick: int) -> None:
-    bound = cfg.beta.bound(next_tick)
-    excess = active_footprint(txn.state) - bound
+    excess = active_footprint(txn.state) - cfg.beta.bound(next_tick)
     if excess <= 0:
         return
-    candidates = []
-    for tid in sorted(txn.state.topics):
-        topic = txn.state.topics[tid]
-        if topic.archived:
-            continue
-        for name in sorted(topic.fields):
-            f = topic.fields[name]
-            if f.tier is Tier.ACTIVE:
-                candidates.append((f.salience, f.last_access, name, tid))
     # relevance-ordered, never age-ordered: lowest salience goes first
-    candidates.sort()
-    for _, _, name, tid in candidates[:excess]:
+    topics = txn.state.topics
+    victims = [(tid, name) for tid, name in hide_order(txn.state) if topics[tid].fields[name].tier is Tier.ACTIVE]
+    for tid, name in victims[:excess]:
         txn.set_tier(tid, name, Tier.HIDDEN)
 
 

@@ -16,7 +16,7 @@ from .model import MemoryState, canonical_json, state_digest, state_from_dict, s
 
 JOURNAL_MAGIC = b"GEMJ"
 SNAPSHOT_MAGIC = b"GEMS"
-FORMAT_VERSION = 2  # 2: two-level state digest (one SHA-256 per topic)
+FORMAT_VERSION = 3  # 2: one SHA-256 per topic in the digest; 3: embeddings derived, not stored
 
 
 def _write_frame(fh, payload: bytes) -> None:
@@ -62,17 +62,8 @@ def read_journal(path: str | Path) -> Journal:
             genesis=header["genesis"],
             genesis_digest=header["genesis_digest"],
         )
-        while True:
-            header4 = fh.read(4)
-            if not header4:
-                break
-            if len(header4) != 4:
-                raise CorruptJournalError("truncated frame header")
-            (length,) = struct.unpack(">I", header4)
-            payload = fh.read(length)
-            if len(payload) != length:
-                raise CorruptJournalError("truncated frame payload")
-            journal.records.append(TransitionRecord.from_dict(json.loads(payload)))
+        while fh.peek(1):  # a clean end of file ends the records
+            journal.records.append(TransitionRecord.from_dict(json.loads(_read_frame(fh))))
     return journal
 
 

@@ -19,12 +19,17 @@ from .model import (
     Timestamp,
     Topic,
     ValueEntry,
-    fresh_embedding_for,
 )
 
 
 class DeltaError(ValueError):
     """A delta referenced state that does not exist; indicates corruption."""
+
+
+# deltas that can change a topic's content_text(), and so its embedding
+_TEXT_DELTAS = frozenset(
+    ("entry_appended", "entry_flags", "history_compressed", "field_installed", "field_removed")
+)
 
 
 def apply_delta(state: MemoryState, delta: dict) -> None:
@@ -34,9 +39,7 @@ def apply_delta(state: MemoryState, delta: dict) -> None:
         tid = delta["id"]
         if tid in state.topics:
             raise DeltaError(f"topic already exists: {tid}")
-        topic = Topic(id=tid, title=delta["title"], summary=delta["summary"], embedding=None)
-        topic.embedding = fresh_embedding_for(topic)
-        state.topics[tid] = topic
+        state.topics[tid] = Topic(id=tid, title=delta["title"], summary=delta["summary"])
     elif kind == "topic_removed":
         _topic(state, delta["id"])
         del state.topics[delta["id"]]
@@ -97,9 +100,6 @@ def apply_delta(state: MemoryState, delta: dict) -> None:
     elif kind == "tier_set":
         f = _field(_topic(state, delta["topic"]), delta["field"])
         f.tier = Tier(delta["tier"])
-    elif kind == "embedding_refresh":
-        topic = _topic(state, delta["topic"])
-        topic.embedding = fresh_embedding_for(topic)
     elif kind == "edge_added":
         edge = Edge(delta["src"], delta["dst"], EdgeKind(delta["edge_kind"]), Timestamp(delta["tick"]))
         if edge.src == edge.dst:
@@ -119,6 +119,8 @@ def apply_delta(state: MemoryState, delta: dict) -> None:
         state.revision_queue = {(t, c) for t, c in state.revision_queue if t != delta["topic"]}
     else:
         raise DeltaError(f"unknown delta kind: {kind}")
+    if kind in _TEXT_DELTAS:
+        state.topics[delta["topic"]].embedding = None
 
 
 def _topic(state: MemoryState, tid: str) -> Topic:
@@ -159,6 +161,13 @@ class Txn:
             self._owned.add(delta["id"])
         apply_delta(self.state, delta)
         self.deltas.append(delta)
+
+    def derive_embeddings(self) -> None:
+        """Fill the embedding memo of every live topic this transaction touched."""
+        for tid in self._owned:
+            topic = self.state.topics.get(tid)
+            if topic is not None:
+                topic.vector()
 
     # -- mutators ---------------------------------------------------------
 
@@ -232,9 +241,6 @@ class Txn:
 
     def set_tier(self, topic_id: str, name: str, tier: Tier) -> None:
         self._record({"kind": "tier_set", "topic": topic_id, "field": name, "tier": tier.value})
-
-    def refresh_embedding(self, topic_id: str) -> None:
-        self._record({"kind": "embedding_refresh", "topic": topic_id})
 
     def add_edge(self, src: str, dst: str, kind: EdgeKind, tick: int) -> None:
         self._record({"kind": "edge_added", "src": src, "dst": dst, "edge_kind": kind.value, "tick": tick})

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 from typing import Optional
 
+from .audit import ShadowLedger
 from .baseline import BaselineJournalAdapter
 from .engine import Engine, EngineEvent
 from .model import Tier, current_value, active_footprint
@@ -213,28 +214,6 @@ class CompareRow:
 CSV_HEADER = "system,tick,footprint,stale_answers,lost_answers,salience_delta_sum"
 
 
-class _Expectations:
-    """Last ingested value per (concept, field), concept = topic hint."""
-
-    def __init__(self):
-        self.current: dict[tuple[str, str], str] = {}
-
-    def ingest(self, bundle: FactBundle) -> None:
-        concept = bundle.topic_hint
-        for fact in bundle.facts:
-            if concept is not None:
-                key = (concept, fact.field)
-            else:
-                # unhinted updates land on the unique concept already holding
-                # the field, matching how the router resolves them
-                owners = [k for k in self.current if k[1] == fact.field]
-                key = owners[0] if len(owners) == 1 else (fact.field, fact.field)
-            self.current[key] = fact.value
-
-    def lookup(self, field_name: str) -> list[str]:
-        return [v for (concept, fname), v in self.current.items() if fname == field_name]
-
-
 def compare(events: list[WorkloadEvent], engine: Engine, adapter: BaselineJournalAdapter) -> list[CompareRow]:
     rows: list[CompareRow] = []
     rows.extend(_compare_engine(events, engine))
@@ -244,13 +223,13 @@ def compare(events: list[WorkloadEvent], engine: Engine, adapter: BaselineJourna
 
 def _compare_engine(events: list[WorkloadEvent], engine: Engine) -> list[CompareRow]:
     rows = []
-    expect = _Expectations()
+    expect = ShadowLedger()  # ticked by event index
     stale = lost = 0
     salience_sum = 0.0
-    for ev in events:
+    for index, ev in enumerate(events):
         if ev.op == "ingest":
             engine.submit(EngineEvent.ingest(ev.bundle))
-            expect.ingest(ev.bundle)
+            expect.ingest(ev.bundle.to_dict(), index)
         elif ev.op == "query":
             pre = {
                 (tid, name): f.salience
@@ -291,12 +270,12 @@ def _compare_engine(events: list[WorkloadEvent], engine: Engine) -> list[Compare
 
 def _compare_baseline(events: list[WorkloadEvent], adapter: BaselineJournalAdapter) -> list[CompareRow]:
     rows = []
-    expect = _Expectations()
+    expect = ShadowLedger()  # ticked by event index
     stale = lost = 0
-    for ev in events:
+    for index, ev in enumerate(events):
         if ev.op == "ingest":
             adapter.ingest(ev.bundle)
-            expect.ingest(ev.bundle)
+            expect.ingest(ev.bundle.to_dict(), index)
         elif ev.op == "query":
             results = adapter.query(ev.query)
             answers = [(r.field, r.value) for r in results if r.field is not None]
@@ -320,10 +299,10 @@ def _compare_baseline(events: list[WorkloadEvent], adapter: BaselineJournalAdapt
     return rows
 
 
-def _count_stale(answers: list[tuple[str, str]], expect: _Expectations) -> int:
+def _count_stale(answers: list[tuple[str, str]], expect: ShadowLedger) -> int:
     n = 0
     for field_name, value in answers:
-        known = expect.lookup(field_name)
+        known = expect.latest_values(field_name)
         if known and value not in known:
             n += 1
     return n

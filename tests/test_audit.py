@@ -4,7 +4,7 @@ from conftest import build_state, build_topic
 from gemstore.audit import audit, render_report, report_to_dict
 from gemstore.baseline import BaselineJournalAdapter
 from gemstore.config import EngineConfig
-from gemstore.engine import CorruptJournalError, Engine, EngineEvent
+from gemstore.engine import CorruptJournalError, Engine, EngineEvent, replay
 from gemstore.operators import Fact, FactBundle, Query, RuleTable
 from gemstore.policy import parse_policies
 
@@ -81,6 +81,19 @@ def test_audit_rejects_tampered_digest():
     e.submit(EngineEvent.ingest(bundle("a", hint="t", A="1")))
     e.journal.records[0].digest_after = "0" * 64
     with pytest.raises(CorruptJournalError):
+        audit(e.journal, [])
+
+
+def test_audit_and_replay_reject_a_deleted_record():
+    e = Engine()
+    e.submit(EngineEvent.ingest(bundle("a", hint="t", A="1")))
+    _, records = e.submit(EngineEvent.forget())
+    assert records[0].committed and records[0].deltas == []
+    e.submit(EngineEvent.ingest(bundle("b", hint="t", A="2")))
+    del e.journal.records[1]  # the digest after tick 3 still matches
+    with pytest.raises(CorruptJournalError, match="non-consecutive tick at 3"):
+        replay(e.journal)
+    with pytest.raises(CorruptJournalError, match="non-consecutive tick at 3"):
         audit(e.journal, [])
 
 

@@ -2,9 +2,22 @@ import pytest
 
 from conftest import build_state, build_topic
 from gemstore.config import BetaSpec, EngineConfig
+from gemstore.embedding import embed
 from gemstore.engine import Engine, EngineEvent, replay
-from gemstore.model import current_value, state_digest, state_to_dict, canonical_json
-from gemstore.operators import Fact, FactBundle, Query, RuleTable
+from gemstore.model import (
+    Field,
+    Provenance,
+    Timestamp,
+    ValueEntry,
+    canonical_json,
+    current_value,
+    fresh_embedding_for,
+    state_digest,
+    state_to_dict,
+)
+from gemstore.operators import EvidenceItem, Fact, FactBundle, Query, RuleTable
+from gemstore.workload import run_workload
+from gemstore.workload_gen import generate_workload
 
 
 def bundle(text, hint=None, **facts):
@@ -159,3 +172,83 @@ def test_retrieval_context_includes_association_neighbors():
     e = chain_fixture()
     out, _ = e.submit(EngineEvent.retrieve(Query(text="launch plan deadline")))
     assert ("lunch", "team lunch") in out.context
+
+
+def test_committed_records_journal_only_the_policies_that_fired():
+    e = chain_fixture()
+    _, records = e.submit(EngineEvent.ingest(bundle("deadline moved", hint="plan", Deadline="April 20")))
+    assert records[0].committed
+    # the two pre_commit policies were evaluated too, and did not fire
+    assert records[0].policy_log == [{"policy": "propagate-on-change", "fired": True, "action": "flag_for_revision"}]
+
+
+def test_aborted_records_keep_every_policy_evaluation():
+    e = Engine(config=EngineConfig(beta=BetaSpec(base=1)))
+    e.submit(EngineEvent.ingest(bundle("first", hint="t0", F0="x")))
+    _, records = e.submit(EngineEvent.ingest(bundle("second", hint="t1", F1="x")))
+    assert records[0].outcome == "aborted"
+    assert records[0].policy_log == [
+        {"policy": "propagate-on-change", "fired": False, "action": "flag_for_revision"},
+        {"policy": "reject-stale-current", "fired": False, "action": "reject_transition"},
+        {"policy": "bounded-active-state", "fired": True, "action": "reject_transition"},
+    ]
+
+
+# -- derived embeddings -----------------------------------------------------
+
+
+class CoherenceCheckingEngine(Engine):
+    """After every committed transition, each topic's embedding must equal
+    the embedding of its current content text, component for component."""
+
+    def _apply_once(self, event):
+        output, record = super()._apply_once(event)
+        if record.committed:
+            for topic in self.state.topics.values():
+                derived = embed(topic.content_text())
+                assert topic.vector().components.tolist() == derived.components.tolist(), (record.tick, topic.id)
+        return output, record
+
+
+def test_embeddings_follow_content_through_random_workloads():
+    for seed in range(20):
+        run_workload(CoherenceCheckingEngine(), generate_workload(seed, length=100))
+
+
+def _revise_checked(genesis, item):
+    engine = CoherenceCheckingEngine(genesis=genesis)
+    _, records = engine.submit(EngineEvent.revise([item]))
+    assert [r.outcome for r in records] == ["committed"]
+    return engine.state
+
+
+def test_embeddings_follow_content_through_merge_and_promotion():
+    title = "quarterly release planning"
+    a = build_topic("a", title=title, fields={"Deadline": "May 1"})
+    b = build_topic("b", title=title, fields={"Owner": "kim"})
+    merged = _revise_checked(build_state([a, b]), EvidenceItem("duplicate_topics", "a", other="b"))
+    assert merged.topics["a"].fields["Owner"].current_entry().value == "kim"
+
+    meetings = build_topic("meetings", fields={f"Budget{i}": f"v{i}" for i in range(5)})
+    for name in ("Budget0", "Budget1", "Budget2"):
+        meetings.fields[name].entity_tag = "budget-review"
+    promote = EvidenceItem("promotion_candidate", "meetings", other="budget-review")
+    promoted = _revise_checked(build_state([meetings]), promote)
+    assert set(promoted.topics["budget-review"].fields) == {"Budget0", "Budget1", "Budget2"}
+
+
+def test_embedding_follows_content_through_conflict_resolution():
+    # the later-dated value sits first, so resolving the conflict changes
+    # the current value (and the default stale-current policy would reject it)
+    topic = build_topic("plan")
+    history = [
+        ValueEntry("June 9", Timestamp(5), (Provenance("seed", 5),)),
+        ValueEntry("May 1", Timestamp(1), (Provenance("seed", 1),)),
+    ]
+    topic.fields["Deadline"] = Field(name="Deadline", history=history)
+    topic.embedding = fresh_embedding_for(topic)  # memo of the pre-revise text
+    before = topic.content_text()
+    conflict = EvidenceItem("conflicting_values", "plan", field="Deadline")
+    state = _revise_checked(build_state([topic], policies=[], tick=5), conflict)
+    assert state.topics["plan"].fields["Deadline"].current_entry().value == "June 9"
+    assert state.topics["plan"].content_text() != before

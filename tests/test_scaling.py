@@ -2,7 +2,7 @@
 timed, so these hold on any machine."""
 
 from conftest import build_state, build_topic
-from gemstore import operators
+from gemstore import embedding, operators
 from gemstore.config import BetaSpec, EngineConfig
 from gemstore.engine import Engine, EngineEvent
 from gemstore.model import Topic
@@ -37,3 +37,14 @@ def test_hinted_ingest_serialises_only_the_touched_topic(monkeypatch):
     _, records = engine.submit(EngineEvent.ingest(bundle))
     assert [r.outcome for r in records] == ["committed"]
     assert serialised == ["t0500"]
+
+
+def test_tick_derives_no_embeddings(monkeypatch):
+    engine = Engine(config=EngineConfig(beta=BetaSpec(base=2 * N_TOPICS)), genesis=_large_state())
+    derived = []
+    real = embedding._embed_tuple
+    monkeypatch.setattr(embedding, "_embed_tuple", lambda text: derived.append(text) or real(text))
+    _, records = engine.submit(EngineEvent.tick())
+    assert [r.outcome for r in records] == ["committed"]
+    assert len(records[0].deltas) >= N_TOPICS  # the tick touched every topic
+    assert derived == []

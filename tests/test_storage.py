@@ -108,14 +108,15 @@ def test_resume_from_snapshot_continues_deterministically(tmp_path):
     assert resumed.digest() == e.digest()
 
 
-def test_version_1_journal_and_snapshot_are_refused(tmp_path, monkeypatch):
+@pytest.mark.parametrize("version", [1, 2])
+def test_older_journal_and_snapshot_versions_are_refused(tmp_path, monkeypatch, version):
     e = sample_engine()
-    jpath, spath = tmp_path / "v1.journal", tmp_path / "v1.snap"
-    monkeypatch.setattr(storage, "FORMAT_VERSION", 1)
+    jpath, spath = tmp_path / "old.journal", tmp_path / "old.snap"
+    monkeypatch.setattr(storage, "FORMAT_VERSION", version)
     write_journal(jpath, e.journal)
     write_snapshot(spath, e.state, e.config)
     monkeypatch.undo()
-    with pytest.raises(CorruptJournalError, match="unsupported journal version: 1"):
+    with pytest.raises(CorruptJournalError, match=f"unsupported journal version: {version}"):
         read_journal(jpath)
-    with pytest.raises(CorruptJournalError, match="unsupported snapshot version: 1"):
+    with pytest.raises(CorruptJournalError, match=f"unsupported snapshot version: {version}"):
         read_snapshot(spath)

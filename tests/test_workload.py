@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from gemstore.baseline import BaselineJournalAdapter
@@ -7,12 +9,15 @@ from gemstore.workload import (
     CSV_HEADER,
     WorkloadError,
     compare,
+    load_workload,
     parse_workload,
     rows_to_csv,
     run_workload,
     run_workload_baseline,
 )
 from gemstore.workload_gen import generate_workload
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "workloads"
 
 
 def test_parse_workload_ops_and_comments():
@@ -80,3 +85,46 @@ def test_compare_emits_rows_for_both_systems():
     for system in ("gem", "baseline"):
         stale = [r.stale_answers for r in rows if r.system == system]
         assert stale == sorted(stale)
+
+
+# `gem compare` on the deadline workload: the governed engine never answers
+# stale and loses nothing, the baseline answers two stale values and loses one
+DEADLINE_CSV = """\
+system,tick,footprint,stale_answers,lost_answers,salience_delta_sum
+gem,1,1,0,0,0.000000
+gem,2,2,0,0,0.000000
+gem,3,2,0,0,1.000000
+gem,10,1,0,0,1.000000
+gem,11,1,0,0,1.000000
+gem,12,1,0,0,1.000000
+gem,13,1,0,0,2.000000
+gem,20,1,0,0,2.000000
+gem,21,2,0,0,2.000000
+gem,22,3,0,0,2.000000
+gem,23,4,0,0,2.000000
+gem,24,5,0,0,2.000000
+gem,25,6,0,0,2.000000
+gem,26,6,0,0,4.000000
+gem,33,2,0,0,4.000000
+baseline,1,1,0,0,0.000000
+baseline,2,2,0,0,0.000000
+baseline,3,2,0,0,0.000000
+baseline,10,2,0,0,0.000000
+baseline,11,3,0,0,0.000000
+baseline,12,4,0,0,0.000000
+baseline,13,4,2,0,0.000000
+baseline,20,4,2,0,0.000000
+baseline,21,5,2,0,0.000000
+baseline,22,5,2,0,0.000000
+baseline,23,5,2,0,0.000000
+baseline,24,5,2,0,0.000000
+baseline,25,5,2,0,0.000000
+baseline,26,5,2,1,0.000000
+baseline,33,5,2,1,0.000000
+"""
+
+
+def test_compare_deadline_matches_golden_csv():
+    events = load_workload(WORKLOADS / "deadline.workload")
+    rows = compare(events, Engine(), BaselineJournalAdapter(EngineConfig(), capacity=5))
+    assert rows_to_csv(rows) == DEADLINE_CSV
