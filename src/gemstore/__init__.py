@@ -3,7 +3,7 @@ with policy-gated transitions, a replayable journal, and a trajectory
 auditor for its correctness conditions."""
 
 from .audit import ViolationReport, audit, render_report
-from .baseline import BaselineJournalAdapter, BaselineStore
+from .baseline import BaselineJournalAdapter
 from .config import BetaSpec, EngineConfig
 from .engine import CorruptJournalError, Engine, EngineEvent, Journal, TransitionRecord, replay
 from .model import (
@@ -34,14 +34,13 @@ from .policy import (
 )
 from .salience import SalienceParams
 from .storage import read_journal, read_snapshot, write_journal, write_snapshot
-from .workload import load_workload, run_workload, run_workload_baseline
+from .workload import load_workload, run_workload
 
 __all__ = [
     "ViolationReport",
     "audit",
     "render_report",
     "BaselineJournalAdapter",
-    "BaselineStore",
     "BetaSpec",
     "EngineConfig",
     "CorruptJournalError",
@@ -84,7 +83,6 @@ __all__ = [
     "write_snapshot",
     "load_workload",
     "run_workload",
-    "run_workload_baseline",
 ]
 
 __version__ = "0.1.0"

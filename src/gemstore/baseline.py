@@ -2,86 +2,39 @@
 read-only retrieval.  Exists to reproduce the four failure modes of naive
 record stores in differential tests against the governed engine.
 
-The journal adapter mirrors every put/evict/query as a transition record so
-the trajectory auditor can score the baseline with the same machinery.
+The baseline takes the engine's events through the engine's `submit`
+interface and journals every put, eviction and read as a transition record,
+so the trajectory auditor can score it with the same machinery.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .config import EngineConfig
-from .embedding import EmbeddingVector, cosine, embed
+from .embedding import cosine, embed
 from .engine import EngineEvent, Journal, TransitionRecord
-from .model import (
-    MemoryState,
-    Provenance,
-    Timestamp,
-    ValueEntry,
-    canonical_json,
-    state_digest,
-    state_to_dict,
-)
-from .operators import FactBundle, Query
+from .model import MemoryState, Provenance, Timestamp, ValueEntry, state_digest, state_to_dict
+from .operators import Answer, FactBundle, Query, RetrievalOutput
 from .transaction import Txn
 
 
-@dataclass(frozen=True)
-class Record:
-    id: int
-    text: str
-    embedding: EmbeddingVector
-    created_at: Timestamp
-    # concept/field/value keep the originating fact visible to compare tooling
-    concept: Optional[str] = None
-    field: Optional[str] = None
-    value: Optional[str] = None
-
-
-@dataclass
-class BaselineStore:
-    capacity: int = 5
-    records: list[Record] = dc_field(default_factory=list)
-    next_id: int = 0
-
-    def put(self, text: str, created_at: int, concept: Optional[str] = None,
-            field: Optional[str] = None, value: Optional[str] = None) -> tuple[int, list[Record]]:
-        """Append unconditionally; evict oldest beyond capacity. Returns
-        (new record id, evicted records)."""
-        record = Record(self.next_id, text, embed(text), Timestamp(created_at), concept, field, value)
-        self.next_id += 1
-        self.records.append(record)
-        evicted = []
-        while len(self.records) > self.capacity:
-            evicted.append(self.records.pop(0))
-        return record.id, evicted
-
-    def query(self, text: str, k: int) -> list[Record]:
-        """Top-k by cosine only; a pure read."""
-        if k < 1:
-            raise ValueError("k must be at least 1")
-        query_vec = embed(text)
-        ranked = sorted(self.records, key=lambda r: (-cosine(query_vec, r.embedding), r.id))
-        return ranked[:k]
-
-    def digest(self) -> str:
-        h = hashlib.sha256()
-        for r in self.records:
-            h.update(canonical_json({"id": r.id, "text": r.text, "at": r.created_at.tick}).encode())
-        return h.hexdigest()
+def _record_id(topic_id: str) -> int:
+    return int(topic_id[len("rec-"):])
 
 
 class BaselineJournalAdapter:
-    """Drives a BaselineStore from engine events while emitting an auditable
-    journal.  Each stored record is mirrored as a single-field topic named
-    rec-<id>; eviction removes the topic outright, which is exactly the
-    unrecoverable deletion the auditor is meant to flag."""
+    """A capacity-bounded record store kept as journalled state.  Each fact
+    is stored again as a single-field topic named rec-<id>, whose title is
+    the record text "field: value"; eviction removes the oldest topic
+    outright, which is exactly the unrecoverable deletion the auditor is
+    meant to flag."""
 
     def __init__(self, config: EngineConfig, capacity: int = 5):
+        config.validate()  # a read needs k_topics >= 1
         self.config = config
-        self.store = BaselineStore(capacity=capacity)
+        self.capacity = capacity
+        self.next_id = 0
         self.state = MemoryState(policies=[])
         self.journal = Journal(
             config=config,
@@ -89,12 +42,51 @@ class BaselineJournalAdapter:
             genesis_digest=state_digest(self.state),
         )
 
-    def _commit(self, operator: str, event: EngineEvent, txn: Txn) -> TransitionRecord:
+    def submit(self, event: EngineEvent) -> tuple[Optional[RetrievalOutput], list[TransitionRecord]]:
+        """Same signature as `Engine.submit`.  A read is a pure cosine
+        ranking and a tick is a no-op; revise and forget have no baseline
+        counterpart and journal nothing."""
+        if event.kind not in ("ingest", "retrieve", "tick"):
+            return None, []
+        txn = Txn(self.state)
+        if event.kind == "ingest":
+            self._put(txn, event.bundle)
+        output = self._read(event.query) if event.kind == "retrieve" else None
+        return output, [self._commit(event, txn)]
+
+    def _put(self, txn: Txn, bundle: FactBundle) -> None:
+        """One record per fact, duplicates included; evict oldest beyond capacity."""
+        next_tick = self.state.clock.tick + 1
+        for fact in bundle.facts:
+            topic_id = f"rec-{self.next_id:04d}"
+            self.next_id += 1
+            txn.create_topic(topic_id, title=f"{fact.field}: {fact.value}", summary=bundle.text)
+            txn.create_field(topic_id, fact.field, None, self.config.salience.s0, last_access=next_tick)
+            prov = Provenance(bundle.source_id, next_tick, fact.excerpt or bundle.text)
+            txn.append_entry(topic_id, fact.field, ValueEntry(fact.value, Timestamp(next_tick), (prov,)))
+            while len(txn.state.topics) > self.capacity:
+                txn.remove_topic(min(txn.state.topics, key=_record_id))
+
+    def _read(self, q: Query) -> RetrievalOutput:
+        """Top-k records by cosine to their text; changes nothing."""
+        query_vec = embed(q.text)
+        ranked = sorted(
+            self.state.topics.values(),
+            key=lambda t: (-cosine(query_vec, embed(t.title)), _record_id(t.id)),
+        )[: self.config.k_topics]
+        out = RetrievalOutput()
+        for topic in ranked:
+            (f,) = topic.fields.values()
+            (entry,) = f.history
+            out.answers.append(Answer(topic.id, f.name, entry.value, entry.at, entry.provenance))
+        return out
+
+    def _commit(self, event: EngineEvent, txn: Txn) -> TransitionRecord:
         next_tick = self.state.clock.tick + 1
         txn.state.clock = Timestamp(next_tick)
         record = TransitionRecord(
             tick=next_tick,
-            operator=operator,
+            operator=event.kind,
             input=event.to_dict(),
             deltas=txn.deltas,
             policy_log=[],
@@ -104,34 +96,3 @@ class BaselineJournalAdapter:
         self.state = txn.state
         self.journal.records.append(record)
         return record
-
-    def ingest(self, bundle: FactBundle) -> list[int]:
-        """One baseline record per fact; duplicates are stored again."""
-        ids = []
-        txn = Txn(self.state)
-        next_tick = self.state.clock.tick + 1
-        for fact in bundle.facts:
-            text = f"{fact.field}: {fact.value}"
-            rec_id, evicted = self.store.put(
-                text, next_tick, concept=bundle.topic_hint, field=fact.field, value=fact.value
-            )
-            ids.append(rec_id)
-            topic_id = f"rec-{rec_id:04d}"
-            txn.create_topic(topic_id, title=text, summary=bundle.text)
-            txn.create_field(topic_id, fact.field, None, self.config.salience.s0, last_access=next_tick)
-            prov = Provenance(bundle.source_id, next_tick, fact.excerpt or bundle.text)
-            txn.append_entry(topic_id, fact.field, ValueEntry(fact.value, Timestamp(next_tick), (prov,)))
-            for old in evicted:
-                txn.remove_topic(f"rec-{old.id:04d}")
-        self._commit("ingest", EngineEvent.ingest(bundle), txn)
-        return ids
-
-    def query(self, q: Query) -> list[Record]:
-        results = self.store.query(q.text, self.config.k_topics)
-        txn = Txn(self.state)  # read-only retrieval: no deltas, by design
-        self._commit("retrieve", EngineEvent.retrieve(q), txn)
-        return results
-
-    def tick(self) -> None:
-        txn = Txn(self.state)  # the baseline has no decay; tick is a no-op
-        self._commit("tick", EngineEvent.tick(), txn)

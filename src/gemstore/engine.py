@@ -14,6 +14,7 @@ from typing import Optional
 from .config import EngineConfig
 from .embedding import RoutingError
 from .model import (
+    EdgeKind,
     MemoryState,
     Timestamp,
     state_digest,
@@ -33,7 +34,7 @@ from .operators import (
     retrieve,
     revise,
 )
-from .policy import ActionSpec, EvaluationError, EventKind, Policy, evaluate_condition
+from .policy import ActionSpec, EvaluationError, EventKind, Policy, evaluate_condition, resolve_target
 from .salience import decay
 from .transaction import Txn, apply_delta
 
@@ -210,7 +211,7 @@ class Engine:
             pending = sorted({t for t, _ in self.state.revision_queue if t not in visited})
             if not pending:
                 break
-            topic_id = pending[0]
+            topic_id = self._next_to_repair(pending)
             visited.add(topic_id)
             causes = sorted(c for t, c in self.state.revision_queue if t == topic_id)
             evidence = [EvidenceItem("dependency_flag", topic_id, other=c) for c in causes]
@@ -219,6 +220,29 @@ class Engine:
         # flags re-added on visited topics within this drain wait for the
         # next retrieve; the visited set bounds cyclic extension chains
         return records
+
+    def _next_to_repair(self, pending: list[str]) -> str:
+        """The smallest pending topic that no other pending topic reaches
+        through Extension edges, so that no later repair in this drain flags
+        it again; the smallest pending topic when a cycle leaves none."""
+        if len(pending) == 1:
+            return pending[0]
+        successors: dict[str, list[str]] = {}
+        for edge in self.state.edges.values():
+            if edge.kind is EdgeKind.EXTENSION:
+                successors.setdefault(edge.src, []).append(edge.dst)
+        reached: set[str] = set()
+        for src in pending:
+            seen: set[str] = set()
+            stack = list(successors.get(src, ()))
+            while stack:
+                tid = stack.pop()
+                if tid not in seen:
+                    seen.add(tid)
+                    stack.extend(successors.get(tid, ()))
+            seen.discard(src)
+            reached |= seen
+        return next((tid for tid in pending if tid not in reached), pending[0])
 
     def _apply_once(self, event: EngineEvent) -> tuple[Optional[RetrievalOutput], TransitionRecord]:
         next_tick = self.state.clock.tick + 1
@@ -333,17 +357,17 @@ class Engine:
                 for dep in txn.state.extension_successors(src):
                     txn.add_flag(dep, cause)
             else:
-                target = self._resolve_target(action.target, ctx)
+                target = resolve_target(action.target, ctx)
                 txn.add_flag(target, ctx.get("updated_topic", "policy"))
             return
         if action.kind == "attenuate":
             if action.target is None:
                 forget(txn, self.config, next_tick)
             else:
-                forget(txn, self.config, next_tick, targets=[self._resolve_target(action.target, ctx)])
+                forget(txn, self.config, next_tick, targets=[resolve_target(action.target, ctx)])
             return
         if action.kind == "archive":
-            target = self._resolve_target(action.target, ctx)
+            target = resolve_target(action.target, ctx)
             if target in txn.state.topics and not txn.state.topics[target].archived:
                 txn.archive_topic(target)
             return
@@ -351,18 +375,6 @@ class Engine:
             # only meaningful on pre_commit; elsewhere it is inert by design
             return
         raise OperatorError(f"unknown action kind: {action.kind}")
-
-    def _resolve_target(self, target: Optional[str], ctx: dict) -> str:
-        from .policy import CONTEXT_VARIABLES
-
-        if target is None:
-            raise EvaluationError("action requires a target")
-        if target in CONTEXT_VARIABLES:
-            if target not in ctx:
-                raise EvaluationError(f"unbound variable: {target}")
-            bound = ctx[target]
-            return bound[0] if isinstance(bound, tuple) else bound
-        return target
 
 
 # ---------------------------------------------------------------------------

@@ -482,7 +482,7 @@ def revise(
         elif item.kind == "duplicate_topics":
             events.extend(_merge_topics(txn, item.topic, item.other, cfg, next_tick))
         elif item.kind == "conflicting_values":
-            _resolve_conflict(txn, item.topic, item.field)
+            events.extend(_resolve_conflict(txn, item.topic, item.field, next_tick))
         elif item.kind == "promotion_candidate":
             events.extend(_promote(txn, item.topic, item.other, next_tick))
         else:
@@ -566,27 +566,40 @@ def _merge_topics(txn: Txn, a_id: str, b_id: str, cfg: EngineConfig, next_tick: 
     return [("topic_merged", {"updated_topic": winner_id})]
 
 
+# a dict lookup: forget maps every field on every tick, and each enum
+# attribute access costs about as much as the whole lookup
+_TIER_FOR_ELIGIBILITY = {
+    Eligibility.CURRENT: Tier.ACTIVE,
+    Eligibility.COMPRESS: Tier.COMPRESSED,
+    Eligibility.HIDE: Tier.HIDDEN,
+    Eligibility.ARCHIVE: Tier.HIDDEN,
+}
+
+
 def _tier_for(salience: float, cfg: EngineConfig) -> Tier:
-    elig = tier_of(salience, cfg.salience)
-    if elig in (Eligibility.HIDE, Eligibility.ARCHIVE):
-        return Tier.HIDDEN
-    if elig is Eligibility.COMPRESS:
-        return Tier.COMPRESSED
-    return Tier.ACTIVE
+    return _TIER_FOR_ELIGIBILITY[tier_of(salience, cfg.salience)]
 
 
-def _resolve_conflict(txn: Txn, topic_id: str, field_name: str) -> None:
+def _resolve_conflict(txn: Txn, topic_id: str, field_name: str, next_tick: int) -> list[tuple[str, dict]]:
+    """Keep the latest-dated current value.  When it is not the field's last
+    non-compressed entry it is appended again, because a superseded last entry
+    would serve a stale value as current."""
     topic = txn.state.topics.get(topic_id)
     f = topic.fields.get(field_name) if topic else None
     if f is None:
         raise OperatorError(f"conflict target missing: {topic_id}.{field_name}")
     currents = [(i, e) for i, e in enumerate(f.history) if not e.superseded and not e.compressed]
     if len(currents) <= 1:
-        return
-    keep = max(currents, key=lambda pair: (pair[1].at.tick, pair[0]))
+        return []
+    keep_index, keep = max(currents, key=lambda pair: (pair[1].at.tick, pair[0]))
+    reappend = keep_index != max(i for i, e in enumerate(f.history) if not e.compressed)
     for i, _ in currents:
-        if i != keep[0]:
+        if i != keep_index or reappend:
             txn.set_entry_flags(topic_id, field_name, i, superseded=True, compressed=False)
+    if not reappend:
+        return []
+    txn.append_entry(topic_id, field_name, ValueEntry(keep.value, Timestamp(next_tick), keep.provenance))
+    return [("field_updated", {"updated_topic": topic_id, "updated_field": field_name})]
 
 
 def _promote(txn: Txn, src_id: str, tag: str, next_tick: int) -> list[tuple[str, dict]]:
@@ -623,18 +636,11 @@ def forget(txn: Txn, cfg: EngineConfig, next_tick: int, targets: Optional[list[s
             continue
         for name in sorted(topic.fields):
             f = topic.fields[name]
-            elig = tier_of(f.salience, p)
-            if elig is Eligibility.CURRENT:
-                if f.tier is not Tier.ACTIVE:
-                    txn.set_tier(tid, name, Tier.ACTIVE)
-                continue
-            _compress_field(txn, tid, name, p.k_recent)
-            if elig is Eligibility.COMPRESS:
-                if f.tier is not Tier.COMPRESSED:
-                    txn.set_tier(tid, name, Tier.COMPRESSED)
-            else:  # HIDE or ARCHIVE eligibility hides the field
-                if f.tier is not Tier.HIDDEN:
-                    txn.set_tier(tid, name, Tier.HIDDEN)
+            tier = _tier_for(f.salience, cfg)
+            if tier is not Tier.ACTIVE:
+                _compress_field(txn, tid, name, p.k_recent)
+            if f.tier is not tier:
+                txn.set_tier(tid, name, tier)
         topic = txn.state.topics[tid]
         if topic.fields and all(f.salience < p.theta_archive for f in topic.fields.values()):
             txn.archive_topic(tid)

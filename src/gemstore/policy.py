@@ -31,15 +31,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
-EVENT_KINDS = (
-    "field_updated",
-    "topic_created",
-    "topic_merged",
-    "retrieval_performed",
-    "tick",
-    "pre_commit",
-)
-
 CONTEXT_VARIABLES = ("updated_field", "updated_topic", "dependent_topic", "accessed_topic")
 
 
@@ -50,6 +41,9 @@ class EventKind(str, Enum):
     RETRIEVAL_PERFORMED = "retrieval_performed"
     TICK = "tick"
     PRE_COMMIT = "pre_commit"
+
+
+EVENT_KINDS = tuple(kind.value for kind in EventKind)
 
 
 class PolicyParseError(ValueError):
@@ -455,13 +449,17 @@ def render_policy(p: Policy) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_topic(target: str, state, ctx: dict) -> Optional[str]:
+def resolve_target(target: Optional[str], ctx: dict) -> str:
+    """The topic id a policy target names: a context variable's binding, or
+    a literal topic id."""
+    if target is None:
+        raise EvaluationError("action requires a target")
     if target in CONTEXT_VARIABLES:
         if target not in ctx:
             raise EvaluationError(f"unbound variable: {target}")
         bound = ctx[target]
         return bound[0] if isinstance(bound, tuple) else bound
-    return target  # literal topic id
+    return target
 
 
 def evaluate_condition(cond: ConditionExpr, state, ctx: dict) -> bool:
@@ -493,7 +491,7 @@ def evaluate_condition(cond: ConditionExpr, state, ctx: dict) -> bool:
             if f is None:
                 return False
             return f.salience < cond.threshold
-        topic_id = _resolve_topic(cond.target, state, ctx)
+        topic_id = resolve_target(cond.target, ctx)
         topic = state.topics.get(topic_id)
         if topic is None or not topic.fields:
             return False
@@ -512,7 +510,7 @@ def evaluate_condition(cond: ConditionExpr, state, ctx: dict) -> bool:
             raise EvaluationError("unbound variable: updated_field")
         return ctx["updated_field"] == cond.name
     if isinstance(cond, TopicArchived):
-        topic_id = _resolve_topic(cond.target, state, ctx)
+        topic_id = resolve_target(cond.target, ctx)
         topic = state.topics.get(topic_id)
         return topic is not None and topic.archived
     if isinstance(cond, StaleCurrentExists):

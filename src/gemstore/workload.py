@@ -10,13 +10,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional, Union
 
 from .audit import ShadowLedger
 from .baseline import BaselineJournalAdapter
-from .engine import Engine, EngineEvent
-from .model import Tier, current_value, active_footprint
-from .operators import Fact, FactBundle, Query
+from .engine import Engine, EngineEvent, TransitionRecord
+from .model import MemoryState, Tier, active_footprint, current_value
+from .operators import Fact, FactBundle, Query, RetrievalOutput
 
 
 @dataclass(frozen=True)
@@ -54,29 +54,20 @@ def load_workload(path: str | Path) -> list[WorkloadEvent]:
 def _parse_event(obj: dict, lineno: int) -> WorkloadEvent:
     op = obj.get("op")
     if op == "ingest":
-        facts = tuple(
-            Fact(f["field"], f["value"], f.get("entity_tag"), f.get("excerpt", ""))
-            for f in obj.get("facts", [])
-        )
         bundle = FactBundle(
-            facts=facts,
+            facts=tuple(Fact.from_dict(f) for f in obj.get("facts", [])),
             text=obj.get("text", ""),
             source_id=obj.get("source", "session"),
             topic_hint=obj.get("hint"),
         )
         return WorkloadEvent("ingest", bundle=bundle)
     if op == "query":
-        q = Query(
-            text=obj.get("text", ""),
-            mode=obj.get("mode", "default"),
-            as_of=obj.get("as_of"),
-            root=obj.get("root"),
-            depth=obj.get("depth", 1),
-            explicit=tuple(obj["explicit"]) if obj.get("explicit") else None,
-        )
-        return WorkloadEvent("query", query=q, expected=obj.get("expected"))
+        return WorkloadEvent("query", query=Query.from_dict(obj), expected=obj.get("expected"))
     if op == "tick":
-        return WorkloadEvent("tick", count=int(obj.get("count", 1)))
+        count = obj.get("count", 1)
+        if type(count) is not int or count < 1:
+            raise WorkloadError(f"line {lineno}: tick count must be an integer >= 1, got {count!r}")
+        return WorkloadEvent("tick", count=count)
     if op in ("revise", "forget"):
         return WorkloadEvent(op)
     if op == "assert":
@@ -111,39 +102,54 @@ class WorkloadResult:
         return not self.assert_failures
 
 
-def run_workload(engine: Engine, events: list[WorkloadEvent]) -> WorkloadResult:
-    result = WorkloadResult()
+System = Union[Engine, BaselineJournalAdapter]
+Step = tuple[int, WorkloadEvent, Optional[RetrievalOutput], list[TransitionRecord]]
+
+
+def _engine_events(ev: WorkloadEvent) -> list[EngineEvent]:
+    if ev.op == "tick":
+        return [EngineEvent.tick()] * ev.count
+    if ev.op == "ingest":
+        return [EngineEvent.ingest(ev.bundle)]
+    if ev.op == "query":
+        return [EngineEvent.retrieve(ev.query)]
+    if ev.op == "revise":
+        return [EngineEvent.revise()]
+    if ev.op == "forget":
+        return [EngineEvent.forget()]
+    if ev.op == "assert":
+        return []  # asserts inspect state and submit nothing
+    raise WorkloadError(f"unknown op {ev.op!r}")
+
+
+def steps(system: System, events: list[WorkloadEvent]) -> Iterator[Step]:
+    """Submit each workload event to `system`; yields (index, event, output
+    of its last submit, every record it journalled)."""
     for index, ev in enumerate(events):
-        if ev.op == "ingest":
-            _, records = engine.submit(EngineEvent.ingest(ev.bundle))
-        elif ev.op == "query":
-            output, records = engine.submit(EngineEvent.retrieve(ev.query))
+        output, records = None, []
+        for event in _engine_events(ev):
+            output, recs = system.submit(event)
+            records.extend(recs)
+        yield index, ev, output, records
+
+
+def run_workload(system: System, events: list[WorkloadEvent]) -> WorkloadResult:
+    result = WorkloadResult()
+    for index, ev, output, records in steps(system, events):
+        if ev.op == "query":
             result.query_outputs.append(output)
-        elif ev.op == "tick":
-            records = []
-            for _ in range(ev.count):
-                _, recs = engine.submit(EngineEvent.tick())
-                records.extend(recs)
-        elif ev.op == "revise":
-            _, records = engine.submit(EngineEvent.revise())
-        elif ev.op == "forget":
-            _, records = engine.submit(EngineEvent.forget())
         elif ev.op == "assert":
-            failure = _check_assert(engine, ev.check)
+            failure = _check_assert(system.state, ev.check)
             if failure:
                 result.assert_failures.append(AssertFailure(index, ev.check, failure))
-            continue
-        else:  # pragma: no cover - parse_workload rejects unknown ops
-            raise WorkloadError(f"unknown op {ev.op!r}")
         for record in records:
             if not record.committed:
                 result.aborted.append((index, record.reason or ""))
     return result
 
 
-def _check_assert(engine: Engine, check: dict) -> Optional[str]:
+def _check_assert(state: MemoryState, check: dict) -> Optional[str]:
     kind = check["check"]
-    state = engine.state
     if kind == "current_value_equals":
         entry = current_value(state, check["topic"], check["field"])
         actual = entry.value if entry is not None else None
@@ -174,22 +180,6 @@ def _check_assert(engine: Engine, check: dict) -> Optional[str]:
     return f"unknown assert kind {kind!r}"
 
 
-def run_workload_baseline(adapter: BaselineJournalAdapter, events: list[WorkloadEvent]) -> WorkloadResult:
-    """Drive the CRUD baseline with the same event stream; asserts are
-    skipped since they describe governed-engine state."""
-    result = WorkloadResult()
-    for ev in events:
-        if ev.op == "ingest":
-            adapter.ingest(ev.bundle)
-        elif ev.op == "query":
-            result.query_outputs.append(adapter.query(ev.query))
-        elif ev.op == "tick":
-            for _ in range(ev.count):
-                adapter.tick()
-        # revise / forget / assert have no baseline counterpart
-    return result
-
-
 # ---------------------------------------------------------------------------
 # Differential comparison
 # ---------------------------------------------------------------------------
@@ -215,87 +205,36 @@ CSV_HEADER = "system,tick,footprint,stale_answers,lost_answers,salience_delta_su
 
 
 def compare(events: list[WorkloadEvent], engine: Engine, adapter: BaselineJournalAdapter) -> list[CompareRow]:
-    rows: list[CompareRow] = []
-    rows.extend(_compare_engine(events, engine))
-    rows.extend(_compare_baseline(events, adapter))
-    return rows
+    return _compare_rows("gem", engine, events) + _compare_rows("baseline", adapter, events)
 
 
-def _compare_engine(events: list[WorkloadEvent], engine: Engine) -> list[CompareRow]:
+def _compare_rows(name: str, system: System, events: list[WorkloadEvent]) -> list[CompareRow]:
+    """One row per workload event that journalled at least one record."""
     rows = []
     expect = ShadowLedger()  # ticked by event index
     stale = lost = 0
     salience_sum = 0.0
-    for index, ev in enumerate(events):
+    before = system.state
+    for index, ev, output, records in steps(system, events):
+        state = system.state
         if ev.op == "ingest":
-            engine.submit(EngineEvent.ingest(ev.bundle))
             expect.ingest(ev.bundle.to_dict(), index)
         elif ev.op == "query":
-            pre = {
-                (tid, name): f.salience
-                for tid, t in engine.state.topics.items()
-                for name, f in t.fields.items()
-            }
-            output, _ = engine.submit(EngineEvent.retrieve(ev.query))
+            answers = []
             if output is not None:
-                for tid, t in engine.state.topics.items():
-                    for name, f in t.fields.items():
-                        salience_sum += f.salience - pre.get((tid, name), f.salience)
+                # committed snapshots are immutable, so `before` still holds
+                # every unit's salience from before the read
+                for tid, topic in state.topics.items():
+                    prior = before.topics.get(tid)
+                    for field_name, f in topic.fields.items():
+                        old = prior.fields.get(field_name) if prior is not None else None
+                        salience_sum += f.salience - (old.salience if old is not None else f.salience)
                 answers = [(a.field, a.value) for a in output.answers]
-            else:
-                answers = []
             stale += _count_stale(answers, expect)
             lost += _count_lost(answers, ev.expected)
-        elif ev.op == "tick":
-            for _ in range(ev.count):
-                engine.submit(EngineEvent.tick())
-        elif ev.op == "revise":
-            engine.submit(EngineEvent.revise())
-        elif ev.op == "forget":
-            engine.submit(EngineEvent.forget())
-        else:
-            continue
-        rows.append(
-            CompareRow(
-                "gem",
-                engine.state.clock.tick,
-                active_footprint(engine.state),
-                stale,
-                lost,
-                salience_sum,
-            )
-        )
-    return rows
-
-
-def _compare_baseline(events: list[WorkloadEvent], adapter: BaselineJournalAdapter) -> list[CompareRow]:
-    rows = []
-    expect = ShadowLedger()  # ticked by event index
-    stale = lost = 0
-    for index, ev in enumerate(events):
-        if ev.op == "ingest":
-            adapter.ingest(ev.bundle)
-            expect.ingest(ev.bundle.to_dict(), index)
-        elif ev.op == "query":
-            results = adapter.query(ev.query)
-            answers = [(r.field, r.value) for r in results if r.field is not None]
-            stale += _count_stale(answers, expect)
-            lost += _count_lost(answers, ev.expected)
-        elif ev.op == "tick":
-            for _ in range(ev.count):
-                adapter.tick()
-        else:
-            continue
-        rows.append(
-            CompareRow(
-                "baseline",
-                adapter.state.clock.tick,
-                active_footprint(adapter.state),
-                stale,
-                lost,
-                0.0,  # the baseline never adapts from reads
-            )
-        )
+        before = state
+        if records:
+            rows.append(CompareRow(name, state.clock.tick, active_footprint(state), stale, lost, salience_sum))
     return rows
 
 

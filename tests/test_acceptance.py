@@ -33,7 +33,7 @@ from gemstore.policy import (
 )
 from gemstore.salience import SalienceParams
 from gemstore.storage import read_journal, read_snapshot, write_journal, write_snapshot
-from gemstore.workload import load_workload, run_workload, run_workload_baseline
+from gemstore.workload import load_workload, run_workload
 from gemstore.workload_gen import generate_workload
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "workloads"
@@ -60,9 +60,9 @@ def test_deadline_inversion_scenario():
     # same events through the append-only baseline: week-1 query already
     # surfaces the stale date, week-2 query has lost the fact entirely
     baseline = BaselineJournalAdapter(EngineConfig(), capacity=5)
-    b_result = run_workload_baseline(baseline, events)
-    week1 = [(r.field, r.value) for r in b_result.query_outputs[1]]
-    week2 = [(r.field, r.value) for r in b_result.query_outputs[2]]
+    b_result = run_workload(baseline, events)
+    week1 = [(r.field, r.value) for r in b_result.query_outputs[1].answers]
+    week2 = [(r.field, r.value) for r in b_result.query_outputs[2].answers]
     assert ("Deadline", "March 15") in week1
     assert ("Deadline", "April 20") not in week2
 
@@ -74,7 +74,7 @@ def test_deadline_inversion_scenario():
 def test_baseline_exhibits_failure_modes_under_audit():
     events = load_workload(WORKLOADS / "deadline.workload")
     baseline = BaselineJournalAdapter(EngineConfig(), capacity=5)
-    run_workload_baseline(baseline, events)
+    run_workload(baseline, events)
     report = audit(baseline.journal, [PROBE])
     n_queries = sum(1 for e in events if e.op == "query")
 

@@ -29,9 +29,9 @@ def test_clean_engine_run_audits_clean():
 
 def test_c1_catches_stale_probe_answers():
     adapter = BaselineJournalAdapter(EngineConfig(), capacity=5)
-    adapter.ingest(bundle("website redesign deadline is March 15", hint="web", Deadline="March 15"))
-    adapter.ingest(bundle("website redesign deadline moved to April 20", hint="web", Deadline="April 20"))
-    adapter.query(PROBE)
+    for text, deadline in (("is March 15", "March 15"), ("moved to April 20", "April 20")):
+        adapter.submit(EngineEvent.ingest(bundle(f"website redesign deadline {text}", hint="web", Deadline=deadline)))
+    adapter.submit(EngineEvent.retrieve(PROBE))
     report = audit(adapter.journal, [PROBE])
     # the append-only store still surfaces the superseded March 15 record
     assert len(report.c1) >= 1
@@ -61,17 +61,17 @@ def test_c3_catches_unrevised_dependent_reads():
 
 def test_c5_catches_unrecoverable_eviction():
     adapter = BaselineJournalAdapter(EngineConfig(), capacity=1)
-    adapter.ingest(bundle("first note", Note="one"))
-    adapter.ingest(bundle("second note", Note="two"))  # evicts rec-0000
+    adapter.submit(EngineEvent.ingest(bundle("first note", Note="one")))
+    adapter.submit(EngineEvent.ingest(bundle("second note", Note="two")))  # evicts rec-0000
     report = audit(adapter.journal, [])
     assert any("rec-0000" in v.subject for v in report.c5)
 
 
 def test_c6_one_violation_per_static_query():
     adapter = BaselineJournalAdapter(EngineConfig(), capacity=5)
-    adapter.ingest(bundle("website redesign deadline March 15", hint="web", Deadline="March 15"))
-    adapter.query(PROBE)
-    adapter.query(PROBE)
+    adapter.submit(EngineEvent.ingest(bundle("website redesign deadline March 15", hint="web", Deadline="March 15")))
+    adapter.submit(EngineEvent.retrieve(PROBE))
+    adapter.submit(EngineEvent.retrieve(PROBE))
     report = audit(adapter.journal, [])
     assert len(report.c6) == 2
 
@@ -99,8 +99,8 @@ def test_audit_and_replay_reject_a_deleted_record():
 
 def test_report_rendering_is_deterministic():
     adapter = BaselineJournalAdapter(EngineConfig(), capacity=1)
-    adapter.ingest(bundle("first note", Note="one"))
-    adapter.ingest(bundle("second note", Note="two"))
+    adapter.submit(EngineEvent.ingest(bundle("first note", Note="one")))
+    adapter.submit(EngineEvent.ingest(bundle("second note", Note="two")))
     r1 = render_report(audit(adapter.journal, []))
     r2 = render_report(audit(adapter.journal, []))
     assert r1 == r2
@@ -112,8 +112,8 @@ def test_report_rendering_is_deterministic():
 def test_violation_counts_monotone_in_journal_prefix():
     adapter = BaselineJournalAdapter(EngineConfig(), capacity=2)
     for i in range(4):
-        adapter.ingest(bundle(f"note {i}", Note=f"v{i}"))
-        adapter.query(Query(text=f"note {i}"))
+        adapter.submit(EngineEvent.ingest(bundle(f"note {i}", Note=f"v{i}")))
+        adapter.submit(EngineEvent.retrieve(Query(text=f"note {i}")))
     full = adapter.journal
     totals = []
     for cut in range(len(full.records) + 1):

@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import build_state, build_topic
+from gemstore.audit import audit
 from gemstore.config import BetaSpec, EngineConfig
 from gemstore.embedding import embed
 from gemstore.engine import Engine, EngineEvent, replay
@@ -237,9 +238,9 @@ def test_embeddings_follow_content_through_merge_and_promotion():
     assert set(promoted.topics["budget-review"].fields) == {"Budget0", "Budget1", "Budget2"}
 
 
-def test_embedding_follows_content_through_conflict_resolution():
+def _conflicting_plan():
     # the later-dated value sits first, so resolving the conflict changes
-    # the current value (and the default stale-current policy would reject it)
+    # the current value
     topic = build_topic("plan")
     history = [
         ValueEntry("June 9", Timestamp(5), (Provenance("seed", 5),)),
@@ -247,8 +248,55 @@ def test_embedding_follows_content_through_conflict_resolution():
     ]
     topic.fields["Deadline"] = Field(name="Deadline", history=history)
     topic.embedding = fresh_embedding_for(topic)  # memo of the pre-revise text
+    return topic
+
+
+def test_embedding_follows_content_through_conflict_resolution():
+    topic = _conflicting_plan()
     before = topic.content_text()
     conflict = EvidenceItem("conflicting_values", "plan", field="Deadline")
-    state = _revise_checked(build_state([topic], policies=[], tick=5), conflict)
+    state = _revise_checked(build_state([topic], tick=5), conflict)
     assert state.topics["plan"].fields["Deadline"].current_entry().value == "June 9"
     assert state.topics["plan"].content_text() != before
+
+
+def test_auto_detected_conflict_keeps_the_latest_dated_value():
+    checklist = build_topic("checklist", fields={"Status": "on track"})
+    genesis = build_state([_conflicting_plan(), checklist], edges=[("plan", "checklist", "Extension")], tick=5)
+    e = Engine(genesis=genesis)
+    _, records = e.submit(EngineEvent.revise())
+    assert [r.outcome for r in records] == ["committed"], records[0].reason
+    history = e.state.topics["plan"].fields["Deadline"].history
+    assert [(h.value, h.at.tick, h.superseded) for h in history] == [
+        ("June 9", 5, True),
+        ("May 1", 1, True),
+        ("June 9", 6, False),
+    ]
+    assert history[-1].provenance == (Provenance("seed", 5),)
+    # the current value changed, so its dependents are flagged and drained
+    assert e.state.revision_queue == {("checklist", "plan.Deadline")}
+    e.submit(EngineEvent.retrieve(Query(text="checklist status")))
+    assert e.state.revision_queue == set()
+    assert audit(e.journal, []).passed
+
+
+def test_drain_repairs_a_topic_after_every_pending_topic_that_reaches_it():
+    # b sorts before z, but z -> b: repairing z flags b again, so b must wait
+    topics = [
+        build_topic("c", title="cause topic", fields={"c-deadline": "May 1"}),
+        build_topic("z", title="middle topic", fields={"z-status": "on track"}),
+        build_topic("b", title="bottom topic", fields={"b-status": "on track"}),
+    ]
+    edges = [("c", "b", "Extension"), ("c", "z", "Extension"), ("z", "b", "Extension")]
+    rules = RuleTable.parse(
+        "c.c-deadline -> b.b-status: shift-annotation\n"
+        "c.c-deadline -> z.z-status: shift-annotation\n"
+        "z.z-status -> b.b-status: shift-annotation\n"
+    )
+    e = Engine(genesis=build_state(topics, edges=edges), rules=rules)
+    e.submit(EngineEvent.ingest(bundle("deadline moved", hint="c", **{"c-deadline": "June 9"})))
+    _, records = e.submit(EngineEvent.retrieve(Query(text="bottom topic status")))
+    assert [(r.operator, r.input["target"]) for r in records] == [("revise", "z"), ("revise", "b"), ("retrieve", None)]
+    assert e.state.revision_queue == set()
+    assert "z.z-status changed" in current_value(e.state, "b", "b-status").value
+    assert audit(e.journal, []).passed

@@ -1,10 +1,14 @@
+import hashlib
 from pathlib import Path
 
 import pytest
 
+from gemstore.audit import audit
 from gemstore.baseline import BaselineJournalAdapter
 from gemstore.config import EngineConfig
 from gemstore.engine import Engine
+from gemstore.model import canonical_json
+from gemstore.operators import Query
 from gemstore.workload import (
     CSV_HEADER,
     WorkloadError,
@@ -13,7 +17,6 @@ from gemstore.workload import (
     parse_workload,
     rows_to_csv,
     run_workload,
-    run_workload_baseline,
 )
 from gemstore.workload_gen import generate_workload
 
@@ -43,6 +46,12 @@ def test_parse_workload_errors_carry_line_numbers():
         parse_workload('{"op": "assert"}')
 
 
+@pytest.mark.parametrize("count", ["0", "-1", '"x"', '"3"', "1.5", "true", "null"])
+def test_parse_workload_rejects_a_bad_tick_count(count):
+    with pytest.raises(WorkloadError, match="line 2: tick count must be an integer >= 1"):
+        parse_workload('{"op": "forget"}\n{"op": "tick", "count": %s}' % count)
+
+
 def test_run_workload_reports_assert_failures():
     events = parse_workload(
         '{"op": "ingest", "hint": "t", "text": "x", "facts": [{"field": "A", "value": "1"}]}\n'
@@ -67,7 +76,7 @@ def test_generator_is_deterministic_per_seed():
 def test_generated_workloads_run_on_both_systems():
     events = generate_workload(3, length=40)
     engine_result = run_workload(Engine(), events)
-    baseline_result = run_workload_baseline(BaselineJournalAdapter(EngineConfig(), capacity=5), events)
+    baseline_result = run_workload(BaselineJournalAdapter(EngineConfig(), capacity=5), events)
     n_queries = sum(1 for e in events if e.op == "query")
     assert len(engine_result.query_outputs) == n_queries
     assert len(baseline_result.query_outputs) == n_queries
@@ -126,5 +135,13 @@ baseline,33,5,2,1,0.000000
 
 def test_compare_deadline_matches_golden_csv():
     events = load_workload(WORKLOADS / "deadline.workload")
-    rows = compare(events, Engine(), BaselineJournalAdapter(EngineConfig(), capacity=5))
+    adapter = BaselineJournalAdapter(EngineConfig(), capacity=5)
+    rows = compare(events, Engine(), adapter)
     assert rows_to_csv(rows) == DEADLINE_CSV
+    # the baseline's journal is pinned byte for byte, and so are its audit totals
+    records = adapter.journal.records
+    assert len(records) == 33
+    encoded = canonical_json([r.to_dict() for r in records]).encode()
+    assert hashlib.sha256(encoded).hexdigest() == "7d097d7b2b206f533ea07eec94cb1c7ea319f7cc83886b6539bb175c9a0db2a5"
+    totals = audit(adapter.journal, [Query(text="website redesign deadline")]).totals()
+    assert totals == {"c1": 18, "c2": 0, "c3": 0, "c4": 0, "c5": 4, "c6": 3}
