@@ -21,7 +21,7 @@ def main() -> int:
 
     output, _ = engine.submit(EngineEvent.retrieve(Query(text="website redesign deadline")))
     for answer in output.answers:
-        print(f"{answer.topic}.{answer.field} = {answer.value!r} (tick {answer.at.tick})")
+        print(f"{answer.topic}.{answer.field} = {answer.value!r} (tick {answer.at})")
 
     report = audit(engine.journal, [Query(text="website redesign deadline")])
     sys.stdout.write(render_report(report))

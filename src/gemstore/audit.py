@@ -255,7 +255,7 @@ def audit(journal: Journal, probes: list[Query]) -> ViolationReport:
         topic = state.topics.get(topic_id)
         f = topic.fields.get(field_name) if topic else None
         if f is None or not f.history:
-            report.add("c5", state.clock.tick, f"{topic_id}.{field_name}", "unit no longer answers explicit lookup")
+            report.add("c5", state.clock, f"{topic_id}.{field_name}", "unit no longer answers explicit lookup")
 
     return report
 

@@ -14,7 +14,7 @@ from typing import Optional
 from .config import EngineConfig
 from .embedding import cosine, embed
 from .engine import EngineEvent, Journal, TransitionRecord
-from .model import MemoryState, Provenance, Timestamp, ValueEntry, state_digest, state_to_dict
+from .model import MemoryState, Provenance, ValueEntry, state_digest, state_to_dict
 from .operators import Answer, FactBundle, Query, RetrievalOutput
 from .transaction import Txn
 
@@ -56,14 +56,14 @@ class BaselineJournalAdapter:
 
     def _put(self, txn: Txn, bundle: FactBundle) -> None:
         """One record per fact, duplicates included; evict oldest beyond capacity."""
-        next_tick = self.state.clock.tick + 1
+        next_tick = self.state.clock + 1
         for fact in bundle.facts:
             topic_id = f"rec-{self.next_id:04d}"
             self.next_id += 1
             txn.create_topic(topic_id, title=f"{fact.field}: {fact.value}", summary=bundle.text)
             txn.create_field(topic_id, fact.field, None, self.config.salience.s0, last_access=next_tick)
             prov = Provenance(bundle.source_id, next_tick, fact.excerpt or bundle.text)
-            txn.append_entry(topic_id, fact.field, ValueEntry(fact.value, Timestamp(next_tick), (prov,)))
+            txn.append_entry(topic_id, fact.field, ValueEntry(fact.value, next_tick, (prov,)))
             while len(txn.state.topics) > self.capacity:
                 txn.remove_topic(min(txn.state.topics, key=_record_id))
 
@@ -82,8 +82,8 @@ class BaselineJournalAdapter:
         return out
 
     def _commit(self, event: EngineEvent, txn: Txn) -> TransitionRecord:
-        next_tick = self.state.clock.tick + 1
-        txn.state.clock = Timestamp(next_tick)
+        next_tick = self.state.clock + 1
+        txn.state.clock = next_tick
         record = TransitionRecord(
             tick=next_tick,
             operator=event.kind,

@@ -60,7 +60,7 @@ def cmd_replay(args) -> int:
     events = load_workload(args.workload)
     result = run_workload(engine, events)
     print(f"events: {len(events)}")
-    print(f"final tick: {engine.state.clock.tick}")
+    print(f"final tick: {engine.state.clock}")
     print(f"final digest: {engine.digest()}")
     for index, reason in result.aborted:
         print(f"aborted at event {index}: {reason}")
@@ -107,7 +107,7 @@ def cmd_restore(args) -> int:
 
     state, config = read_snapshot(getattr(args, "in"))
     print(f"digest: {state_digest(state)}")
-    print(f"tick: {state.clock.tick}")
+    print(f"tick: {state.clock}")
     print(f"topics: {len(state.topics)}")
     if args.journal_out:
         journal = Journal(

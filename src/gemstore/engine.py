@@ -16,7 +16,7 @@ from .embedding import RoutingError
 from .model import (
     EdgeKind,
     MemoryState,
-    Timestamp,
+    decoding,
     state_digest,
     state_from_dict,
     state_to_dict,
@@ -35,7 +35,6 @@ from .operators import (
     revise,
 )
 from .policy import ActionSpec, EvaluationError, EventKind, Policy, evaluate_condition, resolve_target
-from .salience import decay
 from .transaction import Txn, apply_delta
 
 
@@ -146,7 +145,8 @@ class Journal:
 
     def genesis_state(self) -> MemoryState:
         """The genesis state, checked against its digest."""
-        state = state_from_dict(self.genesis)
+        with decoding(CorruptJournalError, "malformed genesis"):
+            state = state_from_dict(self.genesis)
         if state_digest(state) != self.genesis_digest:
             raise CorruptJournalError("genesis digest mismatch")
         return state
@@ -245,7 +245,7 @@ class Engine:
         return next((tid for tid in pending if tid not in reached), pending[0])
 
     def _apply_once(self, event: EngineEvent) -> tuple[Optional[RetrievalOutput], TransitionRecord]:
-        next_tick = self.state.clock.tick + 1
+        next_tick = self.state.clock + 1
         txn = Txn(self.state)
         policy_log: list[dict] = []
         output: Optional[RetrievalOutput] = None
@@ -264,7 +264,7 @@ class Engine:
 
         # ingest and revise pay for the embeddings they change, not the next read
         txn.derive_embeddings()
-        txn.state.clock = Timestamp(next_tick)
+        txn.state.clock = next_tick
         record = TransitionRecord(
             tick=next_tick,
             operator=event.kind,
@@ -282,7 +282,7 @@ class Engine:
 
     def _abort(self, event: EngineEvent, reason: str, policy_log: list[dict]) -> TransitionRecord:
         record = TransitionRecord(
-            tick=self.state.clock.tick,
+            tick=self.state.clock,
             operator=event.kind,
             input=event.to_dict(),
             deltas=[],
@@ -307,20 +307,10 @@ class Engine:
             return []
         if event.kind == "tick":
             # a tick is decay plus the attenuation ladder, in one transition
-            self._decay_all(txn)
+            txn.decay_salience(self.config.salience.decay)
             forget(txn, self.config, next_tick)
             return [("tick", {})]
         raise OperatorError(f"unknown event kind: {event.kind}")
-
-    def _decay_all(self, txn: Txn) -> None:
-        lam = self.config.salience.decay
-        for tid in sorted(txn.state.topics):
-            topic = txn.state.topics[tid]
-            if topic.archived:
-                continue  # archived content is frozen, not decayed further
-            for name in sorted(topic.fields):
-                f = topic.fields[name]
-                txn.set_salience(tid, name, decay(f.salience, 1, lam))
 
     def _run_event_policies(self, txn: Txn, sub_events, policy_log: list[dict], next_tick: int) -> None:
         for event_name, ctx in sub_events:
@@ -385,11 +375,12 @@ class Engine:
 def replay_record(state: MemoryState, record: TransitionRecord) -> None:
     """Advance `state` in place by one committed record, checking that its
     tick follows the state's clock and that the result matches its digest."""
-    if record.tick != state.clock.tick + 1:
+    if record.tick != state.clock + 1:
         raise CorruptJournalError(f"non-consecutive tick at {record.tick}")
-    for delta in record.deltas:
-        apply_delta(state, delta)
-    state.clock = Timestamp(record.tick)
+    with decoding(CorruptJournalError, f"bad delta at tick {record.tick}"):
+        for delta in record.deltas:
+            apply_delta(state, delta)
+    state.clock = record.tick
     if state_digest(state) != record.digest_after:
         raise CorruptJournalError(f"digest mismatch at tick {record.tick}")
 

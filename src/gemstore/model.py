@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field, replace
 from enum import Enum
 from functools import cached_property
@@ -35,17 +36,7 @@ class LookupError_(KeyError):
     """Unknown topic or field in an explicit lookup."""
 
 
-@dataclass(frozen=True)
-class Timestamp:
-    tick: int
-    wall: Optional[str] = None  # informational only, never used in semantics
-
-    def to_dict(self) -> dict:
-        return {"tick": self.tick, "wall": self.wall}
-
-    @staticmethod
-    def from_dict(d: dict) -> "Timestamp":
-        return Timestamp(tick=d["tick"], wall=d.get("wall"))
+Timestamp = int  # a logical tick; kept as a name for callers that build states
 
 
 @dataclass(frozen=True)
@@ -65,7 +56,7 @@ class Provenance:
 @dataclass(frozen=True)
 class ValueEntry:
     value: str
-    at: Timestamp
+    at: int
     provenance: tuple[Provenance, ...]
     superseded: bool = False
     compressed: bool = False
@@ -73,7 +64,7 @@ class ValueEntry:
     def to_dict(self) -> dict:
         return {
             "value": self.value,
-            "at": self.at.to_dict(),
+            "at": self.at,
             "provenance": [p.to_dict() for p in self.provenance],
             "superseded": self.superseded,
             "compressed": self.compressed,
@@ -83,7 +74,7 @@ class ValueEntry:
     def from_dict(d: dict) -> "ValueEntry":
         return ValueEntry(
             value=d["value"],
-            at=Timestamp.from_dict(d["at"]),
+            at=d["at"],
             provenance=tuple(Provenance.from_dict(p) for p in d["provenance"]),
             superseded=d["superseded"],
             compressed=d["compressed"],
@@ -221,7 +212,7 @@ class Edge:
     src: str
     dst: str
     kind: EdgeKind
-    created_at: Timestamp
+    created_at: int
 
     def key(self) -> tuple[str, str, str]:
         return (self.src, self.dst, self.kind.value)
@@ -235,12 +226,12 @@ class Edge:
             "src": self.src,
             "dst": self.dst,
             "kind": self.kind.value,
-            "created_at": self.created_at.to_dict(),
+            "created_at": self.created_at,
         }
 
     @staticmethod
     def from_dict(d: dict) -> "Edge":
-        return Edge(d["src"], d["dst"], EdgeKind(d["kind"]), Timestamp.from_dict(d["created_at"]))
+        return Edge(d["src"], d["dst"], EdgeKind(d["kind"]), d["created_at"])
 
 
 @dataclass
@@ -248,7 +239,7 @@ class MemoryState:
     topics: dict[str, Topic] = dc_field(default_factory=dict)
     edges: dict[tuple[str, str, str], Edge] = dc_field(default_factory=dict)
     policies: list["Policy"] = dc_field(default_factory=list)
-    clock: Timestamp = Timestamp(0)
+    clock: int = 0
     revision_queue: set[tuple[str, str]] = dc_field(default_factory=set)
 
     def shallow_clone(self) -> "MemoryState":
@@ -331,6 +322,19 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
+@contextmanager
+def decoding(error: type[ValueError], what: str):
+    """Raise `error` naming `what` for any KeyError, TypeError or ValueError
+    that decoding outside input raises in the block, so that a malformed
+    input fails with one typed error rather than a traceback."""
+    try:
+        yield
+    except error:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise error(f"{what}: {exc!r}") from exc
+
+
 def state_to_dict(state: MemoryState) -> dict:
     from .policy import render_policy
 
@@ -338,7 +342,7 @@ def state_to_dict(state: MemoryState) -> dict:
         "topics": {tid: t.to_dict() for tid, t in sorted(state.topics.items())},
         "edges": [e.to_dict() for _, e in sorted(state.edges.items())],
         "policies": [render_policy(p) for p in state.policies],
-        "clock": state.clock.to_dict(),
+        "clock": state.clock,
         "revision_queue": sorted(list(pair) for pair in state.revision_queue),
     }
 
@@ -354,7 +358,7 @@ def state_from_dict(d: dict) -> MemoryState:
         topics={tid: Topic.from_dict(td) for tid, td in d["topics"].items()},
         edges=edges,
         policies=[parse_policy(text) for text in d["policies"]],
-        clock=Timestamp.from_dict(d["clock"]),
+        clock=d["clock"],
         revision_queue={(a, b) for a, b in d["revision_queue"]},
     )
 
@@ -372,7 +376,7 @@ def state_digest(state: MemoryState) -> str:
     from .policy import render_policy
 
     h = hashlib.sha256()
-    h.update(canonical_json(state.clock.to_dict()).encode())
+    h.update(canonical_json(state.clock).encode())
     h.update(canonical_json([render_policy(p) for p in state.policies]).encode())
     h.update(b"[" + b",".join(sorted(e.canonical_bytes for e in state.edges.values())) + b"]")
     h.update(canonical_json(sorted(list(pair) for pair in state.revision_queue)).encode())

@@ -19,7 +19,6 @@ from .model import (
     MemoryState,
     Provenance,
     Tier,
-    Timestamp,
     ValueEntry,
     active_footprint,
 )
@@ -113,7 +112,7 @@ class Answer:
     topic: str
     field: str
     value: str
-    at: Timestamp
+    at: int
     provenance: tuple[Provenance, ...]
 
 
@@ -250,7 +249,7 @@ def ingest(txn: Txn, bundle: FactBundle, cfg: EngineConfig, next_tick: int) -> l
         existing = topic.fields.get(fact.field)
         if existing is None:
             txn.create_field(topic_id, fact.field, fact.entity_tag, cfg.salience.s0, last_access=next_tick)
-            txn.append_entry(topic_id, fact.field, ValueEntry(fact.value, Timestamp(next_tick), (prov,)))
+            txn.append_entry(topic_id, fact.field, ValueEntry(fact.value, next_tick, (prov,)))
             events.append(("field_updated", {"updated_topic": topic_id, "updated_field": fact.field}))
             continue
         current = existing.current_entry()
@@ -261,7 +260,7 @@ def ingest(txn: Txn, bundle: FactBundle, cfg: EngineConfig, next_tick: int) -> l
         if current is not None:
             idx = existing.history.index(current)
             txn.set_entry_flags(topic_id, fact.field, idx, superseded=True, compressed=False)
-        txn.append_entry(topic_id, fact.field, ValueEntry(fact.value, Timestamp(next_tick), (prov,)))
+        txn.append_entry(topic_id, fact.field, ValueEntry(fact.value, next_tick, (prov,)))
         events.append(("field_updated", {"updated_topic": topic_id, "updated_field": fact.field}))
     return events
 
@@ -309,7 +308,7 @@ def retrieve_read(state: MemoryState, q: Query, cfg: EngineConfig) -> RetrievalO
 
     if q.mode not in ("default", "historical"):
         raise OperatorError(f"unknown query mode: {q.mode}")
-    if q.mode == "historical" and q.as_of is not None and q.as_of > state.clock.tick:
+    if q.mode == "historical" and q.as_of is not None and q.as_of > state.clock:
         raise OperatorError("historical as_of is in the future")
 
     query_vec = embed(q.text)
@@ -338,7 +337,7 @@ def retrieve_read(state: MemoryState, q: Query, cfg: EngineConfig) -> RetrievalO
             else:  # historical: all entries up to as_of, superseded included
                 hit = False
                 for entry in f.history:
-                    if q.as_of is None or entry.at.tick <= q.as_of:
+                    if q.as_of is None or entry.at <= q.as_of:
                         out.answers.append(Answer(topic.id, name, entry.value, entry.at, entry.provenance))
                         hit = True
                 if hit:
@@ -457,7 +456,7 @@ def _title_overlap_candidates(titles: list[set[str]]) -> list[tuple[int, int]]:
 
 
 def _merge_histories(a: list[ValueEntry], b: list[ValueEntry]) -> list[ValueEntry]:
-    merged = sorted(a + b, key=lambda e: e.at.tick)
+    merged = sorted(a + b, key=lambda e: e.at)
     candidates = [e for e in merged if not e.compressed]
     current = candidates[-1] if candidates else None
     out = []
@@ -520,10 +519,10 @@ def _repair_dependency(txn: Txn, item: EvidenceItem, rules: RuleTable, next_tick
         new_value = TRANSFORMS[rule.transform](current.value, cause, cause_entry.value)
         if new_value == current.value:
             continue
-        prov = Provenance("revision", cause_entry.at.tick, f"{cause} -> {cause_entry.value}")
+        prov = Provenance("revision", cause_entry.at, f"{cause} -> {cause_entry.value}")
         idx = dep.history.index(current)
         txn.set_entry_flags(topic_id, rule.dependent_field, idx, superseded=True, compressed=False)
-        txn.append_entry(topic_id, rule.dependent_field, ValueEntry(new_value, Timestamp(next_tick), (prov,)))
+        txn.append_entry(topic_id, rule.dependent_field, ValueEntry(new_value, next_tick, (prov,)))
         events.append(("field_updated", {"updated_topic": topic_id, "updated_field": rule.dependent_field}))
     return events
 
@@ -561,7 +560,7 @@ def _merge_topics(txn: Txn, a_id: str, b_id: str, cfg: EngineConfig, next_tick: 
         src = winner_id if edge.src == loser_id else edge.src
         dst = winner_id if edge.dst == loser_id else edge.dst
         if src != dst and (src, dst, edge.kind.value) not in txn.state.edges:
-            txn.add_edge(src, dst, edge.kind, edge.created_at.tick)
+            txn.add_edge(src, dst, edge.kind, edge.created_at)
     txn.archive_topic(loser_id, merged_into=winner_id)
     return [("topic_merged", {"updated_topic": winner_id})]
 
@@ -591,14 +590,14 @@ def _resolve_conflict(txn: Txn, topic_id: str, field_name: str, next_tick: int) 
     currents = [(i, e) for i, e in enumerate(f.history) if not e.superseded and not e.compressed]
     if len(currents) <= 1:
         return []
-    keep_index, keep = max(currents, key=lambda pair: (pair[1].at.tick, pair[0]))
+    keep_index, keep = max(currents, key=lambda pair: (pair[1].at, pair[0]))
     reappend = keep_index != max(i for i, e in enumerate(f.history) if not e.compressed)
     for i, _ in currents:
         if i != keep_index or reappend:
             txn.set_entry_flags(topic_id, field_name, i, superseded=True, compressed=False)
     if not reappend:
         return []
-    txn.append_entry(topic_id, field_name, ValueEntry(keep.value, Timestamp(next_tick), keep.provenance))
+    txn.append_entry(topic_id, field_name, ValueEntry(keep.value, next_tick, keep.provenance))
     return [("field_updated", {"updated_topic": topic_id, "updated_field": field_name})]
 
 

@@ -12,11 +12,13 @@ from pathlib import Path
 
 from .config import EngineConfig
 from .engine import CorruptJournalError, Journal, TransitionRecord, replay
-from .model import MemoryState, canonical_json, state_digest, state_from_dict, state_to_dict
+from .model import MemoryState, canonical_json, decoding, state_digest, state_from_dict, state_to_dict
 
 JOURNAL_MAGIC = b"GEMJ"
 SNAPSHOT_MAGIC = b"GEMS"
-FORMAT_VERSION = 3  # 2: one SHA-256 per topic in the digest; 3: embeddings derived, not stored
+# 2: one SHA-256 per topic in the digest; 3: embeddings derived, not stored;
+# 4: ticks are plain integers, and a tick journals one salience_decayed delta
+FORMAT_VERSION = 4
 
 
 def _write_frame(fh, payload: bytes) -> None:
@@ -33,6 +35,16 @@ def _read_frame(fh) -> bytes:
     if len(payload) != length:
         raise CorruptJournalError("truncated frame payload")
     return payload
+
+
+def _read_object(fh) -> dict:
+    """One frame that holds a JSON object."""
+    payload = _read_frame(fh)
+    with decoding(CorruptJournalError, "frame is not JSON"):
+        obj = json.loads(payload)
+    if not isinstance(obj, dict):
+        raise CorruptJournalError("frame is not a JSON object")
+    return obj
 
 
 def write_journal(path: str | Path, journal: Journal) -> None:
@@ -54,16 +66,19 @@ def read_journal(path: str | Path) -> Journal:
         magic = fh.read(4)
         if magic != JOURNAL_MAGIC:
             raise CorruptJournalError("not a journal file")
-        header = json.loads(_read_frame(fh))
+        header = _read_object(fh)
         if header.get("version") != FORMAT_VERSION:
             raise CorruptJournalError(f"unsupported journal version: {header.get('version')}")
-        journal = Journal(
-            config=EngineConfig.from_dict(header["config"]),
-            genesis=header["genesis"],
-            genesis_digest=header["genesis_digest"],
-        )
+        with decoding(CorruptJournalError, "malformed journal header"):
+            journal = Journal(
+                config=EngineConfig.from_dict(header["config"]),
+                genesis=header["genesis"],
+                genesis_digest=header["genesis_digest"],
+            )
         while fh.peek(1):  # a clean end of file ends the records
-            journal.records.append(TransitionRecord.from_dict(json.loads(_read_frame(fh))))
+            obj = _read_object(fh)
+            with decoding(CorruptJournalError, f"malformed record {len(journal.records) + 1}"):
+                journal.records.append(TransitionRecord.from_dict(obj))
     return journal
 
 
@@ -84,13 +99,16 @@ def read_snapshot(path: str | Path) -> tuple[MemoryState, EngineConfig]:
         magic = fh.read(4)
         if magic != SNAPSHOT_MAGIC:
             raise CorruptJournalError("not a snapshot file")
-        payload = json.loads(_read_frame(fh))
+        payload = _read_object(fh)
         if payload.get("version") != FORMAT_VERSION:
             raise CorruptJournalError(f"unsupported snapshot version: {payload.get('version')}")
-        state = state_from_dict(payload["state"])
-        if state_digest(state) != payload["digest"]:
+        with decoding(CorruptJournalError, "malformed snapshot"):
+            state = state_from_dict(payload["state"])
+            digest = payload["digest"]
+            config = EngineConfig.from_dict(payload["config"])
+        if state_digest(state) != digest:
             raise CorruptJournalError("snapshot digest mismatch")
-        return state, EngineConfig.from_dict(payload["config"])
+        return state, config
 
 
 def snapshot_from_journal(journal_path: str | Path, snapshot_path: str | Path) -> str:

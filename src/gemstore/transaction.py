@@ -16,10 +16,10 @@ from .model import (
     Field,
     MemoryState,
     Tier,
-    Timestamp,
     Topic,
     ValueEntry,
 )
+from .salience import decay
 
 
 class DeltaError(ValueError):
@@ -94,6 +94,13 @@ def apply_delta(state: MemoryState, delta: dict) -> None:
     elif kind == "salience_set":
         f = _field(_topic(state, delta["topic"]), delta["field"])
         f.salience = delta["value"]
+    elif kind == "salience_decayed":
+        factor = delta["factor"]
+        for topic in state.topics.values():
+            if not topic.archived:  # archived content is frozen, not decayed further
+                topic._canonical_cache = None
+                for f in topic.fields.values():
+                    f.salience = decay(f.salience, 1, factor)
     elif kind == "last_access_set":
         f = _field(_topic(state, delta["topic"]), delta["field"])
         f.last_access = delta["tick"]
@@ -101,7 +108,7 @@ def apply_delta(state: MemoryState, delta: dict) -> None:
         f = _field(_topic(state, delta["topic"]), delta["field"])
         f.tier = Tier(delta["tier"])
     elif kind == "edge_added":
-        edge = Edge(delta["src"], delta["dst"], EdgeKind(delta["edge_kind"]), Timestamp(delta["tick"]))
+        edge = Edge(delta["src"], delta["dst"], EdgeKind(delta["edge_kind"]), delta["tick"])
         if edge.src == edge.dst:
             raise DeltaError("self-loop edge")
         if edge.src not in state.topics or edge.dst not in state.topics:
@@ -235,6 +242,13 @@ class Txn:
 
     def set_salience(self, topic_id: str, name: str, value: float) -> None:
         self._record({"kind": "salience_set", "topic": topic_id, "field": name, "value": value})
+
+    def decay_salience(self, factor: float) -> None:
+        """Decay every field of every live topic by one tick, as one delta."""
+        for tid, topic in self.state.topics.items():
+            if not topic.archived:
+                self._own(tid)
+        self._record({"kind": "salience_decayed", "factor": factor})
 
     def set_last_access(self, topic_id: str, name: str, tick: int) -> None:
         self._record({"kind": "last_access_set", "topic": topic_id, "field": name, "tick": tick})

@@ -15,7 +15,7 @@ from typing import Iterator, Optional, Union
 from .audit import ShadowLedger
 from .baseline import BaselineJournalAdapter
 from .engine import Engine, EngineEvent, TransitionRecord
-from .model import MemoryState, Tier, active_footprint, current_value
+from .model import MemoryState, Tier, active_footprint, current_value, decoding
 from .operators import Fact, FactBundle, Query, RetrievalOutput
 
 
@@ -43,7 +43,10 @@ def parse_workload(text: str) -> list[WorkloadEvent]:
             obj = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise WorkloadError(f"line {lineno}: invalid JSON ({exc})") from exc
-        events.append(_parse_event(obj, lineno))
+        if not isinstance(obj, dict):
+            raise WorkloadError(f"line {lineno}: not a JSON object")
+        with decoding(WorkloadError, f"line {lineno}"):
+            events.append(_parse_event(obj, lineno))
     return events
 
 
@@ -234,7 +237,7 @@ def _compare_rows(name: str, system: System, events: list[WorkloadEvent]) -> lis
             lost += _count_lost(answers, ev.expected)
         before = state
         if records:
-            rows.append(CompareRow(name, state.clock.tick, active_footprint(state), stale, lost, salience_sum))
+            rows.append(CompareRow(name, state.clock, active_footprint(state), stale, lost, salience_sum))
     return rows
 
 

@@ -44,7 +44,7 @@ def test_query_is_a_pure_cosine_read():
     assert [(a.topic, a.field, a.value) for a in output.answers] == [
         ("rec-0000", "Deadline", "website redesign March 15")
     ]
-    assert output.answers[0].at.tick == 1
+    assert output.answers[0].at == 1
     assert records[0].deltas == []
     assert adapter.state.topics == before.topics  # reads change nothing
 

@@ -1,4 +1,8 @@
+import json
+import struct
 from pathlib import Path
+
+import pytest
 
 from gemstore.cli import main
 
@@ -64,3 +68,57 @@ def test_snapshot_and_restore_round_trip(tmp_path, capsys):
 def test_missing_file_is_a_usage_error(capsys):
     assert main(["replay", "--workload", "/does/not/exist"]) == 2
     assert main(["audit"]) == 2  # missing required argument
+
+
+def _frames(data: bytes) -> list[bytes]:
+    """The length-prefixed frames after a journal's magic."""
+    frames, pos = [], 4
+    while pos < len(data):
+        (length,) = struct.unpack(">I", data[pos : pos + 4])
+        frames.append(data[pos + 4 : pos + 4 + length])
+        pos += 4 + length
+    return frames
+
+
+def _edit_first_delta(frames: list[bytes], kind: str, edit) -> list[bytes]:
+    """Apply `edit` to the first delta of `kind` in any record."""
+    for i, frame in enumerate(frames[1:], 1):
+        record = json.loads(frame)
+        for delta in record["deltas"]:
+            if delta["kind"] == kind:
+                edit(delta)
+                frames[i] = json.dumps(record).encode()
+                return frames
+    raise AssertionError(f"no {kind} delta in the journal")
+
+
+def _drop_deltas(frames):
+    record = json.loads(frames[1])
+    del record["deltas"]
+    return [frames[0], json.dumps(record).encode(), *frames[2:]]
+
+
+JOURNAL_MUTANTS = {
+    "record-without-deltas": _drop_deltas,
+    "record-is-an-array": lambda frames: [frames[0], b"[1,2]", *frames[2:]],
+    "header-is-an-array": lambda frames: [b"[]", *frames[1:]],
+    "record-is-not-json": lambda frames: [frames[0], b"not json", *frames[2:]],
+    "unknown-delta-kind": lambda frames: _edit_first_delta(
+        frames, "entry_appended", lambda d: (d.clear(), d.update(kind="bogus"))),
+    "entry-for-unknown-topic": lambda frames: _edit_first_delta(
+        frames, "entry_appended", lambda d: d.update(topic="no-such-topic")),
+    "decay-factor-not-a-number": lambda frames: _edit_first_delta(
+        frames, "salience_decayed", lambda d: d.update(factor="0.9")),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(JOURNAL_MUTANTS))
+def test_audit_reports_a_malformed_journal_as_corrupt(tmp_path, capsys, mutant):
+    journal = tmp_path / "deadline.journal"
+    assert main(["replay", "--workload", DEADLINE, "--journal-out", str(journal)]) == 0
+    data = journal.read_bytes()
+    frames = JOURNAL_MUTANTS[mutant](_frames(data))
+    journal.write_bytes(data[:4] + b"".join(struct.pack(">I", len(f)) + f for f in frames))
+    capsys.readouterr()
+    assert main(["audit", "--journal", str(journal)]) == 1
+    assert "corrupt input:" in capsys.readouterr().err

@@ -27,10 +27,10 @@ def bundle(text, hint=None, **facts):
 
 def test_commit_consumes_one_tick_and_appends_record():
     e = Engine()
-    assert e.state.clock.tick == 0
+    assert e.state.clock == 0
     _, records = e.submit(EngineEvent.ingest(bundle("hello", hint="t", A="1")))
     assert [r.outcome for r in records] == ["committed"]
-    assert e.state.clock.tick == 1
+    assert e.state.clock == 1
     assert records[0].tick == 1
     assert records[0].digest_after == e.digest()
 
@@ -43,7 +43,7 @@ def test_abort_is_journaled_without_consuming_a_tick():
     assert record.outcome == "aborted"
     assert record.reason == "empty-bundle"
     assert record.deltas == []
-    assert e.state.clock.tick == 0
+    assert e.state.clock == 0
     assert e.digest() == before
     assert e.journal.records[-1] is record
 
@@ -84,8 +84,13 @@ def test_archived_topics_stop_decaying():
         e.submit(EngineEvent.tick())
     assert e.state.topics["t"].archived
     frozen = e.state.topics["t"].fields["A"].salience
-    e.submit(EngineEvent.tick())
+    e.state.topics["t"].canonical_bytes()
+    cache = e.state.topics["t"]._canonical_cache
+    _, records = e.submit(EngineEvent.tick())
+    assert [d["kind"] for d in records[0].deltas] == ["salience_decayed"]
     assert e.state.topics["t"].fields["A"].salience == frozen
+    # the decay delta leaves an archived topic's canonical cache in place
+    assert e.state.topics["t"]._canonical_cache is cache
 
 
 def test_replay_reproduces_digest_exactly():
@@ -267,7 +272,7 @@ def test_auto_detected_conflict_keeps_the_latest_dated_value():
     _, records = e.submit(EngineEvent.revise())
     assert [r.outcome for r in records] == ["committed"], records[0].reason
     history = e.state.topics["plan"].fields["Deadline"].history
-    assert [(h.value, h.at.tick, h.superseded) for h in history] == [
+    assert [(h.value, h.at, h.superseded) for h in history] == [
         ("June 9", 5, True),
         ("May 1", 1, True),
         ("June 9", 6, False),

@@ -140,7 +140,7 @@ def _digest_sample():
 
 def _mutations():
     def clock(s):
-        s.clock = Timestamp(s.clock.tick + 1)
+        s.clock += 1
 
     def policy(s):
         s.policies.pop()

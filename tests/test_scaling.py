@@ -7,6 +7,7 @@ from gemstore.config import BetaSpec, EngineConfig
 from gemstore.engine import Engine, EngineEvent
 from gemstore.model import Topic
 from gemstore.operators import Fact, FactBundle
+from gemstore.salience import decay
 
 N_TOPICS = 1000
 
@@ -44,7 +45,13 @@ def test_tick_derives_no_embeddings(monkeypatch):
     derived = []
     real = embedding._embed_tuple
     monkeypatch.setattr(embedding, "_embed_tuple", lambda text: derived.append(text) or real(text))
+    before = {tid: topic.fields["Status"].salience for tid, topic in engine.state.topics.items()}
     _, records = engine.submit(EngineEvent.tick())
     assert [r.outcome for r in records] == ["committed"]
-    assert len(records[0].deltas) >= N_TOPICS  # the tick touched every topic
+    lam = engine.config.salience.decay
+    assert records[0].deltas == [{"kind": "salience_decayed", "factor": lam}]
+    # the one delta decayed every live field, exactly as a per-field decay would
+    after = {tid: topic.fields["Status"].salience for tid, topic in engine.state.topics.items()}
+    assert len(after) == N_TOPICS
+    assert after == {tid: decay(s, 1, lam) for tid, s in before.items()}
     assert derived == []

@@ -1,0 +1,39 @@
+"""Smoke tests for the scripts under scripts/: each runs in a subprocess
+against the sources in src/, as a user would run it."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from test_workload import DEADLINE_CSV
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run(script: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_run_deadline_answers_the_moved_deadline():
+    result = _run("run_deadline.py")
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "website-redesign.Deadline = 'April 20' (tick 12)" in result.stdout
+    assert "PASS C1-C6" in result.stdout
+
+
+def test_compare_deadline_writes_the_golden_csv(tmp_path):
+    csv_path = tmp_path / "deadline.csv"
+    result = _run("compare_deadline.py", str(csv_path))
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert csv_path.read_text(encoding="utf-8") == DEADLINE_CSV
+
+
+def test_soak_audit_runs_clean():
+    result = _run("soak_audit.py", "3", "50")
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "3 workloads x 50 events, 0 failures" in result.stdout

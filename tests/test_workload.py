@@ -52,6 +52,20 @@ def test_parse_workload_rejects_a_bad_tick_count(count):
         parse_workload('{"op": "forget"}\n{"op": "tick", "count": %s}' % count)
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"op": "ingest", "facts": [{"field": "a"}], "text": "x"}',  # a fact without a value
+        '{"op": "query", "text": "a", "explicit": 5}',
+        '{"op": "ingest", "facts": 5}',
+        "[1]",  # not a JSON object
+    ],
+)
+def test_parse_workload_rejects_a_malformed_line(line):
+    with pytest.raises(WorkloadError, match="line 2: "):
+        parse_workload('{"op": "forget"}\n' + line)
+
+
 def test_run_workload_reports_assert_failures():
     events = parse_workload(
         '{"op": "ingest", "hint": "t", "text": "x", "facts": [{"field": "A", "value": "1"}]}\n'
@@ -142,6 +156,6 @@ def test_compare_deadline_matches_golden_csv():
     records = adapter.journal.records
     assert len(records) == 33
     encoded = canonical_json([r.to_dict() for r in records]).encode()
-    assert hashlib.sha256(encoded).hexdigest() == "7d097d7b2b206f533ea07eec94cb1c7ea319f7cc83886b6539bb175c9a0db2a5"
+    assert hashlib.sha256(encoded).hexdigest() == "e2461703dabb4bc5a29a4a16857abdb3fcc32539ebab1cd6d95a71428feea2fc"
     totals = audit(adapter.journal, [Query(text="website redesign deadline")]).totals()
     assert totals == {"c1": 18, "c2": 0, "c3": 0, "c4": 0, "c5": 4, "c6": 3}
