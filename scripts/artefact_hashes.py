@@ -1,0 +1,104 @@
+#!/usr/bin/env python3
+"""Print one `name sha256` line per artefact whose bytes a change that only
+makes the engine faster must leave as they are:
+
+- the journal and audit report of every perfbench episode at seeds 31 and 32;
+- the journal and audit report of soak seeds 0-199 (100 events, soak probes);
+- the journal and audit report of workloads/deadline.workload;
+- the `gem compare` CSV and both journals of seeds 0-59 at capacities 1, 3, 5.
+
+Usage: artefact_hashes.py [--quick]
+
+`--quick` covers a small subset in a few seconds.  To check a change, run
+the script in both checkouts, each with its own `src` on PYTHONPATH, and
+diff the two outputs.
+"""
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import gen  # noqa: E402  (perfbench/gen.py, imported read-only)
+from gemstore import BaselineJournalAdapter, Engine, EngineConfig  # noqa: E402
+from gemstore.audit import audit, render_report  # noqa: E402
+from gemstore.operators import Query  # noqa: E402
+from gemstore.storage import read_journal, write_journal  # noqa: E402
+from gemstore.workload import compare, load_workload, rows_to_csv, run_workload  # noqa: E402
+from gemstore.workload_gen import generate_workload  # noqa: E402
+
+FULL = {"bench_seeds": (31, 32), "bench_scale": gen.FULL, "soak_seeds": range(200), "soak_events": 100,
+        "compare_seeds": range(60), "capacities": (1, 3, 5)}
+QUICK = {"bench_seeds": (31,), "bench_scale": gen.SMOKE, "soak_seeds": range(3), "soak_events": 30,
+         "compare_seeds": range(2), "capacities": (3,)}
+WORKLOAD_DIR = ROOT / "workloads"
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _journal_bytes(journal, workdir: Path) -> bytes:
+    path = workdir / "artefact.journal"
+    write_journal(path, journal)
+    return path.read_bytes()
+
+
+def _journal_and_report(name: str, journal, probes, workdir: Path) -> None:
+    data = _journal_bytes(journal, workdir)
+    print(f"{name}.journal {_sha(data)}")
+    report = render_report(audit(read_journal(workdir / "artefact.journal"), list(probes)))
+    print(f"{name}.audit {_sha(report.encode('utf-8'))}")
+
+
+def main() -> int:
+    profile = QUICK if sys.argv[1:] == ["--quick"] else FULL
+    if sys.argv[1:] not in ([], ["--quick"]):
+        print(__doc__, file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        for workload in gen.WORKLOADS:
+            for seed in profile["bench_seeds"]:
+                for index in range(gen.episodes_per_round(workload, profile["bench_scale"])):
+                    episode = gen.make_episode(workload, seed, index, profile["bench_scale"])
+                    engine = Engine(config=episode.config, genesis=episode.genesis, rules=episode.rules)
+                    for op in episode.ops:
+                        engine.submit(op.event)
+                    _journal_and_report(f"perfbench.{workload}.{seed}.{index}", engine.journal, episode.probes,
+                                        workdir)
+
+        for seed in profile["soak_seeds"]:
+            engine = Engine()
+            run_workload(engine, generate_workload(seed, length=profile["soak_events"]))
+            _journal_and_report(f"soak.{seed}", engine.journal, gen.SOAK_PROBES, workdir)
+
+        engine = Engine()
+        run_workload(engine, load_workload(WORKLOAD_DIR / "deadline.workload"))
+        probes = [Query.from_dict(d) for d in _probe_lines(WORKLOAD_DIR / "deadline.probes")]
+        _journal_and_report("deadline", engine.journal, probes, workdir)
+
+        for seed in profile["compare_seeds"]:
+            events = generate_workload(seed)
+            for capacity in profile["capacities"]:
+                config = EngineConfig()
+                engine, adapter = Engine(config=config), BaselineJournalAdapter(config, capacity=capacity)
+                csv_text = rows_to_csv(compare(events, engine, adapter))
+                name = f"compare.{seed}.{capacity}"
+                print(f"{name}.csv {_sha(csv_text.encode('utf-8'))}")
+                print(f"{name}.gem.journal {_sha(_journal_bytes(engine.journal, workdir))}")
+                print(f"{name}.baseline.journal {_sha(_journal_bytes(adapter.journal, workdir))}")
+    return 0
+
+
+def _probe_lines(path: Path) -> list[dict]:
+    lines = (line.strip() for line in path.read_text(encoding="utf-8").splitlines())
+    return [json.loads(line) for line in lines if line and not line.startswith("#")]
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

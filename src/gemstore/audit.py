@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from .engine import Journal, replay_record
-from .model import MemoryState, active_footprint, canonical_json, stale_current_exists
-from .operators import OperatorError, Query, hide_order, retrieve_read
+from .engine import CorruptJournalError, EngineEvent, Journal, replay_record
+from .model import MemoryState, active_footprint, canonical_json, decoding, stale_current_exists
+from .operators import FactBundle, OperatorError, Query, hide_order, retrieve_read
 from .policy import EventKind, evaluate_condition
 
 CONDITIONS = ("c1", "c2", "c3", "c4", "c5", "c6")
@@ -66,15 +66,14 @@ class ShadowLedger:
     def __init__(self):
         self.concepts: dict[str, dict[str, list[tuple[int, str]]]] = {}
 
-    def ingest(self, bundle_dict: dict, tick: int) -> None:
-        hint = bundle_dict.get("topic_hint")
-        for fact in bundle_dict["facts"]:
-            name = fact["field"]
-            concept = hint
+    def ingest(self, bundle: FactBundle, tick: int) -> None:
+        for fact in bundle.facts:
+            name = fact.field
+            concept = bundle.topic_hint
             if concept is None:
                 owners = [c for c, fields in self.concepts.items() if name in fields]
                 concept = owners[0] if len(owners) == 1 else f"anon-{tick}"
-            self.concepts.setdefault(concept, {}).setdefault(name, []).append((tick, fact["value"]))
+            self.concepts.setdefault(concept, {}).setdefault(name, []).append((tick, fact.value))
 
     def latest_values(self, field_name: str) -> list[str]:
         """The last ingested value of every concept holding `field_name`."""
@@ -114,14 +113,18 @@ def audit(journal: Journal, probes: list[Query]) -> ViolationReport:
             continue
         pre_state = state
         tick = record.tick
+        with decoding(CorruptJournalError, f"malformed record at tick {tick}"):
+            event = EngineEvent.from_dict(record.input)
+            delta_kinds = {d["kind"] for d in record.deltas}
+        if record.operator == "retrieve" and event.query is None:
+            raise CorruptJournalError(f"retrieve without a query at tick {tick}")
 
         # C3 / C6 need the read set of this retrieve as seen before commit
         touched_topics: set[str] = set()
         accessed_units: list[tuple[str, str]] = []
         if record.operator == "retrieve":
-            query = Query.from_dict(record.input["query"])
             try:
-                out = retrieve_read(pre_state, query, cfg)
+                out = retrieve_read(pre_state, event.query, cfg)
                 accessed_units = out.accessed_units
                 touched_topics = {t for t, _ in accessed_units}
             except OperatorError:
@@ -133,9 +136,7 @@ def audit(journal: Journal, probes: list[Query]) -> ViolationReport:
         }
         pre_order = hide_order(pre_state) if accessed_units else []
         pre_prov = None
-        if record.operator in ("revise", "forget", "tick") and any(
-            d["kind"] in _PROVENANCE_RISK_DELTAS for d in record.deltas
-        ):
+        if record.operator in ("revise", "forget", "tick") and delta_kinds & _PROVENANCE_RISK_DELTAS:
             pre_prov = _reachable_provenance(pre_state)
 
         replay_record(state, record)
@@ -161,21 +162,19 @@ def audit(journal: Journal, probes: list[Query]) -> ViolationReport:
             if delta["kind"] == "field_removed" and delta["field"] in installed_fields:
                 ever_units.discard((delta["topic"], delta["field"]))  # a move, not a loss
 
-        if record.operator == "ingest" and record.input.get("bundle"):
-            ledger.ingest(record.input["bundle"], tick)
+        if record.operator == "ingest" and event.bundle is not None:
+            ledger.ingest(event.bundle, tick)
 
         # --- C3: dependency consistency --------------------------------
         if record.operator == "retrieve":
             for topic_id in sorted(touched_topics & pending_revision):
                 report.add("c3", tick, topic_id, "retrieve touched a topic with pending revision")
         if record.operator == "revise":
-            target = record.input.get("target")
-            if target:
-                pending_revision.discard(target)
-            evidence = record.input.get("evidence") or []
-            for item in evidence:
-                if item.get("kind") == "dependency_flag":
-                    pending_revision.discard(item["topic"])
+            if event.target:
+                pending_revision.discard(event.target)
+            for item in event.evidence or ():
+                if item.kind == "dependency_flag":
+                    pending_revision.discard(item.topic)
         for topic_id in sorted(changed_topics):
             if record.operator in ("ingest", "revise"):
                 for successor in state.extension_successors(topic_id):

@@ -16,7 +16,7 @@ from .audit import audit, render_report
 from .baseline import BaselineJournalAdapter
 from .config import EngineConfig
 from .engine import CorruptJournalError, Engine, Journal
-from .model import state_digest
+from .model import decoding, state_digest
 from .operators import Query, RuleTable
 from .policy import PolicyParseError, parse_policies
 from .storage import read_journal, read_snapshot, snapshot_from_journal, write_journal
@@ -46,11 +46,15 @@ def _load_probes(path: str | None) -> list[Query]:
     if path is None:
         return []
     probes = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        probes.append(Query.from_dict(json.loads(stripped)))
+        with decoding(WorkloadError, f"probes line {lineno}"):
+            obj = json.loads(stripped)
+            if not isinstance(obj, dict):
+                raise WorkloadError(f"probes line {lineno}: expected a JSON object")
+            probes.append(Query.from_dict(obj))
     return probes
 
 

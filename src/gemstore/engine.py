@@ -14,7 +14,7 @@ from typing import Optional
 from .config import EngineConfig
 from .embedding import RoutingError
 from .model import (
-    EdgeKind,
+    Aggregates,
     MemoryState,
     decoding,
     state_digest,
@@ -144,9 +144,10 @@ class Journal:
     records: list[TransitionRecord] = dc_field(default_factory=list)
 
     def genesis_state(self) -> MemoryState:
-        """The genesis state, checked against its digest."""
+        """The genesis state with its aggregates, checked against its digest."""
         with decoding(CorruptJournalError, "malformed genesis"):
             state = state_from_dict(self.genesis)
+        state.aggregates = Aggregates(state)
         if state_digest(state) != self.genesis_digest:
             raise CorruptJournalError("genesis digest mismatch")
         return state
@@ -182,6 +183,9 @@ class Engine:
             self.state = genesis
         else:
             self.state = MemoryState(policies=policies if policies is not None else default_policy_set())
+        # aggregated once, in full; every transaction carries them forward
+        self.state.aggregates = Aggregates(self.state)
+        self.state.aggregates.settle(self.state)
         genesis_dict = state_to_dict(self.state)
         self.journal = Journal(
             config=self.config,
@@ -227,10 +231,7 @@ class Engine:
         it again; the smallest pending topic when a cycle leaves none."""
         if len(pending) == 1:
             return pending[0]
-        successors: dict[str, list[str]] = {}
-        for edge in self.state.edges.values():
-            if edge.kind is EdgeKind.EXTENSION:
-                successors.setdefault(edge.src, []).append(edge.dst)
+        successors = self.state.derived().successors(self.state)
         reached: set[str] = set()
         for src in pending:
             seen: set[str] = set()

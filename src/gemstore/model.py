@@ -7,6 +7,7 @@ snapshots once committed; all mutation goes through the transaction layer.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 from contextlib import contextmanager
@@ -236,39 +237,202 @@ class Edge:
 
 @dataclass
 class MemoryState:
+    """Topics, edges, policies, clock and revision queue: everything that is
+    journalled and hashed.
+
+    `aggregates` is derived state.  It is never serialised, hashed or
+    journalled, and only `apply_delta` keeps it current, so a state that
+    carries aggregates must change through deltas alone.  A state without
+    them, such as one built by hand, derives them afresh on every read.
+    """
+
     topics: dict[str, Topic] = dc_field(default_factory=dict)
     edges: dict[tuple[str, str, str], Edge] = dc_field(default_factory=dict)
     policies: list["Policy"] = dc_field(default_factory=list)
     clock: int = 0
     revision_queue: set[tuple[str, str]] = dc_field(default_factory=set)
+    aggregates: Optional["Aggregates"] = dc_field(default=None, repr=False, compare=False)
 
     def shallow_clone(self) -> "MemoryState":
-        """Copy containers; topics are shared until a transaction touches them."""
+        """Copy containers; topics are shared until a transaction touches them,
+        and the aggregates' tables until the clone first settles them."""
         return MemoryState(
             topics=dict(self.topics),
             edges=dict(self.edges),
             policies=list(self.policies),
             clock=self.clock,
             revision_queue=set(self.revision_queue),
+            aggregates=self.aggregates.fork() if self.aggregates is not None else None,
         )
+
+    def derived(self) -> "Aggregates":
+        """The state's aggregates, or fresh ones for a state without them."""
+        return self.aggregates if self.aggregates is not None else Aggregates(self)
 
     def extension_successors(self, topic_id: str) -> list[str]:
-        return sorted(
-            e.dst
-            for e in self.edges.values()
-            if e.src == topic_id and e.kind is EdgeKind.EXTENSION
-        )
+        return list(self.derived().successors(self).get(topic_id, ()))
 
     def association_neighbors(self, topic_id: str) -> list[str]:
-        out = set()
-        for e in self.edges.values():
-            if e.kind is not EdgeKind.ASSOCIATION:
+        return list(self.derived().neighbors(self).get(topic_id, ()))
+
+    def footprint(self) -> int:
+        """`active_footprint`, read from the aggregates."""
+        return self.derived().footprint(self)
+
+    def stale_topics(self) -> frozenset[str]:
+        """Topics that would serve a superseded value as current; empty
+        exactly when `stale_current_exists` is false."""
+        return self.derived().stale_topics(self)
+
+
+class Aggregates:
+    """Values derived from a `MemoryState` that a commit would otherwise
+    recompute by scanning the whole store:
+
+    - each topic's content hash, in topic id order, the input of
+      `state_digest`;
+    - each live topic's count of active fields and their total, the
+      footprint;
+    - the topics whose current value is stale;
+    - the digest's edge section and the Extension and Association
+      adjacency.
+
+    `apply_delta` marks what each delta may change, and each part is settled
+    from the marked topics only when it is read: a footprint read hashes
+    nothing, and a topic marked twice is hashed once.  A fork shares its
+    parent's settled tables and copies them on its first settle, so a
+    transaction that is discarded leaves its parent's aggregates as they were.
+    Each read takes the state rather than holding it, so that a state and its
+    aggregates form no reference cycle.
+    """
+
+    def __init__(self, state: MemoryState):
+        self._hashes: dict[str, bytes] = {}  # kept in topic id order
+        self._active: dict[str, int] = {}
+        self._stale: set[str] = set()
+        self._footprint = 0
+        self._shared = False  # tables belong to the parent until copied
+        self._unhashed = set(state.topics)
+        self._uncounted = set(state.topics)
+        # the edge part: None once an edge delta drops it
+        self._edge_section: Optional[bytes] = None
+        self._successors: dict[str, list[str]] = {}
+        self._neighbors: dict[str, list[str]] = {}
+
+    def fork(self) -> "Aggregates":
+        child = copy.copy(self)
+        child._shared = True
+        child._unhashed = set(self._unhashed)
+        child._uncounted = set(self._uncounted)
+        return child
+
+    # -- marking, called by apply_delta only --------------------------------
+
+    def mark(self, topic_id: str) -> None:
+        """The topic's content, tiers or existence may change."""
+        self._unhashed.add(topic_id)
+        self._uncounted.add(topic_id)
+
+    def mark_hashes(self, topic_ids) -> None:
+        """Only the topics' content hashes may change (salience decay)."""
+        self._unhashed.update(topic_ids)
+
+    def edges_changed(self) -> None:
+        self._edge_section = None
+
+    # -- settled reads -------------------------------------------------------
+
+    def settle(self, state: MemoryState) -> None:
+        """Settle every part, as a state's first aggregation does in full."""
+        self.content_hashes(state)
+        self.footprint(state)
+        self.edge_section(state)
+
+    def content_hashes(self, state: MemoryState) -> dict[str, bytes]:
+        """Each topic's content hash, in topic id order."""
+        if self._unhashed:
+            self._own()
+            topics, hashes = state.topics, self._hashes
+            new_topic = False
+            for tid in self._unhashed:
+                topic = topics.get(tid)
+                if topic is None:
+                    hashes.pop(tid, None)
+                else:
+                    new_topic = new_topic or tid not in hashes
+                    hashes[tid] = topic.content_hash()
+            if new_topic:  # inserted at the end, out of order
+                self._hashes = dict(sorted(hashes.items()))
+            self._unhashed.clear()
+        return self._hashes
+
+    def footprint(self, state: MemoryState) -> int:
+        self._settle_counts(state)
+        return self._footprint
+
+    def stale_topics(self, state: MemoryState) -> frozenset[str]:
+        self._settle_counts(state)
+        return frozenset(self._stale)
+
+    def successors(self, state: MemoryState) -> dict[str, list[str]]:
+        """Sorted Extension successors by topic."""
+        self._settle_edges(state)
+        return self._successors
+
+    def neighbors(self, state: MemoryState) -> dict[str, list[str]]:
+        """Sorted Association neighbours by topic."""
+        self._settle_edges(state)
+        return self._neighbors
+
+    def edge_section(self, state: MemoryState) -> bytes:
+        """The digest's edge section: a JSON list of the edge encodings in
+        byte order."""
+        self._settle_edges(state)
+        return self._edge_section
+
+    def _own(self) -> None:
+        if self._shared:
+            self._hashes = dict(self._hashes)
+            self._active = dict(self._active)
+            self._stale = set(self._stale)
+            self._shared = False
+
+    def _settle_counts(self, state: MemoryState) -> None:
+        if not self._uncounted:
+            return
+        self._own()
+        topics, active, stale = state.topics, self._active, self._stale
+        total = self._footprint
+        for tid in self._uncounted:
+            total -= active.pop(tid, 0)
+            topic = topics.get(tid)
+            if topic is None:
+                stale.discard(tid)
                 continue
-            if e.src == topic_id:
-                out.add(e.dst)
-            elif e.dst == topic_id:
-                out.add(e.src)
-        return sorted(out)
+            active[tid] = count = _active_fields(topic)
+            total += count
+            if _serves_stale(topic):
+                stale.add(tid)
+            else:
+                stale.discard(tid)
+        self._footprint = total
+        self._uncounted.clear()
+
+    def _settle_edges(self, state: MemoryState) -> None:
+        if self._edge_section is not None:
+            return
+        successors: dict[str, list[str]] = {}
+        neighbors: dict[str, set[str]] = {}
+        for e in state.edges.values():
+            if e.kind is EdgeKind.EXTENSION:
+                successors.setdefault(e.src, []).append(e.dst)
+            else:
+                neighbors.setdefault(e.src, set()).add(e.dst)
+                neighbors.setdefault(e.dst, set()).add(e.src)
+        # new objects, never mutated in place, so a fork may share them
+        self._successors = {tid: sorted(dsts) for tid, dsts in successors.items()}
+        self._neighbors = {tid: sorted(others) for tid, others in neighbors.items()}
+        self._edge_section = b"[" + b",".join(sorted(e.canonical_bytes for e in state.edges.values())) + b"]"
 
 
 def current_value(state: MemoryState, topic_id: str, field_name: str) -> Optional[ValueEntry]:
@@ -294,27 +458,32 @@ def history(state: MemoryState, topic_id: str, field_name: str) -> list[ValueEnt
 
 
 def active_footprint(state: MemoryState) -> int:
-    count = 0
-    for topic in state.topics.values():
-        if topic.archived:
-            continue
-        for f in topic.fields.values():
-            if f.tier is Tier.ACTIVE:
-                count += 1
-    return count
+    """Active fields of live topics, by a full scan (the reference for the
+    aggregate that `MemoryState.footprint` reads)."""
+    return sum(_active_fields(topic) for topic in state.topics.values())
 
 
 def stale_current_exists(state: MemoryState) -> bool:
-    """True if some field's current entry is not its latest non-compressed entry."""
-    for topic in state.topics.values():
-        for f in topic.fields.values():
-            latest = None
-            for entry in reversed(f.history):
-                if not entry.compressed:
-                    latest = entry
-                    break
-            if latest is not None and latest.superseded and f.current_entry() is not None:
-                return True
+    """True if some field's current entry is not its latest non-compressed
+    entry, by a full scan (the reference for `MemoryState.stale_topics`)."""
+    return any(_serves_stale(topic) for topic in state.topics.values())
+
+
+def _active_fields(topic: Topic) -> int:
+    if topic.archived:
+        return 0
+    return sum(1 for f in topic.fields.values() if f.tier is Tier.ACTIVE)
+
+
+def _serves_stale(topic: Topic) -> bool:
+    for f in topic.fields.values():
+        latest = None
+        for entry in reversed(f.history):
+            if not entry.compressed:
+                latest = entry
+                break
+        if latest is not None and latest.superseded and f.current_entry() is not None:
+            return True
     return False
 
 
@@ -326,12 +495,14 @@ def canonical_json(obj) -> str:
 def decoding(error: type[ValueError], what: str):
     """Raise `error` naming `what` for any KeyError, TypeError or ValueError
     that decoding outside input raises in the block, so that a malformed
-    input fails with one typed error rather than a traceback."""
+    input fails with one typed error rather than a traceback.  An
+    AttributeError counts too: it is what `.get` raises on a list or a
+    number where an object belongs."""
     try:
         yield
     except error:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise error(f"{what}: {exc!r}") from exc
 
 
@@ -371,18 +542,20 @@ def state_digest(state: MemoryState) -> str:
     self-delimiting: the clock, policies and revision queue are JSON values,
     the edges a JSON list of their memoised encodings in byte order, and the
     topic hashes, in topic id order, are fixed-width and preceded by their
-    count.
+    count.  The topic hashes, their order and the edge section are read from
+    the state's aggregates.
     """
     from .policy import render_policy
 
+    derived = state.derived()
+    hashes = derived.content_hashes(state)
     h = hashlib.sha256()
     h.update(canonical_json(state.clock).encode())
     h.update(canonical_json([render_policy(p) for p in state.policies]).encode())
-    h.update(b"[" + b",".join(sorted(e.canonical_bytes for e in state.edges.values())) + b"]")
+    h.update(derived.edge_section(state))
     h.update(canonical_json(sorted(list(pair) for pair in state.revision_queue)).encode())
-    topics = state.topics
-    h.update(b"%d:" % len(topics))
-    h.update(b"".join(topics[tid].content_hash() for tid in sorted(topics)))
+    h.update(b"%d:" % len(hashes))
+    h.update(b"".join(hashes.values()))
     return h.hexdigest()
 
 

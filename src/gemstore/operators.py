@@ -20,7 +20,6 @@ from .model import (
     Provenance,
     Tier,
     ValueEntry,
-    active_footprint,
 )
 from .salience import Eligibility, bump, tier_of
 from .transaction import Txn
@@ -675,7 +674,7 @@ def _compress_field(txn: Txn, topic_id: str, name: str, k_recent: int) -> None:
 
 
 def _enforce_footprint(txn: Txn, cfg: EngineConfig, next_tick: int) -> None:
-    excess = active_footprint(txn.state) - cfg.beta.bound(next_tick)
+    excess = txn.state.footprint() - cfg.beta.bound(next_tick)
     if excess <= 0:
         return
     # relevance-ordered, never age-ordered: lowest salience goes first

@@ -468,8 +468,6 @@ def evaluate_condition(cond: ConditionExpr, state, ctx: dict) -> bool:
     `ctx` may bind updated_topic, updated_field, accessed_topic, and `beta`
     (the resolved footprint bound for this transition).
     """
-    from .model import active_footprint, stale_current_exists
-
     if isinstance(cond, Not):
         return not evaluate_condition(cond.operand, state, ctx)
     if isinstance(cond, And):
@@ -504,7 +502,7 @@ def evaluate_condition(cond: ConditionExpr, state, ctx: dict) -> bool:
             bound = ctx["beta"]
         else:
             bound = cond.bound
-        return active_footprint(state) > bound
+        return state.footprint() > bound
     if isinstance(cond, FieldIs):
         if "updated_field" not in ctx:
             raise EvaluationError("unbound variable: updated_field")
@@ -514,7 +512,7 @@ def evaluate_condition(cond: ConditionExpr, state, ctx: dict) -> bool:
         topic = state.topics.get(topic_id)
         return topic is not None and topic.archived
     if isinstance(cond, StaleCurrentExists):
-        return stale_current_exists(state)
+        return bool(state.stale_topics())
     raise TypeError(f"unknown condition node: {cond!r}")
 
 

@@ -33,19 +33,25 @@ _TEXT_DELTAS = frozenset(
 
 
 def apply_delta(state: MemoryState, delta: dict) -> None:
-    """Mutate `state` in place according to one delta. Deterministic."""
+    """Mutate `state` in place according to one delta, and mark in its
+    aggregates what the delta may change. Deterministic."""
     kind = delta["kind"]
+    derived = state.aggregates
     if kind == "topic_created":
         tid = delta["id"]
         if tid in state.topics:
             raise DeltaError(f"topic already exists: {tid}")
         state.topics[tid] = Topic(id=tid, title=delta["title"], summary=delta["summary"])
+        if derived is not None:
+            derived.mark(tid)
     elif kind == "topic_removed":
         _topic(state, delta["id"])
         del state.topics[delta["id"]]
         for key in [k for k, e in state.edges.items() if e.src == delta["id"] or e.dst == delta["id"]]:
             del state.edges[key]
         state.revision_queue = {(t, c) for t, c in state.revision_queue if t != delta["id"]}
+        if derived is not None:
+            derived.edges_changed()
     elif kind == "topic_archived":
         topic = _topic(state, delta["id"])
         topic.archived = True
@@ -96,11 +102,16 @@ def apply_delta(state: MemoryState, delta: dict) -> None:
         f.salience = delta["value"]
     elif kind == "salience_decayed":
         factor = delta["factor"]
-        for topic in state.topics.values():
+        decayed = []
+        for tid, topic in state.topics.items():
             if not topic.archived:  # archived content is frozen, not decayed further
                 topic._canonical_cache = None
+                decayed.append(tid)
                 for f in topic.fields.values():
                     f.salience = decay(f.salience, 1, factor)
+        if derived is not None:
+            # salience changes no tier and no history, so counts stay settled
+            derived.mark_hashes(decayed)
     elif kind == "last_access_set":
         f = _field(_topic(state, delta["topic"]), delta["field"])
         f.last_access = delta["tick"]
@@ -114,10 +125,14 @@ def apply_delta(state: MemoryState, delta: dict) -> None:
         if edge.src not in state.topics or edge.dst not in state.topics:
             raise DeltaError(f"edge endpoint missing: {edge.src} -> {edge.dst}")
         state.edges[edge.key()] = edge
+        if derived is not None:
+            derived.edges_changed()
     elif kind == "edge_removed":
         key = (delta["src"], delta["dst"], delta["edge_kind"])
         if key in state.edges:
             del state.edges[key]
+            if derived is not None:
+                derived.edges_changed()
     elif kind == "flag_added":
         if delta["topic"] not in state.topics:
             raise DeltaError(f"flag for unknown topic: {delta['topic']}")
@@ -135,6 +150,8 @@ def _topic(state: MemoryState, tid: str) -> Topic:
     if topic is None:
         raise DeltaError(f"unknown topic: {tid}")
     topic._canonical_cache = None  # content is about to change
+    if state.aggregates is not None:
+        state.aggregates.mark(tid)
     return topic
 
 

@@ -221,7 +221,7 @@ def _compare_rows(name: str, system: System, events: list[WorkloadEvent]) -> lis
     for index, ev, output, records in steps(system, events):
         state = system.state
         if ev.op == "ingest":
-            expect.ingest(ev.bundle.to_dict(), index)
+            expect.ingest(ev.bundle, index)
         elif ev.op == "query":
             answers = []
             if output is not None:

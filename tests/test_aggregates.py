@@ -1,0 +1,134 @@
+"""Differential test of the aggregates that `apply_delta` maintains: after
+every committed and aborted transition they equal a full recomputation, and
+an aborted or discarded transaction leaves its parent's aggregates as they
+were."""
+
+import pytest
+
+from conftest import build_state, build_topic
+from gemstore.config import BetaSpec, EngineConfig
+from gemstore.engine import Engine, EngineEvent
+from gemstore.model import (
+    EdgeKind,
+    MemoryState,
+    active_footprint,
+    stale_current_exists,
+    state_digest,
+    state_from_dict,
+    state_to_dict,
+)
+from gemstore.operators import EvidenceItem, Fact, FactBundle, Query, RuleTable
+from gemstore.policy import default_policy_set, parse_policy
+from gemstore.transaction import Txn
+from gemstore.workload import run_workload
+from gemstore.workload_gen import generate_workload
+
+
+def assert_aggregates_exact(state: MemoryState) -> None:
+    """Every value the aggregates serve equals a full scan of `state`."""
+    assert state.aggregates is not None
+    assert state_digest(state) == state_digest(state_from_dict(state_to_dict(state)))
+    assert state.footprint() == active_footprint(state)
+    stale = {tid for tid, t in state.topics.items() if stale_current_exists(MemoryState(topics={tid: t}))}
+    assert state.stale_topics() == stale
+    assert bool(state.stale_topics()) == stale_current_exists(state)
+    edges = list(state.edges.values())
+    for tid in state.topics:
+        successors = sorted(e.dst for e in edges if e.kind is EdgeKind.EXTENSION and e.src == tid)
+        neighbors = {e.dst for e in edges if e.kind is EdgeKind.ASSOCIATION and e.src == tid}
+        neighbors |= {e.src for e in edges if e.kind is EdgeKind.ASSOCIATION and e.dst == tid}
+        assert state.extension_successors(tid) == successors
+        assert state.association_neighbors(tid) == sorted(neighbors)
+
+
+@pytest.fixture
+def checked_transitions(monkeypatch):
+    """Check the aggregates after every transition an engine makes; return
+    the outcomes seen."""
+    outcomes = []
+    real = Engine._apply_once
+
+    def apply_once(self, event):
+        before = state_digest(self.state)
+        output, record = real(self, event)
+        if not record.committed:
+            assert record.digest_after == before == state_digest(self.state)
+        assert_aggregates_exact(self.state)
+        outcomes.append(record.outcome)
+        return output, record
+
+    monkeypatch.setattr(Engine, "_apply_once", apply_once)
+    return outcomes
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_generated_workloads_keep_aggregates_exact(checked_transitions, seed):
+    engine = Engine()
+    assert_aggregates_exact(engine.state)
+    run_workload(engine, generate_workload(seed))
+    assert len(checked_transitions) == len(engine.journal.records)
+
+
+def _ingest(hint, text, **facts):
+    return EngineEvent.ingest(FactBundle(tuple(Fact(k, v) for k, v in facts.items()), text, topic_hint=hint))
+
+
+def _graph_engine() -> Engine:
+    plan = build_topic("plan", title="project plan", fields={"Deadline": "March 15"})
+    copy = build_topic("plan-copy", title="project plan", fields={"Owner": "dana"})
+    people = build_topic("people", fields={"Lead": "kim", "Backup": "lee"})
+    for f in people.fields.values():
+        f.entity_tag = "staff"
+    genesis = build_state(
+        [plan, copy, people, build_topic("checklist", fields={"Deadline": "March 15"}), build_topic("notes")],
+        edges=[
+            ("plan", "checklist", "Extension"),
+            ("plan-copy", "notes", "Extension"),
+            ("plan-copy", "checklist", "Association"),
+            ("notes", "plan", "Association"),
+        ],
+    )
+    rules = RuleTable.parse("plan.Deadline -> checklist.Deadline : shift-annotation")
+    return Engine(genesis=genesis, rules=rules)
+
+
+def test_graph_operations_keep_aggregates_exact(checked_transitions):
+    engine = _graph_engine()
+    assert_aggregates_exact(engine.state)
+    events = [
+        _ingest("plan", "plan deadline moved", Deadline="April 20"),  # flags checklist
+        EngineEvent.retrieve(Query(text="plan deadline")),  # drains the flag first
+        EngineEvent.revise([EvidenceItem("duplicate_topics", "plan", other="plan-copy")]),  # merge, re-point, archive
+        EngineEvent.revise([EvidenceItem("promotion_candidate", "people", other="staff")]),  # promotion, new edge
+        EngineEvent.tick(),
+        EngineEvent.retrieve(Query(mode="structural", root="plan", depth=2)),
+        _ingest("plan-copy", "archived hint", Owner="kim"),  # follows the merge marker
+        EngineEvent.forget(),
+        EngineEvent.revise(),
+    ]
+    for event in events:
+        engine.submit(event)
+    assert engine.state.topics["plan-copy"].archived
+    assert "staff" in engine.state.topics
+    assert engine.state.association_neighbors("plan") == ["checklist", "notes"]
+    assert checked_transitions.count("committed") == len(checked_transitions) == len(events) + 1
+
+    # topic_removed has no engine operator; drive it through a transaction
+    parent_digest = engine.digest()
+    txn = Txn(engine.state)
+    txn.remove_topic("notes")
+    assert_aggregates_exact(txn.state)
+    assert "notes" not in txn.state.extension_successors("plan")
+    assert engine.digest() == parent_digest
+    assert_aggregates_exact(engine.state)
+
+
+def test_rejected_commit_leaves_the_parent_aggregates(checked_transitions):
+    cap = parse_policy('POLICY cap ON pre_commit WHEN active_footprint > 2 DO reject_transition("cap")')
+    genesis = build_state([build_topic("t", fields={"A": "1", "B": "2"})], policies=default_policy_set() + [cap])
+    engine = Engine(config=EngineConfig(beta=BetaSpec(base=100)), genesis=genesis)
+    _, records = engine.submit(_ingest("t", "t gets C", C="3"))
+    assert records[-1].reason == "cap"
+    _, records = engine.submit(_ingest("t", "t changes A", A="4"))
+    assert records[-1].committed
+    assert checked_transitions == ["aborted", "committed"]

@@ -109,6 +109,8 @@ JOURNAL_MUTANTS = {
         frames, "entry_appended", lambda d: d.update(topic="no-such-topic")),
     "decay-factor-not-a-number": lambda frames: _edit_first_delta(
         frames, "salience_decayed", lambda d: d.update(factor="0.9")),
+    "tick-delta-without-kind": lambda frames: _edit_first_delta(
+        frames, "salience_decayed", lambda d: d.pop("kind")),
 }
 
 
@@ -122,3 +124,14 @@ def test_audit_reports_a_malformed_journal_as_corrupt(tmp_path, capsys, mutant):
     capsys.readouterr()
     assert main(["audit", "--journal", str(journal)]) == 1
     assert "corrupt input:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["[1]", '{"text": "a", "explicit": 5}', "not json"])
+def test_audit_reports_a_malformed_probe_with_its_line(tmp_path, capsys, line):
+    journal = tmp_path / "deadline.journal"
+    assert main(["replay", "--workload", DEADLINE, "--journal-out", str(journal)]) == 0
+    probes = tmp_path / "bad.probes"
+    probes.write_text('# a comment\n{"text": "website redesign deadline"}\n' + line + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["audit", "--journal", str(journal), "--probes", str(probes)]) == 2
+    assert "probes line 3" in capsys.readouterr().err

@@ -5,19 +5,42 @@ from conftest import build_state, build_topic
 from gemstore import embedding, operators
 from gemstore.config import BetaSpec, EngineConfig
 from gemstore.engine import Engine, EngineEvent
-from gemstore.model import Topic
-from gemstore.operators import Fact, FactBundle
+from gemstore.model import MemoryState, Topic, active_footprint
+from gemstore.operators import Fact, FactBundle, Query
 from gemstore.salience import decay
 
 N_TOPICS = 1000
 
 
-def _large_state():
+def _large_state(edges=()):
     topics = [
         build_topic(f"t{i:04d}", title=f"w{i}a w{i}b w{i}c", fields={"Status": f"s{i}"})
         for i in range(N_TOPICS)
     ]
-    return build_state(topics)
+    return build_state(topics, edges=edges)
+
+
+class _CountingDict(dict):
+    """A dict that appends `label` to `log` whenever it is scanned through
+    values(), items() or keys().  Plain iteration stays uncounted, so that
+    `dict(d)` still copies it without a scan."""
+
+    def __init__(self, data, log, label):
+        super().__init__(data)
+        self.log = log
+        self.label = label
+
+    def values(self):
+        self.log.append(self.label)
+        return super().values()
+
+    def items(self):
+        self.log.append(self.label)
+        return super().items()
+
+    def keys(self):
+        self.log.append(self.label)
+        return super().keys()
 
 
 def test_duplicate_detection_skips_topics_with_disjoint_titles(monkeypatch):
@@ -55,3 +78,43 @@ def test_tick_derives_no_embeddings(monkeypatch):
     assert len(after) == N_TOPICS
     assert after == {tid: decay(s, 1, lam) for tid, s in before.items()}
     assert derived == []
+
+
+def test_hinted_ingest_scans_the_fields_of_the_touched_topic_only():
+    engine = Engine(config=EngineConfig(beta=BetaSpec(base=2 * N_TOPICS)), genesis=_large_state())
+    scanned = []
+    for tid, topic in engine.state.topics.items():
+        topic.fields = _CountingDict(topic.fields, scanned, tid)
+    bundle = FactBundle((Fact("Status", "done"),), "status update", topic_hint="t0500")
+    _, records = engine.submit(EngineEvent.ingest(bundle))
+    assert [r.outcome for r in records] == ["committed"]
+    # the footprint and stale checks read per-topic contributions kept by
+    # apply_delta instead of rescanning the 999 untouched topics
+    assert set(scanned) <= {"t0500"}
+    assert engine.state.footprint() == active_footprint(engine.state) == N_TOPICS
+
+
+def test_structural_retrieve_and_propagating_ingest_scan_no_edges(monkeypatch):
+    edges = [(f"t{i:04d}", f"t{i + 1:04d}", "Extension") for i in range(0, N_TOPICS - 1, 4)]
+    edges += [(f"t{i:04d}", f"t{i + 2:04d}", "Association") for i in range(0, N_TOPICS - 2, 4)]
+    engine = Engine(config=EngineConfig(beta=BetaSpec(base=2 * N_TOPICS)), genesis=_large_state(edges))
+    scans = []
+    # follow the state through every transaction's working copy
+    real_clone = MemoryState.shallow_clone
+
+    def counting_clone(state):
+        clone = real_clone(state)
+        clone.edges = _CountingDict(clone.edges, scans, "edges")
+        return clone
+
+    monkeypatch.setattr(MemoryState, "shallow_clone", counting_clone)
+    engine.state.edges = _CountingDict(engine.state.edges, scans, "edges")
+
+    bundle = FactBundle((Fact("Status", "done"),), "status update", topic_hint="t0100")
+    _, records = engine.submit(EngineEvent.ingest(bundle))
+    assert [r.outcome for r in records] == ["committed"]
+    assert engine.state.revision_queue == {("t0101", "t0100.Status")}  # propagate-on-change fired
+    output, records = engine.submit(EngineEvent.retrieve(Query(mode="structural", root="t0102", depth=2)))
+    assert [r.operator for r in records] == ["revise", "retrieve"]
+    assert [tid for tid, _ in output.context] == ["t0102", "t0100", "t0101"]
+    assert scans == []

@@ -37,3 +37,13 @@ def test_soak_audit_runs_clean():
     result = _run("soak_audit.py", "3", "50")
     assert result.returncode == 0, result.stdout + result.stderr
     assert "3 workloads x 50 events, 0 failures" in result.stdout
+
+
+def test_artefact_hashes_quick_profile_is_deterministic():
+    first, second = _run("artefact_hashes.py", "--quick"), _run("artefact_hashes.py", "--quick")
+    assert first.returncode == second.returncode == 0, first.stderr + second.stderr
+    lines = first.stdout.splitlines()
+    assert lines == second.stdout.splitlines()
+    assert any(line.startswith("perfbench.store-large.31.0.journal ") for line in lines)
+    assert any(line.startswith("deadline.audit ") for line in lines)
+    assert any(line.startswith("compare.1.3.baseline.journal ") for line in lines)
