@@ -7,6 +7,12 @@ makes the engine faster must leave as they are:
 - the journal and audit report of workloads/deadline.workload;
 - the `gem compare` CSV and both journals of seeds 0-59 at capacities 1, 3, 5.
 
+Each engine run also prints a `<name>.answers` line: the hash of what every
+submit returned (the outcome and abort reason of each record, the answers as
+(topic, field, value, at) and the context).  It does not depend on the
+journal format, so it still compares two checkouts whose journal bytes
+differ by design.
+
 Usage: artefact_hashes.py [--quick]
 
 `--quick` covers a small subset in a few seconds.  To check a change, run
@@ -42,6 +48,27 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+class _Recording(Engine):
+    """An engine that hashes what each submit returns."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.answers = hashlib.sha256()
+
+    def submit(self, event):
+        output, records = super().submit(event)
+        seen = [[[r.outcome, r.reason] for r in records]]
+        if output is not None:
+            seen.append([[a.topic, a.field, a.value, a.at] for a in output.answers])
+            seen.append([list(c) for c in output.context])
+        self.answers.update(json.dumps(seen).encode() + b"\n")
+        return output, records
+
+
+def _print_answers(name: str, engine: _Recording) -> None:
+    print(f"{name}.answers {engine.answers.hexdigest()}")
+
+
 def _journal_bytes(journal, workdir: Path) -> bytes:
     path = workdir / "artefact.journal"
     write_journal(path, journal)
@@ -66,31 +93,35 @@ def main() -> int:
             for seed in profile["bench_seeds"]:
                 for index in range(gen.episodes_per_round(workload, profile["bench_scale"])):
                     episode = gen.make_episode(workload, seed, index, profile["bench_scale"])
-                    engine = Engine(config=episode.config, genesis=episode.genesis, rules=episode.rules)
+                    engine = _Recording(config=episode.config, genesis=episode.genesis, rules=episode.rules)
                     for op in episode.ops:
                         engine.submit(op.event)
-                    _journal_and_report(f"perfbench.{workload}.{seed}.{index}", engine.journal, episode.probes,
-                                        workdir)
+                    name = f"perfbench.{workload}.{seed}.{index}"
+                    _journal_and_report(name, engine.journal, episode.probes, workdir)
+                    _print_answers(name, engine)
 
         for seed in profile["soak_seeds"]:
-            engine = Engine()
+            engine = _Recording()
             run_workload(engine, generate_workload(seed, length=profile["soak_events"]))
             _journal_and_report(f"soak.{seed}", engine.journal, gen.SOAK_PROBES, workdir)
+            _print_answers(f"soak.{seed}", engine)
 
-        engine = Engine()
+        engine = _Recording()
         run_workload(engine, load_workload(WORKLOAD_DIR / "deadline.workload"))
         probes = [Query.from_dict(d) for d in _probe_lines(WORKLOAD_DIR / "deadline.probes")]
         _journal_and_report("deadline", engine.journal, probes, workdir)
+        _print_answers("deadline", engine)
 
         for seed in profile["compare_seeds"]:
             events = generate_workload(seed)
             for capacity in profile["capacities"]:
                 config = EngineConfig()
-                engine, adapter = Engine(config=config), BaselineJournalAdapter(config, capacity=capacity)
+                engine, adapter = _Recording(config=config), BaselineJournalAdapter(config, capacity=capacity)
                 csv_text = rows_to_csv(compare(events, engine, adapter))
                 name = f"compare.{seed}.{capacity}"
                 print(f"{name}.csv {_sha(csv_text.encode('utf-8'))}")
                 print(f"{name}.gem.journal {_sha(_journal_bytes(engine.journal, workdir))}")
+                _print_answers(f"{name}.gem", engine)
                 print(f"{name}.baseline.journal {_sha(_journal_bytes(adapter.journal, workdir))}")
     return 0
 

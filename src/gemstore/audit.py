@@ -98,6 +98,7 @@ def shadow_expected(ledger: ShadowLedger, topic_id: str, field_name: str) -> Opt
 def audit(journal: Journal, probes: list[Query]) -> ViolationReport:
     report = ViolationReport()
     cfg = journal.config
+    lam = cfg.salience.decay
     state = journal.genesis_state()
 
     ledger = ShadowLedger()
@@ -130,11 +131,11 @@ def audit(journal: Journal, probes: list[Query]) -> ViolationReport:
             except OperatorError:
                 pass
         pre_saliences = {
-            (t, f): pre_state.topics[t].fields[f].salience
+            (t, f): pre_state.salience(pre_state.topics[t], pre_state.topics[t].fields[f], lam)
             for t, f in accessed_units
             if t in pre_state.topics and f in pre_state.topics[t].fields
         }
-        pre_order = hide_order(pre_state) if accessed_units else []
+        pre_order = hide_order(pre_state, lam) if accessed_units else []
         pre_prov = None
         if record.operator in ("revise", "forget", "tick") and delta_kinds & _PROVENANCE_RISK_DELTAS:
             pre_prov = _reachable_provenance(pre_state)
@@ -181,7 +182,7 @@ def audit(journal: Journal, probes: list[Query]) -> ViolationReport:
                     pending_revision.add(successor)
 
         # --- C2: transition soundness -----------------------------------
-        ctx = {"beta": cfg.beta.bound(tick)}
+        ctx = {"beta": cfg.beta.bound(tick), "decay": lam}
         for policy in state.policies:
             if policy.on_event is not EventKind.PRE_COMMIT:
                 continue
@@ -205,7 +206,7 @@ def audit(journal: Journal, probes: list[Query]) -> ViolationReport:
 
         # --- C6: retrieval-induced adaptation ----------------------------
         if record.operator == "retrieve" and accessed_units:
-            post_order = hide_order(state)
+            post_order = hide_order(state, lam)
             accessed_set = set(accessed_units)
             unbumped = []
             worsened = []
@@ -214,7 +215,7 @@ def audit(journal: Journal, probes: list[Query]) -> ViolationReport:
                 post_topic = state.topics.get(t)
                 post_field = post_topic.fields.get(f) if post_topic else None
                 pre_s = pre_saliences.get(unit)
-                if post_field is None or pre_s is None or not post_field.salience > pre_s:
+                if post_field is None or pre_s is None or not state.salience(post_topic, post_field, lam) > pre_s:
                     unbumped.append(f"{t}.{f}")
                     continue
                 if unit in pre_order and unit in post_order:

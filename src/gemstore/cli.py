@@ -7,7 +7,6 @@ input), 2 usage or I/O error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -20,7 +19,7 @@ from .model import decoding, state_digest
 from .operators import Query, RuleTable
 from .policy import PolicyParseError, parse_policies
 from .storage import read_journal, read_snapshot, snapshot_from_journal, write_journal
-from .workload import WorkloadError, compare, load_workload, rows_to_csv, run_workload
+from .workload import WorkloadError, compare, json_lines, load_workload, rows_to_csv, run_workload
 
 
 def _load_config(path: str | None) -> EngineConfig:
@@ -46,14 +45,8 @@ def _load_probes(path: str | None) -> list[Query]:
     if path is None:
         return []
     probes = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, obj in json_lines(Path(path).read_text(encoding="utf-8"), "probes line"):
         with decoding(WorkloadError, f"probes line {lineno}"):
-            obj = json.loads(stripped)
-            if not isinstance(obj, dict):
-                raise WorkloadError(f"probes line {lineno}: expected a JSON object")
             probes.append(Query.from_dict(obj))
     return probes
 

@@ -16,6 +16,7 @@ from .embedding import RoutingError
 from .model import (
     Aggregates,
     MemoryState,
+    check_edges,
     decoding,
     state_digest,
     state_from_dict,
@@ -77,11 +78,10 @@ class EngineEvent:
 
     def to_dict(self) -> dict:
         return {
-            "kind": self.kind,
+            **vars(self),
             "bundle": self.bundle.to_dict() if self.bundle else None,
             "query": self.query.to_dict() if self.query else None,
             "evidence": [e.to_dict() for e in self.evidence] if self.evidence is not None else None,
-            "target": self.target,
         }
 
     @staticmethod
@@ -111,29 +111,11 @@ class TransitionRecord:
         return self.outcome == "committed"
 
     def to_dict(self) -> dict:
-        return {
-            "tick": self.tick,
-            "operator": self.operator,
-            "input": self.input,
-            "deltas": self.deltas,
-            "policy_log": self.policy_log,
-            "outcome": self.outcome,
-            "reason": self.reason,
-            "digest_after": self.digest_after,
-        }
+        return dict(vars(self))
 
     @staticmethod
     def from_dict(d: dict) -> "TransitionRecord":
-        return TransitionRecord(
-            tick=d["tick"],
-            operator=d["operator"],
-            input=d["input"],
-            deltas=d["deltas"],
-            policy_log=d["policy_log"],
-            outcome=d["outcome"],
-            reason=d.get("reason"),
-            digest_after=d["digest_after"],
-        )
+        return TransitionRecord(**d)
 
 
 @dataclass
@@ -180,6 +162,7 @@ class Engine:
         self.config.validate()
         self.rules = rules or RuleTable.empty()
         if genesis is not None:
+            check_edges(genesis)
             self.state = genesis
         else:
             self.state = MemoryState(policies=policies if policies is not None else default_policy_set())
@@ -307,14 +290,16 @@ class Engine:
             forget(txn, self.config, next_tick)
             return []
         if event.kind == "tick":
-            # a tick is decay plus the attenuation ladder, in one transition
-            txn.decay_salience(self.config.salience.decay)
+            # a tick is one decay epoch plus the attenuation ladder, in one
+            # transition that writes only the tiers and archives it changes
+            txn.advance_epoch()
             forget(txn, self.config, next_tick)
             return [("tick", {})]
         raise OperatorError(f"unknown event kind: {event.kind}")
 
     def _run_event_policies(self, txn: Txn, sub_events, policy_log: list[dict], next_tick: int) -> None:
         for event_name, ctx in sub_events:
+            ctx = {**ctx, "decay": self.config.salience.decay}
             for policy in txn.state.policies:
                 if policy.on_event.value != event_name:
                     continue
@@ -324,7 +309,7 @@ class Engine:
                     self._apply_action(txn, policy.action, ctx, next_tick)
 
     def _run_pre_commit_policies(self, txn: Txn, policy_log: list[dict], next_tick: int) -> Optional[str]:
-        ctx = {"beta": self.config.beta.bound(next_tick)}
+        ctx = {"beta": self.config.beta.bound(next_tick), "decay": self.config.salience.decay}
         for policy in txn.state.policies:
             if policy.on_event is not EventKind.PRE_COMMIT:
                 continue

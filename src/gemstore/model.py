@@ -17,6 +17,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from .embedding import EmbeddingVector, embed
+from .salience import decay
 
 if TYPE_CHECKING:  # pragma: no cover
     from .policy import Policy
@@ -87,7 +88,9 @@ class Field:
     name: str
     entity_tag: Optional[str] = None
     history: list[ValueEntry] = dc_field(default_factory=list)
+    # salience as set at decay epoch `since`; read it through MemoryState.salience
     salience: float = 1.0
+    since: int = 0
     tier: Tier = Tier.ACTIVE
     last_access: int = 0
 
@@ -97,6 +100,7 @@ class Field:
             entity_tag=self.entity_tag,
             history=list(self.history),
             salience=self.salience,
+            since=self.since,
             tier=self.tier,
             last_access=self.last_access,
         )
@@ -114,6 +118,7 @@ class Field:
             "entity_tag": self.entity_tag,
             "history": [e.to_dict() for e in self.history],
             "salience": self.salience,
+            "since": self.since,
             "tier": self.tier.value,
             "last_access": self.last_access,
         }
@@ -125,6 +130,7 @@ class Field:
             entity_tag=d.get("entity_tag"),
             history=[ValueEntry.from_dict(e) for e in d["history"]],
             salience=d["salience"],
+            since=d["since"],
             tier=Tier(d["tier"]),
             last_access=d["last_access"],
         )
@@ -142,6 +148,7 @@ class Topic:
     embedding: Optional[EmbeddingVector] = dc_field(default=None, repr=False, compare=False)
     fields: dict[str, Field] = dc_field(default_factory=dict)
     archived: bool = False
+    archived_at: Optional[int] = None  # the decay epoch its salience is frozen at
     merged_into: Optional[str] = None
     # (canonical bytes, their SHA-256); cleared by the transaction layer
     # before any delta touches the topic
@@ -155,6 +162,7 @@ class Topic:
             embedding=self.embedding,
             fields={name: f.clone() for name, f in self.fields.items()},
             archived=self.archived,
+            archived_at=self.archived_at,
             merged_into=self.merged_into,
         )
 
@@ -182,6 +190,7 @@ class Topic:
             "summary": self.summary,
             "fields": {name: f.to_dict() for name, f in sorted(self.fields.items())},
             "archived": self.archived,
+            "archived_at": self.archived_at,
             "merged_into": self.merged_into,
         }
 
@@ -193,6 +202,7 @@ class Topic:
             summary=d["summary"],
             fields={name: Field.from_dict(f) for name, f in d["fields"].items()},
             archived=d["archived"],
+            archived_at=d["archived_at"],
             merged_into=d.get("merged_into"),
         )
 
@@ -237,8 +247,9 @@ class Edge:
 
 @dataclass
 class MemoryState:
-    """Topics, edges, policies, clock and revision queue: everything that is
-    journalled and hashed.
+    """Topics, edges, policies, clock, decay epoch and revision queue:
+    everything that is journalled and hashed.  `epoch` counts committed
+    ticks, from which `salience` derives each field's decayed value.
 
     `aggregates` is derived state.  It is never serialised, hashed or
     journalled, and only `apply_delta` keeps it current, so a state that
@@ -250,6 +261,7 @@ class MemoryState:
     edges: dict[tuple[str, str, str], Edge] = dc_field(default_factory=dict)
     policies: list["Policy"] = dc_field(default_factory=list)
     clock: int = 0
+    epoch: int = 0
     revision_queue: set[tuple[str, str]] = dc_field(default_factory=set)
     aggregates: Optional["Aggregates"] = dc_field(default=None, repr=False, compare=False)
 
@@ -261,9 +273,21 @@ class MemoryState:
             edges=dict(self.edges),
             policies=list(self.policies),
             clock=self.clock,
+            epoch=self.epoch,
             revision_queue=set(self.revision_queue),
             aggregates=self.aggregates.fork() if self.aggregates is not None else None,
         )
+
+    def epoch_of(self, topic: Topic) -> int:
+        """The epoch the topic's salience is read at: the state's, or the one
+        the topic was archived at, so that archived salience stays frozen."""
+        return self.epoch if topic.archived_at is None else topic.archived_at
+
+    def salience(self, topic: Topic, f: Field, lam: float) -> float:
+        """The field's salience now: its set value decayed by `lam` over the
+        epochs since it was set (Park et al., 2023).  The whole-store loops
+        of the forget ladder and `hide_order` spell it out per topic."""
+        return decay(f.salience, self.epoch_of(topic) - f.since, lam)
 
     def derived(self) -> "Aggregates":
         """The state's aggregates, or fresh ones for a state without them."""
@@ -297,9 +321,9 @@ class Aggregates:
     - the digest's edge section and the Extension and Association
       adjacency.
 
-    `apply_delta` marks what each delta may change, and each part is settled
-    from the marked topics only when it is read: a footprint read hashes
-    nothing, and a topic marked twice is hashed once.  A fork shares its
+    `apply_delta` marks the topics a delta may change, or drops the edge
+    part.  The marked topics are settled only when a part is read, so a
+    topic marked twice before a read is hashed once.  A fork shares its
     parent's settled tables and copies them on its first settle, so a
     transaction that is discarded leaves its parent's aggregates as they were.
     Each read takes the state rather than holding it, so that a state and its
@@ -312,8 +336,7 @@ class Aggregates:
         self._stale: set[str] = set()
         self._footprint = 0
         self._shared = False  # tables belong to the parent until copied
-        self._unhashed = set(state.topics)
-        self._uncounted = set(state.topics)
+        self._marked = set(state.topics)
         # the edge part: None once an edge delta drops it
         self._edge_section: Optional[bytes] = None
         self._successors: dict[str, list[str]] = {}
@@ -322,20 +345,14 @@ class Aggregates:
     def fork(self) -> "Aggregates":
         child = copy.copy(self)
         child._shared = True
-        child._unhashed = set(self._unhashed)
-        child._uncounted = set(self._uncounted)
+        child._marked = set(self._marked)
         return child
 
     # -- marking, called by apply_delta only --------------------------------
 
     def mark(self, topic_id: str) -> None:
         """The topic's content, tiers or existence may change."""
-        self._unhashed.add(topic_id)
-        self._uncounted.add(topic_id)
-
-    def mark_hashes(self, topic_ids) -> None:
-        """Only the topics' content hashes may change (salience decay)."""
-        self._unhashed.update(topic_ids)
+        self._marked.add(topic_id)
 
     def edges_changed(self) -> None:
         self._edge_section = None
@@ -344,34 +361,20 @@ class Aggregates:
 
     def settle(self, state: MemoryState) -> None:
         """Settle every part, as a state's first aggregation does in full."""
-        self.content_hashes(state)
-        self.footprint(state)
-        self.edge_section(state)
+        self._settle_topics(state)
+        self._settle_edges(state)
 
     def content_hashes(self, state: MemoryState) -> dict[str, bytes]:
         """Each topic's content hash, in topic id order."""
-        if self._unhashed:
-            self._own()
-            topics, hashes = state.topics, self._hashes
-            new_topic = False
-            for tid in self._unhashed:
-                topic = topics.get(tid)
-                if topic is None:
-                    hashes.pop(tid, None)
-                else:
-                    new_topic = new_topic or tid not in hashes
-                    hashes[tid] = topic.content_hash()
-            if new_topic:  # inserted at the end, out of order
-                self._hashes = dict(sorted(hashes.items()))
-            self._unhashed.clear()
+        self._settle_topics(state)
         return self._hashes
 
     def footprint(self, state: MemoryState) -> int:
-        self._settle_counts(state)
+        self._settle_topics(state)
         return self._footprint
 
     def stale_topics(self, state: MemoryState) -> frozenset[str]:
-        self._settle_counts(state)
+        self._settle_topics(state)
         return frozenset(self._stale)
 
     def successors(self, state: MemoryState) -> dict[str, list[str]]:
@@ -390,33 +393,34 @@ class Aggregates:
         self._settle_edges(state)
         return self._edge_section
 
-    def _own(self) -> None:
-        if self._shared:
-            self._hashes = dict(self._hashes)
-            self._active = dict(self._active)
-            self._stale = set(self._stale)
-            self._shared = False
-
-    def _settle_counts(self, state: MemoryState) -> None:
-        if not self._uncounted:
+    def _settle_topics(self, state: MemoryState) -> None:
+        if not self._marked:
             return
-        self._own()
-        topics, active, stale = state.topics, self._active, self._stale
+        if self._shared:
+            self._hashes, self._active, self._stale = dict(self._hashes), dict(self._active), set(self._stale)
+            self._shared = False
+        topics, hashes, active, stale = state.topics, self._hashes, self._active, self._stale
         total = self._footprint
-        for tid in self._uncounted:
+        new_topic = False
+        for tid in self._marked:
             total -= active.pop(tid, 0)
             topic = topics.get(tid)
             if topic is None:
+                hashes.pop(tid, None)
                 stale.discard(tid)
                 continue
+            new_topic = new_topic or tid not in hashes
+            hashes[tid] = topic.content_hash()
             active[tid] = count = _active_fields(topic)
             total += count
             if _serves_stale(topic):
                 stale.add(tid)
             else:
                 stale.discard(tid)
+        if new_topic:  # inserted at the end, out of order
+            self._hashes = dict(sorted(hashes.items()))
         self._footprint = total
-        self._uncounted.clear()
+        self._marked.clear()
 
     def _settle_edges(self, state: MemoryState) -> None:
         if self._edge_section is not None:
@@ -433,6 +437,14 @@ class Aggregates:
         self._successors = {tid: sorted(dsts) for tid, dsts in successors.items()}
         self._neighbors = {tid: sorted(others) for tid, others in neighbors.items()}
         self._edge_section = b"[" + b",".join(sorted(e.canonical_bytes for e in state.edges.values())) + b"]"
+
+
+def check_edges(state: MemoryState) -> None:
+    """Refuse an edge to a missing topic in a state that enters whole, as a
+    genesis or a snapshot; `apply_delta` checks each edge it adds."""
+    for e in state.edges.values():
+        if e.src not in state.topics or e.dst not in state.topics:
+            raise ValueError(f"edge endpoint missing: {e.src} -> {e.dst}")
 
 
 def current_value(state: MemoryState, topic_id: str, field_name: str) -> Optional[ValueEntry]:
@@ -514,6 +526,7 @@ def state_to_dict(state: MemoryState) -> dict:
         "edges": [e.to_dict() for _, e in sorted(state.edges.items())],
         "policies": [render_policy(p) for p in state.policies],
         "clock": state.clock,
+        "epoch": state.epoch,
         "revision_queue": sorted(list(pair) for pair in state.revision_queue),
     }
 
@@ -525,13 +538,16 @@ def state_from_dict(d: dict) -> MemoryState:
     for ed in d["edges"]:
         e = Edge.from_dict(ed)
         edges[e.key()] = e
-    return MemoryState(
+    state = MemoryState(
         topics={tid: Topic.from_dict(td) for tid, td in d["topics"].items()},
         edges=edges,
         policies=[parse_policy(text) for text in d["policies"]],
         clock=d["clock"],
+        epoch=d["epoch"],
         revision_queue={(a, b) for a, b in d["revision_queue"]},
     )
+    check_edges(state)
+    return state
 
 
 def state_digest(state: MemoryState) -> str:
@@ -539,7 +555,8 @@ def state_digest(state: MemoryState) -> str:
 
     Two levels: each topic contributes the SHA-256 of its canonical JSON, so
     a commit re-serialises only the topics it touched.  Every section is
-    self-delimiting: the clock, policies and revision queue are JSON values,
+    self-delimiting: the clock and epoch pair, the policies and the revision
+    queue are JSON values,
     the edges a JSON list of their memoised encodings in byte order, and the
     topic hashes, in topic id order, are fixed-width and preceded by their
     count.  The topic hashes, their order and the edge section are read from
@@ -550,7 +567,7 @@ def state_digest(state: MemoryState) -> str:
     derived = state.derived()
     hashes = derived.content_hashes(state)
     h = hashlib.sha256()
-    h.update(canonical_json(state.clock).encode())
+    h.update(canonical_json([state.clock, state.epoch]).encode())
     h.update(canonical_json([render_policy(p) for p in state.policies]).encode())
     h.update(derived.edge_section(state))
     h.update(canonical_json(sorted(list(pair) for pair in state.revision_queue)).encode())

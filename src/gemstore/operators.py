@@ -21,7 +21,7 @@ from .model import (
     Tier,
     ValueEntry,
 )
-from .salience import Eligibility, bump, tier_of
+from .salience import Eligibility, bump, decay, tier_of
 from .transaction import Txn
 
 
@@ -57,12 +57,7 @@ class FactBundle:
     topic_hint: Optional[str] = None
 
     def to_dict(self) -> dict:
-        return {
-            "facts": [f.to_dict() for f in self.facts],
-            "text": self.text,
-            "source_id": self.source_id,
-            "topic_hint": self.topic_hint,
-        }
+        return {**vars(self), "facts": [f.to_dict() for f in self.facts]}
 
     @staticmethod
     def from_dict(d: dict) -> "FactBundle":
@@ -84,26 +79,31 @@ class Query:
     explicit: Optional[tuple[str, str]] = None  # (topic id, field name)
 
     def to_dict(self) -> dict:
-        return {
-            "text": self.text,
-            "mode": self.mode,
-            "as_of": self.as_of,
-            "root": self.root,
-            "depth": self.depth,
-            "explicit": list(self.explicit) if self.explicit else None,
-        }
+        return {**vars(self), "explicit": list(self.explicit) if self.explicit else None}
 
     @staticmethod
     def from_dict(d: dict) -> "Query":
         explicit = d.get("explicit")
-        return Query(
+        q = Query(
             text=d.get("text", ""),
             mode=d.get("mode", "default"),
             as_of=d.get("as_of"),
             root=d.get("root"),
             depth=d.get("depth", 1),
-            explicit=tuple(explicit) if explicit else None,
+            explicit=tuple(explicit) if isinstance(explicit, list) else explicit,
         )
+        if q.explicit is not None and not (isinstance(q.explicit, tuple) and len(q.explicit) == 2):
+            raise TypeError("query explicit must be null or a pair")
+        strings = (q.text, q.mode, *(q.explicit or ()))
+        if not (all(isinstance(v, str) for v in strings) and isinstance(q.root, (str, type(None)))):
+            raise TypeError("query text, mode, root and explicit must be strings")
+        if not (_is_int(q.depth) and (q.as_of is None or _is_int(q.as_of))):
+            raise TypeError("query depth must be an integer, and as_of an integer or null")
+        return q
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -131,13 +131,7 @@ class EvidenceItem:
     similarity: Optional[float] = None
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "topic": self.topic,
-            "other": self.other,
-            "field": self.field,
-            "similarity": self.similarity,
-        }
+        return dict(vars(self))
 
     @staticmethod
     def from_dict(d: dict) -> "EvidenceItem":
@@ -254,7 +248,8 @@ def ingest(txn: Txn, bundle: FactBundle, cfg: EngineConfig, next_tick: int) -> l
         current = existing.current_entry()
         if current is not None and current.value == fact.value:
             # exact duplicate of the stored current value: no new entry, just reinforce
-            txn.set_salience(topic_id, fact.field, bump(existing.salience, cfg.salience.delta_access))
+            s = txn.state.salience(topic, existing, cfg.salience.decay)
+            txn.set_salience(topic_id, fact.field, bump(s, cfg.salience.delta_access))
             continue
         if current is not None:
             idx = existing.history.index(current)
@@ -359,8 +354,9 @@ def retrieve(txn: Txn, q: Query, cfg: EngineConfig, next_tick: int) -> tuple[Ret
     events: list[tuple[str, dict]] = []
     seen_topics = set()
     for topic_id, field_name in out.accessed_units:
-        f = txn.state.topics[topic_id].fields[field_name]
-        txn.set_salience(topic_id, field_name, bump(f.salience, cfg.salience.delta_access))
+        topic = txn.state.topics[topic_id]
+        s = txn.state.salience(topic, topic.fields[field_name], cfg.salience.decay)
+        txn.set_salience(topic_id, field_name, bump(s, cfg.salience.delta_access))
         txn.set_last_access(topic_id, field_name, next_tick)
         if topic_id not in seen_topics:
             seen_topics.add(topic_id)
@@ -543,11 +539,14 @@ def _merge_topics(txn: Txn, a_id: str, b_id: str, cfg: EngineConfig, next_tick: 
         if wf is None:
             merged = lf.clone()
         else:
+            # both topics are live, so either (salience, since) pair suits the winner
+            ws, ls = (txn.state.salience(t, f, cfg.salience.decay) for t, f in ((winner, wf), (loser, lf)))
             merged = wf.clone()
             merged.history = _merge_histories(wf.history, lf.history)
-            merged.salience = max(wf.salience, lf.salience)
+            if ls > ws:
+                merged.salience, merged.since = lf.salience, lf.since
             merged.last_access = max(wf.last_access, lf.last_access)
-            merged.tier = _tier_for(merged.salience, cfg)
+            merged.tier = _tier_for(max(ws, ls), cfg)
         txn.install_field(winner_id, merged)
 
     # re-point the loser's edges at the winner; the loser keeps its own
@@ -613,6 +612,8 @@ def _promote(txn: Txn, src_id: str, tag: str, next_tick: int) -> list[tuple[str,
     txn.create_topic(new_id, title=tag.replace("-", " ").title(), summary=f"Split from {src.title}")
     for name in tagged:
         payload = src.fields[name].clone()
+        # a field moved out of an archived topic resumes decay from its frozen value
+        payload.since += txn.state.epoch - txn.state.epoch_of(src)
         txn.install_field(new_id, payload)
         txn.remove_field(src_id, name)
     txn.add_edge(src_id, new_id, EdgeKind.EXTENSION, next_tick)
@@ -627,20 +628,24 @@ def _promote(txn: Txn, src_id: str, tag: str, next_tick: int) -> list[tuple[str,
 def forget(txn: Txn, cfg: EngineConfig, next_tick: int, targets: Optional[list[str]] = None) -> None:
     """Apply the graded attenuation ladder, then enforce the footprint bound."""
     p = cfg.salience
-    topic_ids = targets if targets is not None else sorted(txn.state.topics)
+    state = txn.state
+    topic_ids = targets if targets is not None else sorted(state.topics)
     for tid in topic_ids:
-        topic = txn.state.topics.get(tid)
+        topic = state.topics.get(tid)
         if topic is None or topic.archived:
             continue
+        dormant = bool(topic.fields)
+        epoch = state.epoch_of(topic)
         for name in sorted(topic.fields):
             f = topic.fields[name]
-            tier = _tier_for(f.salience, cfg)
+            s = decay(f.salience, epoch - f.since, p.decay)
+            dormant = dormant and s < p.theta_archive
+            tier = _tier_for(s, cfg)
             if tier is not Tier.ACTIVE:
                 _compress_field(txn, tid, name, p.k_recent)
             if f.tier is not tier:
                 txn.set_tier(tid, name, tier)
-        topic = txn.state.topics[tid]
-        if topic.fields and all(f.salience < p.theta_archive for f in topic.fields.values()):
+        if dormant:
             txn.archive_topic(tid)
 
     _enforce_footprint(txn, cfg, next_tick)
@@ -679,20 +684,23 @@ def _enforce_footprint(txn: Txn, cfg: EngineConfig, next_tick: int) -> None:
         return
     # relevance-ordered, never age-ordered: lowest salience goes first
     topics = txn.state.topics
-    victims = [(tid, name) for tid, name in hide_order(txn.state) if topics[tid].fields[name].tier is Tier.ACTIVE]
+    order = hide_order(txn.state, cfg.salience.decay)
+    victims = [(tid, name) for tid, name in order if topics[tid].fields[name].tier is Tier.ACTIVE]
     for tid, name in victims[:excess]:
         txn.set_tier(tid, name, Tier.HIDDEN)
 
 
-def hide_order(state: MemoryState) -> list[tuple[str, str]]:
-    """The order fields would be hidden in under footprint pressure."""
+def hide_order(state: MemoryState, lam: float) -> list[tuple[str, str]]:
+    """The order fields would be hidden in under footprint pressure, with
+    salience decayed by `lam` per epoch."""
     keyed = []
     for tid in sorted(state.topics):
         topic = state.topics[tid]
         if topic.archived:
             continue
+        epoch = state.epoch_of(topic)
         for name in sorted(topic.fields):
             f = topic.fields[name]
-            keyed.append((f.salience, f.last_access, name, tid))
+            keyed.append((decay(f.salience, epoch - f.since, lam), f.last_access, name, tid))
     keyed.sort()
     return [(tid, name) for _, _, name, tid in keyed]

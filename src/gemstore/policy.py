@@ -230,6 +230,12 @@ class _Parser:
         tok = self.peek()
         return tok.kind == "IDENT" and tok.value == word
 
+    def target_in_parens(self) -> str:
+        self.expect_punct("(")
+        target = self.expect_ident("target").value
+        self.expect_punct(")")
+        return target
+
     # -- grammar ----------------------------------------------------------
 
     def parse_policies(self) -> list[Policy]:
@@ -301,9 +307,7 @@ class _Parser:
             return Exists(var_tok.value)
         if self.at_keyword("salience"):
             self.advance()
-            self.expect_punct("(")
-            target = self.expect_ident("target").value
-            self.expect_punct(")")
+            target = self.target_in_parens()
             self.expect_punct("<")
             num = self.peek()
             if num.kind != "NUMBER":
@@ -328,10 +332,7 @@ class _Parser:
             return FieldIs(name)
         if self.at_keyword("topic_archived"):
             self.advance()
-            self.expect_punct("(")
-            target = self.expect_ident("target").value
-            self.expect_punct(")")
-            return TopicArchived(target)
+            return TopicArchived(self.target_in_parens())
         if self.at_keyword("stale_current_exists"):
             self.advance()
             return StaleCurrentExists()
@@ -352,17 +353,9 @@ class _Parser:
             self.advance()
             self.expect_punct(")")
             return ActionSpec(kind, message=msg.value)
-        if kind == "flag_for_revision":
-            self.expect_punct("(")
-            target = self.expect_ident("target").value
-            self.expect_punct(")")
-            return ActionSpec(kind, target=target)
-        # attenuate / archive take an optional target
-        if self.peek().kind == "PUNCT" and self.peek().value == "(":
-            self.advance()
-            target = self.expect_ident("target").value
-            self.expect_punct(")")
-            return ActionSpec(kind, target=target)
+        # flag_for_revision takes a target, attenuate and archive an optional one
+        if kind == "flag_for_revision" or self.peek().kind == "PUNCT" and self.peek().value == "(":
+            return ActionSpec(kind, target=self.target_in_parens())
         return ActionSpec(kind)
 
 
@@ -465,8 +458,9 @@ def resolve_target(target: Optional[str], ctx: dict) -> str:
 def evaluate_condition(cond: ConditionExpr, state, ctx: dict) -> bool:
     """Pure predicate over a state snapshot plus an event-binding context.
 
-    `ctx` may bind updated_topic, updated_field, accessed_topic, and `beta`
-    (the resolved footprint bound for this transition).
+    `ctx` may bind updated_topic, updated_field, accessed_topic, `beta`
+    (the resolved footprint bound for this transition) and `decay` (the
+    salience decay factor λ).
     """
     if isinstance(cond, Not):
         return not evaluate_condition(cond.operand, state, ctx)
@@ -481,6 +475,9 @@ def evaluate_condition(cond: ConditionExpr, state, ctx: dict) -> bool:
             return bool(state.extension_successors(ctx["updated_topic"]))
         return cond.var in ctx
     if isinstance(cond, SalienceLt):
+        if "decay" not in ctx:
+            raise EvaluationError("unbound variable: decay")
+        lam = ctx["decay"]
         if cond.target == "updated_field":
             if "updated_topic" not in ctx or "updated_field" not in ctx:
                 raise EvaluationError("unbound variable: updated_field")
@@ -488,13 +485,13 @@ def evaluate_condition(cond: ConditionExpr, state, ctx: dict) -> bool:
             f = topic.fields.get(ctx["updated_field"]) if topic else None
             if f is None:
                 return False
-            return f.salience < cond.threshold
+            return state.salience(topic, f, lam) < cond.threshold
         topic_id = resolve_target(cond.target, ctx)
         topic = state.topics.get(topic_id)
         if topic is None or not topic.fields:
             return False
         # topic-level salience is its most salient field
-        return max(f.salience for f in topic.fields.values()) < cond.threshold
+        return max(state.salience(topic, f, lam) for f in topic.fields.values()) < cond.threshold
     if isinstance(cond, FootprintGt):
         if cond.bound == "beta":
             if "beta" not in ctx:

@@ -17,8 +17,10 @@ from .model import MemoryState, canonical_json, decoding, state_digest, state_fr
 JOURNAL_MAGIC = b"GEMJ"
 SNAPSHOT_MAGIC = b"GEMS"
 # 2: one SHA-256 per topic in the digest; 3: embeddings derived, not stored;
-# 4: ticks are plain integers, and a tick journals one salience_decayed delta
-FORMAT_VERSION = 4
+# 4: ticks are plain integers; 5: a field stores its salience with the decay
+# epoch it was set at, the state counts epochs, and a tick journals one
+# epoch_advanced delta in place of decaying every field
+FORMAT_VERSION = 5
 
 
 def _write_frame(fh, payload: bytes) -> None:
@@ -35,6 +37,17 @@ def _read_frame(fh) -> bytes:
     if len(payload) != length:
         raise CorruptJournalError("truncated frame payload")
     return payload
+
+
+def _read_header(fh, magic: bytes, what: str) -> dict:
+    """Check a file's magic and read its header object, which must carry
+    this format version."""
+    if fh.read(4) != magic:
+        raise CorruptJournalError(f"not a {what} file")
+    header = _read_object(fh)
+    if header.get("version") != FORMAT_VERSION:
+        raise CorruptJournalError(f"unsupported {what} version: {header.get('version')}")
+    return header
 
 
 def _read_object(fh) -> dict:
@@ -63,12 +76,7 @@ def write_journal(path: str | Path, journal: Journal) -> None:
 
 def read_journal(path: str | Path) -> Journal:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != JOURNAL_MAGIC:
-            raise CorruptJournalError("not a journal file")
-        header = _read_object(fh)
-        if header.get("version") != FORMAT_VERSION:
-            raise CorruptJournalError(f"unsupported journal version: {header.get('version')}")
+        header = _read_header(fh, JOURNAL_MAGIC, "journal")
         with decoding(CorruptJournalError, "malformed journal header"):
             journal = Journal(
                 config=EngineConfig.from_dict(header["config"]),
@@ -96,12 +104,7 @@ def write_snapshot(path: str | Path, state: MemoryState, config: EngineConfig) -
 
 def read_snapshot(path: str | Path) -> tuple[MemoryState, EngineConfig]:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != SNAPSHOT_MAGIC:
-            raise CorruptJournalError("not a snapshot file")
-        payload = _read_object(fh)
-        if payload.get("version") != FORMAT_VERSION:
-            raise CorruptJournalError(f"unsupported snapshot version: {payload.get('version')}")
+        payload = _read_header(fh, SNAPSHOT_MAGIC, "snapshot")
         with decoding(CorruptJournalError, "malformed snapshot"):
             state = state_from_dict(payload["state"])
             digest = payload["digest"]

@@ -19,7 +19,6 @@ from .model import (
     Topic,
     ValueEntry,
 )
-from .salience import decay
 
 
 class DeltaError(ValueError):
@@ -55,6 +54,7 @@ def apply_delta(state: MemoryState, delta: dict) -> None:
     elif kind == "topic_archived":
         topic = _topic(state, delta["id"])
         topic.archived = True
+        topic.archived_at = state.epoch  # its salience stays as it reads now
         topic.merged_into = delta.get("merged_into")
     elif kind == "field_created":
         topic = _topic(state, delta["topic"])
@@ -64,6 +64,7 @@ def apply_delta(state: MemoryState, delta: dict) -> None:
             name=delta["field"],
             entity_tag=delta.get("entity_tag"),
             salience=delta["salience"],
+            since=state.epoch_of(topic),
             tier=Tier(delta["tier"]),
             last_access=delta["last_access"],
         )
@@ -98,20 +99,13 @@ def apply_delta(state: MemoryState, delta: dict) -> None:
             raise DeltaError("compression run exceeds history length")
         f.history = [ValueEntry.from_dict(delta["summary"])] + f.history[count:]
     elif kind == "salience_set":
-        f = _field(_topic(state, delta["topic"]), delta["field"])
+        topic = _topic(state, delta["topic"])
+        f = _field(topic, delta["field"])
         f.salience = delta["value"]
-    elif kind == "salience_decayed":
-        factor = delta["factor"]
-        decayed = []
-        for tid, topic in state.topics.items():
-            if not topic.archived:  # archived content is frozen, not decayed further
-                topic._canonical_cache = None
-                decayed.append(tid)
-                for f in topic.fields.values():
-                    f.salience = decay(f.salience, 1, factor)
-        if derived is not None:
-            # salience changes no tier and no history, so counts stay settled
-            derived.mark_hashes(decayed)
+        f.since = state.epoch_of(topic)
+    elif kind == "epoch_advanced":
+        # every live salience reads one decay step lower; no topic changes
+        state.epoch += 1
     elif kind == "last_access_set":
         f = _field(_topic(state, delta["topic"]), delta["field"])
         f.last_access = delta["tick"]
@@ -260,12 +254,8 @@ class Txn:
     def set_salience(self, topic_id: str, name: str, value: float) -> None:
         self._record({"kind": "salience_set", "topic": topic_id, "field": name, "value": value})
 
-    def decay_salience(self, factor: float) -> None:
-        """Decay every field of every live topic by one tick, as one delta."""
-        for tid, topic in self.state.topics.items():
-            if not topic.archived:
-                self._own(tid)
-        self._record({"kind": "salience_decayed", "factor": factor})
+    def advance_epoch(self) -> None:
+        self._record({"kind": "epoch_advanced"})
 
     def set_last_access(self, topic_id: str, name: str, tick: int) -> None:
         self._record({"kind": "last_access_set", "topic": topic_id, "field": name, "tick": tick})

@@ -33,18 +33,22 @@ class WorkloadError(ValueError):
     pass
 
 
-def parse_workload(text: str) -> list[WorkloadEvent]:
-    events = []
+def json_lines(text: str, what: str = "line") -> Iterator[tuple[int, dict]]:
+    """The line number and JSON object of each line that is neither blank nor
+    a `#` comment; any other line raises a WorkloadError naming it."""
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        try:
-            obj = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise WorkloadError(f"line {lineno}: invalid JSON ({exc})") from exc
-        if not isinstance(obj, dict):
-            raise WorkloadError(f"line {lineno}: not a JSON object")
+        if stripped and not stripped.startswith("#"):
+            with decoding(WorkloadError, f"{what} {lineno}: invalid JSON"):
+                obj = json.loads(stripped)
+            if not isinstance(obj, dict):
+                raise WorkloadError(f"{what} {lineno}: not a JSON object")
+            yield lineno, obj
+
+
+def parse_workload(text: str) -> list[WorkloadEvent]:
+    events = []
+    for lineno, obj in json_lines(text):
         with decoding(WorkloadError, f"line {lineno}"):
             events.append(_parse_event(obj, lineno))
     return events
@@ -217,6 +221,7 @@ def _compare_rows(name: str, system: System, events: list[WorkloadEvent]) -> lis
     expect = ShadowLedger()  # ticked by event index
     stale = lost = 0
     salience_sum = 0.0
+    lam = system.config.salience.decay
     before = system.state
     for index, ev, output, records in steps(system, events):
         state = system.state
@@ -231,7 +236,8 @@ def _compare_rows(name: str, system: System, events: list[WorkloadEvent]) -> lis
                     prior = before.topics.get(tid)
                     for field_name, f in topic.fields.items():
                         old = prior.fields.get(field_name) if prior is not None else None
-                        salience_sum += f.salience - (old.salience if old is not None else f.salience)
+                        if old is not None:
+                            salience_sum += state.salience(topic, f, lam) - before.salience(prior, old, lam)
                 answers = [(a.field, a.value) for a in output.answers]
             stale += _count_stale(answers, expect)
             lost += _count_lost(answers, ev.expected)

@@ -121,7 +121,8 @@ def test_salience_closed_form_through_the_engine():
                 assert out.accessed_units == [("m", "Reading")]
             for _ in range(idle):
                 e.submit(EngineEvent.tick())
-            got = e.state.topics["m"].fields["Reading"].salience
+            topic = e.state.topics["m"]
+            got = e.state.salience(topic, topic.fields["Reading"], params.decay)
             expected = (params.s0 + rises * params.delta_access) * params.decay**idle
             worst = max(worst, abs(got - expected))
             assert abs(got - expected) <= 1e-9
@@ -130,9 +131,10 @@ def test_salience_closed_form_through_the_engine():
     e = Engine()
     e.submit(EngineEvent.ingest(bundle("alpha reading one", hint="a", Alpha="1")))
     e.submit(EngineEvent.ingest(bundle("beta reading two", hint="b", Beta="2")))
-    before = hide_order(e.state).index(("b", "Beta"))
+    lam = e.config.salience.decay
+    before = hide_order(e.state, lam).index(("b", "Beta"))
     e.submit(EngineEvent.retrieve(Query(text="beta reading")))
-    after = hide_order(e.state).index(("b", "Beta"))
+    after = hide_order(e.state, lam).index(("b", "Beta"))
     assert after >= before
     print(f"\nPASS salience closed form: max |error| {worst:.2e} over r in 0..5, d in 0..30")
 

@@ -4,7 +4,12 @@ from pathlib import Path
 
 import pytest
 
+from conftest import build_state, build_topic
 from gemstore.cli import main
+from gemstore.config import EngineConfig
+from gemstore.engine import Journal
+from gemstore.model import state_digest, state_to_dict
+from gemstore.storage import write_journal, write_snapshot
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "workloads"
 DEADLINE = str(WORKLOADS / "deadline.workload")
@@ -92,6 +97,23 @@ def _edit_first_delta(frames: list[bytes], kind: str, edit) -> list[bytes]:
     raise AssertionError(f"no {kind} delta in the journal")
 
 
+def _edit_header_config(frames: list[bytes], edit) -> list[bytes]:
+    header = json.loads(frames[0])
+    edit(header["config"])
+    return [json.dumps(header).encode(), *frames[1:]]
+
+
+def _edit_first_query(frames: list[bytes], edit) -> list[bytes]:
+    """Apply `edit` to the query of the first retrieve record."""
+    for i, frame in enumerate(frames[1:], 1):
+        record = json.loads(frame)
+        if record["input"]["query"] is not None:
+            edit(record["input"]["query"])
+            frames[i] = json.dumps(record).encode()
+            return frames
+    raise AssertionError("no retrieve in the journal")
+
+
 def _drop_deltas(frames):
     record = json.loads(frames[1])
     del record["deltas"]
@@ -107,10 +129,13 @@ JOURNAL_MUTANTS = {
         frames, "entry_appended", lambda d: (d.clear(), d.update(kind="bogus"))),
     "entry-for-unknown-topic": lambda frames: _edit_first_delta(
         frames, "entry_appended", lambda d: d.update(topic="no-such-topic")),
-    "decay-factor-not-a-number": lambda frames: _edit_first_delta(
-        frames, "salience_decayed", lambda d: d.update(factor="0.9")),
+    # every salience read takes the factor from the journalled config
+    "decay-factor-not-a-number": lambda frames: _edit_header_config(
+        frames, lambda config: config["salience"].update(decay="0.9")),
     "tick-delta-without-kind": lambda frames: _edit_first_delta(
-        frames, "salience_decayed", lambda d: d.pop("kind")),
+        frames, "epoch_advanced", lambda d: d.pop("kind")),
+    "query-depth-not-an-integer": lambda frames: _edit_first_query(
+        frames, lambda q: q.update(depth="2")),
 }
 
 
@@ -135,3 +160,16 @@ def test_audit_reports_a_malformed_probe_with_its_line(tmp_path, capsys, line):
     capsys.readouterr()
     assert main(["audit", "--journal", str(journal), "--probes", str(probes)]) == 2
     assert "probes line 3" in capsys.readouterr().err
+
+
+def test_a_dangling_genesis_or_snapshot_edge_is_corrupt(tmp_path, capsys):
+    state = build_state([build_topic("a")], edges=[("a", "ghost", "Association")])
+    journal, snap = tmp_path / "dangling.journal", tmp_path / "dangling.snap"
+    write_journal(journal, Journal(EngineConfig(), state_to_dict(state), state_digest(state)))
+    write_snapshot(snap, state, EngineConfig())
+    capsys.readouterr()
+    assert main(["audit", "--journal", str(journal)]) == 1
+    assert main(["restore", "--in", str(snap)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("edge endpoint missing: a -> ghost") == 2
+    assert "Traceback" not in err

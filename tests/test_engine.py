@@ -65,12 +65,17 @@ def test_footprint_policy_rejects_oversized_ingest():
     assert records[0].committed
 
 
+def _salience(e, topic_id, field_name):
+    topic = e.state.topics[topic_id]
+    return e.state.salience(topic, topic.fields[field_name], e.config.salience.decay)
+
+
 def test_tick_decays_salience_and_runs_attenuation():
     e = Engine()
     e.submit(EngineEvent.ingest(bundle("a thing", hint="t", A="1")))
-    s0 = e.state.topics["t"].fields["A"].salience
+    s0 = _salience(e, "t", "A")
     e.submit(EngineEvent.tick())
-    assert e.state.topics["t"].fields["A"].salience == pytest.approx(s0 * 0.9)
+    assert _salience(e, "t", "A") == pytest.approx(s0 * 0.9)
     for _ in range(30):
         e.submit(EngineEvent.tick())
     # 0.9^31 is below the archive threshold; the whole topic goes dormant
@@ -83,14 +88,30 @@ def test_archived_topics_stop_decaying():
     for _ in range(31):
         e.submit(EngineEvent.tick())
     assert e.state.topics["t"].archived
-    frozen = e.state.topics["t"].fields["A"].salience
+    frozen = _salience(e, "t", "A")
     e.state.topics["t"].canonical_bytes()
     cache = e.state.topics["t"]._canonical_cache
-    _, records = e.submit(EngineEvent.tick())
-    assert [d["kind"] for d in records[0].deltas] == ["salience_decayed"]
-    assert e.state.topics["t"].fields["A"].salience == frozen
-    # the decay delta leaves an archived topic's canonical cache in place
+    for _ in range(5):
+        _, records = e.submit(EngineEvent.tick())
+        assert records[0].deltas == [{"kind": "epoch_advanced"}]
+    assert _salience(e, "t", "A") == frozen
+    # a tick leaves an archived topic's canonical cache in place
     assert e.state.topics["t"]._canonical_cache is cache
+    # an explicit lookup bumps the archived unit from its frozen value,
+    # and the bumped value stays frozen
+    _, records = e.submit(EngineEvent.retrieve(Query(mode="explicit", explicit=("t", "A"))))
+    assert [r.outcome for r in records] == ["committed"]
+    bumped = frozen + e.config.salience.delta_access
+    assert _salience(e, "t", "A") == bumped
+    e.submit(EngineEvent.tick())
+    assert _salience(e, "t", "A") == bumped
+    assert state_digest(replay(e.journal)) == e.digest()
+
+
+def test_a_genesis_edge_to_a_missing_topic_is_refused():
+    state = build_state([build_topic("a")], edges=[("a", "ghost", "Association")])
+    with pytest.raises(ValueError, match="edge endpoint missing: a -> ghost"):
+        Engine(genesis=state)
 
 
 def test_replay_reproduces_digest_exactly():

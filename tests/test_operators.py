@@ -311,7 +311,7 @@ def test_hide_order_sorts_by_salience_then_recency():
     a.fields["X"].salience = 0.4
     b.fields["Y"].salience = 0.9
     state = build_state([a, b])
-    assert hide_order(state) == [("a", "X"), ("b", "Y")]
+    assert hide_order(state, CFG.salience.decay) == [("a", "X"), ("b", "Y")]
 
 
 # -- rule table -------------------------------------------------------------

@@ -65,19 +65,20 @@ def test_hinted_ingest_serialises_only_the_touched_topic(monkeypatch):
 
 def test_tick_derives_no_embeddings(monkeypatch):
     engine = Engine(config=EngineConfig(beta=BetaSpec(base=2 * N_TOPICS)), genesis=_large_state())
-    derived = []
+    derived, cloned, hashed = [], [], []
     real = embedding._embed_tuple
     monkeypatch.setattr(embedding, "_embed_tuple", lambda text: derived.append(text) or real(text))
-    before = {tid: topic.fields["Status"].salience for tid, topic in engine.state.topics.items()}
+    real_clone, real_hash = Topic.clone, Topic.content_hash
+    monkeypatch.setattr(Topic, "clone", lambda topic: cloned.append(topic.id) or real_clone(topic))
+    monkeypatch.setattr(Topic, "content_hash", lambda topic: hashed.append(topic.id) or real_hash(topic))
     _, records = engine.submit(EngineEvent.tick())
     assert [r.outcome for r in records] == ["committed"]
+    # no tier changes, so the tick journals the epoch alone and touches no topic
+    assert records[0].deltas == [{"kind": "epoch_advanced"}]
+    assert cloned == hashed == derived == []
     lam = engine.config.salience.decay
-    assert records[0].deltas == [{"kind": "salience_decayed", "factor": lam}]
-    # the one delta decayed every live field, exactly as a per-field decay would
-    after = {tid: topic.fields["Status"].salience for tid, topic in engine.state.topics.items()}
-    assert len(after) == N_TOPICS
-    assert after == {tid: decay(s, 1, lam) for tid, s in before.items()}
-    assert derived == []
+    state = engine.state
+    assert [state.salience(t, t.fields["Status"], lam) for t in state.topics.values()] == [decay(1.0, 1, lam)] * N_TOPICS
 
 
 def test_hinted_ingest_scans_the_fields_of_the_touched_topic_only():

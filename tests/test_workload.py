@@ -59,6 +59,7 @@ def test_parse_workload_rejects_a_bad_tick_count(count):
         '{"op": "query", "text": "a", "explicit": 5}',
         '{"op": "ingest", "facts": 5}',
         "[1]",  # not a JSON object
+        '{"op": "query", "mode": "structural", "root": "a", "depth": "2"}',
     ],
 )
 def test_parse_workload_rejects_a_malformed_line(line):
@@ -156,6 +157,6 @@ def test_compare_deadline_matches_golden_csv():
     records = adapter.journal.records
     assert len(records) == 33
     encoded = canonical_json([r.to_dict() for r in records]).encode()
-    assert hashlib.sha256(encoded).hexdigest() == "e2461703dabb4bc5a29a4a16857abdb3fcc32539ebab1cd6d95a71428feea2fc"
+    assert hashlib.sha256(encoded).hexdigest() == "3f978ac11b84151f83160485a4b2295ed7ba4a00c2550843bf7660aaf78e07df"
     totals = audit(adapter.journal, [Query(text="website redesign deadline")]).totals()
     assert totals == {"c1": 18, "c2": 0, "c3": 0, "c4": 0, "c5": 4, "c6": 3}
