@@ -4,10 +4,11 @@ footprint bound, and paths to policy / dependency-rule files."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
+from .model import decoding
 from .salience import SalienceParams
 
 
@@ -48,18 +49,21 @@ class EngineConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "EngineConfig":
-        cfg = EngineConfig(
-            salience=SalienceParams(**d.get("salience", {})),
-            tau_topic=d.get("tau_topic", 0.35),
-            tau_dup=d.get("tau_dup", 0.9),
-            k_topics=d.get("k_topics", 3),
-            beta=BetaSpec(**d.get("beta", {})),
-            n_promote=d.get("n_promote", 3),
-            m_promote=d.get("m_promote", 5),
-            policy_paths=list(d.get("policy_paths", [])),
-            rule_path=d.get("rule_path"),
-        )
-        cfg.validate()
+        """Decode and validate a config, each of whose keys must name a field;
+        any problem raises a ValueError."""
+        with decoding(ValueError, "config"):
+            nested = {"salience": SalienceParams, "beta": BetaSpec}
+            cfg = EngineConfig(**{k: nested[k](**v) if k in nested else v for k, v in d.items()})
+            for obj in (cfg, cfg.salience, cfg.beta):
+                for f in fields(obj):  # a number has its default's type, or is an int
+                    value = getattr(obj, f.name)
+                    if type(f.default) in (int, float) and type(value) not in (int, type(f.default)):
+                        raise TypeError(f"{f.name} must be of type {type(f.default).__name__}, got {value!r}")
+            if not (isinstance(cfg.policy_paths, list) and all(isinstance(p, str) for p in cfg.policy_paths)):
+                raise TypeError("policy_paths must be a list of strings")
+            if not isinstance(cfg.rule_path, (str, type(None))):
+                raise TypeError("rule_path must be a string or null")
+            cfg.validate()
         return cfg
 
     @staticmethod

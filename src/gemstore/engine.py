@@ -126,10 +126,9 @@ class Journal:
     records: list[TransitionRecord] = dc_field(default_factory=list)
 
     def genesis_state(self) -> MemoryState:
-        """The genesis state with its aggregates, checked against its digest."""
+        """The genesis state, checked against its digest."""
         with decoding(CorruptJournalError, "malformed genesis"):
             state = state_from_dict(self.genesis)
-        state.aggregates = Aggregates(state)
         if state_digest(state) != self.genesis_digest:
             raise CorruptJournalError("genesis digest mismatch")
         return state
@@ -166,9 +165,9 @@ class Engine:
             self.state = genesis
         else:
             self.state = MemoryState(policies=policies if policies is not None else default_policy_set())
-        # aggregated once, in full; every transaction carries them forward
+        # derived afresh, as the genesis may have been read and then filled in
+        # by hand; the genesis digest settles them and transactions carry them
         self.state.aggregates = Aggregates(self.state)
-        self.state.aggregates.settle(self.state)
         genesis_dict = state_to_dict(self.state)
         self.journal = Journal(
             config=self.config,
@@ -238,8 +237,9 @@ class Engine:
             sub_events = self._dispatch(txn, event, next_tick)
             if event.kind == "retrieve":
                 output, sub_events = sub_events
-            self._run_event_policies(txn, sub_events, policy_log, next_tick)
-            reject = self._run_pre_commit_policies(txn, policy_log, next_tick)
+            pre_commit = (EventKind.PRE_COMMIT.value, {"beta": self.config.beta.bound(next_tick)})
+            for event_name, ctx in [*sub_events, pre_commit]:
+                reject = self._run_policies(txn, event_name, ctx, policy_log, next_tick)
         except (OperatorError, EvaluationError, RoutingError) as exc:
             return None, self._abort(event, str(exc), policy_log)
 
@@ -297,28 +297,21 @@ class Engine:
             return [("tick", {})]
         raise OperatorError(f"unknown event kind: {event.kind}")
 
-    def _run_event_policies(self, txn: Txn, sub_events, policy_log: list[dict], next_tick: int) -> None:
-        for event_name, ctx in sub_events:
-            ctx = {**ctx, "decay": self.config.salience.decay}
-            for policy in txn.state.policies:
-                if policy.on_event.value != event_name:
-                    continue
-                fired = evaluate_condition(policy.condition, txn.state, ctx)
-                policy_log.append({"policy": policy.name, "fired": fired, "action": policy.action.kind})
-                if fired:
-                    self._apply_action(txn, policy.action, ctx, next_tick)
-
-    def _run_pre_commit_policies(self, txn: Txn, policy_log: list[dict], next_tick: int) -> Optional[str]:
-        ctx = {"beta": self.config.beta.bound(next_tick), "decay": self.config.salience.decay}
+    def _run_policies(
+        self, txn: Txn, event_name: str, ctx: dict, policy_log: list[dict], next_tick: int
+    ) -> Optional[str]:
+        """Apply the fired actions of the policies on `event_name`, in order.  A
+        fired `reject_transition` returns its reason on pre_commit only."""
+        ctx = {**ctx, "decay": self.config.salience.decay}
         for policy in txn.state.policies:
-            if policy.on_event is not EventKind.PRE_COMMIT:
+            if policy.on_event.value != event_name:
                 continue
             fired = evaluate_condition(policy.condition, txn.state, ctx)
             policy_log.append({"policy": policy.name, "fired": fired, "action": policy.action.kind})
-            if fired:
-                if policy.action.kind == "reject_transition":
-                    return policy.action.message or policy.name
+            if fired and policy.action.kind != "reject_transition":
                 self._apply_action(txn, policy.action, ctx, next_tick)
+            elif fired and policy.on_event is EventKind.PRE_COMMIT:
+                return policy.action.message or policy.name
         return None
 
     def _apply_action(self, txn: Txn, action: ActionSpec, ctx: dict, next_tick: int) -> None:
@@ -346,9 +339,6 @@ class Engine:
             target = resolve_target(action.target, ctx)
             if target in txn.state.topics and not txn.state.topics[target].archived:
                 txn.archive_topic(target)
-            return
-        if action.kind == "reject_transition":
-            # only meaningful on pre_commit; elsewhere it is inert by design
             return
         raise OperatorError(f"unknown action kind: {action.kind}")
 

@@ -17,16 +17,10 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from .embedding import EmbeddingVector, embed
-from .salience import decay
+from .salience import Tier, decay
 
 if TYPE_CHECKING:  # pragma: no cover
     from .policy import Policy
-
-
-class Tier(str, Enum):
-    ACTIVE = "Active"
-    COMPRESSED = "Compressed"
-    HIDDEN = "Hidden"
 
 
 class EdgeKind(str, Enum):
@@ -251,10 +245,14 @@ class MemoryState:
     everything that is journalled and hashed.  `epoch` counts committed
     ticks, from which `salience` derives each field's decayed value.
 
-    `aggregates` is derived state.  It is never serialised, hashed or
-    journalled, and only `apply_delta` keeps it current, so a state that
-    carries aggregates must change through deltas alone.  A state without
-    them, such as one built by hand, derives them afresh on every read.
+    `aggregates` is derived state, created by the first read and kept.  It
+    is never serialised, hashed or journalled, and only `apply_delta` keeps
+    it current, so a hand-built state may be filled in directly only until
+    its first read; after that it changes through deltas alone.
+
+    `owned` names the topics this state may change in place; the others it
+    shares with the state it was cloned from.  It is None for a state that
+    owns all its topics, and it is never serialised either.
     """
 
     topics: dict[str, Topic] = dc_field(default_factory=dict)
@@ -264,10 +262,11 @@ class MemoryState:
     epoch: int = 0
     revision_queue: set[tuple[str, str]] = dc_field(default_factory=set)
     aggregates: Optional["Aggregates"] = dc_field(default=None, repr=False, compare=False)
+    owned: Optional[set[str]] = dc_field(default=None, repr=False, compare=False)
 
     def shallow_clone(self) -> "MemoryState":
-        """Copy containers; topics are shared until a transaction touches them,
-        and the aggregates' tables until the clone first settles them."""
+        """Copy containers; topics are shared until `apply_delta` first changes
+        them, and the aggregates' tables until the clone first settles them."""
         return MemoryState(
             topics=dict(self.topics),
             edges=dict(self.edges),
@@ -275,7 +274,8 @@ class MemoryState:
             clock=self.clock,
             epoch=self.epoch,
             revision_queue=set(self.revision_queue),
-            aggregates=self.aggregates.fork() if self.aggregates is not None else None,
+            aggregates=self.derived().fork(),
+            owned=set(),
         )
 
     def epoch_of(self, topic: Topic) -> int:
@@ -290,8 +290,10 @@ class MemoryState:
         return decay(f.salience, self.epoch_of(topic) - f.since, lam)
 
     def derived(self) -> "Aggregates":
-        """The state's aggregates, or fresh ones for a state without them."""
-        return self.aggregates if self.aggregates is not None else Aggregates(self)
+        """The state's aggregates, created on the first read."""
+        if self.aggregates is None:
+            self.aggregates = Aggregates(self)
+        return self.aggregates
 
     def extension_successors(self, topic_id: str) -> list[str]:
         return list(self.derived().successors(self).get(topic_id, ()))
@@ -358,11 +360,6 @@ class Aggregates:
         self._edge_section = None
 
     # -- settled reads -------------------------------------------------------
-
-    def settle(self, state: MemoryState) -> None:
-        """Settle every part, as a state's first aggregation does in full."""
-        self._settle_topics(state)
-        self._settle_edges(state)
 
     def content_hashes(self, state: MemoryState) -> dict[str, bytes]:
         """Each topic's content hash, in topic id order."""

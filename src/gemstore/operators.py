@@ -21,7 +21,7 @@ from .model import (
     Tier,
     ValueEntry,
 )
-from .salience import Eligibility, bump, decay, tier_of
+from .salience import bump, decay, tier_of
 from .transaction import Txn
 
 
@@ -46,7 +46,9 @@ class Fact:
 
     @staticmethod
     def from_dict(d: dict) -> "Fact":
-        return Fact(d["field"], d["value"], d.get("entity_tag"), d.get("excerpt", ""))
+        fact = Fact(d["field"], d["value"], d.get("entity_tag"), d.get("excerpt", ""))
+        _check_strings(fact, ("field", "value", "excerpt"), ("entity_tag",))
+        return fact
 
 
 @dataclass(frozen=True)
@@ -61,12 +63,24 @@ class FactBundle:
 
     @staticmethod
     def from_dict(d: dict) -> "FactBundle":
-        return FactBundle(
+        bundle = FactBundle(
             facts=tuple(Fact.from_dict(f) for f in d["facts"]),
             text=d["text"],
             source_id=d.get("source_id", "session"),
             topic_hint=d.get("topic_hint"),
         )
+        _check_strings(bundle, ("text", "source_id"), ("topic_hint",))
+        return bundle
+
+
+def _check_strings(obj, strings: tuple[str, ...], optional: tuple[str, ...]) -> None:
+    """Refuse a decoded `obj` unless its `strings` attributes are strings and
+    its `optional` ones strings or None."""
+    for name in strings + optional:
+        value = getattr(obj, name)
+        if not (isinstance(value, str) or (value is None and name in optional)):
+            null = " or null" if name in optional else ""
+            raise TypeError(f"{type(obj).__name__} {name} must be a string{null}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -92,11 +106,10 @@ class Query:
             depth=d.get("depth", 1),
             explicit=tuple(explicit) if isinstance(explicit, list) else explicit,
         )
-        if q.explicit is not None and not (isinstance(q.explicit, tuple) and len(q.explicit) == 2):
-            raise TypeError("query explicit must be null or a pair")
-        strings = (q.text, q.mode, *(q.explicit or ()))
-        if not (all(isinstance(v, str) for v in strings) and isinstance(q.root, (str, type(None)))):
-            raise TypeError("query text, mode, root and explicit must be strings")
+        pair = isinstance(q.explicit, tuple) and len(q.explicit) == 2 and all(isinstance(v, str) for v in q.explicit)
+        if not (q.explicit is None or pair):
+            raise TypeError("query explicit must be null or a pair of strings")
+        _check_strings(q, ("text", "mode"), ("root",))
         if not (_is_int(q.depth) and (q.as_of is None or _is_int(q.as_of))):
             raise TypeError("query depth must be an integer, and as_of an integer or null")
         return q
@@ -546,7 +559,7 @@ def _merge_topics(txn: Txn, a_id: str, b_id: str, cfg: EngineConfig, next_tick: 
             if ls > ws:
                 merged.salience, merged.since = lf.salience, lf.since
             merged.last_access = max(wf.last_access, lf.last_access)
-            merged.tier = _tier_for(max(ws, ls), cfg)
+            merged.tier = tier_of(max(ws, ls), cfg.salience)
         txn.install_field(winner_id, merged)
 
     # re-point the loser's edges at the winner; the loser keeps its own
@@ -561,20 +574,6 @@ def _merge_topics(txn: Txn, a_id: str, b_id: str, cfg: EngineConfig, next_tick: 
             txn.add_edge(src, dst, edge.kind, edge.created_at)
     txn.archive_topic(loser_id, merged_into=winner_id)
     return [("topic_merged", {"updated_topic": winner_id})]
-
-
-# a dict lookup: forget maps every field on every tick, and each enum
-# attribute access costs about as much as the whole lookup
-_TIER_FOR_ELIGIBILITY = {
-    Eligibility.CURRENT: Tier.ACTIVE,
-    Eligibility.COMPRESS: Tier.COMPRESSED,
-    Eligibility.HIDE: Tier.HIDDEN,
-    Eligibility.ARCHIVE: Tier.HIDDEN,
-}
-
-
-def _tier_for(salience: float, cfg: EngineConfig) -> Tier:
-    return _TIER_FOR_ELIGIBILITY[tier_of(salience, cfg.salience)]
 
 
 def _resolve_conflict(txn: Txn, topic_id: str, field_name: str, next_tick: int) -> list[tuple[str, dict]]:
@@ -640,7 +639,7 @@ def forget(txn: Txn, cfg: EngineConfig, next_tick: int, targets: Optional[list[s
             f = topic.fields[name]
             s = decay(f.salience, epoch - f.since, p.decay)
             dormant = dormant and s < p.theta_archive
-            tier = _tier_for(s, cfg)
+            tier = tier_of(s, p)
             if tier is not Tier.ACTIVE:
                 _compress_field(txn, tid, name, p.k_recent)
             if f.tier is not tier:

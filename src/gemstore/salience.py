@@ -7,11 +7,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 
-class Eligibility(str, Enum):
-    CURRENT = "Current"
-    COMPRESS = "CompressEligible"
-    HIDE = "HideEligible"
-    ARCHIVE = "ArchiveEligible"
+class Tier(str, Enum):
+    ACTIVE = "Active"
+    COMPRESSED = "Compressed"
+    HIDDEN = "Hidden"
 
 
 @dataclass(frozen=True)
@@ -47,12 +46,12 @@ def bump(s: float, delta_access: float) -> float:
     return s + delta_access
 
 
-def tier_of(s: float, p: SalienceParams) -> Eligibility:
-    # Boundary convention: thresholds compare with strict less-than.
-    if s < p.theta_archive:
-        return Eligibility.ARCHIVE
+def tier_of(s: float, p: SalienceParams) -> Tier:
+    """The tier a field of salience `s` earns.  Thresholds compare with
+    strict less-than; below `theta_archive` a field stays hidden, and the
+    forget ladder archives a topic whose every field is there."""
     if s < p.theta_remove:
-        return Eligibility.HIDE
+        return Tier.HIDDEN
     if s < p.theta_summary:
-        return Eligibility.COMPRESS
-    return Eligibility.CURRENT
+        return Tier.COMPRESSED
+    return Tier.ACTIVE

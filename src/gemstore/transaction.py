@@ -35,22 +35,22 @@ def apply_delta(state: MemoryState, delta: dict) -> None:
     """Mutate `state` in place according to one delta, and mark in its
     aggregates what the delta may change. Deterministic."""
     kind = delta["kind"]
-    derived = state.aggregates
     if kind == "topic_created":
         tid = delta["id"]
         if tid in state.topics:
             raise DeltaError(f"topic already exists: {tid}")
         state.topics[tid] = Topic(id=tid, title=delta["title"], summary=delta["summary"])
-        if derived is not None:
-            derived.mark(tid)
+        state.derived().mark(tid)
+        if state.owned is not None:
+            state.owned.add(tid)
     elif kind == "topic_removed":
-        _topic(state, delta["id"])
-        del state.topics[delta["id"]]
+        if state.topics.pop(delta["id"], None) is None:  # removed, so not copied
+            raise DeltaError(f"unknown topic: {delta['id']}")
+        state.derived().mark(delta["id"])
         for key in [k for k, e in state.edges.items() if e.src == delta["id"] or e.dst == delta["id"]]:
             del state.edges[key]
         state.revision_queue = {(t, c) for t, c in state.revision_queue if t != delta["id"]}
-        if derived is not None:
-            derived.edges_changed()
+        state.derived().edges_changed()
     elif kind == "topic_archived":
         topic = _topic(state, delta["id"])
         topic.archived = True
@@ -119,14 +119,12 @@ def apply_delta(state: MemoryState, delta: dict) -> None:
         if edge.src not in state.topics or edge.dst not in state.topics:
             raise DeltaError(f"edge endpoint missing: {edge.src} -> {edge.dst}")
         state.edges[edge.key()] = edge
-        if derived is not None:
-            derived.edges_changed()
+        state.derived().edges_changed()
     elif kind == "edge_removed":
         key = (delta["src"], delta["dst"], delta["edge_kind"])
         if key in state.edges:
             del state.edges[key]
-            if derived is not None:
-                derived.edges_changed()
+            state.derived().edges_changed()
     elif kind == "flag_added":
         if delta["topic"] not in state.topics:
             raise DeltaError(f"flag for unknown topic: {delta['topic']}")
@@ -140,12 +138,17 @@ def apply_delta(state: MemoryState, delta: dict) -> None:
 
 
 def _topic(state: MemoryState, tid: str) -> Topic:
+    """The topic a delta is about to change, copied first if `state` shares
+    it with the state it was cloned from."""
     topic = state.topics.get(tid)
     if topic is None:
         raise DeltaError(f"unknown topic: {tid}")
-    topic._canonical_cache = None  # content is about to change
-    if state.aggregates is not None:
-        state.aggregates.mark(tid)
+    if state.owned is None or tid in state.owned:
+        topic._canonical_cache = None  # content is about to change
+    else:
+        topic = state.topics[tid] = topic.clone()  # a clone starts without the memo
+        state.owned.add(tid)
+    state.derived().mark(tid)
     return topic
 
 
@@ -160,29 +163,16 @@ class Txn:
     """Copy-on-write working state plus the delta log that produced it."""
 
     def __init__(self, base: MemoryState):
-        self.base = base
         self.state = base.shallow_clone()
         self.deltas: list[dict] = []
-        self._owned: set[str] = set()
-
-    def _own(self, topic_id: str) -> None:
-        if topic_id not in self._owned and topic_id in self.state.topics:
-            self.state.topics[topic_id] = self.state.topics[topic_id].clone()
-            self._owned.add(topic_id)
 
     def _record(self, delta: dict) -> None:
-        for key in ("topic", "id", "src", "dst"):
-            tid = delta.get(key)
-            if tid is not None and delta["kind"] != "topic_created":
-                self._own(tid)
-        if delta["kind"] == "topic_created":
-            self._owned.add(delta["id"])
         apply_delta(self.state, delta)
         self.deltas.append(delta)
 
     def derive_embeddings(self) -> None:
-        """Fill the embedding memo of every live topic this transaction touched."""
-        for tid in self._owned:
+        """Fill the embedding memo of every live topic this transaction changed."""
+        for tid in self.state.owned:
             topic = self.state.topics.get(tid)
             if topic is not None:
                 topic.vector()
@@ -199,13 +189,7 @@ class Txn:
         self._record({"kind": "topic_archived", "id": topic_id, "merged_into": merged_into})
 
     def create_field(
-        self,
-        topic_id: str,
-        name: str,
-        entity_tag: Optional[str],
-        salience: float,
-        last_access: int,
-        tier: Tier = Tier.ACTIVE,
+        self, topic_id: str, name: str, entity_tag: Optional[str], salience: float, last_access: int
     ) -> None:
         self._record(
             {
@@ -214,7 +198,7 @@ class Txn:
                 "field": name,
                 "entity_tag": entity_tag,
                 "salience": salience,
-                "tier": tier.value,
+                "tier": Tier.ACTIVE.value,
                 "last_access": last_access,
             }
         )

@@ -16,7 +16,7 @@ from .audit import ShadowLedger
 from .baseline import BaselineJournalAdapter
 from .engine import Engine, EngineEvent, TransitionRecord
 from .model import MemoryState, Tier, active_footprint, current_value, decoding
-from .operators import Fact, FactBundle, Query, RetrievalOutput
+from .operators import FactBundle, Query, RetrievalOutput
 
 
 @dataclass(frozen=True)
@@ -61,13 +61,13 @@ def load_workload(path: str | Path) -> list[WorkloadEvent]:
 def _parse_event(obj: dict, lineno: int) -> WorkloadEvent:
     op = obj.get("op")
     if op == "ingest":
-        bundle = FactBundle(
-            facts=tuple(Fact.from_dict(f) for f in obj.get("facts", [])),
-            text=obj.get("text", ""),
-            source_id=obj.get("source", "session"),
-            topic_hint=obj.get("hint"),
-        )
-        return WorkloadEvent("ingest", bundle=bundle)
+        bundle = {
+            "facts": obj.get("facts", []),
+            "text": obj.get("text", ""),
+            "source_id": obj.get("source", "session"),
+            "topic_hint": obj.get("hint"),
+        }
+        return WorkloadEvent("ingest", bundle=FactBundle.from_dict(bundle))
     if op == "query":
         return WorkloadEvent("query", query=Query.from_dict(obj), expected=obj.get("expected"))
     if op == "tick":

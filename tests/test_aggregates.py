@@ -6,11 +6,13 @@ were."""
 import pytest
 
 from conftest import build_state, build_topic
+from gemstore.baseline import BaselineJournalAdapter
 from gemstore.config import BetaSpec, EngineConfig
 from gemstore.engine import Engine, EngineEvent
 from gemstore.model import (
     EdgeKind,
     MemoryState,
+    Topic,
     active_footprint,
     stale_current_exists,
     state_digest,
@@ -121,6 +123,33 @@ def test_graph_operations_keep_aggregates_exact(checked_transitions):
     assert "notes" not in txn.state.extension_successors("plan")
     assert engine.digest() == parent_digest
     assert_aggregates_exact(engine.state)
+
+
+def test_a_hand_built_state_keeps_its_aggregates_after_the_first_read():
+    state = build_state([build_topic("a", fields={"A": "1"}), build_topic("b")])
+    assert state.aggregates is None
+    digest = state_digest(state)
+    aggregates = state.aggregates
+    assert aggregates is not None
+    assert state.footprint() == 1 and state_digest(state) == digest
+    assert state.aggregates is aggregates
+    assert_aggregates_exact(state)
+
+
+def test_a_baseline_commit_hashes_only_the_topic_it_touched(monkeypatch):
+    adapter = BaselineJournalAdapter(EngineConfig(), capacity=5)
+    for i in range(5):
+        adapter.submit(_ingest(None, f"fact {i}", F=str(i)))
+    hashed, cloned = [], []
+    real_hash, real_clone = Topic.content_hash, Topic.clone
+    monkeypatch.setattr(Topic, "content_hash", lambda topic: hashed.append(topic.id) or real_hash(topic))
+    monkeypatch.setattr(Topic, "clone", lambda topic: cloned.append(topic.id) or real_clone(topic))
+    _, records = adapter.submit(_ingest(None, "one more", F="5"))
+    # the put creates rec-0005 and evicts rec-0000, which is removed without a copy
+    kinds = [d["kind"] for d in records[0].deltas]
+    assert kinds == ["topic_created", "field_created", "entry_appended", "topic_removed"]
+    assert hashed == ["rec-0005"] and cloned == []
+    assert_aggregates_exact(adapter.state)
 
 
 def test_rejected_commit_leaves_the_parent_aggregates(checked_transitions):

@@ -114,6 +114,17 @@ def _edit_first_query(frames: list[bytes], edit) -> list[bytes]:
     raise AssertionError("no retrieve in the journal")
 
 
+def _edit_first_bundle(frames: list[bytes], edit) -> list[bytes]:
+    """Apply `edit` to the fact bundle of the first ingest record."""
+    for i, frame in enumerate(frames[1:], 1):
+        record = json.loads(frame)
+        if record["input"]["bundle"] is not None:
+            edit(record["input"]["bundle"])
+            frames[i] = json.dumps(record).encode()
+            return frames
+    raise AssertionError("no ingest in the journal")
+
+
 def _drop_deltas(frames):
     record = json.loads(frames[1])
     del record["deltas"]
@@ -136,6 +147,9 @@ JOURNAL_MUTANTS = {
         frames, "epoch_advanced", lambda d: d.pop("kind")),
     "query-depth-not-an-integer": lambda frames: _edit_first_query(
         frames, lambda q: q.update(depth="2")),
+    "config-unknown-key": lambda frames: _edit_header_config(frames, lambda config: config.update(bogus=1)),
+    "fact-value-not-a-string": lambda frames: _edit_first_bundle(
+        frames, lambda b: b["facts"][0].update(value=5)),
 }
 
 
@@ -149,6 +163,36 @@ def test_audit_reports_a_malformed_journal_as_corrupt(tmp_path, capsys, mutant):
     capsys.readouterr()
     assert main(["audit", "--journal", str(journal)]) == 1
     assert "corrupt input:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"salience": {"decay": "0.9"}},
+        {"tau_topic": "x"},
+        {"n_promote": "x"},
+        {"bogus": 1},
+        {"salience": {"bogus": 1}},
+        [1],
+    ],
+)
+def test_replay_reports_a_malformed_config_as_a_usage_error(tmp_path, capsys, config):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["replay", "--workload", DEADLINE, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: ")
+    assert "Traceback" not in err
+
+
+def test_gem_config_names_the_config_file(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "c.json"
+    path.write_text('{"bogus": 1}', encoding="utf-8")
+    monkeypatch.setenv("GEM_CONFIG", str(path))
+    assert main(["compare", "--workload", DEADLINE]) == 2
+    assert "unexpected keyword argument 'bogus'" in capsys.readouterr().err
+    path.write_text(Path(CONFIG).read_text(encoding="utf-8"), encoding="utf-8")
+    assert main(["replay", "--workload", DEADLINE]) == 0
 
 
 @pytest.mark.parametrize("line", ["[1]", '{"text": "a", "explicit": 5}', "not json"])

@@ -17,6 +17,7 @@ from gemstore.model import (
     state_to_dict,
 )
 from gemstore.operators import EvidenceItem, Fact, FactBundle, Query, RuleTable
+from gemstore.policy import default_policy_set, parse_policy
 from gemstore.workload import run_workload
 from gemstore.workload_gen import generate_workload
 
@@ -219,6 +220,24 @@ def test_aborted_records_keep_every_policy_evaluation():
         {"policy": "reject-stale-current", "fired": False, "action": "reject_transition"},
         {"policy": "bounded-active-state", "fired": True, "action": "reject_transition"},
     ]
+
+
+def test_a_fired_reject_transition_is_inert_outside_pre_commit():
+    never = parse_policy('POLICY never ON field_updated WHEN active_footprint > 0 DO reject_transition("never")')
+    e = Engine(policies=default_policy_set() + [never])
+    _, records = e.submit(EngineEvent.ingest(bundle("a thing", hint="t", A="1")))
+    assert records[0].committed
+    assert {"policy": "never", "fired": True, "action": "reject_transition"} in records[0].policy_log
+
+
+def test_a_fired_pre_commit_action_is_applied():
+    park = parse_policy("POLICY park ON pre_commit WHEN active_footprint > 1 DO archive(old)")
+    genesis = build_state([build_topic("old", fields={"A": "1"})], policies=default_policy_set() + [park])
+    e = Engine(genesis=genesis)
+    _, records = e.submit(EngineEvent.ingest(bundle("a new thing", hint="new", B="2")))
+    assert records[0].committed
+    assert {"kind": "topic_archived", "id": "old", "merged_into": None} in records[0].deltas
+    assert e.state.topics["old"].archived and not e.state.topics["new"].archived
 
 
 # -- derived embeddings -----------------------------------------------------

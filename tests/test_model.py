@@ -121,8 +121,7 @@ def test_digest_changes_on_content_change():
     state = MemoryState()
     state.topics["t"] = make_topic("t", A="1")
     before = state_digest(state)
-    state.topics["t"]._canonical_cache = None
-    state.topics["t"].fields["A"].salience = 2.0
+    apply_delta(state, {"kind": "salience_set", "topic": "t", "field": "A", "value": 2.0})
     assert state_digest(state) != before
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -266,6 +267,18 @@ def test_whole_topic_archives_when_everything_is_negligible():
     txn = Txn(state)
     forget(txn, CFG, 2)
     assert txn.state.topics["t"].archived
+
+
+@pytest.mark.parametrize("below", [False, True])
+def test_a_topic_archives_only_below_theta_archive(below):
+    theta = CFG.salience.theta_archive
+    topic = build_topic("t", fields={"A": "x"})
+    topic.fields["A"].salience = math.nextafter(theta, 0.0) if below else theta
+    txn = Txn(build_state([topic]))
+    forget(txn, CFG, 2)
+    # a field at or below theta_archive is hidden; only below it does its topic archive
+    assert txn.state.topics["t"].fields["A"].tier is Tier.HIDDEN
+    assert txn.state.topics["t"].archived is below
 
 
 def test_compression_summarizes_old_history_and_keeps_provenance():

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from gemstore.salience import Eligibility, SalienceParams, bump, decay, tier_of
+from gemstore.salience import SalienceParams, Tier, bump, decay, tier_of
 
 P = SalienceParams()
 
@@ -28,13 +28,11 @@ def test_decay_rejects_negative_inputs():
 
 def test_tier_boundaries_are_strict():
     # sitting exactly on a threshold keeps the stronger tier
-    assert tier_of(P.theta_summary, P) is Eligibility.CURRENT
-    assert tier_of(P.theta_summary - 1e-12, P) is Eligibility.COMPRESS
-    assert tier_of(P.theta_remove, P) is Eligibility.COMPRESS
-    assert tier_of(P.theta_remove - 1e-12, P) is Eligibility.HIDE
-    assert tier_of(P.theta_archive, P) is Eligibility.HIDE
-    assert tier_of(P.theta_archive - 1e-12, P) is Eligibility.ARCHIVE
-    assert tier_of(0.0, P) is Eligibility.ARCHIVE
+    assert tier_of(P.theta_summary, P) is Tier.ACTIVE
+    assert tier_of(P.theta_summary - 1e-12, P) is Tier.COMPRESSED
+    assert tier_of(P.theta_remove, P) is Tier.COMPRESSED
+    assert tier_of(P.theta_remove - 1e-12, P) is Tier.HIDDEN
+    assert tier_of(P.theta_archive, P) is Tier.HIDDEN
 
 
 def test_param_validation():

@@ -81,6 +81,20 @@ def test_tick_derives_no_embeddings(monkeypatch):
     assert [state.salience(t, t.fields["Status"], lam) for t in state.topics.values()] == [decay(1.0, 1, lam)] * N_TOPICS
 
 
+def test_propagating_ingest_clones_only_the_ingested_topic(monkeypatch):
+    genesis = _large_state([("t0100", "t0101", "Extension")])
+    engine = Engine(config=EngineConfig(beta=BetaSpec(base=2 * N_TOPICS)), genesis=genesis)
+    cloned = []
+    real_clone = Topic.clone
+    monkeypatch.setattr(Topic, "clone", lambda topic: cloned.append(topic.id) or real_clone(topic))
+    bundle = FactBundle((Fact("Status", "done"),), "status update", topic_hint="t0100")
+    _, records = engine.submit(EngineEvent.ingest(bundle))
+    assert [r.outcome for r in records] == ["committed"]
+    # the flag on the dependent changes the revision queue, not the topic
+    assert engine.state.revision_queue == {("t0101", "t0100.Status")}
+    assert cloned == ["t0100"]
+
+
 def test_hinted_ingest_scans_the_fields_of_the_touched_topic_only():
     engine = Engine(config=EngineConfig(beta=BetaSpec(base=2 * N_TOPICS)), genesis=_large_state())
     scanned = []

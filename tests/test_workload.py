@@ -60,6 +60,10 @@ def test_parse_workload_rejects_a_bad_tick_count(count):
         '{"op": "ingest", "facts": 5}',
         "[1]",  # not a JSON object
         '{"op": "query", "mode": "structural", "root": "a", "depth": "2"}',
+        '{"op":"ingest","facts":[{"field":"a","value":5}],"text":"x","hint":"t"}',
+        '{"op":"ingest","facts":[{"field":7,"value":"v"}],"text":"x","hint":"t"}',
+        '{"op":"ingest","facts":[{"field":"a","value":"v"}],"text":5,"hint":"t"}',
+        '{"op":"ingest","facts":[{"field":"a","value":"v"}],"text":"x","hint":7}',
     ],
 )
 def test_parse_workload_rejects_a_malformed_line(line):
