@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
-from .model import decoding
+from .model import INT, NUMBER, STR_OR_NULL, check_types, decoding
 from .salience import SalienceParams
 
 
@@ -54,15 +54,13 @@ class EngineConfig:
         with decoding(ValueError, "config"):
             nested = {"salience": SalienceParams, "beta": BetaSpec}
             cfg = EngineConfig(**{k: nested[k](**v) if k in nested else v for k, v in d.items()})
-            for obj in (cfg, cfg.salience, cfg.beta):
-                for f in fields(obj):  # a number has its default's type, or is an int
-                    value = getattr(obj, f.name)
-                    if type(f.default) in (int, float) and type(value) not in (int, type(f.default)):
-                        raise TypeError(f"{f.name} must be of type {type(f.default).__name__}, got {value!r}")
+            for obj in (cfg, cfg.salience, cfg.beta):  # a number has its default's type, or is an int
+                types = {f.name: NUMBER if type(f.default) is float else INT for f in fields(obj)
+                         if type(f.default) in (int, float)}
+                check_types(TypeError, "config", vars(obj), types)
+            check_types(TypeError, "config", vars(cfg), {"rule_path": STR_OR_NULL})
             if not (isinstance(cfg.policy_paths, list) and all(isinstance(p, str) for p in cfg.policy_paths)):
                 raise TypeError("policy_paths must be a list of strings")
-            if not isinstance(cfg.rule_path, (str, type(None))):
-                raise TypeError("rule_path must be a string or null")
             cfg.validate()
         return cfg
 

@@ -327,13 +327,13 @@ class Engine:
                     txn.add_flag(dep, cause)
             else:
                 target = resolve_target(action.target, ctx)
+                if target not in txn.state.topics:
+                    raise EvaluationError(f"flag_for_revision of unknown topic: {target}")
                 txn.add_flag(target, ctx.get("updated_topic", "policy"))
             return
         if action.kind == "attenuate":
-            if action.target is None:
-                forget(txn, self.config, next_tick)
-            else:
-                forget(txn, self.config, next_tick, targets=[resolve_target(action.target, ctx)])
+            targets = None if action.target is None else [resolve_target(action.target, ctx)]
+            forget(txn, self.config, next_tick, targets=targets)
             return
         if action.kind == "archive":
             target = resolve_target(action.target, ctx)

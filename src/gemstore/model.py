@@ -515,6 +515,21 @@ def decoding(error: type[ValueError], what: str):
         raise error(f"{what}: {exc!r}") from exc
 
 
+# the types `check_types` accepts for a value: exact, so that a bool is not an
+# int, while an int may stand for a float
+STR, INT, NUMBER, BOOL, OBJECT = (str,), (int,), (int, float), (bool,), (dict,)
+STR_OR_NULL, INT_OR_NULL = (str, type(None)), (int, type(None))
+
+
+def check_types(error: type[Exception], what: str, values: dict, types: dict[str, tuple[type, ...]]) -> None:
+    """Raise `error` unless each value that `types` names has one of the
+    types listed for it."""
+    for name, allowed in types.items():
+        if type(values[name]) not in allowed:
+            expected = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+            raise error(f"{what} {name} must be {expected}, got {values[name]!r}")
+
+
 def state_to_dict(state: MemoryState) -> dict:
     from .policy import render_policy
 

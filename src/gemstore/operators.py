@@ -15,11 +15,16 @@ from typing import Optional
 from .config import EngineConfig
 from .embedding import cosine, embed, select_host, tokenize
 from .model import (
+    INT,
+    INT_OR_NULL,
+    STR,
+    STR_OR_NULL,
     EdgeKind,
     MemoryState,
     Provenance,
     Tier,
     ValueEntry,
+    check_types,
 )
 from .salience import bump, decay, tier_of
 from .transaction import Txn
@@ -47,7 +52,7 @@ class Fact:
     @staticmethod
     def from_dict(d: dict) -> "Fact":
         fact = Fact(d["field"], d["value"], d.get("entity_tag"), d.get("excerpt", ""))
-        _check_strings(fact, ("field", "value", "excerpt"), ("entity_tag",))
+        check_types(TypeError, "fact", vars(fact), _FACT_TYPES)
         return fact
 
 
@@ -69,18 +74,12 @@ class FactBundle:
             source_id=d.get("source_id", "session"),
             topic_hint=d.get("topic_hint"),
         )
-        _check_strings(bundle, ("text", "source_id"), ("topic_hint",))
+        check_types(TypeError, "bundle", vars(bundle), _BUNDLE_TYPES)
         return bundle
 
 
-def _check_strings(obj, strings: tuple[str, ...], optional: tuple[str, ...]) -> None:
-    """Refuse a decoded `obj` unless its `strings` attributes are strings and
-    its `optional` ones strings or None."""
-    for name in strings + optional:
-        value = getattr(obj, name)
-        if not (isinstance(value, str) or (value is None and name in optional)):
-            null = " or null" if name in optional else ""
-            raise TypeError(f"{type(obj).__name__} {name} must be a string{null}, got {value!r}")
+_FACT_TYPES = {"field": STR, "value": STR, "entity_tag": STR_OR_NULL, "excerpt": STR}
+_BUNDLE_TYPES = {"text": STR, "source_id": STR, "topic_hint": STR_OR_NULL}
 
 
 @dataclass(frozen=True)
@@ -109,14 +108,11 @@ class Query:
         pair = isinstance(q.explicit, tuple) and len(q.explicit) == 2 and all(isinstance(v, str) for v in q.explicit)
         if not (q.explicit is None or pair):
             raise TypeError("query explicit must be null or a pair of strings")
-        _check_strings(q, ("text", "mode"), ("root",))
-        if not (_is_int(q.depth) and (q.as_of is None or _is_int(q.as_of))):
-            raise TypeError("query depth must be an integer, and as_of an integer or null")
+        check_types(TypeError, "query", vars(q), _QUERY_TYPES)
         return q
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+_QUERY_TYPES = {"text": STR, "mode": STR, "as_of": INT_OR_NULL, "root": STR_OR_NULL, "depth": INT}
 
 
 @dataclass(frozen=True)
@@ -311,6 +307,8 @@ def retrieve_read(state: MemoryState, q: Query, cfg: EngineConfig) -> RetrievalO
                         nxt.append(n)
                         out.context.append((n, state.topics[n].summary))
             frontier = nxt
+            if not frontier:  # nothing further is reachable, at any depth
+                break
         return out
 
     if q.mode not in ("default", "historical"):

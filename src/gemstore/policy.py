@@ -18,6 +18,8 @@ Grammar (keywords are upper-case; '#' starts a line comment):
                | "attenuate" [ "(" target ")" ]
                | "archive" [ "(" target ")" ]
                | "noop"
+    target    := a topic id, or a context variable other than updated_field;
+                 salience(...) alone may also take updated_field
 
 `beta` defers the footprint bound to the engine configuration so one policy
 text covers constant and affine bounds.  Non-pre_commit actions never mutate
@@ -230,11 +232,15 @@ class _Parser:
         tok = self.peek()
         return tok.kind == "IDENT" and tok.value == word
 
-    def target_in_parens(self) -> str:
+    def target_in_parens(self, field_ok: bool = False) -> str:
+        """A parenthesised target; only `salience(...)` may name
+        `updated_field`, as every other target names a topic."""
         self.expect_punct("(")
-        target = self.expect_ident("target").value
+        tok = self.expect_ident("target")
+        if tok.value == "updated_field" and not field_ok:
+            raise PolicyParseError("updated_field names a field, not a topic", tok.line, tok.col)
         self.expect_punct(")")
-        return target
+        return tok.value
 
     # -- grammar ----------------------------------------------------------
 
@@ -307,7 +313,7 @@ class _Parser:
             return Exists(var_tok.value)
         if self.at_keyword("salience"):
             self.advance()
-            target = self.target_in_parens()
+            target = self.target_in_parens(field_ok=True)
             self.expect_punct("<")
             num = self.peek()
             if num.kind != "NUMBER":
@@ -450,8 +456,7 @@ def resolve_target(target: Optional[str], ctx: dict) -> str:
     if target in CONTEXT_VARIABLES:
         if target not in ctx:
             raise EvaluationError(f"unbound variable: {target}")
-        bound = ctx[target]
-        return bound[0] if isinstance(bound, tuple) else bound
+        return ctx[target]
     return target
 
 

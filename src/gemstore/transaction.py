@@ -11,6 +11,12 @@ from __future__ import annotations
 from typing import Optional
 
 from .model import (
+    BOOL,
+    INT,
+    NUMBER,
+    OBJECT,
+    STR,
+    STR_OR_NULL,
     Edge,
     EdgeKind,
     Field,
@@ -18,23 +24,66 @@ from .model import (
     Tier,
     Topic,
     ValueEntry,
+    check_types,
 )
 
 
 class DeltaError(ValueError):
-    """A delta referenced state that does not exist; indicates corruption."""
+    """A delta is malformed or references state that does not exist; a
+    journal that holds one is corrupt."""
 
 
-# deltas that can change a topic's content_text(), and so its embedding
-_TEXT_DELTAS = frozenset(
-    ("entry_appended", "entry_flags", "history_compressed", "field_installed", "field_removed")
-)
+class DeltaKind:
+    """One row of `DELTA_KINDS`: a kind's operands, name -> the types its
+    value may have, in recorder argument order, and whether the kind can
+    change a topic's `content_text()`, and so its embedding."""
+
+    __slots__ = ("operands", "keys", "text")
+
+    def __init__(self, operands: dict[str, tuple[type, ...]], text: bool = False):
+        self.operands = operands
+        self.keys = frozenset(("kind", *operands))
+        self.text = text
+
+
+_TOPIC_FIELD = {"topic": STR, "field": STR}
+
+DELTA_KINDS: dict[str, DeltaKind] = {
+    "topic_created": DeltaKind({"id": STR, "title": STR, "summary": STR}),
+    "topic_removed": DeltaKind({"id": STR}),
+    "topic_archived": DeltaKind({"id": STR, "merged_into": STR_OR_NULL}),
+    "field_created": DeltaKind(
+        {**_TOPIC_FIELD, "entity_tag": STR_OR_NULL, "salience": NUMBER, "last_access": INT, "tier": STR}
+    ),
+    "field_removed": DeltaKind(_TOPIC_FIELD, text=True),
+    "field_installed": DeltaKind({"topic": STR, "payload": OBJECT}, text=True),
+    "entry_appended": DeltaKind({**_TOPIC_FIELD, "entry": OBJECT}, text=True),
+    "entry_flags": DeltaKind({**_TOPIC_FIELD, "index": INT, "superseded": BOOL, "compressed": BOOL}, text=True),
+    "history_compressed": DeltaKind({**_TOPIC_FIELD, "count": INT, "summary": OBJECT}, text=True),
+    "salience_set": DeltaKind({**_TOPIC_FIELD, "value": NUMBER}),
+    "epoch_advanced": DeltaKind({}),
+    "last_access_set": DeltaKind({**_TOPIC_FIELD, "tick": INT}),
+    "tier_set": DeltaKind({**_TOPIC_FIELD, "tier": STR}),
+    "edge_added": DeltaKind({"src": STR, "dst": STR, "edge_kind": STR, "tick": INT}),
+    "edge_removed": DeltaKind({"src": STR, "dst": STR, "edge_kind": STR}),
+    "flag_added": DeltaKind({"topic": STR, "cause": STR}),
+    "flag_removed": DeltaKind({"topic": STR}),
+}
 
 
 def apply_delta(state: MemoryState, delta: dict) -> None:
     """Mutate `state` in place according to one delta, and mark in its
-    aggregates what the delta may change. Deterministic."""
-    kind = delta["kind"]
+    aggregates what the delta may change.  Deterministic.  A delta whose kind
+    is unknown, or whose keys or operand types differ from its kind's row of
+    `DELTA_KINDS`, raises DeltaError before it changes anything."""
+    try:
+        kind = delta["kind"]
+        spec = DELTA_KINDS[kind]
+    except (KeyError, TypeError):
+        raise DeltaError(f"delta of no known kind: {delta!r}") from None
+    if delta.keys() != spec.keys:
+        raise DeltaError(f"{kind} delta must carry {sorted(spec.keys)}, got {sorted(delta)}")
+    check_types(DeltaError, kind, delta, spec.operands)
     if kind == "topic_created":
         tid = delta["id"]
         if tid in state.topics:
@@ -55,14 +104,14 @@ def apply_delta(state: MemoryState, delta: dict) -> None:
         topic = _topic(state, delta["id"])
         topic.archived = True
         topic.archived_at = state.epoch  # its salience stays as it reads now
-        topic.merged_into = delta.get("merged_into")
+        topic.merged_into = delta["merged_into"]
     elif kind == "field_created":
         topic = _topic(state, delta["topic"])
         if delta["field"] in topic.fields:
             raise DeltaError(f"field already exists: {delta['topic']}.{delta['field']}")
         topic.fields[delta["field"]] = Field(
             name=delta["field"],
-            entity_tag=delta.get("entity_tag"),
+            entity_tag=delta["entity_tag"],
             salience=delta["salience"],
             since=state.epoch_of(topic),
             tier=Tier(delta["tier"]),
@@ -82,7 +131,7 @@ def apply_delta(state: MemoryState, delta: dict) -> None:
     elif kind == "entry_flags":
         f = _field(_topic(state, delta["topic"]), delta["field"])
         idx = delta["index"]
-        if idx >= len(f.history):
+        if not 0 <= idx < len(f.history):
             raise DeltaError(f"entry index out of range: {delta['topic']}.{delta['field']}[{idx}]")
         entry = f.history[idx]
         f.history[idx] = ValueEntry(
@@ -95,8 +144,8 @@ def apply_delta(state: MemoryState, delta: dict) -> None:
     elif kind == "history_compressed":
         f = _field(_topic(state, delta["topic"]), delta["field"])
         count = delta["count"]
-        if count > len(f.history):
-            raise DeltaError("compression run exceeds history length")
+        if not 1 <= count <= len(f.history):
+            raise DeltaError(f"compression run of {count} outside a history of {len(f.history)}")
         f.history = [ValueEntry.from_dict(delta["summary"])] + f.history[count:]
     elif kind == "salience_set":
         topic = _topic(state, delta["topic"])
@@ -131,9 +180,7 @@ def apply_delta(state: MemoryState, delta: dict) -> None:
         state.revision_queue.add((delta["topic"], delta["cause"]))
     elif kind == "flag_removed":
         state.revision_queue = {(t, c) for t, c in state.revision_queue if t != delta["topic"]}
-    else:
-        raise DeltaError(f"unknown delta kind: {kind}")
-    if kind in _TEXT_DELTAS:
+    if spec.text:
         state.topics[delta["topic"]].embedding = None
 
 
@@ -166,7 +213,10 @@ class Txn:
         self.state = base.shallow_clone()
         self.deltas: list[dict] = []
 
-    def _record(self, delta: dict) -> None:
+    def _record(self, kind: str, *operands) -> None:
+        """Apply and log one delta of `kind`, its operands named in the order
+        of its row of `DELTA_KINDS`."""
+        delta = dict(zip(DELTA_KINDS[kind].operands, operands), kind=kind)
         apply_delta(self.state, delta)
         self.deltas.append(delta)
 
@@ -180,81 +230,54 @@ class Txn:
     # -- mutators ---------------------------------------------------------
 
     def create_topic(self, topic_id: str, title: str, summary: str) -> None:
-        self._record({"kind": "topic_created", "id": topic_id, "title": title, "summary": summary})
+        self._record("topic_created", topic_id, title, summary)
 
     def remove_topic(self, topic_id: str) -> None:
-        self._record({"kind": "topic_removed", "id": topic_id})
+        self._record("topic_removed", topic_id)
 
     def archive_topic(self, topic_id: str, merged_into: Optional[str] = None) -> None:
-        self._record({"kind": "topic_archived", "id": topic_id, "merged_into": merged_into})
+        self._record("topic_archived", topic_id, merged_into)
 
     def create_field(
         self, topic_id: str, name: str, entity_tag: Optional[str], salience: float, last_access: int
     ) -> None:
-        self._record(
-            {
-                "kind": "field_created",
-                "topic": topic_id,
-                "field": name,
-                "entity_tag": entity_tag,
-                "salience": salience,
-                "tier": Tier.ACTIVE.value,
-                "last_access": last_access,
-            }
-        )
+        self._record("field_created", topic_id, name, entity_tag, salience, last_access, Tier.ACTIVE.value)
 
     def remove_field(self, topic_id: str, name: str) -> None:
-        self._record({"kind": "field_removed", "topic": topic_id, "field": name})
+        self._record("field_removed", topic_id, name)
 
     def install_field(self, topic_id: str, payload: Field) -> None:
-        self._record({"kind": "field_installed", "topic": topic_id, "payload": payload.to_dict()})
+        self._record("field_installed", topic_id, payload.to_dict())
 
     def append_entry(self, topic_id: str, name: str, entry: ValueEntry) -> None:
-        self._record({"kind": "entry_appended", "topic": topic_id, "field": name, "entry": entry.to_dict()})
+        self._record("entry_appended", topic_id, name, entry.to_dict())
 
     def set_entry_flags(self, topic_id: str, name: str, index: int, superseded: bool, compressed: bool) -> None:
-        self._record(
-            {
-                "kind": "entry_flags",
-                "topic": topic_id,
-                "field": name,
-                "index": index,
-                "superseded": superseded,
-                "compressed": compressed,
-            }
-        )
+        self._record("entry_flags", topic_id, name, index, superseded, compressed)
 
     def compress_history(self, topic_id: str, name: str, count: int, summary: ValueEntry) -> None:
-        self._record(
-            {
-                "kind": "history_compressed",
-                "topic": topic_id,
-                "field": name,
-                "count": count,
-                "summary": summary.to_dict(),
-            }
-        )
+        self._record("history_compressed", topic_id, name, count, summary.to_dict())
 
     def set_salience(self, topic_id: str, name: str, value: float) -> None:
-        self._record({"kind": "salience_set", "topic": topic_id, "field": name, "value": value})
+        self._record("salience_set", topic_id, name, value)
 
     def advance_epoch(self) -> None:
-        self._record({"kind": "epoch_advanced"})
+        self._record("epoch_advanced")
 
     def set_last_access(self, topic_id: str, name: str, tick: int) -> None:
-        self._record({"kind": "last_access_set", "topic": topic_id, "field": name, "tick": tick})
+        self._record("last_access_set", topic_id, name, tick)
 
     def set_tier(self, topic_id: str, name: str, tier: Tier) -> None:
-        self._record({"kind": "tier_set", "topic": topic_id, "field": name, "tier": tier.value})
+        self._record("tier_set", topic_id, name, tier.value)
 
     def add_edge(self, src: str, dst: str, kind: EdgeKind, tick: int) -> None:
-        self._record({"kind": "edge_added", "src": src, "dst": dst, "edge_kind": kind.value, "tick": tick})
+        self._record("edge_added", src, dst, kind.value, tick)
 
     def remove_edge(self, src: str, dst: str, kind: EdgeKind) -> None:
-        self._record({"kind": "edge_removed", "src": src, "dst": dst, "edge_kind": kind.value})
+        self._record("edge_removed", src, dst, kind.value)
 
     def add_flag(self, topic_id: str, cause: str) -> None:
-        self._record({"kind": "flag_added", "topic": topic_id, "cause": cause})
+        self._record("flag_added", topic_id, cause)
 
     def remove_flag(self, topic_id: str) -> None:
-        self._record({"kind": "flag_removed", "topic": topic_id})
+        self._record("flag_removed", topic_id)

@@ -15,7 +15,18 @@ from typing import Iterator, Optional, Union
 from .audit import ShadowLedger
 from .baseline import BaselineJournalAdapter
 from .engine import Engine, EngineEvent, TransitionRecord
-from .model import MemoryState, Tier, active_footprint, current_value, decoding
+from .model import (
+    BOOL,
+    INT,
+    STR,
+    STR_OR_NULL,
+    MemoryState,
+    Tier,
+    active_footprint,
+    check_types,
+    current_value,
+    decoding,
+)
 from .operators import FactBundle, Query, RetrievalOutput
 
 
@@ -78,12 +89,36 @@ def _parse_event(obj: dict, lineno: int) -> WorkloadEvent:
     if op in ("revise", "forget"):
         return WorkloadEvent(op)
     if op == "assert":
-        check = dict(obj)
-        check.pop("op")
-        if "check" not in check:
-            raise WorkloadError(f"line {lineno}: assert needs a 'check' key")
+        check = {k: v for k, v in obj.items() if k != "op"}
+        _check_assert_keys(check, lineno)
         return WorkloadEvent("assert", check=check)
     raise WorkloadError(f"line {lineno}: unknown op {op!r}")
+
+
+# the keys of each assert check besides "check", and the types of their values
+ASSERT_CHECKS = {
+    "current_value_equals": {"topic": STR, "field": STR, "value": STR_OR_NULL},
+    "footprint_le": {"bound": INT},
+    "field_tier": {"topic": STR, "field": STR, "tier": STR},
+    "topic_archived": {"topic": STR, "value": BOOL},
+}
+
+
+def _check_assert_keys(check: dict, lineno: int) -> None:
+    """Refuse an assert of an unknown check kind, or one whose keys or value
+    types differ from its kind's row of ASSERT_CHECKS.  A topic_archived
+    check without a value expects the topic archived."""
+    kind = check.get("check")
+    keys = ASSERT_CHECKS.get(kind)
+    if keys is None:
+        raise WorkloadError(f"line {lineno}: assert needs a check among {sorted(ASSERT_CHECKS)}, got {kind!r}")
+    if kind == "topic_archived":
+        check.setdefault("value", True)
+    if check.keys() != {"check", *keys}:
+        raise WorkloadError(f"line {lineno}: assert {kind} takes {sorted(keys)}, got {sorted(check)}")
+    check_types(WorkloadError, f"line {lineno}: assert {kind}", check, keys)
+    if kind == "field_tier":
+        Tier(check["tier"])  # refuses a tier name that is none of Tier's values
 
 
 # ---------------------------------------------------------------------------
@@ -156,35 +191,31 @@ def run_workload(system: System, events: list[WorkloadEvent]) -> WorkloadResult:
 
 
 def _check_assert(state: MemoryState, check: dict) -> Optional[str]:
+    """What fails in a parsed assert payload, or None when it holds."""
     kind = check["check"]
     if kind == "current_value_equals":
         entry = current_value(state, check["topic"], check["field"])
         actual = entry.value if entry is not None else None
         if actual != check["value"]:
             return f"current value of {check['topic']}.{check['field']} is {actual!r}, expected {check['value']!r}"
-        return None
-    if kind == "footprint_le":
+    elif kind == "footprint_le":
         fp = active_footprint(state)
         if fp > check["bound"]:
             return f"active footprint {fp} exceeds {check['bound']}"
-        return None
-    if kind == "field_tier":
+    elif kind == "field_tier":
         topic = state.topics.get(check["topic"])
         f = topic.fields.get(check["field"]) if topic else None
         if f is None:
             return f"no such unit: {check['topic']}.{check['field']}"
         if f.tier is not Tier(check["tier"]):
             return f"{check['topic']}.{check['field']} is {f.tier.value}, expected {check['tier']}"
-        return None
-    if kind == "topic_archived":
+    elif kind == "topic_archived":
         topic = state.topics.get(check["topic"])
         if topic is None:
             return f"no such topic: {check['topic']}"
-        expect = bool(check.get("value", True))
-        if topic.archived != expect:
-            return f"{check['topic']}.archived is {topic.archived}, expected {expect}"
-        return None
-    return f"unknown assert kind {kind!r}"
+        if topic.archived != check["value"]:
+            return f"{check['topic']}.archived is {topic.archived}, expected {check['value']}"
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,15 @@ def _edit_first_bundle(frames: list[bytes], edit) -> list[bytes]:
     raise AssertionError("no ingest in the journal")
 
 
+def _flag_one_topic_twice(frames, causes):
+    """Add one flag_added delta per cause, all for the topic the first record
+    creates; two pairs of the revision queue are then compared when sorted."""
+    record = json.loads(frames[1])
+    topic = record["deltas"][0]["id"]
+    record["deltas"] += [{"kind": "flag_added", "topic": topic, "cause": cause} for cause in causes]
+    return [frames[0], json.dumps(record).encode(), *frames[2:]]
+
+
 def _drop_deltas(frames):
     record = json.loads(frames[1])
     del record["deltas"]
@@ -150,6 +159,11 @@ JOURNAL_MUTANTS = {
     "config-unknown-key": lambda frames: _edit_header_config(frames, lambda config: config.update(bogus=1)),
     "fact-value-not-a-string": lambda frames: _edit_first_bundle(
         frames, lambda b: b["facts"][0].update(value=5)),
+    "delta-with-an-extra-operand": lambda frames: _edit_first_delta(
+        frames, "entry_appended", lambda d: d.update(extra=1)),
+    "entry-flags-index-negative": lambda frames: _edit_first_delta(
+        frames, "entry_flags", lambda d: d.update(index=-100)),
+    "flag-cause-not-a-string": lambda frames: _flag_one_topic_twice(frames, ["x", 5]),
 }
 
 
@@ -162,7 +176,9 @@ def test_audit_reports_a_malformed_journal_as_corrupt(tmp_path, capsys, mutant):
     journal.write_bytes(data[:4] + b"".join(struct.pack(">I", len(f)) + f for f in frames))
     capsys.readouterr()
     assert main(["audit", "--journal", str(journal)]) == 1
-    assert "corrupt input:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "corrupt input:" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -182,6 +198,22 @@ def test_replay_reports_a_malformed_config_as_a_usage_error(tmp_path, capsys, co
     assert main(["replay", "--workload", DEADLINE, "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: config: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"op": "assert", "check": "current_value_equals"}',
+        '{"op": "assert", "check": "footprint_le", "bound": "x"}',
+    ],
+)
+def test_replay_reports_a_malformed_assert_as_a_usage_error(tmp_path, capsys, line):
+    workload = tmp_path / "bad.workload"
+    workload.write_text('{"op": "tick"}\n' + line + "\n", encoding="utf-8")
+    assert main(["replay", "--workload", str(workload)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: assert ")
     assert "Traceback" not in err
 
 

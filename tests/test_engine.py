@@ -240,6 +240,82 @@ def test_a_fired_pre_commit_action_is_applied():
     assert e.state.topics["old"].archived and not e.state.topics["new"].archived
 
 
+# -- policy atoms and actions, through Engine.submit --------------------------
+
+
+def _policy_engine(text, salience=1.0):
+    """An engine whose genesis holds live topics `old` and `dim`, each with one
+    field at `salience`, and archived topic `gone`, under the default policies
+    plus `text`."""
+    old, dim, gone = (build_topic(tid, fields={"A": "1"}) for tid in ("old", "dim", "gone"))
+    old.fields["A"].salience = dim.fields["A"].salience = salience
+    gone.archived, gone.archived_at = True, 0
+    return Engine(genesis=build_state([old, dim, gone], policies=default_policy_set() + [parse_policy(text)]))
+
+
+@pytest.mark.parametrize(
+    "condition, fires",
+    [
+        ("NOT stale_current_exists", True),
+        ("NOT active_footprint > 0", False),
+        ("active_footprint > 0 AND topic_archived(gone)", True),
+        ("active_footprint > 0 AND topic_archived(old)", False),
+        ("stale_current_exists OR topic_archived(gone)", True),
+        ("stale_current_exists OR topic_archived(ghost)", False),
+        ("salience(old) < 1.5", True),
+        ("salience(old) < 0.5", False),
+    ],
+)
+def test_a_pre_commit_condition_decides_the_commit(condition, fires):
+    e = _policy_engine(f'POLICY p ON pre_commit WHEN {condition} DO reject_transition("fired")')
+    _, records = e.submit(EngineEvent.ingest(bundle("a new thing", hint="new", B="2")))
+    assert (records[0].outcome, records[0].reason) == (("aborted", "fired") if fires else ("committed", None))
+
+
+def test_a_salience_condition_resolves_a_context_variable():
+    e = _policy_engine("POLICY p ON field_updated WHEN salience(updated_topic) < 1.5 DO archive(old)")
+    _, records = e.submit(EngineEvent.ingest(bundle("a new thing", hint="new", B="2")))
+    assert records[0].committed and e.state.topics["old"].archived
+
+
+def test_archive_resolves_its_target_from_the_context():
+    e = _policy_engine("POLICY p ON field_updated WHEN EXISTS updated_topic DO archive(updated_topic)")
+    _, records = e.submit(EngineEvent.ingest(bundle("a new thing", hint="new", B="2")))
+    assert records[0].committed
+    assert e.state.topics["new"].archived and not e.state.topics["old"].archived
+
+
+@pytest.mark.parametrize("action, attenuated", [("attenuate(old)", {"old"}), ("attenuate", {"old", "dim"})])
+def test_attenuate_runs_the_ladder_on_its_target_or_the_store(action, attenuated):
+    e = _policy_engine(f"POLICY p ON field_updated WHEN EXISTS updated_topic DO {action}", salience=0.3)
+    _, records = e.submit(EngineEvent.ingest(bundle("a new thing", hint="new", B="2")))
+    assert records[0].committed
+    assert {d["topic"] for d in records[0].deltas if d["kind"] == "tier_set"} == attenuated
+
+
+def test_flag_for_revision_of_a_missing_topic_aborts_with_its_reason():
+    e = _policy_engine("POLICY p ON field_updated WHEN EXISTS updated_topic DO flag_for_revision(ghost)")
+    before = e.digest()
+    _, records = e.submit(EngineEvent.ingest(bundle("a new thing", hint="new", B="2")))
+    assert records[0].outcome == "aborted"
+    assert records[0].reason == "flag_for_revision of unknown topic: ghost"
+    assert e.journal.records[-1] is records[0] and e.digest() == before
+
+
+def test_flag_for_revision_of_a_literal_topic_flags_it():
+    e = _policy_engine("POLICY p ON field_updated WHEN EXISTS updated_topic DO flag_for_revision(old)")
+    _, records = e.submit(EngineEvent.ingest(bundle("a new thing", hint="new", B="2")))
+    assert records[0].committed and e.state.revision_queue == {("old", "new")}
+
+
+def test_a_structural_read_stops_where_the_graph_ends():
+    genesis = build_state([build_topic("a"), build_topic("b")], edges=[("a", "b", "Extension")])
+    e = Engine(genesis=genesis)
+    out, records = e.submit(EngineEvent.retrieve(Query(mode="structural", root="a", depth=10**12)))
+    assert records[-1].committed and [tid for tid, _ in out.context] == ["a", "b"]
+    assert audit(e.journal, []).passed  # the audit reads it again
+
+
 # -- derived embeddings -----------------------------------------------------
 
 

@@ -89,6 +89,25 @@ def test_parse_error_positions():
     assert "unknown action" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "WHEN topic_archived(updated_field) DO noop",
+        "WHEN stale_current_exists DO flag_for_revision(updated_field)",
+        "WHEN stale_current_exists DO attenuate(updated_field)",
+        "WHEN stale_current_exists DO archive(updated_field)",
+    ],
+)
+def test_updated_field_is_refused_where_a_topic_is_meant(text):
+    with pytest.raises(PolicyParseError, match="updated_field names a field, not a topic"):
+        parse_policy("POLICY p ON field_updated " + text)
+
+
+def test_salience_still_takes_updated_field():
+    p = parse_policy("POLICY p ON field_updated WHEN salience(updated_field) < 0.5 DO noop")
+    assert p.condition == SalienceLt("updated_field", 0.5)
+
+
 def test_comments_and_multiple_policies():
     text = "# leading comment\n" + PROPAGATE + "\n# between\n" + PROPAGATE.replace("propagate-on-change", "second")
     policies = parse_policies(text)

@@ -6,9 +6,9 @@ import pytest
 from gemstore.audit import audit
 from gemstore.baseline import BaselineJournalAdapter
 from gemstore.config import EngineConfig
-from gemstore.engine import Engine
+from gemstore.engine import Engine, EngineEvent
 from gemstore.model import canonical_json
-from gemstore.operators import Query
+from gemstore.operators import Fact, FactBundle, Query
 from gemstore.workload import (
     CSV_HEADER,
     WorkloadError,
@@ -64,11 +64,28 @@ def test_parse_workload_rejects_a_bad_tick_count(count):
         '{"op":"ingest","facts":[{"field":7,"value":"v"}],"text":"x","hint":"t"}',
         '{"op":"ingest","facts":[{"field":"a","value":"v"}],"text":5,"hint":"t"}',
         '{"op":"ingest","facts":[{"field":"a","value":"v"}],"text":"x","hint":7}',
+        '{"op": "assert", "check": "current_value_equals", "topic": "t", "field": "A"}',  # no value
+        '{"op": "assert", "check": "footprint_le", "bound": "x"}',
+        '{"op": "assert", "check": "footprint_le", "bound": true}',
+        '{"op": "assert", "check": "footprint_le", "bound": 3, "topic": "t"}',
+        '{"op": "assert", "check": "field_tier", "topic": "t", "field": "A", "tier": "Frozen"}',
+        '{"op": "assert", "check": "topic_archived", "topic": "t", "value": 1}',
+        '{"op": "assert", "check": "no_such_check"}',
+        '{"op": "assert", "check": ["footprint_le"], "bound": 3}',
     ],
 )
 def test_parse_workload_rejects_a_malformed_line(line):
     with pytest.raises(WorkloadError, match="line 2: "):
         parse_workload('{"op": "forget"}\n' + line)
+
+
+def test_a_topic_archived_assert_expects_an_archived_topic_by_default():
+    (event,) = parse_workload('{"op": "assert", "check": "topic_archived", "topic": "t"}')
+    assert event.check == {"check": "topic_archived", "topic": "t", "value": True}
+    engine = Engine()
+    engine.submit(EngineEvent.ingest(FactBundle((Fact("A", "1"),), "x", topic_hint="t")))
+    (failure,) = run_workload(engine, [event]).assert_failures
+    assert failure.detail == "t.archived is False, expected True"
 
 
 def test_run_workload_reports_assert_failures():
