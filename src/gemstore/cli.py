@@ -13,10 +13,10 @@ from pathlib import Path
 
 from .audit import audit, render_report
 from .baseline import BaselineJournalAdapter
-from .config import EngineConfig
+from .config import ConfigError, EngineConfig
 from .engine import CorruptJournalError, Engine, Journal
 from .model import decoding, state_digest
-from .operators import Query, RuleTable
+from .operators import Query, RuleError, RuleTable
 from .policy import PolicyParseError, parse_policies
 from .storage import read_journal, read_snapshot, snapshot_from_journal, write_journal
 from .workload import WorkloadError, compare, json_lines, load_workload, rows_to_csv, run_workload
@@ -117,6 +117,12 @@ def cmd_restore(args) -> int:
     return 0
 
 
+def _capacity(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"capacity must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gem", description="Governed memory store harness")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -136,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workload", required=True)
     p.add_argument("--config")
     p.add_argument("--csv-out")
-    p.add_argument("--capacity", type=int, default=5)
+    p.add_argument("--capacity", type=_capacity, default=5)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("snapshot", help="materialize a journal into a state snapshot")
@@ -162,7 +168,8 @@ def main(argv=None) -> int:
     except CorruptJournalError as exc:
         print(f"corrupt input: {exc}", file=sys.stderr)
         return 1
-    except (WorkloadError, PolicyParseError, ValueError) as exc:
+    except (WorkloadError, PolicyParseError, ConfigError, RuleError, UnicodeDecodeError) as exc:
+        # bad input; any other error is a fault of the program and propagates
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -12,6 +12,10 @@ from .model import INT, NUMBER, STR_OR_NULL, check_types, decoding
 from .salience import SalienceParams
 
 
+class ConfigError(ValueError):
+    """A config does not decode, or holds a value out of range."""
+
+
 @dataclass(frozen=True)
 class BetaSpec:
     """Footprint bound beta(n) = base + per_tick * n (per_tick = 0 for constant)."""
@@ -38,11 +42,11 @@ class EngineConfig:
     def validate(self) -> None:
         self.salience.validate()
         if not (0.0 <= self.tau_topic <= 1.0 and 0.0 <= self.tau_dup <= 1.0):
-            raise ValueError("router thresholds must lie in [0, 1]")
+            raise ConfigError("router thresholds must lie in [0, 1]")
         if self.k_topics < 1:
-            raise ValueError("k_topics must be at least 1")
+            raise ConfigError("k_topics must be at least 1")
         if self.beta.base < 0:
-            raise ValueError("beta base must be non-negative")
+            raise ConfigError("beta base must be non-negative")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -50,8 +54,8 @@ class EngineConfig:
     @staticmethod
     def from_dict(d: dict) -> "EngineConfig":
         """Decode and validate a config, each of whose keys must name a field;
-        any problem raises a ValueError."""
-        with decoding(ValueError, "config"):
+        any problem raises a ConfigError."""
+        with decoding(ConfigError, "config"):
             nested = {"salience": SalienceParams, "beta": BetaSpec}
             cfg = EngineConfig(**{k: nested[k](**v) if k in nested else v for k, v in d.items()})
             for obj in (cfg, cfg.salience, cfg.beta):  # a number has its default's type, or is an int
@@ -66,5 +70,5 @@ class EngineConfig:
 
     @staticmethod
     def load(path: str | Path) -> "EngineConfig":
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh, decoding(ConfigError, f"config {path}"):
             return EngineConfig.from_dict(json.load(fh))

@@ -2,19 +2,19 @@
 
 Model-free stand-in for a dense embedding: tokens are hashed with a fixed
 64-bit hash (BLAKE2b), bucketed into 256 dimensions with a sign bit, and
-accumulated.  Identical text yields component-exact identical vectors on
-every platform, which is what makes journal replay reproducible.
+accumulated into a map of the non-zero integer terms.  Identical text yields
+identical terms and norms on every platform, which makes journal replay and
+every cosine (an exact integer dot product over the norms) reproducible.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Optional
-
-import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import MemoryState
@@ -37,32 +37,32 @@ def _token_hash(token: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class EmbeddingVector:
-    components: np.ndarray  # float64, length DIM, integer-valued
-    norm: float
+    terms: dict[int, int]  # bucket in range(DIM) -> non-zero value; never mutated
+    norm: float  # math.sqrt of the sum of squared terms
 
 
 @lru_cache(maxsize=8192)
-def _embed_tuple(text: str) -> tuple[int, ...]:
-    vec = [0] * DIM
+def _embed_tuple(text: str) -> EmbeddingVector:
+    terms: dict[int, int] = {}
     for token in tokenize(text):
         h = _token_hash(token)
-        bucket = h % DIM
-        sign = -1 if (h >> 63) & 1 else 1
-        vec[bucket] += sign
-    return tuple(vec)
+        terms[h % DIM] = terms.get(h % DIM, 0) + (-1 if (h >> 63) & 1 else 1)
+    terms = {bucket: value for bucket, value in terms.items() if value}
+    return EmbeddingVector(terms, math.sqrt(sum(v * v for v in terms.values())))
 
 
 def embed(text: str) -> EmbeddingVector:
-    arr = np.asarray(_embed_tuple(text), dtype=np.float64)
-    return EmbeddingVector(arr, float(np.linalg.norm(arr)))
+    return _embed_tuple(text)
 
 
 def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
-    if a.norm == 0.0 or b.norm == 0.0:
-        return 0.0
-    return float(np.dot(a.components, b.components)) / (a.norm * b.norm)
+    ta, tb = a.terms, b.terms
+    dot = 0
+    for bucket in ta.keys() & tb.keys():
+        dot += ta[bucket] * tb[bucket]
+    return dot / (a.norm * b.norm) if dot else 0.0  # a zero norm has no terms
 
 
 @dataclass(frozen=True)

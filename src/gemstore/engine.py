@@ -14,9 +14,15 @@ from typing import Optional
 from .config import EngineConfig
 from .embedding import RoutingError
 from .model import (
+    INT,
+    LIST,
+    OBJECT,
+    STR,
+    STR_OR_NULL,
     Aggregates,
     MemoryState,
     check_edges,
+    check_types,
     decoding,
     state_digest,
     state_from_dict,
@@ -115,7 +121,17 @@ class TransitionRecord:
 
     @staticmethod
     def from_dict(d: dict) -> "TransitionRecord":
+        """Decode a record frame, which must carry exactly its fields, each
+        with its type; any other frame raises KeyError, TypeError or
+        ValueError."""
+        check_types(TypeError, "record", d, _RECORD_TYPES)
+        if d["outcome"] not in ("committed", "aborted"):
+            raise ValueError(f"record outcome must be committed or aborted, got {d['outcome']!r}")
         return TransitionRecord(**d)
+
+
+_RECORD_TYPES = {"tick": INT, "operator": STR, "input": OBJECT, "deltas": LIST, "policy_log": LIST,
+                 "outcome": STR, "reason": STR_OR_NULL, "digest_after": STR}
 
 
 @dataclass

@@ -46,7 +46,8 @@ class Provenance:
 
     @staticmethod
     def from_dict(d: dict) -> "Provenance":
-        return Provenance(d["source_id"], d["event_id"], d.get("excerpt", ""))
+        check_types(TypeError, "provenance", d, _PROVENANCE_TYPES)
+        return Provenance(d["source_id"], d["event_id"], d["excerpt"])
 
 
 @dataclass(frozen=True)
@@ -68,6 +69,7 @@ class ValueEntry:
 
     @staticmethod
     def from_dict(d: dict) -> "ValueEntry":
+        check_types(TypeError, "entry", d, _ENTRY_TYPES)
         return ValueEntry(
             value=d["value"],
             at=d["at"],
@@ -119,9 +121,10 @@ class Field:
 
     @staticmethod
     def from_dict(d: dict) -> "Field":
+        check_types(TypeError, "field", d, _FIELD_TYPES)
         return Field(
             name=d["name"],
-            entity_tag=d.get("entity_tag"),
+            entity_tag=d["entity_tag"],
             history=[ValueEntry.from_dict(e) for e in d["history"]],
             salience=d["salience"],
             since=d["since"],
@@ -517,7 +520,7 @@ def decoding(error: type[ValueError], what: str):
 
 # the types `check_types` accepts for a value: exact, so that a bool is not an
 # int, while an int may stand for a float
-STR, INT, NUMBER, BOOL, OBJECT = (str,), (int,), (int, float), (bool,), (dict,)
+STR, INT, NUMBER, BOOL, OBJECT, LIST = (str,), (int,), (int, float), (bool,), (dict,), (list,)
 STR_OR_NULL, INT_OR_NULL = (str, type(None)), (int, type(None))
 
 
@@ -528,6 +531,14 @@ def check_types(error: type[Exception], what: str, values: dict, types: dict[str
         if type(values[name]) not in allowed:
             expected = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
             raise error(f"{what} {name} must be {expected}, got {values[name]!r}")
+
+
+# the nested payloads of topics and deltas; each decoder raises TypeError for
+# a missing key or a value of another type
+_PROVENANCE_TYPES = {"source_id": STR, "event_id": INT, "excerpt": STR}
+_ENTRY_TYPES = {"value": STR, "at": INT, "provenance": LIST, "superseded": BOOL, "compressed": BOOL}
+_FIELD_TYPES = {"name": STR, "entity_tag": STR_OR_NULL, "history": LIST, "salience": NUMBER, "since": INT,
+                "tier": STR, "last_access": INT}
 
 
 def state_to_dict(state: MemoryState) -> dict:

@@ -34,6 +34,10 @@ class OperatorError(ValueError):
     """Operator-level failure; the engine turns these into aborted records."""
 
 
+class RuleError(ValueError):
+    """A dependency rule file does not parse."""
+
+
 # ---------------------------------------------------------------------------
 # Inputs and outputs
 # ---------------------------------------------------------------------------
@@ -192,10 +196,10 @@ class RuleTable:
                 continue
             m = _RULE_RE.match(stripped)
             if m is None:
-                raise ValueError(f"bad dependency rule on line {lineno}: {stripped!r}")
+                raise RuleError(f"bad dependency rule on line {lineno}: {stripped!r}")
             rule = DependencyRule(*m.groups())
             if rule.transform not in TRANSFORMS:
-                raise ValueError(f"unknown transform on line {lineno}: {rule.transform!r}")
+                raise RuleError(f"unknown transform on line {lineno}: {rule.transform!r}")
             rules.append(rule)
         return RuleTable(rules)
 

@@ -16,7 +16,7 @@ Grammar (keywords are upper-case; '#' starts a line comment):
     action    := "flag_for_revision" "(" target ")"
                | "reject_transition" "(" string ")"
                | "attenuate" [ "(" target ")" ]
-               | "archive" [ "(" target ")" ]
+               | "archive" "(" target ")"
                | "noop"
     target    := a topic id, or a context variable other than updated_field;
                  salience(...) alone may also take updated_field
@@ -359,8 +359,8 @@ class _Parser:
             self.advance()
             self.expect_punct(")")
             return ActionSpec(kind, message=msg.value)
-        # flag_for_revision takes a target, attenuate and archive an optional one
-        if kind == "flag_for_revision" or self.peek().kind == "PUNCT" and self.peek().value == "(":
+        # attenuate takes an optional target, flag_for_revision and archive one
+        if kind != "attenuate" or self.peek().kind == "PUNCT" and self.peek().value == "(":
             return ActionSpec(kind, target=self.target_in_parens())
         return ActionSpec(kind)
 

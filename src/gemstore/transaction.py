@@ -25,6 +25,7 @@ from .model import (
     Topic,
     ValueEntry,
     check_types,
+    decoding,
 )
 
 
@@ -122,12 +123,11 @@ def apply_delta(state: MemoryState, delta: dict) -> None:
         _field(topic, delta["field"])
         del topic.fields[delta["field"]]
     elif kind == "field_installed":
-        topic = _topic(state, delta["topic"])
-        installed = Field.from_dict(delta["payload"])
-        topic.fields[installed.name] = installed
+        installed = _payload(Field.from_dict, delta["payload"])
+        _topic(state, delta["topic"]).fields[installed.name] = installed
     elif kind == "entry_appended":
-        f = _field(_topic(state, delta["topic"]), delta["field"])
-        f.history.append(ValueEntry.from_dict(delta["entry"]))
+        entry = _payload(ValueEntry.from_dict, delta["entry"])
+        _field(_topic(state, delta["topic"]), delta["field"]).history.append(entry)
     elif kind == "entry_flags":
         f = _field(_topic(state, delta["topic"]), delta["field"])
         idx = delta["index"]
@@ -142,11 +142,12 @@ def apply_delta(state: MemoryState, delta: dict) -> None:
             compressed=delta["compressed"],
         )
     elif kind == "history_compressed":
+        summary = _payload(ValueEntry.from_dict, delta["summary"])
         f = _field(_topic(state, delta["topic"]), delta["field"])
         count = delta["count"]
         if not 1 <= count <= len(f.history):
             raise DeltaError(f"compression run of {count} outside a history of {len(f.history)}")
-        f.history = [ValueEntry.from_dict(delta["summary"])] + f.history[count:]
+        f.history = [summary] + f.history[count:]
     elif kind == "salience_set":
         topic = _topic(state, delta["topic"])
         f = _field(topic, delta["field"])
@@ -182,6 +183,13 @@ def apply_delta(state: MemoryState, delta: dict) -> None:
         state.revision_queue = {(t, c) for t, c in state.revision_queue if t != delta["topic"]}
     if spec.text:
         state.topics[delta["topic"]].embedding = None
+
+
+def _payload(decode, payload: dict):
+    """A delta's nested entry or field, decoded; a malformed one raises
+    DeltaError."""
+    with decoding(DeltaError, "malformed payload"):
+        return decode(payload)
 
 
 def _topic(state: MemoryState, tid: str) -> Topic:

@@ -278,7 +278,9 @@ def test_policy_dsl_round_trip_and_diagnostics():
             return ActionSpec(kind, target="dependent_topic")
         if kind == "reject_transition":
             return ActionSpec(kind, message=rng.choice(["stop", "bound hit", "no"]))
-        return ActionSpec(kind, target=rng.choice([None, "updated_topic", "some-topic"]))
+        # archive needs a target; attenuate may go without one
+        targets = [None, "updated_topic", "some-topic"] if kind == "attenuate" else ["updated_topic", "some-topic"]
+        return ActionSpec(kind, target=rng.choice(targets))
 
     for i in range(1000):
         policy = Policy(

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from conftest import build_state, build_topic
+from gemstore import cli
 from gemstore.cli import main
 from gemstore.config import EngineConfig
 from gemstore.engine import Journal
@@ -249,3 +250,60 @@ def test_a_dangling_genesis_or_snapshot_edge_is_corrupt(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("edge endpoint missing: a -> ghost") == 2
     assert "Traceback" not in err
+
+
+def test_a_committed_record_whose_outcome_is_bogus_is_corrupt(tmp_path, capsys):
+    journal = tmp_path / "deadline.journal"
+    assert main(["replay", "--workload", DEADLINE, "--journal-out", str(journal)]) == 0
+    data = journal.read_bytes()
+    frames = _frames(data)
+    last = max(i for i, frame in enumerate(frames[1:], 1) if json.loads(frame)["outcome"] == "committed")
+    record = json.loads(frames[last])
+    record["outcome"] = "bogus"
+    frames[last] = json.dumps(record).encode()
+    journal.write_bytes(data[:4] + b"".join(struct.pack(">I", len(f)) + f for f in frames))
+    capsys.readouterr()
+    assert main(["audit", "--journal", str(journal)]) == 1
+    assert f"corrupt input: malformed record {last}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, text, key, message",
+    [
+        ("c.json", "{not json", None, "error: config "),
+        ("p.gem", "POLICY p ON field_updated WHEN EXISTS updated_topic DO archive", "policy_paths",
+         "(line 1, column 63)"),
+        ("r.rules", "t.A -> u.B : no-such-transform", "rule_path", "error: unknown transform on line 1"),
+    ],
+)
+def test_a_malformed_config_policy_or_rule_file_is_a_usage_error(tmp_path, capsys, name, text, key, message):
+    path = config = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    if key is not None:  # a config that names the file
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: [str(path)] if key == "policy_paths" else str(path)}), encoding="utf-8")
+    assert main(["replay", "--workload", DEADLINE, "--config", str(config)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_a_workload_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    workload = tmp_path / "bad.workload"
+    workload.write_bytes(b'{"op": "tick"}\n\xff\n')
+    assert main(["replay", "--workload", str(workload)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("capacity", ["-1", "x"])
+def test_a_compare_capacity_must_be_a_non_negative_integer(capsys, capacity):
+    assert main(["compare", "--workload", DEADLINE, "--capacity", capacity]) == 2
+    assert "capacity must be a non-negative integer" in capsys.readouterr().err
+
+
+def test_an_internal_value_error_is_not_reported_as_a_usage_error(monkeypatch, capsys):
+    def fault(engine, events):
+        raise ValueError("an internal fault")
+
+    monkeypatch.setattr(cli, "run_workload", fault)
+    with pytest.raises(ValueError, match="an internal fault"):
+        main(["replay", "--workload", DEADLINE])
+    assert "error:" not in capsys.readouterr().err

@@ -17,7 +17,7 @@ from gemstore.model import (
     state_to_dict,
 )
 from gemstore.operators import EvidenceItem, Fact, FactBundle, Query, RuleTable
-from gemstore.policy import default_policy_set, parse_policy
+from gemstore.policy import PolicyParseError, default_policy_set, parse_policy
 from gemstore.workload import run_workload
 from gemstore.workload_gen import generate_workload
 
@@ -285,6 +285,11 @@ def test_archive_resolves_its_target_from_the_context():
     assert e.state.topics["new"].archived and not e.state.topics["old"].archived
 
 
+def test_archive_without_a_target_is_refused_before_it_can_abort_every_ingest():
+    with pytest.raises(PolicyParseError, match=r"line 1, column 63"):
+        _policy_engine("POLICY p ON field_updated WHEN EXISTS updated_topic DO archive")
+
+
 @pytest.mark.parametrize("action, attenuated", [("attenuate(old)", {"old"}), ("attenuate", {"old", "dim"})])
 def test_attenuate_runs_the_ladder_on_its_target_or_the_store(action, attenuated):
     e = _policy_engine(f"POLICY p ON field_updated WHEN EXISTS updated_topic DO {action}", salience=0.3)
@@ -321,14 +326,15 @@ def test_a_structural_read_stops_where_the_graph_ends():
 
 class CoherenceCheckingEngine(Engine):
     """After every committed transition, each topic's embedding must equal
-    the embedding of its current content text, component for component."""
+    the embedding of its current content text, term for term."""
 
     def _apply_once(self, event):
         output, record = super()._apply_once(event)
         if record.committed:
             for topic in self.state.topics.values():
                 derived = embed(topic.content_text())
-                assert topic.vector().components.tolist() == derived.components.tolist(), (record.tick, topic.id)
+                vector = topic.vector()
+                assert (vector.terms, vector.norm) == (derived.terms, derived.norm), (record.tick, topic.id)
         return output, record
 
 

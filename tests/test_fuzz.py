@@ -1,6 +1,7 @@
-"""Decoder fuzz.  Valid inputs, the deltas generated from `DELTA_KINDS`, are
-mutated: a key dropped, a key added, a value's type swapped, an integer
-negated, or a byte of text changed.  Each mutant must either raise its
+"""Decoder fuzz.  Valid inputs (the deltas generated from `DELTA_KINDS` and
+their nested payloads, journal and snapshot frames, and the text inputs of
+`gem`) are mutated: a key dropped, a key added, a value's type swapped, an
+integer negated, or a byte of text changed.  Each mutant must either raise its
 decoder's typed error or decode, and `gem` must answer it with an exit code
 (2 for a usage error, 1 for corrupt input or a failed check), never with an
 exception.  The runs are derandomized, so every run tries the same cases."""
@@ -36,7 +37,7 @@ from gemstore.model import (
 )
 from gemstore.operators import RuleTable
 from gemstore.policy import DEFAULT_POLICY_TEXT, PolicyParseError, parse_policies, parse_policy, render_policy
-from gemstore.storage import read_journal, write_journal
+from gemstore.storage import read_journal, read_snapshot, snapshot_from_journal, write_journal
 from gemstore.transaction import DELTA_KINDS, DeltaError, apply_delta
 from gemstore.workload import ASSERT_CHECKS, WorkloadError, parse_workload, run_workload
 
@@ -170,7 +171,29 @@ def test_a_mutated_delta_raises_delta_error_or_applies(kind, op, data):
     canonical_json(state_to_dict(state))
 
 
-# -- journals, workloads, probes, configs, policies, rules -------------------
+# the deltas that carry an entry or a field, a nested payload of its own
+NESTED = {"entry_appended": "entry", "history_compressed": "summary", "field_installed": "payload"}
+
+
+@pytest.mark.parametrize("kind", sorted(NESTED))
+@settings(FUZZ, max_examples=40)
+@given(data=st.data())
+def test_a_mutated_nested_payload_raises_delta_error_or_applies(kind, data):
+    delta = data.draw(valid_deltas(kind))
+    delta[NESTED[kind]] = data.draw(json_mutants(delta[NESTED[kind]]))
+    state = DELTA_STATE.shallow_clone()
+    try:
+        apply_delta(state, delta)
+    except DeltaError:
+        return
+    # a payload that applies leaves a state that hashes, encodes and embeds
+    state_digest(state)
+    canonical_json(state_to_dict(state))
+    for topic in state.topics.values():
+        topic.vector()
+
+
+# -- journals, snapshots, workloads, probes, configs, policies, rules ---------
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +238,33 @@ def test_a_mutated_journal_is_corrupt_or_replays(journal_frames, scratch, data):
     assert code in ((0, 1) if replays else (1,))
 
 
+@pytest.mark.parametrize("op", ["drop", "add", "swap", "outcome"])
+@settings(FUZZ, max_examples=10)
+@given(data=st.data())
+def test_a_mutated_record_frame_is_refused_when_read(journal_frames, scratch, op, data):
+    _, frames = journal_frames
+    index = data.draw(st.integers(1, len(frames) - 1))
+    record = dict(frames[index])
+    key = data.draw(st.sampled_from(sorted(record)))
+    if op == "drop":
+        del record[key]
+    elif op == "add":
+        record[key + "_"] = record[key]
+    elif op == "swap":
+        record[key] = data.draw(st.sampled_from([v for v in SWAPS if type(v) is not type(record[key])]))
+    else:
+        record["outcome"] = data.draw(st.sampled_from(["bogus", "Committed", "", "aborted "]))
+    encoded = [json.dumps(f).encode() for f in frames[:index]] + [json.dumps(record).encode()]
+    path = scratch / "record.journal"
+    path.write_bytes(b"GEMJ" + b"".join(struct.pack(">I", len(f)) + f for f in encoded))
+    try:
+        read_journal(path)
+    except CorruptJournalError:
+        return
+    # only the reason may be either a string or null
+    assert op == "swap" and key == "reason" and type(record["reason"]) in (str, type(None)), record
+
+
 @FUZZ
 @given(data=st.data())
 def test_a_flipped_journal_byte_is_corrupt_or_replays(journal_frames, scratch, data):
@@ -224,6 +274,25 @@ def test_a_flipped_journal_byte_is_corrupt_or_replays(journal_frames, scratch, d
     path = scratch / "flipped.journal"
     path.write_bytes(bytes(raw))
     assert main(["audit", "--journal", str(path)]) in (0, 1)
+
+
+@pytest.fixture(scope="module")
+def snapshot_payload(journal_frames, tmp_path_factory):
+    """The frame of a snapshot of the deadline workload's final state, decoded."""
+    source, _ = journal_frames
+    path = tmp_path_factory.mktemp("snapshot") / "deadline.snap"
+    snapshot_from_journal(source, path)
+    return json.loads(path.read_bytes()[8:])
+
+
+@FUZZ
+@given(data=st.data())
+def test_a_mutated_snapshot_is_corrupt_or_restores(snapshot_payload, scratch, data):
+    frame = json.dumps(data.draw(json_mutants(snapshot_payload))).encode()
+    path = scratch / "mutant.snap"
+    path.write_bytes(b"GEMS" + struct.pack(">I", len(frame)) + frame)
+    restores = _decodes(lambda: read_snapshot(path), CorruptJournalError)
+    assert main(["restore", "--in", str(path)]) == (0 if restores else 1)
 
 
 WORKLOAD_LINES = [

@@ -103,6 +103,19 @@ def test_updated_field_is_refused_where_a_topic_is_meant(text):
         parse_policy("POLICY p ON field_updated " + text)
 
 
+@pytest.mark.parametrize(
+    "text, line, col",
+    [
+        ("POLICY p ON field_updated WHEN EXISTS updated_topic DO archive", 1, 63),
+        ("POLICY p\n  ON tick\n  WHEN stale_current_exists\n  DO archive\n  WITH evidence = {}", 5, 3),
+    ],
+)
+def test_archive_requires_a_target(text, line, col):
+    with pytest.raises(PolicyParseError, match="expected '\\('") as exc:
+        parse_policy(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
 def test_salience_still_takes_updated_field():
     p = parse_policy("POLICY p ON field_updated WHEN salience(updated_field) < 0.5 DO noop")
     assert p.condition == SalienceLt("updated_field", 0.5)
@@ -144,7 +157,7 @@ _actions = st.one_of(
     st.just(ActionSpec("flag_for_revision", target="dependent_topic")),
     st.sampled_from(["stop", "bound hit", "no"]).map(lambda m: ActionSpec("reject_transition", message=m)),
     st.one_of(st.none(), _target).map(lambda t: ActionSpec("attenuate", target=t)),
-    st.one_of(st.none(), _target).map(lambda t: ActionSpec("archive", target=t)),
+    _target.map(lambda t: ActionSpec("archive", target=t)),
 )
 _policies = st.builds(
     Policy,

@@ -38,6 +38,38 @@ def test_apply_delta_refuses_a_malformed_delta_and_changes_nothing(delta, match)
     assert state_digest(state) == before
 
 
+_BAD_ENTRY = {"value": 5, "at": "x", "provenance": [], "superseded": 0, "compressed": 0}
+_FIELD = Field("h").to_dict()
+
+
+@pytest.mark.parametrize(
+    "delta, match",
+    [
+        ({"kind": "entry_appended", "topic": "t", "field": "f", "entry": _BAD_ENTRY}, "entry value must be str"),
+        ({"kind": "entry_appended", "topic": "t", "field": "f", "entry": {**ENTRY, "provenance": "p"}},
+         "entry provenance must be list"),
+        ({"kind": "entry_appended", "topic": "t", "field": "f",
+          "entry": {**ENTRY, "provenance": [{"source_id": "s", "event_id": "1", "excerpt": ""}]}},
+         "provenance event_id must be int"),
+        ({"kind": "entry_appended", "topic": "t", "field": "f", "entry": {"value": "2"}}, "KeyError"),
+        ({"kind": "history_compressed", "topic": "t", "field": "f", "count": 1, "summary": {**ENTRY, "superseded": 0}},
+         "entry superseded must be bool"),
+        ({"kind": "field_installed", "topic": "t", "payload": {**_FIELD, "since": 1.5}}, "field since must be int"),
+        ({"kind": "field_installed", "topic": "t", "payload": {**_FIELD, "history": ""}}, "field history must be list"),
+        ({"kind": "field_installed", "topic": "t", "payload": {**_FIELD, "history": [_BAD_ENTRY]}},
+         "entry value must be str"),
+        ({"kind": "field_installed", "topic": "t", "payload": {**_FIELD, "tier": "Gone"}}, "is not a valid Tier"),
+    ],
+)
+def test_apply_delta_refuses_a_malformed_nested_payload_and_changes_nothing(delta, match):
+    state = build_state([build_topic("t", fields={"f": "1"})])
+    before = state_digest(state)
+    with pytest.raises(DeltaError, match=match):
+        apply_delta(state, delta)
+    assert state_digest(state) == before
+    assert state.topics["t"].vector().norm > 0  # the content text still joins
+
+
 # one call of a Txn recorder per delta kind, on topics t (field f) and u
 RECORDER_CALLS = {
     "topic_created": ("create_topic", "n", "n", "n"),
