@@ -16,7 +16,7 @@ from typing import Optional
 
 from .engine import CorruptJournalError, EngineEvent, Journal, replay_record
 from .model import MemoryState, active_footprint, canonical_json, decoding, stale_current_exists
-from .operators import FactBundle, OperatorError, Query, hide_order, retrieve_read
+from .operators import FactBundle, OperatorError, Query, retrieve_read
 from .policy import EventKind, evaluate_condition
 
 CONDITIONS = ("c1", "c2", "c3", "c4", "c5", "c6")
@@ -135,7 +135,8 @@ def audit(journal: Journal, probes: list[Query]) -> ViolationReport:
             for t, f in accessed_units
             if t in pre_state.topics and f in pre_state.topics[t].fields
         }
-        pre_order = hide_order(pre_state, lam) if accessed_units else []
+        accessed_set = set(accessed_units)
+        pre_ranks = _hide_ranks(pre_state, lam, accessed_set)
         pre_prov = None
         if record.operator in ("revise", "forget", "tick") and delta_kinds & _PROVENANCE_RISK_DELTAS:
             pre_prov = _reachable_provenance(pre_state)
@@ -206,8 +207,7 @@ def audit(journal: Journal, probes: list[Query]) -> ViolationReport:
 
         # --- C6: retrieval-induced adaptation ----------------------------
         if record.operator == "retrieve" and accessed_units:
-            post_order = hide_order(state, lam)
-            accessed_set = set(accessed_units)
+            post_ranks = _hide_ranks(state, lam, accessed_set)
             unbumped = []
             worsened = []
             for unit in accessed_units:
@@ -218,13 +218,8 @@ def audit(journal: Journal, probes: list[Query]) -> ViolationReport:
                 if post_field is None or pre_s is None or not state.salience(post_topic, post_field, lam) > pre_s:
                     unbumped.append(f"{t}.{f}")
                     continue
-                if unit in pre_order and unit in post_order:
-                    # rank among unaccessed units only; accessed units may
-                    # legitimately swap among themselves
-                    pre_rank = _rank_vs_unaccessed(pre_order, unit, accessed_set)
-                    post_rank = _rank_vs_unaccessed(post_order, unit, accessed_set)
-                    if post_rank < pre_rank:
-                        worsened.append(f"{t}.{f}")
+                if unit in pre_ranks and unit in post_ranks and post_ranks[unit] < pre_ranks[unit]:
+                    worsened.append(f"{t}.{f}")
             # one violation per retrieve, however many units it touched
             if unbumped:
                 report.add("c6", tick, "retrieve", "no strict salience increase for " + ", ".join(unbumped))
@@ -260,15 +255,20 @@ def audit(journal: Journal, probes: list[Query]) -> ViolationReport:
     return report
 
 
-def _rank_vs_unaccessed(order: list[tuple[str, str]], unit: tuple[str, str], accessed: set) -> int:
-    """Number of unaccessed units that would be hidden before `unit`."""
-    rank = 0
-    for other in order:
-        if other == unit:
-            break
-        if other not in accessed:
-            rank += 1
-    return rank
+def _hide_ranks(state: MemoryState, lam: float, accessed: set[tuple[str, str]]) -> dict[tuple[str, str], int]:
+    """Each accessed live unit's rank among the unaccessed ones: how many
+    unaccessed units have a smaller hide key (salience, last_access, field,
+    topic) and would be hidden before it.  Accessed units may legitimately
+    swap among themselves, so they are not counted."""
+    if not accessed:
+        return {}
+    keys = {}
+    for topic in state.topics.values():
+        if not topic.archived:
+            for name, f in topic.fields.items():
+                keys[(topic.id, name)] = (state.salience(topic, f, lam), f.last_access, name, topic.id)
+    others = [key for unit, key in keys.items() if unit not in accessed]
+    return {unit: sum(map(keys[unit].__gt__, others)) for unit in accessed if unit in keys}
 
 
 def _reachable_provenance(state: MemoryState) -> set[tuple[str, int, str]]:

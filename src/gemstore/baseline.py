@@ -2,9 +2,10 @@
 read-only retrieval.  Exists to reproduce the four failure modes of naive
 record stores in differential tests against the governed engine.
 
-The baseline takes the engine's events through the engine's `submit`
-interface and journals every put, eviction and read as a transition record,
-so the trajectory auditor can score it with the same machinery.
+The baseline is an `Engine` without policies whose operators are the record
+store, so every put, eviction and read commits and journals through the
+engine's one commit path, and the trajectory auditor scores it with the same
+machinery.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from typing import Optional
 
 from .config import EngineConfig
 from .embedding import cosine, embed
-from .engine import EngineEvent, Journal, TransitionRecord
-from .model import MemoryState, Provenance, ValueEntry, state_digest, state_to_dict
+from .engine import Engine, EngineEvent, TransitionRecord
+from .model import MemoryState, Provenance, ValueEntry
 from .operators import Answer, FactBundle, Query, RetrievalOutput
 from .transaction import Txn
 
@@ -23,7 +24,7 @@ def _record_id(topic_id: str) -> int:
     return int(topic_id[len("rec-"):])
 
 
-class BaselineJournalAdapter:
+class BaselineJournalAdapter(Engine):
     """A capacity-bounded record store kept as journalled state.  Each fact
     is stored again as a single-field topic named rec-<id>, whose title is
     the record text "field: value"; eviction removes the oldest topic
@@ -31,32 +32,26 @@ class BaselineJournalAdapter:
     meant to flag."""
 
     def __init__(self, config: EngineConfig, capacity: int = 5):
-        config.validate()  # a read needs k_topics >= 1
-        self.config = config
+        super().__init__(config=config, policies=[])
         self.capacity = capacity
         self.next_id = 0
-        self.state = MemoryState(policies=[])
-        self.journal = Journal(
-            config=config,
-            genesis=state_to_dict(self.state),
-            genesis_digest=state_digest(self.state),
-        )
 
     def submit(self, event: EngineEvent) -> tuple[Optional[RetrievalOutput], list[TransitionRecord]]:
-        """Same signature as `Engine.submit`.  A read is a pure cosine
-        ranking and a tick is a no-op; revise and forget have no baseline
-        counterpart and journal nothing."""
+        """Revise and forget have no baseline counterpart and journal nothing."""
         if event.kind not in ("ingest", "retrieve", "tick"):
             return None, []
-        txn = Txn(self.state)
-        if event.kind == "ingest":
-            self._put(txn, event.bundle)
-        output = self._read(event.query) if event.kind == "retrieve" else None
-        return output, [self._commit(event, txn)]
+        return super().submit(event)
 
-    def _put(self, txn: Txn, bundle: FactBundle) -> None:
+    def _dispatch(self, txn: Txn, event: EngineEvent, next_tick: int):
+        """A put, a pure cosine read, or a tick that changes nothing."""
+        if event.kind == "ingest":
+            self._put(txn, event.bundle, next_tick)
+        elif event.kind == "retrieve":
+            return self._read(txn.state, event.query), []
+        return None, []
+
+    def _put(self, txn: Txn, bundle: FactBundle, next_tick: int) -> None:
         """One record per fact, duplicates included; evict oldest beyond capacity."""
-        next_tick = self.state.clock + 1
         for fact in bundle.facts:
             topic_id = f"rec-{self.next_id:04d}"
             self.next_id += 1
@@ -67,11 +62,11 @@ class BaselineJournalAdapter:
             while len(txn.state.topics) > self.capacity:
                 txn.remove_topic(min(txn.state.topics, key=_record_id))
 
-    def _read(self, q: Query) -> RetrievalOutput:
-        """Top-k records by cosine to their text; changes nothing."""
+    def _read(self, state: MemoryState, q: Query) -> RetrievalOutput:
+        """Top-k records by cosine to their title; changes nothing."""
         query_vec = embed(q.text)
         ranked = sorted(
-            self.state.topics.values(),
+            state.topics.values(),
             key=lambda t: (-cosine(query_vec, embed(t.title)), _record_id(t.id)),
         )[: self.config.k_topics]
         out = RetrievalOutput()
@@ -80,19 +75,3 @@ class BaselineJournalAdapter:
             (entry,) = f.history
             out.answers.append(Answer(topic.id, f.name, entry.value, entry.at, entry.provenance))
         return out
-
-    def _commit(self, event: EngineEvent, txn: Txn) -> TransitionRecord:
-        next_tick = self.state.clock + 1
-        txn.state.clock = next_tick
-        record = TransitionRecord(
-            tick=next_tick,
-            operator=event.kind,
-            input=event.to_dict(),
-            deltas=txn.deltas,
-            policy_log=[],
-            outcome="committed",
-            digest_after=state_digest(txn.state),
-        )
-        self.state = txn.state
-        self.journal.records.append(record)
-        return record

@@ -14,7 +14,7 @@ from pathlib import Path
 from .audit import audit, render_report
 from .baseline import BaselineJournalAdapter
 from .config import ConfigError, EngineConfig
-from .engine import CorruptJournalError, Engine, Journal
+from .engine import CorruptJournalError, Engine
 from .model import decoding, state_digest
 from .operators import Query, RuleError, RuleTable
 from .policy import PolicyParseError, parse_policies
@@ -100,19 +100,12 @@ def cmd_snapshot(args) -> int:
 
 
 def cmd_restore(args) -> int:
-    from .model import state_to_dict
-
     state, config = read_snapshot(getattr(args, "in"))
     print(f"digest: {state_digest(state)}")
     print(f"tick: {state.clock}")
     print(f"topics: {len(state.topics)}")
     if args.journal_out:
-        journal = Journal(
-            config=config,
-            genesis=state_to_dict(state),
-            genesis_digest=state_digest(state),
-        )
-        write_journal(args.journal_out, journal)
+        write_journal(args.journal_out, Engine(config=config, genesis=state).journal)
         print(f"journal written: {args.journal_out}")
     return 0
 

@@ -10,6 +10,7 @@ every cosine (an exact integer dot product over the norms) reproducible.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import math
 import re
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .model import MemoryState
+    from .model import MemoryState, Topic
 
 DIM = 256
 
@@ -65,6 +66,16 @@ def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
     return dot / (a.norm * b.norm) if dot else 0.0  # a zero norm has no terms
 
 
+def rank_topics(state: "MemoryState", text: str, k: int) -> list[tuple[float, str, "Topic"]]:
+    """The `k` live topics nearest to `text`, as (-cosine, topic id, topic)
+    in ranking order: by cosine, ties to the smaller topic id.  Topic ids are
+    unique, so the tuples never compare topics."""
+    query = embed(text)
+    return heapq.nsmallest(
+        k, [(-cosine(query, t.vector()), t.id, t) for t in state.topics.values() if not t.archived]
+    )
+
+
 @dataclass(frozen=True)
 class HostChoice:
     topic_id: Optional[str]  # None means create a new topic
@@ -77,8 +88,8 @@ def select_host(state: "MemoryState", text: str, topic_hint: Optional[str], tau_
     A live topic_hint wins outright.  A hint naming an archived topic follows
     its merge marker if one exists, otherwise it is a routing error.  A hint
     naming no topic at all requests creation under that id.  Without a hint
-    the best cosine match wins if it clears tau_topic; ties break to the
-    lexicographically smallest topic id.
+    the first topic of `rank_topics` wins if its cosine is positive and
+    clears tau_topic.
     """
     if topic_hint is not None:
         topic = state.topics.get(topic_hint)
@@ -92,16 +103,8 @@ def select_host(state: "MemoryState", text: str, topic_hint: Optional[str], tau_
             raise RoutingError(f"topic_hint names archived topic: {topic_hint}")
         return HostChoice(topic.id, 1.0)
 
-    query = embed(text)
-    best_id: Optional[str] = None
-    best_score = 0.0
-    for tid in sorted(state.topics):
-        topic = state.topics[tid]
-        if topic.archived:
-            continue
-        score = cosine(query, topic.vector())
-        if score > best_score:
-            best_id, best_score = tid, score
-    if best_id is not None and best_score >= tau_topic:
-        return HostChoice(best_id, best_score)
-    return HostChoice(None, best_score)
+    ranked = rank_topics(state, text, 1)
+    score = -ranked[0][0] if ranked else 0.0
+    if score > 0.0 and score >= tau_topic:
+        return HostChoice(ranked[0][1], score)
+    return HostChoice(None, max(score, 0.0))

@@ -92,13 +92,21 @@ class EngineEvent:
 
     @staticmethod
     def from_dict(d: dict) -> "EngineEvent":
-        return EngineEvent(
+        event = EngineEvent(
             kind=d["kind"],
             bundle=FactBundle.from_dict(d["bundle"]) if d.get("bundle") else None,
             query=Query.from_dict(d["query"]) if d.get("query") else None,
             evidence=tuple(EvidenceItem.from_dict(e) for e in d["evidence"]) if d.get("evidence") is not None else None,
             target=d.get("target"),
         )
+        check_types(TypeError, "event", vars(event), _EVENT_TYPES)
+        if event.kind not in _EVENT_KINDS:
+            raise ValueError(f"event kind must be one of {', '.join(_EVENT_KINDS)}, got {event.kind!r}")
+        return event
+
+
+_EVENT_KINDS = ("ingest", "retrieve", "revise", "forget", "tick")
+_EVENT_TYPES = {"kind": STR, "target": STR_OR_NULL}
 
 
 @dataclass
@@ -127,6 +135,9 @@ class TransitionRecord:
         check_types(TypeError, "record", d, _RECORD_TYPES)
         if d["outcome"] not in ("committed", "aborted"):
             raise ValueError(f"record outcome must be committed or aborted, got {d['outcome']!r}")
+        kind = d["input"].get("kind")
+        if kind != d["operator"]:
+            raise ValueError(f"record operator {d['operator']!r} differs from its input kind {kind!r}")
         return TransitionRecord(**d)
 
 
@@ -247,12 +258,9 @@ class Engine:
         next_tick = self.state.clock + 1
         txn = Txn(self.state)
         policy_log: list[dict] = []
-        output: Optional[RetrievalOutput] = None
 
         try:
-            sub_events = self._dispatch(txn, event, next_tick)
-            if event.kind == "retrieve":
-                output, sub_events = sub_events
+            output, sub_events = self._dispatch(txn, event, next_tick)
             pre_commit = (EventKind.PRE_COMMIT.value, {"beta": self.config.beta.bound(next_tick)})
             for event_name, ctx in [*sub_events, pre_commit]:
                 reject = self._run_policies(txn, event_name, ctx, policy_log, next_tick)
@@ -294,23 +302,27 @@ class Engine:
         self.journal.records.append(record)
         return record
 
-    def _dispatch(self, txn: Txn, event: EngineEvent, next_tick: int):
+    def _dispatch(
+        self, txn: Txn, event: EngineEvent, next_tick: int
+    ) -> tuple[Optional[RetrievalOutput], list[tuple[str, dict]]]:
+        """Run the event's operator on `txn`; returns the read's output and
+        the sub-events for policy evaluation."""
         if event.kind == "ingest":
-            return ingest(txn, event.bundle, self.config, next_tick)
+            return None, ingest(txn, event.bundle, self.config, next_tick)
         if event.kind == "retrieve":
             return retrieve(txn, event.query, self.config, next_tick)
         if event.kind == "revise":
             evidence = list(event.evidence) if event.evidence is not None else detect_evidence(txn.state, self.config)
-            return revise(txn, evidence, self.config, self.rules, next_tick)
+            return None, revise(txn, evidence, self.config, self.rules, next_tick)
         if event.kind == "forget":
             forget(txn, self.config, next_tick)
-            return []
+            return None, []
         if event.kind == "tick":
             # a tick is one decay epoch plus the attenuation ladder, in one
             # transition that writes only the tiers and archives it changes
             txn.advance_epoch()
             forget(txn, self.config, next_tick)
-            return [("tick", {})]
+            return None, [("tick", {})]
         raise OperatorError(f"unknown event kind: {event.kind}")
 
     def _run_policies(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field, replace
 from enum import Enum
@@ -193,14 +194,19 @@ class Topic:
 
     @staticmethod
     def from_dict(d: dict) -> "Topic":
+        check_types(TypeError, "topic", d, _TOPIC_TYPES)
+        fields = {name: Field.from_dict(f) for name, f in d["fields"].items()}
+        for name, f in fields.items():
+            if f.name != name:
+                raise ValueError(f"field {f.name!r} keyed under {name!r} in topic {d['id']!r}")
         return Topic(
             id=d["id"],
             title=d["title"],
             summary=d["summary"],
-            fields={name: Field.from_dict(f) for name, f in d["fields"].items()},
+            fields=fields,
             archived=d["archived"],
             archived_at=d["archived_at"],
-            merged_into=d.get("merged_into"),
+            merged_into=d["merged_into"],
         )
 
     def canonical_bytes(self) -> bytes:
@@ -239,6 +245,7 @@ class Edge:
 
     @staticmethod
     def from_dict(d: dict) -> "Edge":
+        check_types(TypeError, "edge", d, _EDGE_TYPES)
         return Edge(d["src"], d["dst"], EdgeKind(d["kind"]), d["created_at"])
 
 
@@ -324,7 +331,9 @@ class Aggregates:
       footprint;
     - the topics whose current value is stale;
     - the digest's edge section and the Extension and Association
-      adjacency.
+      adjacency;
+    - the digest's policy section, with the policy list it was rendered
+      from.
 
     `apply_delta` marks the topics a delta may change, or drops the edge
     part.  The marked topics are settled only when a part is read, so a
@@ -346,6 +355,8 @@ class Aggregates:
         self._edge_section: Optional[bytes] = None
         self._successors: dict[str, list[str]] = {}
         self._neighbors: dict[str, list[str]] = {}
+        self._policies: list["Policy"] = []
+        self._policy_section: Optional[bytes] = None
 
     def fork(self) -> "Aggregates":
         child = copy.copy(self)
@@ -392,6 +403,22 @@ class Aggregates:
         byte order."""
         self._settle_edges(state)
         return self._edge_section
+
+    def policy_section(self, state: MemoryState) -> bytes:
+        """The digest's policy section: a JSON list of the rendered policies,
+        rendered again only when the state's policies are not the very ones
+        it was rendered from."""
+        policies = state.policies
+        if (
+            self._policy_section is None
+            or len(policies) != len(self._policies)
+            or not all(map(operator.is_, policies, self._policies))
+        ):
+            from .policy import render_policy
+
+            self._policies = list(policies)
+            self._policy_section = canonical_json([render_policy(p) for p in policies]).encode()
+        return self._policy_section
 
     def _settle_topics(self, state: MemoryState) -> None:
         if not self._marked:
@@ -521,7 +548,7 @@ def decoding(error: type[ValueError], what: str):
 # the types `check_types` accepts for a value: exact, so that a bool is not an
 # int, while an int may stand for a float
 STR, INT, NUMBER, BOOL, OBJECT, LIST = (str,), (int,), (int, float), (bool,), (dict,), (list,)
-STR_OR_NULL, INT_OR_NULL = (str, type(None)), (int, type(None))
+STR_OR_NULL, INT_OR_NULL, NUMBER_OR_NULL = (str, type(None)), (int, type(None)), (int, float, type(None))
 
 
 def check_types(error: type[Exception], what: str, values: dict, types: dict[str, tuple[type, ...]]) -> None:
@@ -539,6 +566,11 @@ _PROVENANCE_TYPES = {"source_id": STR, "event_id": INT, "excerpt": STR}
 _ENTRY_TYPES = {"value": STR, "at": INT, "provenance": LIST, "superseded": BOOL, "compressed": BOOL}
 _FIELD_TYPES = {"name": STR, "entity_tag": STR_OR_NULL, "history": LIST, "salience": NUMBER, "since": INT,
                 "tier": STR, "last_access": INT}
+_TOPIC_TYPES = {"id": STR, "title": STR, "summary": STR, "fields": OBJECT, "archived": BOOL,
+                "archived_at": INT_OR_NULL, "merged_into": STR_OR_NULL}
+_EDGE_TYPES = {"src": STR, "dst": STR, "kind": STR, "created_at": INT}
+_STATE_TYPES = {"topics": OBJECT, "edges": LIST, "policies": LIST, "clock": INT, "epoch": INT,
+                "revision_queue": LIST}
 
 
 def state_to_dict(state: MemoryState) -> dict:
@@ -555,20 +587,30 @@ def state_to_dict(state: MemoryState) -> dict:
 
 
 def state_from_dict(d: dict) -> MemoryState:
+    """Decode a genesis or snapshot state, each of whose parts must carry its
+    keys with their types, each topic and field keyed under its own name;
+    anything else raises KeyError, TypeError or ValueError."""
     from .policy import parse_policy
 
+    check_types(TypeError, "state", d, _STATE_TYPES)
     edges = {}
     for ed in d["edges"]:
         e = Edge.from_dict(ed)
         edges[e.key()] = e
+    topics = {tid: Topic.from_dict(td) for tid, td in d["topics"].items()}
+    for tid, topic in topics.items():
+        if topic.id != tid:
+            raise ValueError(f"topic {topic.id!r} keyed under {tid!r}")
     state = MemoryState(
-        topics={tid: Topic.from_dict(td) for tid, td in d["topics"].items()},
+        topics=topics,
         edges=edges,
         policies=[parse_policy(text) for text in d["policies"]],
         clock=d["clock"],
         epoch=d["epoch"],
         revision_queue={(a, b) for a, b in d["revision_queue"]},
     )
+    if any(type(a) is not str or type(b) is not str for a, b in state.revision_queue):
+        raise TypeError("state revision_queue must hold pairs of strings")
     check_edges(state)
     return state
 
@@ -582,16 +624,14 @@ def state_digest(state: MemoryState) -> str:
     queue are JSON values,
     the edges a JSON list of their memoised encodings in byte order, and the
     topic hashes, in topic id order, are fixed-width and preceded by their
-    count.  The topic hashes, their order and the edge section are read from
-    the state's aggregates.
+    count.  The topic hashes, their order and the policy and edge sections
+    are read from the state's aggregates.
     """
-    from .policy import render_policy
-
     derived = state.derived()
     hashes = derived.content_hashes(state)
     h = hashlib.sha256()
     h.update(canonical_json([state.clock, state.epoch]).encode())
-    h.update(canonical_json([render_policy(p) for p in state.policies]).encode())
+    h.update(derived.policy_section(state))
     h.update(derived.edge_section(state))
     h.update(canonical_json(sorted(list(pair) for pair in state.revision_queue)).encode())
     h.update(b"%d:" % len(hashes))

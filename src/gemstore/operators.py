@@ -13,10 +13,11 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from .config import EngineConfig
-from .embedding import cosine, embed, select_host, tokenize
+from .embedding import cosine, rank_topics, select_host, tokenize
 from .model import (
     INT,
     INT_OR_NULL,
+    NUMBER_OR_NULL,
     STR,
     STR_OR_NULL,
     EdgeKind,
@@ -148,7 +149,11 @@ class EvidenceItem:
 
     @staticmethod
     def from_dict(d: dict) -> "EvidenceItem":
-        return EvidenceItem(d["kind"], d["topic"], d.get("other"), d.get("field"), d.get("similarity"))
+        check_types(TypeError, "evidence", d, _EVIDENCE_TYPES)
+        return EvidenceItem(d["kind"], d["topic"], d["other"], d["field"], d["similarity"])
+
+
+_EVIDENCE_TYPES = {"kind": STR, "topic": STR, "other": STR_OR_NULL, "field": STR_OR_NULL, "similarity": NUMBER_OR_NULL}
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +325,7 @@ def retrieve_read(state: MemoryState, q: Query, cfg: EngineConfig) -> RetrievalO
     if q.mode == "historical" and q.as_of is not None and q.as_of > state.clock:
         raise OperatorError("historical as_of is in the future")
 
-    query_vec = embed(q.text)
-    ranked = sorted(
-        (t for t in state.topics.values() if not t.archived),
-        key=lambda t: (-cosine(query_vec, t.vector()), t.id),
-    )[: cfg.k_topics]
+    ranked = [topic for _, _, topic in rank_topics(state, q.text, cfg.k_topics)]
     q_tokens = set(tokenize(q.text))
 
     answered_topics = []

@@ -20,6 +20,7 @@ from gemstore.model import (
     state_to_dict,
 )
 from gemstore.operators import EvidenceItem, Fact, FactBundle, Query, RuleTable
+from gemstore import policy
 from gemstore.policy import default_policy_set, parse_policy
 from gemstore.transaction import Txn
 from gemstore.workload import run_workload
@@ -150,6 +151,22 @@ def test_a_baseline_commit_hashes_only_the_topic_it_touched(monkeypatch):
     assert kinds == ["topic_created", "field_created", "entry_appended", "topic_removed"]
     assert hashed == ["rec-0005"] and cloned == []
     assert_aggregates_exact(adapter.state)
+
+
+def test_a_commit_after_the_genesis_renders_no_policy(monkeypatch):
+    engine = Engine()
+    rendered = []
+    real_render = policy.render_policy
+    monkeypatch.setattr(policy, "render_policy", lambda p: rendered.append(p.name) or real_render(p))
+    engine.submit(_ingest("t", "t gets A", A="1"))
+    engine.submit(EngineEvent.retrieve(Query(text="t A")))
+    assert [r.committed for r in engine.journal.records] == [True, True]
+    assert rendered == []
+    # a state whose policies are other objects renders its own section
+    state = engine.state
+    state.policies = default_policy_set()[:1]
+    state_digest(state)
+    assert rendered == [state.policies[0].name]
 
 
 def test_rejected_commit_leaves_the_parent_aggregates(checked_transitions):

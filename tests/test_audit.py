@@ -4,6 +4,7 @@ from conftest import build_state, build_topic
 from gemstore.audit import audit, render_report, report_to_dict
 from gemstore.baseline import BaselineJournalAdapter
 from gemstore.config import EngineConfig
+from gemstore import engine as engine_module
 from gemstore.engine import CorruptJournalError, Engine, EngineEvent, replay
 from gemstore.operators import Fact, FactBundle, Query, RuleTable
 from gemstore.policy import parse_policies
@@ -126,3 +127,31 @@ def test_violation_counts_monotone_in_journal_prefix():
         report = audit(prefix, [])
         totals.append(sum(len(getattr(report, c)) for c in ("c1", "c2", "c3", "c4", "c6")))
     assert totals == sorted(totals)
+
+
+def test_c6_catches_an_unaccessed_unit_bumped_past_an_accessed_one(monkeypatch):
+    real_retrieve = engine_module.retrieve
+
+    def retrieve_and_bump(txn, q, cfg, next_tick):
+        out, events = real_retrieve(txn, q, cfg, next_tick)
+        txn.set_salience("notes", "Beta", 10.0)  # from below Alpha to above it
+        return out, events
+
+    monkeypatch.setattr(engine_module, "retrieve", retrieve_and_bump)
+    e = Engine()
+    e.submit(EngineEvent.ingest(bundle("beta notes", hint="notes", Beta="b")))
+    e.submit(EngineEvent.ingest(bundle("alpha facts", hint="facts", Alpha="a")))
+    _, records = e.submit(EngineEvent.retrieve(Query(text="alpha")))
+    assert records[-1].committed
+    detail = "hide-ordering rank worsened for facts.Alpha"
+    assert render_report(audit(e.journal, [])).splitlines() == [
+        "FAIL C1-C6: 1 violations",
+        "C1: 0",
+        "C2: 0",
+        "C3: 0",
+        "C4: 0",
+        "C5: 0",
+        "C6: 1",
+        f"  tick 3 retrieve: {detail}",
+        '{"c1":[],"c2":[],"c3":[],"c4":[],"c5":[],"c6":[{"detail":"' + detail + '","subject":"retrieve","tick":3}]}',
+    ]

@@ -8,8 +8,9 @@ from conftest import build_state, build_topic
 from gemstore import cli
 from gemstore.cli import main
 from gemstore.config import EngineConfig
-from gemstore.engine import Journal
-from gemstore.model import state_digest, state_to_dict
+from gemstore.engine import Engine, EngineEvent, Journal
+from gemstore.model import Edge, EdgeKind, state_digest, state_to_dict
+from gemstore.operators import Fact, FactBundle, Query
 from gemstore.storage import write_journal, write_snapshot
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "workloads"
@@ -168,18 +169,112 @@ JOURNAL_MUTANTS = {
 }
 
 
-@pytest.mark.parametrize("mutant", sorted(JOURNAL_MUTANTS))
-def test_audit_reports_a_malformed_journal_as_corrupt(tmp_path, capsys, mutant):
-    journal = tmp_path / "deadline.journal"
-    assert main(["replay", "--workload", DEADLINE, "--journal-out", str(journal)]) == 0
+def _assert_mutant_is_corrupt(journal, mutate, capsys):
     data = journal.read_bytes()
-    frames = JOURNAL_MUTANTS[mutant](_frames(data))
+    frames = mutate(_frames(data))
     journal.write_bytes(data[:4] + b"".join(struct.pack(">I", len(f)) + f for f in frames))
     capsys.readouterr()
     assert main(["audit", "--journal", str(journal)]) == 1
     err = capsys.readouterr().err
     assert "corrupt input:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mutant", sorted(JOURNAL_MUTANTS))
+def test_audit_reports_a_malformed_journal_as_corrupt(tmp_path, capsys, mutant):
+    journal = tmp_path / "deadline.journal"
+    assert main(["replay", "--workload", DEADLINE, "--journal-out", str(journal)]) == 0
+    _assert_mutant_is_corrupt(journal, JOURNAL_MUTANTS[mutant], capsys)
+
+
+def _edit_first_revise(frames: list[bytes], edit) -> list[bytes]:
+    """Apply `edit` to the first committed revise record."""
+    for i, frame in enumerate(frames[1:], 1):
+        record = json.loads(frame)
+        if record["operator"] == "revise" and record["outcome"] == "committed":
+            edit(record)
+            frames[i] = json.dumps(record).encode()
+            return frames
+    raise AssertionError("no committed revise in the journal")
+
+
+# mutants of a journal in which a retrieve first drains a dependency revise
+EXTENSION_MUTANTS = {
+    "evidence-topic-not-a-string": lambda frames: _edit_first_revise(
+        frames, lambda r: r["input"]["evidence"][0].update(topic=[])),
+    "input-kind-differs-from-operator": lambda frames: _edit_first_revise(
+        frames, lambda r: r["input"].update(kind="ingest")),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(EXTENSION_MUTANTS))
+def test_audit_reports_a_malformed_revise_as_corrupt(tmp_path, capsys, mutant):
+    genesis = build_state(
+        [build_topic("plan", fields={"Deadline": "March 15"}), build_topic("checklist", fields={"Status": "ok"})],
+        edges=[("plan", "checklist", "Extension")],
+    )
+    engine = Engine(genesis=genesis)
+    engine.submit(EngineEvent.ingest(FactBundle((Fact("Deadline", "April 20"),), "moved", topic_hint="plan")))
+    engine.submit(EngineEvent.retrieve(Query(text="checklist status")))
+    assert [(r.operator, r.committed) for r in engine.journal.records] == [
+        ("ingest", True), ("revise", True), ("retrieve", True)
+    ]
+    journal = tmp_path / "extension.journal"
+    write_journal(journal, engine.journal)
+    assert main(["audit", "--journal", str(journal)]) == 0
+    _assert_mutant_is_corrupt(journal, EXTENSION_MUTANTS[mutant], capsys)
+
+
+def _set_title(state):
+    state.topics["a"].title = 5
+
+
+def _set_archived(state):
+    state.topics["a"].archived = "yes"
+
+
+def _set_edge_created_at(state):
+    state.edges = {("a", "b", "Extension"): Edge("a", "b", EdgeKind.EXTENSION, "x")}
+
+
+def _rekey_topic(state):
+    state.topics["z"] = state.topics.pop("c")
+
+
+def _rekey_field(state):
+    state.topics["a"].fields["Other"] = state.topics["a"].fields.pop("Note")
+
+
+GENESIS_MUTANTS = [_set_title, _set_archived, _set_edge_created_at, _rekey_topic, _rekey_field]
+
+
+@pytest.mark.parametrize("mutate", GENESIS_MUTANTS, ids=lambda f: f.__name__.lstrip("_"))
+def test_a_malformed_genesis_or_snapshot_topic_or_edge_is_corrupt(tmp_path, capsys, mutate):
+    state = build_state(
+        [build_topic("a", fields={"Note": "x"}), build_topic("b"), build_topic("c")],
+        edges=[("a", "b", "Extension")],
+    )
+    mutate(state)
+    journal, snap = tmp_path / "genesis.journal", tmp_path / "genesis.snap"
+    write_journal(journal, Journal(EngineConfig(), state_to_dict(state), state_digest(state)))
+    write_snapshot(snap, state, EngineConfig())
+    capsys.readouterr()
+    assert main(["audit", "--journal", str(journal)]) == 1
+    assert main(["restore", "--in", str(snap)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(": ", 2)[:2] for line in err] == [
+        ["corrupt input", "malformed genesis"], ["corrupt input", "malformed snapshot"]
+    ]
+
+
+def test_a_genesis_topic_without_merged_into_is_corrupt(tmp_path, capsys):
+    state = build_state([build_topic("a")])
+    genesis = state_to_dict(state)
+    del genesis["topics"]["a"]["merged_into"]
+    journal = tmp_path / "genesis.journal"
+    write_journal(journal, Journal(EngineConfig(), genesis, state_digest(state)))
+    assert main(["audit", "--journal", str(journal)]) == 1
+    assert "corrupt input: malformed genesis: KeyError('merged_into')" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -206,9 +206,12 @@ def test_rankings_and_host_choices_equal_the_dense_oracle():
         state, texts = _random_store(rng)
         query = "note " + _random_text(rng)
         ranking, scores = _oracle_ranking(state, texts, query)
-        cfg = EngineConfig(k_topics=max(1, len(ranking)))
-        answers = retrieve_read(state, Query(text=query), cfg).answers
-        assert [a.topic for a in answers] == ranking
+        # k below the live topics takes the heap path of the ranking
+        for k in (1, 2, 3, max(1, len(ranking))):
+            answers = retrieve_read(state, Query(text=query), EngineConfig(k_topics=k)).answers
+            assert [a.topic for a in answers] == ranking[:k]
+            if k < len(ranking):
+                seen.add("tie at the cut" if scores[ranking[k - 1]] == scores[ranking[k]] else "k < live")
         # the router takes the first topic of the ranking if its score is
         # positive and clears tau
         best = ranking[0] if ranking and scores[ranking[0]] > 0.0 else None
@@ -220,7 +223,7 @@ def test_rankings_and_host_choices_equal_the_dense_oracle():
         seen |= {"negative" for s in values if s < 0} | {"tie" for s in values if s > 0 and values.count(s) > 1}
         seen |= {"archived" for t in state.topics.values() if t.archived}
         seen |= {"zero norm" for tid in scores if not embed(texts[tid]).terms}
-    assert seen == {"negative", "tie", "archived", "zero norm"}
+    assert seen == {"negative", "tie", "archived", "zero norm", "k < live", "tie at the cut"}
 
 
 # -- the runtime imports only the standard library ----------------------------

@@ -427,3 +427,29 @@ def test_drain_repairs_a_topic_after_every_pending_topic_that_reaches_it():
     assert e.state.revision_queue == set()
     assert "z.z-status changed" in current_value(e.state, "b", "b-status").value
     assert audit(e.journal, []).passed
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        ({"kind": "bogus"}, ValueError),
+        ({"kind": 5}, TypeError),
+        ({"target": 5}, TypeError),
+        ({"target": ["plan"]}, TypeError),
+    ],
+)
+def test_an_event_of_no_known_kind_or_with_a_bad_target_does_not_decode(edit, error):
+    event = EngineEvent.revise(evidence=[EvidenceItem("dependency_flag", "plan", other="src.A")], target="plan")
+    assert EngineEvent.from_dict(event.to_dict()) == event
+    with pytest.raises(error):
+        EngineEvent.from_dict({**event.to_dict(), **edit})
+
+
+@pytest.mark.parametrize(
+    "edit", [{"topic": []}, {"kind": None}, {"other": 5}, {"field": ["A"]}, {"similarity": "0.9"}, {"similarity": True}]
+)
+def test_an_evidence_item_of_another_type_does_not_decode(edit):
+    item = EvidenceItem("duplicate_topics", "a", other="b", similarity=0.9)
+    assert EvidenceItem.from_dict(item.to_dict()) == item
+    with pytest.raises(TypeError):
+        EvidenceItem.from_dict({**item.to_dict(), **edit})
