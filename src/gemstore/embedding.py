@@ -68,12 +68,37 @@ def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
 
 def rank_topics(state: "MemoryState", text: str, k: int) -> list[tuple[float, str, "Topic"]]:
     """The `k` live topics nearest to `text`, as (-cosine, topic id, topic)
-    in ranking order: by cosine, ties to the smaller topic id.  Topic ids are
-    unique, so the tuples never compare topics."""
+    in ranking order: by cosine, ties to the smaller topic id.
+
+    Term-at-a-time (Turtle & Flood, 1995): the integer dot products are
+    summed over the posting lists of the query's buckets only, and each is
+    scored as `cosine` scores it.  A topic that shares no bucket with the
+    query scores 0, so the order is the positive scores, then the score-0
+    topics by id, taken only as far as `k` needs, then the negative scores.
+    """
     query = embed(text)
-    return heapq.nsmallest(
-        k, [(-cosine(query, t.vector()), t.id, t) for t in state.topics.values() if not t.archived]
-    )
+    postings, vectors = state.derived().ranking(state)
+    dots: dict[str, int] = {}
+    # seeding the sums with the longest list, in one comprehension, leaves the
+    # per-entry loop the shorter lists
+    for bucket, value in sorted(query.terms.items(), key=lambda bv: -len(postings.get(bv[0], ()))):
+        plist = postings.get(bucket, {})
+        if not dots:
+            dots = {tid: value * term for tid, term in plist.items()}
+            continue
+        for tid, term in plist.items():
+            dots[tid] = dots.get(tid, 0) + value * term
+    qnorm = query.norm
+
+    def scored(sign: int) -> list[tuple[float, str]]:
+        return [(-(dot / (qnorm * vectors[tid].norm)), tid) for tid, dot in dots.items() if dot * sign > 0]
+
+    ranked = heapq.nsmallest(k, scored(1))
+    if len(ranked) < k:
+        ranked += heapq.nsmallest(k - len(ranked), ((-0.0, tid) for tid in vectors if not dots.get(tid)))
+    if len(ranked) < k:
+        ranked += heapq.nsmallest(k - len(ranked), scored(-1))
+    return [(score, tid, state.topics[tid]) for score, tid in ranked]
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from .model import (
     STR_OR_NULL,
     Aggregates,
     MemoryState,
-    check_edges,
+    check_references,
     check_types,
     decoding,
     state_digest,
@@ -188,7 +188,7 @@ class Engine:
         self.config.validate()
         self.rules = rules or RuleTable.empty()
         if genesis is not None:
-            check_edges(genesis)
+            check_references(genesis)
             self.state = genesis
         else:
             self.state = MemoryState(policies=policies if policies is not None else default_policy_set())

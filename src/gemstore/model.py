@@ -333,7 +333,10 @@ class Aggregates:
     - the digest's edge section and the Extension and Association
       adjacency;
     - the digest's policy section, with the policy list it was rendered
-      from.
+      from;
+    - the ranking part: for each embedding bucket, the posting list
+      `{live topic id: integer term}`, and the vector each indexed topic was
+      entered with.
 
     `apply_delta` marks the topics a delta may change, or drops the edge
     part.  The marked topics are settled only when a part is read, so a
@@ -342,6 +345,15 @@ class Aggregates:
     transaction that is discarded leaves its parent's aggregates as they were.
     Each read takes the state rather than holding it, so that a state and its
     aggregates form no reference cycle.
+
+    The ranking part keeps its own pending set, since the digest settles the
+    other parts at every commit and only `rank_topics` reads this one: it is
+    built on the first ranking read and settled on each later one, so states
+    that are never ranked never pay for it.  A committed state may still hold
+    pending ranking marks, so after a fork neither side changes a shared
+    ranking table in place: each side copies the bucket table and the vector
+    table before its first change, and each posting list before it changes
+    that list.
     """
 
     def __init__(self, state: MemoryState):
@@ -357,11 +369,20 @@ class Aggregates:
         self._neighbors: dict[str, list[str]] = {}
         self._policies: list["Policy"] = []
         self._policy_section: Optional[bytes] = None
+        # the ranking part: None until the first ranking read builds it
+        self._postings: Optional[dict[int, dict[str, int]]] = None
+        self._vectors: dict[str, EmbeddingVector] = {}
+        self._rank_marked: set[str] = set()
+        # the buckets copied since the last fork; None until the tables are copied too
+        self._rank_owned: Optional[set[int]] = None
 
     def fork(self) -> "Aggregates":
         child = copy.copy(self)
         child._shared = True
         child._marked = set(self._marked)
+        # marks on an unbuilt ranking part are moot: its build reads every topic
+        child._rank_marked = set(self._rank_marked) if self._postings is not None else set()
+        self._rank_owned = child._rank_owned = None
         return child
 
     # -- marking, called by apply_delta only --------------------------------
@@ -369,6 +390,7 @@ class Aggregates:
     def mark(self, topic_id: str) -> None:
         """The topic's content, tiers or existence may change."""
         self._marked.add(topic_id)
+        self._rank_marked.add(topic_id)
 
     def edges_changed(self) -> None:
         self._edge_section = None
@@ -420,6 +442,47 @@ class Aggregates:
             self._policy_section = canonical_json([render_policy(p) for p in policies]).encode()
         return self._policy_section
 
+    def ranking(self, state: MemoryState) -> tuple[dict[int, dict[str, int]], dict[str, EmbeddingVector]]:
+        """Each bucket's posting list `{live topic id: term}`, and each live
+        topic's vector, the one its postings were entered from."""
+        if self._postings is None:
+            self._postings, self._vectors, self._rank_owned = {}, {}, set()
+            self._rank_marked = set(state.topics)
+        self._settle_ranking(state)
+        return self._postings, self._vectors
+
+    def _settle_ranking(self, state: MemoryState) -> None:
+        """Re-enter each marked topic whose vector changed, writing only the
+        posting lists whose term for it changed."""
+        for tid in self._rank_marked:
+            topic = state.topics.get(tid)
+            new = None if topic is None or topic.archived else topic.vector()
+            old = self._vectors.get(tid)
+            if new is old:
+                continue
+            if self._rank_owned is None:  # the first change since a fork
+                self._postings, self._vectors, self._rank_owned = dict(self._postings), dict(self._vectors), set()
+            old_terms = old.terms if old is not None else {}
+            new_terms = new.terms if new is not None else {}
+            for bucket in old_terms.keys() - new_terms.keys():
+                del self._posting(bucket)[tid]
+            for bucket, term in new_terms.items():
+                if old_terms.get(bucket) != term:
+                    self._posting(bucket)[tid] = term
+            if new is None:
+                del self._vectors[tid]
+            else:
+                self._vectors[tid] = new
+        self._rank_marked.clear()
+
+    def _posting(self, bucket: int) -> dict[str, int]:
+        """The bucket's posting list, copied first if this side has not
+        changed it since the last fork."""
+        if bucket not in self._rank_owned:
+            self._postings[bucket] = dict(self._postings.get(bucket, ()))
+            self._rank_owned.add(bucket)
+        return self._postings[bucket]
+
     def _settle_topics(self, state: MemoryState) -> None:
         if not self._marked:
             return
@@ -466,12 +529,16 @@ class Aggregates:
         self._edge_section = b"[" + b",".join(sorted(e.canonical_bytes for e in state.edges.values())) + b"]"
 
 
-def check_edges(state: MemoryState) -> None:
-    """Refuse an edge to a missing topic in a state that enters whole, as a
-    genesis or a snapshot; `apply_delta` checks each edge it adds."""
+def check_references(state: MemoryState) -> None:
+    """Refuse an edge or a revision flag to a missing topic in a state that
+    enters whole, as a genesis or a snapshot; `apply_delta` checks each edge
+    and flag it adds."""
     for e in state.edges.values():
         if e.src not in state.topics or e.dst not in state.topics:
             raise ValueError(f"edge endpoint missing: {e.src} -> {e.dst}")
+    for tid, cause in sorted(state.revision_queue):
+        if tid not in state.topics:
+            raise ValueError(f"revision flag for missing topic: {tid} ({cause})")
 
 
 def current_value(state: MemoryState, topic_id: str, field_name: str) -> Optional[ValueEntry]:
@@ -611,7 +678,7 @@ def state_from_dict(d: dict) -> MemoryState:
     )
     if any(type(a) is not str or type(b) is not str for a, b in state.revision_queue):
         raise TypeError("state revision_queue must hold pairs of strings")
-    check_edges(state)
+    check_references(state)
     return state
 
 

@@ -3,16 +3,21 @@ every committed and aborted transition they equal a full recomputation, and
 an aborted or discarded transaction leaves its parent's aggregates as they
 were."""
 
+import copy
+
 import pytest
 
 from conftest import build_state, build_topic
 from gemstore.baseline import BaselineJournalAdapter
 from gemstore.config import BetaSpec, EngineConfig
+from gemstore.embedding import rank_topics
 from gemstore.engine import Engine, EngineEvent
 from gemstore.model import (
     EdgeKind,
     MemoryState,
+    Provenance,
     Topic,
+    ValueEntry,
     active_footprint,
     stale_current_exists,
     state_digest,
@@ -42,6 +47,23 @@ def assert_aggregates_exact(state: MemoryState) -> None:
         neighbors |= {e.src for e in edges if e.kind is EdgeKind.ASSOCIATION and e.dst == tid}
         assert state.extension_successors(tid) == successors
         assert state.association_neighbors(tid) == sorted(neighbors)
+    # settled on a fork, so that the state's own ranking marks stay pending
+    fork = state.shallow_clone()
+    assert_ranking_exact(fork, state)
+
+
+def assert_ranking_exact(ranked: MemoryState, state: MemoryState) -> None:
+    """The ranking part of `ranked` equals a rebuild of `state`'s, from each
+    live topic's `vector()`: archived and removed topics have no postings."""
+    postings, vectors = ranked.derived().ranking(ranked)
+    live = {tid: t.vector() for tid, t in state.topics.items() if not t.archived}
+    rebuilt = {}
+    for tid, vec in live.items():
+        for bucket, term in vec.terms.items():
+            rebuilt.setdefault(bucket, {})[tid] = term
+    assert {bucket: plist for bucket, plist in postings.items() if plist} == rebuilt
+    assert vectors.keys() == live.keys()
+    assert all(vectors[tid] is vec for tid, vec in live.items())
 
 
 @pytest.fixture
@@ -178,3 +200,75 @@ def test_rejected_commit_leaves_the_parent_aggregates(checked_transitions):
     _, records = engine.submit(_ingest("t", "t changes A", A="4"))
     assert records[-1].committed
     assert checked_transitions == ["aborted", "committed"]
+
+
+# -- fork safety of the ranking part -----------------------------------------
+
+
+def _ranked_engine(policies=None) -> Engine:
+    """An engine whose state has been ranked once, so its ranking part is
+    built; topic `a`'s value words change its buckets on every ingest, and
+    `z` is archived without a merge marker."""
+    topics = [build_topic(tid, title=f"{tid} notes", fields={"Note": f"alpha {tid}"}) for tid in "abcdefz"]
+    topics[-1].archived = True
+    genesis = build_state(topics, policies=policies)
+    engine = Engine(config=EngineConfig(beta=BetaSpec(base=100)), genesis=genesis)
+    rank_topics(engine.state, "notes alpha", 3)
+    return engine
+
+
+def _tables(state: MemoryState):
+    """A deep copy of the state's ranking tables, as they stand."""
+    agg = state.derived()
+    return copy.deepcopy(agg._postings), dict(agg._vectors)
+
+
+def test_a_discarded_transaction_that_ranked_leaves_its_parent_exact():
+    engine = _ranked_engine()
+    parent = engine.state
+    before = _tables(parent)
+    txn = Txn(parent)
+    txn.append_entry("a", "Note", ValueEntry("gamma delta", 1, (Provenance("test", 1),)))
+    txn.create_topic("g", "g notes", "gamma delta notes")
+    txn.archive_topic("b")
+    assert rank_topics(txn.state, "gamma delta", 2)[0][1] in ("a", "g")
+    assert_ranking_exact(txn.state, txn.state)
+    assert _tables(parent) == before  # nothing written into a shared table
+    assert_ranking_exact(parent, parent)
+
+
+def test_aborted_ingests_leave_the_engine_state_exact(checked_transitions):
+    cap = parse_policy('POLICY cap ON pre_commit WHEN active_footprint > 6 DO reject_transition("cap")')
+    engine = _ranked_engine(default_policy_set() + [cap])
+    engine.submit(_ingest("a", "a moves", Note="beta"))  # leaves a ranking mark for a pending
+    before = _tables(engine.state)
+    # ranked to route, which settles the mark on copies, then refused by the cap
+    _, records = engine.submit(_ingest(None, "zeta unrelated words", Extra="1"))
+    assert records[-1].reason == "cap"
+    _, records = engine.submit(_ingest("z", "z again", Note="x"))
+    assert records[-1].outcome == "aborted" and "archived topic" in records[-1].reason
+    assert _tables(engine.state) == before
+    assert checked_transitions == ["committed", "aborted", "aborted"]
+    assert [tid for _, tid, _ in rank_topics(engine.state, "beta", 6)][:1] == ["a"]
+    assert_ranking_exact(engine.state, engine.state)
+
+
+def test_a_parent_ranked_after_its_child_committed_leaves_the_child_exact():
+    engine = _ranked_engine()
+    engine.submit(_ingest("a", "a moves", Note="beta"))
+    # routed by ranking, which moves a's postings from alpha to beta on
+    # copies this state then owns; a moves back, pending until a ranking read
+    _, records = engine.submit(_ingest(None, "a notes beta", Note="alpha"))
+    assert {d["topic"] for d in records[-1].deltas} == {"a"}
+    parent = engine.state
+    engine.submit(_ingest("a", "a moves again", Note="gamma"))
+    engine.submit(EngineEvent.retrieve(Query(text="notes gamma")))  # the child ranks
+    child = engine.state
+    child_tables = _tables(child)
+    # the parent settles its own mark for a, which writes the alpha list the
+    # child shares
+    assert_ranking_exact(parent, parent)
+    assert _tables(child) == child_tables
+    assert_ranking_exact(child, child)
+    assert rank_topics(parent, "alpha", 1)[0][1] == "a"
+    assert rank_topics(child, "gamma", 1)[0][1] == "a"

@@ -245,7 +245,11 @@ def _rekey_field(state):
     state.topics["a"].fields["Other"] = state.topics["a"].fields.pop("Note")
 
 
-GENESIS_MUTANTS = [_set_title, _set_archived, _set_edge_created_at, _rekey_topic, _rekey_field]
+def _flag_ghost(state):
+    state.revision_queue.add(("ghost", "a.Note"))
+
+
+GENESIS_MUTANTS = [_set_title, _set_archived, _set_edge_created_at, _rekey_topic, _rekey_field, _flag_ghost]
 
 
 @pytest.mark.parametrize("mutate", GENESIS_MUTANTS, ids=lambda f: f.__name__.lstrip("_"))

@@ -1,5 +1,7 @@
 import ast
+import functools
 import hashlib
+import heapq
 import itertools
 import math
 import os
@@ -12,6 +14,8 @@ from pathlib import Path
 import pytest
 
 from conftest import build_state, build_topic
+from gemstore import embedding, operators
+from gemstore.audit import audit
 from gemstore.config import EngineConfig
 from gemstore.embedding import (
     DIM,
@@ -22,8 +26,13 @@ from gemstore.embedding import (
     select_host,
     tokenize,
 )
+from gemstore.engine import Engine
 from gemstore.model import MemoryState, fresh_embedding_for, Topic
 from gemstore.operators import Query, retrieve_read
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+import gen  # noqa: E402  (perfbench/gen.py, imported read-only)
 
 
 def make_state(*topics):
@@ -226,9 +235,45 @@ def test_rankings_and_host_choices_equal_the_dense_oracle():
     assert seen == {"negative", "tie", "archived", "zero norm", "k < live", "tie at the cut"}
 
 
-# -- the runtime imports only the standard library ----------------------------
+def _dense_scores(state, text, dense):
+    """Every live topic scored by the dense oracle over its content text, as
+    (-cosine, topic id)."""
+    q = dense(text)
+    return [(-_oracle_cosine(q, dense(t.content_text())), tid) for tid, t in state.topics.items() if not t.archived]
 
-ROOT = Path(__file__).resolve().parent.parent
+
+def test_benchmark_rankings_equal_the_dense_oracle(monkeypatch):
+    """Every ranking that routing, reading and the auditor's probes ask for
+    in store-large episodes at seeds 41-45 and one mixed-small stream, at
+    k = 1, 3 and all live topics, against the brute force over all live
+    topics."""
+    real = embedding.rank_topics
+    dense = functools.lru_cache(maxsize=None)(_dense)
+    seen = set()
+
+    def checked(state, text, k):
+        scores = _dense_scores(state, text, dense)
+        for n in sorted({1, 3, len(scores), k}):
+            ranked = [(score, tid) for score, tid, _ in real(state, text, n)]
+            assert ranked == heapq.nsmallest(n, scores), (text, n)
+            seen.update("score-0 fill" if score == 0 else "negative" for score, _ in ranked if score >= 0)
+        seen.update("archived" for t in state.topics.values() if t.archived)
+        return real(state, text, k)
+
+    monkeypatch.setattr(embedding, "rank_topics", checked)
+    monkeypatch.setattr(operators, "rank_topics", checked)
+    episodes = [gen.make_episode("store-large", seed, 0, gen.SMOKE) for seed in range(41, 46)]
+    # the stream of seed 41 in which a topic is archived
+    episodes.append(gen.make_episode("mixed-small", 41, 2, gen.FULL))
+    for episode in episodes:
+        engine = Engine(config=episode.config, genesis=episode.genesis, rules=episode.rules)
+        for op in episode.ops:
+            engine.submit(op.event)
+        assert audit(engine.journal, list(episode.probes)).passed
+    assert seen == {"score-0 fill", "negative", "archived"}
+
+
+# -- the runtime imports only the standard library ----------------------------
 
 _RUN_AND_AUDIT = """
 import sys

@@ -5,6 +5,7 @@ from conftest import build_state, build_topic
 from gemstore import embedding, operators
 from gemstore.config import BetaSpec, EngineConfig
 from gemstore.engine import Engine, EngineEvent
+from gemstore.embedding import EmbeddingVector, embed
 from gemstore.model import MemoryState, Topic, active_footprint
 from gemstore.operators import Fact, FactBundle, Query
 from gemstore.salience import decay
@@ -133,3 +134,55 @@ def test_structural_retrieve_and_propagating_ingest_scan_no_edges(monkeypatch):
     assert [r.operator for r in records] == ["revise", "retrieve"]
     assert [tid for tid, _ in output.context] == ["t0102", "t0100", "t0101"]
     assert scans == []
+
+
+class _LoggedVector(EmbeddingVector):
+    """An embedding that appends `label` to `log` whenever its terms or its
+    norm are read."""
+
+    def __init__(self, vec, log, label):
+        super().__init__(vec.terms, vec.norm)
+        object.__setattr__(self, "_log", (log, label))
+
+    def __getattribute__(self, name):
+        if name in ("terms", "norm"):
+            log, label = object.__getattribute__(self, "_log")
+            log.append(label)
+        return object.__getattribute__(self, name)
+
+
+def test_ranking_scores_only_the_topics_that_share_a_bucket_with_the_query(monkeypatch):
+    genesis = _large_state()
+    query = "w500a w500b"
+    disjoint = next(t for t in genesis.topics.values() if not t.vector().terms.keys() & embed(query).terms.keys())
+    read = []
+    for topic in (genesis.topics["t0500"], disjoint):
+        topic.embedding = _LoggedVector(topic.vector(), read, topic.id)
+    engine = Engine(config=EngineConfig(beta=BetaSpec(base=2 * N_TOPICS)), genesis=genesis)
+    embedding.rank_topics(engine.state, "warm up", 1)
+
+    scans, compared = [], []
+    real_clone = MemoryState.shallow_clone
+
+    def counting_clone(state):  # follow the state through every working copy
+        clone = real_clone(state)
+        clone.topics = _CountingDict(clone.topics, scans, "topics")
+        return clone
+
+    monkeypatch.setattr(MemoryState, "shallow_clone", counting_clone)
+    engine.state.topics = _CountingDict(engine.state.topics, scans, "topics")
+    real_cosine = embedding.cosine
+    for module in (embedding, operators):
+        monkeypatch.setattr(module, "cosine", lambda a, b: compared.append(1) or real_cosine(a, b))
+
+    read.clear()
+    assert [tid for _, tid, _ in embedding.rank_topics(engine.state, query, 3)][0] == "t0500"
+    assert "t0500" in read and disjoint.id not in read
+    output, records = engine.submit(EngineEvent.retrieve(Query(text="w500a w500b status")))
+    assert [r.outcome for r in records] == ["committed"]
+    assert [(a.topic, a.value) for a in output.answers][0] == ("t0500", "s500")
+    bundle = FactBundle((Fact("Status", "done"),), "w700a w700b w700c status")
+    _, records = engine.submit(EngineEvent.ingest(bundle))
+    assert [r.outcome for r in records] == ["committed"]
+    assert engine.state.topics["t0700"].fields["Status"].current_entry().value == "done"  # routed, not created
+    assert compared == [] and scans == []

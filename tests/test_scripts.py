@@ -1,6 +1,7 @@
 """Smoke tests for the scripts under scripts/: each runs in a subprocess
 against the sources in src/, as a user would run it."""
 
+import json
 import os
 import subprocess
 import sys
@@ -47,3 +48,20 @@ def test_artefact_hashes_quick_profile_is_deterministic():
     assert any(line.startswith("perfbench.store-large.31.0.journal ") for line in lines)
     assert any(line.startswith("deadline.audit ") for line in lines)
     assert any(line.startswith("compare.1.3.baseline.journal ") for line in lines)
+
+
+def test_store_sweep_reports_each_size_and_operator():
+    result = _run("store_sweep.py", "--sizes", "20,40", "--episodes", "1", "--scale", "smoke")
+    assert result.returncode == 0, result.stdout + result.stderr
+    rows = [json.loads(line) for line in result.stdout.splitlines()]
+    assert [row["n"] for row in rows] == [20, 40]
+    operators = {"ingest_hinted", "ingest_unhinted", "retrieve", "revise", "tick"}
+    for row in rows:
+        assert row["audit_passed"] is True
+        assert set(row["operators"]) == operators
+        for stats in row["operators"].values():
+            assert 0 < stats["p50_ms"] <= stats["p99_ms"]
+        assert row["engine_ms_per_record"] > 0 and row["audit_ms_per_record"] > 0
+    first = rows[0]
+    assert all(stats["p50_ratio"] == stats["p99_ratio"] == 1.0 for stats in first["operators"].values())
+    assert first["engine_ms_per_record_ratio"] == first["audit_ms_per_record_ratio"] == 1.0
