@@ -4,33 +4,36 @@ store sizes and print, per size, one JSON line with the p50 and p99 latency
 of each operator (hinted and unhinted ingest apart), each one's ratio to the
 first size, and the engine and audit time per journal record.
 
-Usage: store_sweep.py [--sizes 250,1000,4000] [--seed 11] [--episodes 2] [--scale full|smoke]
+Usage: store_sweep.py [--sizes 250,1000,4000]
 
-The episodes are perfbench's (`perfbench/gen.py`, imported read-only) with
-`Scale.store_topics` set to each size; everything else stays as the scale
-gives it.  Each submit is timed whole, so a retrieve includes the revisions
-it drains first.  With about 15 samples per operator and episode, p99 is the
-slowest sample or next to it.  Like perfbench, each episode starts with a
-cold embedding cache and a collected heap.  The exit code is 1 if an audit
-fails.
+The episodes, their set-up, the timed closed loop and the journal checks are
+perfbench's own (`perfbench/gen.py` and `perfbench/harness.py`, imported
+read-only): seed 11, episodes 0 and 1 of the full scale with
+`Scale.store_topics` set to each size.  Each episode runs once, so with about
+15 samples per operator and episode p99 is the slowest sample or next to it.
+Each submit is timed whole, so a retrieve includes the revisions it drains
+first.  A size whose run fails a correctness check of the harness still
+gets its line, with `"correct": false` and the failures, and the exit code
+is then 1.
 """
 
 import argparse
 import dataclasses
-import gc
 import json
 import math
 import statistics
 import sys
-import time
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import gen  # noqa: E402  (perfbench/gen.py, imported read-only)
-from gemstore import Engine, embedding  # noqa: E402
-from gemstore.audit import audit  # noqa: E402
+import harness  # noqa: E402  (perfbench/harness.py, imported read-only)
+
+SEED = 11
+EPISODES = 2
 
 
 def _operator(event) -> str:
@@ -45,37 +48,37 @@ def _p99(samples: list[float]) -> float:
     return ordered[max(0, math.ceil(0.99 * len(ordered)) - 1)]
 
 
-def run_size(n: int, seed: int, episodes: int, base: "gen.Scale") -> dict:
-    scale = dataclasses.replace(base, store_topics=n)
+def run_size(n: int, workdir: Path) -> dict:
+    scale = dataclasses.replace(gen.FULL, store_topics=n)
+    stats = harness.RunStats()
+    cpu = harness.CpuPicker()
     samples: dict[str, list[float]] = {}
-    engine_s = audit_s = 0.0
+    engine_ms = audit_ms = 0.0
     records = 0
-    passed = True
-    for index in range(episodes):
-        episode = gen.make_episode("store-large", seed, index, scale)
-        embedding._embed_tuple.cache_clear()
-        gc.collect()
-        engine = Engine(config=episode.config, genesis=episode.genesis, rules=episode.rules)
-        for op in episode.ops:
-            t0 = time.perf_counter()
-            engine.submit(op.event)
-            elapsed = time.perf_counter() - t0
-            samples.setdefault(_operator(op.event), []).append(elapsed * 1e3)
-            engine_s += elapsed
-        records += len(engine.journal.records)
-        t0 = time.perf_counter()
-        report = audit(engine.journal, list(episode.probes))
-        audit_s += time.perf_counter() - t0
-        passed = passed and report.passed
+    try:
+        for index in range(EPISODES):
+            times = harness.EpisodeTimes()
+            episode, engine = harness._setup("store-large", SEED, index, scale, stats, cpu)
+            harness.drive(engine, episode, stats, times, cpu)
+            harness.check_journal(engine, episode, workdir, stats, times, cpu)
+            for op, ns in zip(episode.ops, times.op_ns):
+                if ns is not None:
+                    samples.setdefault(_operator(op.event), []).append(ns / 1e6)
+                    engine_ms += ns / 1e6
+            audit_ms += times.audit_s * 1e3
+            records += times.records
+    finally:
+        cpu.release()
     return {
         "n": n,
-        "audit_passed": passed,
+        "correct": stats.failed == 0,
+        "failures": stats.failures,
         "operators": {
             name: {"samples": len(values), "p50_ms": statistics.median(values), "p99_ms": _p99(values)}
             for name, values in sorted(samples.items())
         },
-        "engine_ms_per_record": engine_s * 1e3 / records,
-        "audit_ms_per_record": audit_s * 1e3 / records,
+        "engine_ms_per_record": engine_ms / records,
+        "audit_ms_per_record": audit_ms / records,
     }
 
 
@@ -94,17 +97,13 @@ def add_ratios(rows: list[dict]) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default="250,1000,4000", help="comma-separated store sizes; ratios are to the first")
-    parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--episodes", type=int, default=2)
-    parser.add_argument("--scale", choices=("full", "smoke"), default="full",
-                        help="the perfbench scale whose store_topics is replaced")
     args = parser.parse_args(argv)
-    base = gen.SMOKE if args.scale == "smoke" else gen.FULL
-    rows = [run_size(int(n), args.seed, args.episodes, base) for n in args.sizes.split(",")]
+    with tempfile.TemporaryDirectory() as workdir:
+        rows = [run_size(int(n), Path(workdir)) for n in args.sizes.split(",")]
     add_ratios(rows)
     for row in rows:
-        print(json.dumps({"sweep": "store-large", "seed": args.seed, "episodes": args.episodes, **row}))
-    return 0 if all(row["audit_passed"] for row in rows) else 1
+        print(json.dumps({"sweep": "store-large", "seed": SEED, "episodes": EPISODES, **row}))
+    return 0 if all(row["correct"] for row in rows) else 1
 
 
 if __name__ == "__main__":

@@ -79,14 +79,8 @@ def rank_topics(state: "MemoryState", text: str, k: int) -> list[tuple[float, st
     query = embed(text)
     postings, vectors = state.derived().ranking(state)
     dots: dict[str, int] = {}
-    # seeding the sums with the longest list, in one comprehension, leaves the
-    # per-entry loop the shorter lists
-    for bucket, value in sorted(query.terms.items(), key=lambda bv: -len(postings.get(bv[0], ()))):
-        plist = postings.get(bucket, {})
-        if not dots:
-            dots = {tid: value * term for tid, term in plist.items()}
-            continue
-        for tid, term in plist.items():
+    for bucket, value in query.terms.items():
+        for tid, term in postings.get(bucket, {}).items():
             dots[tid] = dots.get(tid, 0) + value * term
     qnorm = query.norm
 

@@ -193,8 +193,11 @@ class Engine:
         else:
             self.state = MemoryState(policies=policies if policies is not None else default_policy_set())
         # derived afresh, as the genesis may have been read and then filled in
-        # by hand; the genesis digest settles them and transactions carry them
+        # by hand; the genesis digest settles them and transactions carry them.
+        # The ranking part is built here, on the committed state, so that a
+        # transaction that ranks and then aborts cannot discard the build.
         self.state.aggregates = Aggregates(self.state)
+        self.state.aggregates.ranking(self.state)
         genesis_dict = state_to_dict(self.state)
         self.journal = Journal(
             config=self.config,

@@ -348,12 +348,16 @@ class Aggregates:
 
     The ranking part keeps its own pending set, since the digest settles the
     other parts at every commit and only `rank_topics` reads this one: it is
-    built on the first ranking read and settled on each later one, so states
-    that are never ranked never pay for it.  A committed state may still hold
-    pending ranking marks, so after a fork neither side changes a shared
-    ranking table in place: each side copies the bucket table and the vector
-    table before its first change, and each posting list before it changes
-    that list.
+    built whole on the first ranking read (an `Engine` reads it once when it
+    is constructed) and settled on each later one, so transactions that do
+    not rank never pay for it.  A committed state may still hold pending
+    ranking marks, so after a fork neither side changes a shared ranking
+    table in place: each side copies the bucket table and the vector table
+    before its first change, and each posting list before it changes that
+    list.  A fork shares the pending ranking set with its parent rather than
+    copying it: a mark made on the other side is spurious here, and a settle
+    skips a topic whose vector it already holds.  A settle starts a new set
+    instead of clearing the shared one.
     """
 
     def __init__(self, state: MemoryState):
@@ -380,8 +384,7 @@ class Aggregates:
         child = copy.copy(self)
         child._shared = True
         child._marked = set(self._marked)
-        # marks on an unbuilt ranking part are moot: its build reads every topic
-        child._rank_marked = set(self._rank_marked) if self._postings is not None else set()
+        # the pending ranking marks stay shared (see the class docstring)
         self._rank_owned = child._rank_owned = None
         return child
 
@@ -446,10 +449,22 @@ class Aggregates:
         """Each bucket's posting list `{live topic id: term}`, and each live
         topic's vector, the one its postings were entered from."""
         if self._postings is None:
-            self._postings, self._vectors, self._rank_owned = {}, {}, set()
-            self._rank_marked = set(state.topics)
-        self._settle_ranking(state)
+            self._build_ranking(state)
+        else:
+            self._settle_ranking(state)
         return self._postings, self._vectors
+
+    def _build_ranking(self, state: MemoryState) -> None:
+        """Enter every live topic into new tables that this side alone holds."""
+        postings: dict[int, dict[str, int]] = {}
+        vectors: dict[str, EmbeddingVector] = {}
+        for tid, topic in state.topics.items():
+            if not topic.archived:
+                vectors[tid] = vector = topic.vector()
+                for bucket, term in vector.terms.items():
+                    postings.setdefault(bucket, {})[tid] = term
+        self._postings, self._vectors, self._rank_owned = postings, vectors, set(postings)
+        self._rank_marked = set()
 
     def _settle_ranking(self, state: MemoryState) -> None:
         """Re-enter each marked topic whose vector changed, writing only the
@@ -473,7 +488,7 @@ class Aggregates:
                 del self._vectors[tid]
             else:
                 self._vectors[tid] = new
-        self._rank_marked.clear()
+        self._rank_marked = set()
 
     def _posting(self, bucket: int) -> dict[str, int]:
         """The bucket's posting list, copied first if this side has not

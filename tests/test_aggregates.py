@@ -13,6 +13,7 @@ from gemstore.config import BetaSpec, EngineConfig
 from gemstore.embedding import rank_topics
 from gemstore.engine import Engine, EngineEvent
 from gemstore.model import (
+    Aggregates,
     EdgeKind,
     MemoryState,
     Provenance,
@@ -272,3 +273,18 @@ def test_a_parent_ranked_after_its_child_committed_leaves_the_child_exact():
     assert_ranking_exact(child, child)
     assert rank_topics(parent, "alpha", 1)[0][1] == "a"
     assert rank_topics(child, "gamma", 1)[0][1] == "a"
+
+
+def test_the_engine_builds_the_ranking_part_once_for_aborted_rankings(monkeypatch):
+    builds = []
+    real_build = Aggregates._build_ranking
+    monkeypatch.setattr(Aggregates, "_build_ranking", lambda agg, state: builds.append(1) or real_build(agg, state))
+    cap = parse_policy('POLICY cap ON pre_commit WHEN active_footprint > 6 DO reject_transition("cap")')
+    engine = _ranked_engine(default_policy_set() + [cap])
+    assert builds == [1]  # at construction, on the committed state
+    for _ in range(2):  # ranked to route, then refused
+        _, records = engine.submit(_ingest(None, "zeta unrelated words", Extra="1"))
+        assert records[-1].reason == "cap"
+    _, records = engine.submit(EngineEvent.retrieve(Query(text="alpha notes")))
+    assert records[-1].committed
+    assert builds == [1]

@@ -51,13 +51,16 @@ def test_artefact_hashes_quick_profile_is_deterministic():
 
 
 def test_store_sweep_reports_each_size_and_operator():
-    result = _run("store_sweep.py", "--sizes", "20,40", "--episodes", "1", "--scale", "smoke")
-    assert result.returncode == 0, result.stdout + result.stderr
+    result = _run("store_sweep.py", "--sizes", "20,40")
     rows = [json.loads(line) for line in result.stdout.splitlines()]
-    assert [row["n"] for row in rows] == [20, 40]
+    assert [row["n"] for row in rows] == [20, 40], result.stderr
+    # at N = 40 the harness's audit reports the C3 false positive kept as a
+    # strict xfail in perfbench/test_known_defects.py; the sweep prints that
+    # size's line all the same and exits 1
+    assert result.returncode == (0 if all(row["correct"] for row in rows) else 1)
     operators = {"ingest_hinted", "ingest_unhinted", "retrieve", "revise", "tick"}
     for row in rows:
-        assert row["audit_passed"] is True
+        assert row["correct"] is (row["failures"] == [])
         assert set(row["operators"]) == operators
         for stats in row["operators"].values():
             assert 0 < stats["p50_ms"] <= stats["p99_ms"]
