@@ -36,6 +36,10 @@ class BaselineJournalAdapter(Engine):
         self.capacity = capacity
         self.next_id = 0
 
+    def _build_parts(self) -> None:
+        """None: the baseline reads only the digest's parts, which the genesis
+        digest builds; the others stay unbuilt and take no marks."""
+
     def submit(self, event: EngineEvent) -> tuple[Optional[RetrievalOutput], list[TransitionRecord]]:
         """Revise and forget have no baseline counterpart and journal nothing."""
         if event.kind not in ("ingest", "retrieve", "tick"):

@@ -77,7 +77,8 @@ def rank_topics(state: "MemoryState", text: str, k: int) -> list[tuple[float, st
     topics by id, taken only as far as `k` needs, then the negative scores.
     """
     query = embed(text)
-    postings, vectors = state.derived().ranking(state)
+    ranking = state.part("ranking")
+    postings, vectors = ranking.postings, ranking.vectors
     dots: dict[str, int] = {}
     for bucket, value in query.terms.items():
         for tid, term in postings.get(bucket, {}).items():

@@ -19,7 +19,6 @@ from .model import (
     OBJECT,
     STR,
     STR_OR_NULL,
-    Aggregates,
     MemoryState,
     check_references,
     check_types,
@@ -193,11 +192,10 @@ class Engine:
         else:
             self.state = MemoryState(policies=policies if policies is not None else default_policy_set())
         # derived afresh, as the genesis may have been read and then filled in
-        # by hand; the genesis digest settles them and transactions carry them.
-        # The ranking part is built here, on the committed state, so that a
-        # transaction that ranks and then aborts cannot discard the build.
-        self.state.aggregates = Aggregates(self.state)
-        self.state.aggregates.ranking(self.state)
+        # by hand, and built on the committed state, so that a transaction
+        # that builds a part and then aborts cannot discard the build
+        self.state.aggregates = None
+        self._build_parts()
         genesis_dict = state_to_dict(self.state)
         self.journal = Journal(
             config=self.config,
@@ -219,6 +217,11 @@ class Engine:
         return state_digest(self.state)
 
     # -- internals --------------------------------------------------------
+
+    def _build_parts(self) -> None:
+        """Build every part of the committed state's aggregates."""
+        for name in self.state.derived().parts:
+            self.state.part(name)
 
     def _drain_revision_queue(self) -> list[TransitionRecord]:
         records: list[TransitionRecord] = []
@@ -243,7 +246,7 @@ class Engine:
         it again; the smallest pending topic when a cycle leaves none."""
         if len(pending) == 1:
             return pending[0]
-        successors = self.state.derived().successors(self.state)
+        successors = self.state.part("edges").successors
         reached: set[str] = set()
         for src in pending:
             seen: set[str] = set()

@@ -7,7 +7,6 @@ snapshots once committed; all mutation goes through the transaction layer.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import operator
@@ -255,10 +254,10 @@ class MemoryState:
     everything that is journalled and hashed.  `epoch` counts committed
     ticks, from which `salience` derives each field's decayed value.
 
-    `aggregates` is derived state, created by the first read and kept.  It
-    is never serialised, hashed or journalled, and only `apply_delta` keeps
-    it current, so a hand-built state may be filled in directly only until
-    its first read; after that it changes through deltas alone.
+    `aggregates` holds derived parts, read by name through `part` and never
+    serialised, hashed or journalled.  Each is built on its first read and
+    from then on kept current by `apply_delta`, so a hand-built state may be
+    filled in directly only until its first read, and by deltas after it.
 
     `owned` names the topics this state may change in place; the others it
     shares with the state it was cloned from.  It is None for a state that
@@ -276,7 +275,7 @@ class MemoryState:
 
     def shallow_clone(self) -> "MemoryState":
         """Copy containers; topics are shared until `apply_delta` first changes
-        them, and the aggregates' tables until the clone first settles them."""
+        them, and the aggregates' tables until a side first writes them."""
         return MemoryState(
             topics=dict(self.topics),
             edges=dict(self.edges),
@@ -300,236 +299,175 @@ class MemoryState:
         return decay(f.salience, self.epoch_of(topic) - f.since, lam)
 
     def derived(self) -> "Aggregates":
-        """The state's aggregates, created on the first read."""
+        """The state's aggregates, created on first use with no part built."""
         if self.aggregates is None:
-            self.aggregates = Aggregates(self)
+            self.aggregates = Aggregates()
         return self.aggregates
 
+    def part(self, name: str) -> "Part":
+        """The aggregates' part `name`, settled."""
+        return self.derived().parts[name].read(self)
+
     def extension_successors(self, topic_id: str) -> list[str]:
-        return list(self.derived().successors(self).get(topic_id, ()))
+        return list(self.part("edges").successors.get(topic_id, ()))
 
     def association_neighbors(self, topic_id: str) -> list[str]:
-        return list(self.derived().neighbors(self).get(topic_id, ()))
+        return list(self.part("edges").neighbors.get(topic_id, ()))
 
     def footprint(self) -> int:
         """`active_footprint`, read from the aggregates."""
-        return self.derived().footprint(self)
+        return self.part("footprint").total
 
     def stale_topics(self) -> frozenset[str]:
         """Topics that would serve a superseded value as current; empty
         exactly when `stale_current_exists` is false."""
-        return self.derived().stale_topics(self)
+        return frozenset(self.part("stale").counts)
 
 
-class Aggregates:
-    """Values derived from a `MemoryState` that a commit would otherwise
-    recompute by scanning the whole store:
+class Part:
+    """Tables derived from a state's topics, its public attributes, kept
+    current from the deltas whose kinds are in `kinds` (incremental view
+    maintenance; Gupta & Mumick, 1995).  `apply_delta` marks each such
+    delta's topic, and a read, given the state, settles the marked topics.
+    A part that is not built takes no marks: its first read builds it by
+    settling every topic into its class's empty tables, the oracle of the
+    tests.  One copy-on-write rule holds for every part.  After a fork both
+    sides share the tables and the pending marks, and a side copies a table,
+    or an entry of one, before its first write to it.  So a mark from the
+    other side is spurious: a settle writes only what differs, and starts a
+    new pending set instead of clearing the shared one."""
 
-    - each topic's content hash, in topic id order, the input of
-      `state_digest`;
-    - each live topic's count of active fields and their total, the
-      footprint;
-    - the topics whose current value is stale;
-    - the digest's edge section and the Extension and Association
-      adjacency;
-    - the digest's policy section, with the policy list it was rendered
-      from;
-    - the ranking part: for each embedding bucket, the posting list
-      `{live topic id: integer term}`, and the vector each indexed topic was
-      entered with.
+    kinds: frozenset[str] = frozenset()
+    _pending: Optional[set[str]] = None  # None until built
+    _owned: frozenset = frozenset()  # the tables and entries this side has copied since it was built or forked
 
-    `apply_delta` marks the topics a delta may change, or drops the edge
-    part.  The marked topics are settled only when a part is read, so a
-    topic marked twice before a read is hashed once.  A fork shares its
-    parent's settled tables and copies them on its first settle, so a
-    transaction that is discarded leaves its parent's aggregates as they were.
-    Each read takes the state rather than holding it, so that a state and its
-    aggregates form no reference cycle.
-
-    The ranking part keeps its own pending set, since the digest settles the
-    other parts at every commit and only `rank_topics` reads this one: it is
-    built whole on the first ranking read (an `Engine` reads it once when it
-    is constructed) and settled on each later one, so transactions that do
-    not rank never pay for it.  A committed state may still hold pending
-    ranking marks, so after a fork neither side changes a shared ranking
-    table in place: each side copies the bucket table and the vector table
-    before its first change, and each posting list before it changes that
-    list.  A fork shares the pending ranking set with its parent rather than
-    copying it: a mark made on the other side is spurious here, and a settle
-    skips a topic whose vector it already holds.  A settle starts a new set
-    instead of clearing the shared one.
-    """
-
-    def __init__(self, state: MemoryState):
-        self._hashes: dict[str, bytes] = {}  # kept in topic id order
-        self._active: dict[str, int] = {}
-        self._stale: set[str] = set()
-        self._footprint = 0
-        self._shared = False  # tables belong to the parent until copied
-        self._marked = set(state.topics)
-        # the edge part: None once an edge delta drops it
-        self._edge_section: Optional[bytes] = None
-        self._successors: dict[str, list[str]] = {}
-        self._neighbors: dict[str, list[str]] = {}
-        self._policies: list["Policy"] = []
-        self._policy_section: Optional[bytes] = None
-        # the ranking part: None until the first ranking read builds it
-        self._postings: Optional[dict[int, dict[str, int]]] = None
-        self._vectors: dict[str, EmbeddingVector] = {}
-        self._rank_marked: set[str] = set()
-        # the buckets copied since the last fork; None until the tables are copied too
-        self._rank_owned: Optional[set[int]] = None
-
-    def fork(self) -> "Aggregates":
-        child = copy.copy(self)
-        child._shared = True
-        child._marked = set(self._marked)
-        # the pending ranking marks stay shared (see the class docstring)
-        self._rank_owned = child._rank_owned = None
-        return child
-
-    # -- marking, called by apply_delta only --------------------------------
+    @property
+    def built(self) -> bool:
+        return self._pending is not None
 
     def mark(self, topic_id: str) -> None:
-        """The topic's content, tiers or existence may change."""
-        self._marked.add(topic_id)
-        self._rank_marked.add(topic_id)
+        if self._pending is not None:
+            self._pending.add(topic_id)
 
-    def edges_changed(self) -> None:
-        self._edge_section = None
+    def fork(self) -> "Part":
+        child = object.__new__(type(self))
+        child.__dict__.update(self.__dict__)
+        self._owned, child._owned = set(), set()
+        return child
 
-    # -- settled reads -------------------------------------------------------
+    def read(self, state: MemoryState) -> "Part":
+        if self._pending is None:
+            self.build(state)
+        elif self._pending:
+            marked, self._pending = self._pending, set()
+            self.settle(state, marked)
+        return self
 
-    def content_hashes(self, state: MemoryState) -> dict[str, bytes]:
-        """Each topic's content hash, in topic id order."""
-        self._settle_topics(state)
-        return self._hashes
+    def build(self, state: MemoryState) -> None:
+        self._pending, self._owned = set(), set()
+        self.settle(state, state.topics)
 
-    def footprint(self, state: MemoryState) -> int:
-        self._settle_topics(state)
-        return self._footprint
+    def _table(self, name: str):
+        """The table `name`, copied first if this side has not written it."""
+        if name not in self._owned:
+            self._owned.add(name)
+            setattr(self, name, getattr(self, name).copy())
+        return getattr(self, name)
 
-    def stale_topics(self, state: MemoryState) -> frozenset[str]:
-        self._settle_topics(state)
-        return frozenset(self._stale)
+    def _entry(self, name: str, key) -> dict:
+        """The entry `key` of the table `name`, copied or created like one."""
+        table = self._table(name)
+        if (name, key) not in self._owned:
+            self._owned.add((name, key))
+            table[key] = dict(table.get(key, ()))
+        return table[key]
 
-    def successors(self, state: MemoryState) -> dict[str, list[str]]:
-        """Sorted Extension successors by topic."""
-        self._settle_edges(state)
-        return self._successors
 
-    def neighbors(self, state: MemoryState) -> dict[str, list[str]]:
-        """Sorted Association neighbours by topic."""
-        self._settle_edges(state)
-        return self._neighbors
+def _active_fields(topic: Topic) -> int:
+    if topic.archived:
+        return 0
+    return sum(1 for f in topic.fields.values() if f.tier is Tier.ACTIVE)
 
-    def edge_section(self, state: MemoryState) -> bytes:
-        """The digest's edge section: a JSON list of the edge encodings in
-        byte order."""
-        self._settle_edges(state)
-        return self._edge_section
 
-    def policy_section(self, state: MemoryState) -> bytes:
-        """The digest's policy section: a JSON list of the rendered policies,
-        rendered again only when the state's policies are not the very ones
-        it was rendered from."""
-        policies = state.policies
-        if (
-            self._policy_section is None
-            or len(policies) != len(self._policies)
-            or not all(map(operator.is_, policies, self._policies))
-        ):
-            from .policy import render_policy
+def _serves_stale(topic: Topic) -> bool:
+    for f in topic.fields.values():
+        latest = None
+        for entry in reversed(f.history):
+            if not entry.compressed:
+                latest = entry
+                break
+        if latest is not None and latest.superseded and f.current_entry() is not None:
+            return True
+    return False
 
-            self._policies = list(policies)
-            self._policy_section = canonical_json([render_policy(p) for p in policies]).encode()
-        return self._policy_section
 
-    def ranking(self, state: MemoryState) -> tuple[dict[int, dict[str, int]], dict[str, EmbeddingVector]]:
-        """Each bucket's posting list `{live topic id: term}`, and each live
-        topic's vector, the one its postings were entered from."""
-        if self._postings is None:
-            self._build_ranking(state)
-        else:
-            self._settle_ranking(state)
-        return self._postings, self._vectors
+_HISTORY = frozenset({"field_removed", "field_installed", "entry_appended", "entry_flags", "history_compressed"})
 
-    def _build_ranking(self, state: MemoryState) -> None:
-        """Enter every live topic into new tables that this side alone holds."""
-        postings: dict[int, dict[str, int]] = {}
-        vectors: dict[str, EmbeddingVector] = {}
-        for tid, topic in state.topics.items():
-            if not topic.archived:
-                vectors[tid] = vector = topic.vector()
-                for bucket, term in vector.terms.items():
-                    postings.setdefault(bucket, {})[tid] = term
-        self._postings, self._vectors, self._rank_owned = postings, vectors, set(postings)
-        self._rank_marked = set()
 
-    def _settle_ranking(self, state: MemoryState) -> None:
-        """Re-enter each marked topic whose vector changed, writing only the
-        posting lists whose term for it changed."""
-        for tid in self._rank_marked:
-            topic = state.topics.get(tid)
-            new = None if topic is None or topic.archived else topic.vector()
-            old = self._vectors.get(tid)
-            if new is old:
-                continue
-            if self._rank_owned is None:  # the first change since a fork
-                self._postings, self._vectors, self._rank_owned = dict(self._postings), dict(self._vectors), set()
-            old_terms = old.terms if old is not None else {}
-            new_terms = new.terms if new is not None else {}
-            for bucket in old_terms.keys() - new_terms.keys():
-                del self._posting(bucket)[tid]
-            for bucket, term in new_terms.items():
-                if old_terms.get(bucket) != term:
-                    self._posting(bucket)[tid] = term
-            if new is None:
-                del self._vectors[tid]
-            else:
-                self._vectors[tid] = new
-        self._rank_marked = set()
+class Hashes(Part):
+    """Each topic's content hash, in topic id order: the input of `state_digest`."""
 
-    def _posting(self, bucket: int) -> dict[str, int]:
-        """The bucket's posting list, copied first if this side has not
-        changed it since the last fork."""
-        if bucket not in self._rank_owned:
-            self._postings[bucket] = dict(self._postings.get(bucket, ()))
-            self._rank_owned.add(bucket)
-        return self._postings[bucket]
+    kinds = _HISTORY | {"topic_created", "topic_removed", "topic_archived", "field_created", "salience_set",
+                        "last_access_set", "tier_set"}
+    hashes: dict[str, bytes] = {}
 
-    def _settle_topics(self, state: MemoryState) -> None:
-        if not self._marked:
-            return
-        if self._shared:
-            self._hashes, self._active, self._stale = dict(self._hashes), dict(self._active), set(self._stale)
-            self._shared = False
-        topics, hashes, active, stale = state.topics, self._hashes, self._active, self._stale
-        total = self._footprint
-        new_topic = False
-        for tid in self._marked:
-            total -= active.pop(tid, 0)
-            topic = topics.get(tid)
-            if topic is None:
-                hashes.pop(tid, None)
-                stale.discard(tid)
-                continue
-            new_topic = new_topic or tid not in hashes
-            hashes[tid] = topic.content_hash()
-            active[tid] = count = _active_fields(topic)
-            total += count
-            if _serves_stale(topic):
-                stale.add(tid)
-            else:
-                stale.discard(tid)
-        if new_topic:  # inserted at the end, out of order
-            self._hashes = dict(sorted(hashes.items()))
-        self._footprint = total
-        self._marked.clear()
+    def settle(self, state: MemoryState, marked: Iterable[str]) -> None:
+        added = False
+        for tid in marked:
+            digest = state.topics[tid].content_hash() if tid in state.topics else None
+            if self.hashes.get(tid) != digest:
+                added = added or tid not in self.hashes
+                if digest is None:
+                    del self._table("hashes")[tid]
+                else:
+                    self._table("hashes")[tid] = digest
+        if added:  # inserted at the end, out of order
+            self.hashes = dict(sorted(self.hashes.items()))
 
-    def _settle_edges(self, state: MemoryState) -> None:
-        if self._edge_section is not None:
-            return
+
+class Counts(Part):
+    """Each topic's count, where it is not 0, and their total."""
+
+    counts: dict[str, int] = {}
+    total = 0
+
+    def settle(self, state: MemoryState, marked: Iterable[str]) -> None:
+        for tid in marked:
+            count = self.count(state.topics[tid]) if tid in state.topics else 0
+            old = self.counts.get(tid, 0)
+            if count != old:
+                self.total += count - old
+                if count:
+                    self._table("counts")[tid] = count
+                else:
+                    del self._table("counts")[tid]
+
+
+class Footprint(Counts):
+    """Each live topic's count of active fields: `active_footprint`."""
+
+    kinds = frozenset({"topic_removed", "topic_archived", "field_created", "field_removed", "field_installed",
+                       "tier_set"})
+    count = staticmethod(_active_fields)
+
+
+class Stale(Counts):
+    """1 for each topic that would serve a superseded value as current."""
+
+    kinds = _HISTORY | {"topic_removed"}
+    count = staticmethod(_serves_stale)
+
+
+class Edges(Part):
+    """Each topic's sorted Extension successors and Association neighbours,
+    and the digest's edge section.  A settle builds new tables from all edges."""
+
+    kinds = frozenset({"topic_removed", "edge_added", "edge_removed"})
+    successors: dict[str, list[str]] = {}
+    neighbors: dict[str, list[str]] = {}
+    section = b"[]"
+
+    def settle(self, state: MemoryState, marked: Iterable[str]) -> None:
         successors: dict[str, list[str]] = {}
         neighbors: dict[str, set[str]] = {}
         for e in state.edges.values():
@@ -538,10 +476,80 @@ class Aggregates:
             else:
                 neighbors.setdefault(e.src, set()).add(e.dst)
                 neighbors.setdefault(e.dst, set()).add(e.src)
-        # new objects, never mutated in place, so a fork may share them
-        self._successors = {tid: sorted(dsts) for tid, dsts in successors.items()}
-        self._neighbors = {tid: sorted(others) for tid, others in neighbors.items()}
-        self._edge_section = b"[" + b",".join(sorted(e.canonical_bytes for e in state.edges.values())) + b"]"
+        self.successors = {tid: sorted(dsts) for tid, dsts in successors.items()}
+        self.neighbors = {tid: sorted(others) for tid, others in neighbors.items()}
+        self.section = b"[" + b",".join(sorted(e.canonical_bytes for e in state.edges.values())) + b"]"
+
+
+class Policies(Part):
+    """The digest's policy section.  No delta changes the policies, so a read
+    renders it again only when they are not the ones it was rendered from."""
+
+    section = b"[]"
+    _rendered: list["Policy"] = []
+
+    def read(self, state: MemoryState) -> "Part":
+        policies = state.policies
+        if len(policies) != len(self._rendered) or not all(map(operator.is_, policies, self._rendered)):
+            from .policy import render_policy
+
+            self._rendered = list(policies)
+            self.section = canonical_json([render_policy(p) for p in policies]).encode()
+        return self
+
+
+class Ranking(Part):
+    """Each embedding bucket's posting list `{live topic id: integer term}`,
+    and the vector each live topic was entered with.  Only `rank_topics`
+    reads it, so ticks and hinted ingests never pay for its settle."""
+
+    kinds = _HISTORY | {"topic_created", "topic_removed", "topic_archived"}
+    postings: dict[int, dict[str, int]] = {}
+    vectors: dict[str, EmbeddingVector] = {}
+
+    def settle(self, state: MemoryState, marked: Iterable[str]) -> None:
+        for tid in marked:
+            topic = state.topics.get(tid)
+            new = None if topic is None or topic.archived else topic.vector()
+            old = self.vectors.get(tid)
+            if new is old:
+                continue
+            old_terms = {} if old is None else old.terms
+            new_terms = {} if new is None else new.terms
+            for bucket in old_terms.keys() - new_terms.keys():
+                del self._entry("postings", bucket)[tid]
+                if not self.postings[bucket]:
+                    del self.postings[bucket]
+                    self._owned.remove(("postings", bucket))
+            for bucket, term in new_terms.items():
+                if old_terms.get(bucket) != term:
+                    self._entry("postings", bucket)[tid] = term
+            if new is None:
+                del self._table("vectors")[tid]
+            else:
+                self._table("vectors")[tid] = new
+
+
+PARTS = {"hashes": Hashes, "footprint": Footprint, "stale": Stale, "edges": Edges, "policies": Policies,
+         "ranking": Ranking}
+_ROUTES = {kind: tuple(name for name, part in PARTS.items() if kind in part.kinds)
+           for kind in frozenset().union(*(part.kinds for part in PARTS.values()))}
+
+
+class Aggregates:
+    """The parts derived from a `MemoryState`, by name: the values a commit
+    would otherwise recompute by scanning the whole store (see `Part`)."""
+
+    def __init__(self, parts: Optional[dict[str, Part]] = None):
+        self.parts = parts if parts is not None else {name: part() for name, part in PARTS.items()}
+
+    def fork(self) -> "Aggregates":
+        return Aggregates({name: part.fork() for name, part in self.parts.items()})
+
+    def mark(self, kind: str, topic_id: str) -> None:
+        """Mark the topic of a delta of `kind` in each part that it concerns."""
+        for name in _ROUTES.get(kind, ()):
+            self.parts[name].mark(topic_id)
 
 
 def check_references(state: MemoryState) -> None:
@@ -588,24 +596,6 @@ def stale_current_exists(state: MemoryState) -> bool:
     """True if some field's current entry is not its latest non-compressed
     entry, by a full scan (the reference for `MemoryState.stale_topics`)."""
     return any(_serves_stale(topic) for topic in state.topics.values())
-
-
-def _active_fields(topic: Topic) -> int:
-    if topic.archived:
-        return 0
-    return sum(1 for f in topic.fields.values() if f.tier is Tier.ACTIVE)
-
-
-def _serves_stale(topic: Topic) -> bool:
-    for f in topic.fields.values():
-        latest = None
-        for entry in reversed(f.history):
-            if not entry.compressed:
-                latest = entry
-                break
-        if latest is not None and latest.superseded and f.current_entry() is not None:
-            return True
-    return False
 
 
 def canonical_json(obj) -> str:
@@ -709,12 +699,11 @@ def state_digest(state: MemoryState) -> str:
     count.  The topic hashes, their order and the policy and edge sections
     are read from the state's aggregates.
     """
-    derived = state.derived()
-    hashes = derived.content_hashes(state)
+    hashes = state.part("hashes").hashes
     h = hashlib.sha256()
     h.update(canonical_json([state.clock, state.epoch]).encode())
-    h.update(derived.policy_section(state))
-    h.update(derived.edge_section(state))
+    h.update(state.part("policies").section)
+    h.update(state.part("edges").section)
     h.update(canonical_json(sorted(list(pair) for pair in state.revision_queue)).encode())
     h.update(b"%d:" % len(hashes))
     h.update(b"".join(hashes.values()))

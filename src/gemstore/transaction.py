@@ -37,14 +37,16 @@ class DeltaError(ValueError):
 class DeltaKind:
     """One row of `DELTA_KINDS`: a kind's operands, name -> the types its
     value may have, in recorder argument order, and whether the kind can
-    change a topic's `content_text()`, and so its embedding."""
+    change a topic's `content_text()`, and so its embedding; `subject` names
+    the operand whose topic it marks in the state's aggregates, if any."""
 
-    __slots__ = ("operands", "keys", "text")
+    __slots__ = ("operands", "keys", "text", "subject")
 
     def __init__(self, operands: dict[str, tuple[type, ...]], text: bool = False):
         self.operands = operands
         self.keys = frozenset(("kind", *operands))
         self.text = text
+        self.subject = next((name for name in ("id", "topic", "src") if name in operands), None)
 
 
 _TOPIC_FIELD = {"topic": STR, "field": STR}
@@ -73,10 +75,10 @@ DELTA_KINDS: dict[str, DeltaKind] = {
 
 
 def apply_delta(state: MemoryState, delta: dict) -> None:
-    """Mutate `state` in place according to one delta, and mark in its
-    aggregates what the delta may change.  Deterministic.  A delta whose kind
-    is unknown, or whose keys or operand types differ from its kind's row of
-    `DELTA_KINDS`, raises DeltaError before it changes anything."""
+    """Mutate `state` in place according to one delta, and mark its topic in
+    the parts of its aggregates that its kind concerns.  Deterministic.  A
+    delta whose kind is unknown, or whose keys or operand types differ from
+    its kind's row of `DELTA_KINDS`, raises DeltaError before any change."""
     try:
         kind = delta["kind"]
         spec = DELTA_KINDS[kind]
@@ -90,17 +92,14 @@ def apply_delta(state: MemoryState, delta: dict) -> None:
         if tid in state.topics:
             raise DeltaError(f"topic already exists: {tid}")
         state.topics[tid] = Topic(id=tid, title=delta["title"], summary=delta["summary"])
-        state.derived().mark(tid)
         if state.owned is not None:
             state.owned.add(tid)
     elif kind == "topic_removed":
         if state.topics.pop(delta["id"], None) is None:  # removed, so not copied
             raise DeltaError(f"unknown topic: {delta['id']}")
-        state.derived().mark(delta["id"])
         for key in [k for k, e in state.edges.items() if e.src == delta["id"] or e.dst == delta["id"]]:
             del state.edges[key]
         state.revision_queue = {(t, c) for t, c in state.revision_queue if t != delta["id"]}
-        state.derived().edges_changed()
     elif kind == "topic_archived":
         topic = _topic(state, delta["id"])
         topic.archived = True
@@ -169,12 +168,9 @@ def apply_delta(state: MemoryState, delta: dict) -> None:
         if edge.src not in state.topics or edge.dst not in state.topics:
             raise DeltaError(f"edge endpoint missing: {edge.src} -> {edge.dst}")
         state.edges[edge.key()] = edge
-        state.derived().edges_changed()
     elif kind == "edge_removed":
-        key = (delta["src"], delta["dst"], delta["edge_kind"])
-        if key in state.edges:
-            del state.edges[key]
-            state.derived().edges_changed()
+        if state.edges.pop((delta["src"], delta["dst"], delta["edge_kind"]), None) is None:
+            raise DeltaError(f"unknown edge: {delta['src']} -> {delta['dst']} ({delta['edge_kind']})")
     elif kind == "flag_added":
         if delta["topic"] not in state.topics:
             raise DeltaError(f"flag for unknown topic: {delta['topic']}")
@@ -183,6 +179,8 @@ def apply_delta(state: MemoryState, delta: dict) -> None:
         state.revision_queue = {(t, c) for t, c in state.revision_queue if t != delta["topic"]}
     if spec.text:
         state.topics[delta["topic"]].embedding = None
+    if spec.subject is not None:
+        state.derived().mark(kind, delta[spec.subject])
 
 
 def _payload(decode, payload: dict):
@@ -203,7 +201,6 @@ def _topic(state: MemoryState, tid: str) -> Topic:
     else:
         topic = state.topics[tid] = topic.clone()  # a clone starts without the memo
         state.owned.add(tid)
-    state.derived().mark(tid)
     return topic
 
 
@@ -229,7 +226,10 @@ class Txn:
         self.deltas.append(delta)
 
     def derive_embeddings(self) -> None:
-        """Fill the embedding memo of every live topic this transaction changed."""
+        """Fill the embedding memo of every live topic this transaction
+        changed, unless the ranking part, which alone reads it, is unbuilt."""
+        if not self.state.aggregates.parts["ranking"].built:
+            return
         for tid in self.state.owned:
             topic = self.state.topics.get(tid)
             if topic is not None:

@@ -1,7 +1,7 @@
 """Differential test of the aggregates that `apply_delta` maintains: after
-every committed and aborted transition they equal a full recomputation, and
-an aborted or discarded transaction leaves its parent's aggregates as they
-were."""
+every committed and aborted transition each part equals a build on a fresh
+decoding of the state and a full recomputation, and an aborted or discarded
+transaction leaves its parent's parts as they were."""
 
 import copy
 
@@ -10,13 +10,16 @@ import pytest
 from conftest import build_state, build_topic
 from gemstore.baseline import BaselineJournalAdapter
 from gemstore.config import BetaSpec, EngineConfig
-from gemstore.embedding import rank_topics
+from gemstore.embedding import EmbeddingVector, rank_topics
 from gemstore.engine import Engine, EngineEvent
 from gemstore.model import (
-    Aggregates,
+    PARTS,
     EdgeKind,
+    Hashes,
     MemoryState,
+    Part,
     Provenance,
+    Ranking,
     Topic,
     ValueEntry,
     active_footprint,
@@ -28,35 +31,59 @@ from gemstore.model import (
 from gemstore.operators import EvidenceItem, Fact, FactBundle, Query, RuleTable
 from gemstore import policy
 from gemstore.policy import default_policy_set, parse_policy
-from gemstore.transaction import Txn
+from gemstore.transaction import DELTA_KINDS, Txn, apply_delta
 from gemstore.workload import run_workload
 from gemstore.workload_gen import generate_workload
 
 
 def assert_aggregates_exact(state: MemoryState) -> None:
-    """Every value the aggregates serve equals a full scan of `state`."""
+    """Every part of the aggregates, settled, equals its build on a fresh
+    decoding of `state`, and every value the parts serve equals a full scan.
+    The parts are settled on a fork, so that the state's own marks stay
+    pending and its unbuilt parts unbuilt."""
     assert state.aggregates is not None
-    assert state_digest(state) == state_digest(state_from_dict(state_to_dict(state)))
-    assert state.footprint() == active_footprint(state)
+    fresh = state_from_dict(state_to_dict(state))
+    assert state_digest(state) == state_digest(fresh)
+    fork = state.shallow_clone()
+    for name in state.aggregates.parts:
+        assert _plain(fork.part(name)) == _plain(fresh.part(name)), name
+    assert fork.footprint() == active_footprint(state)
     stale = {tid for tid, t in state.topics.items() if stale_current_exists(MemoryState(topics={tid: t}))}
-    assert state.stale_topics() == stale
-    assert bool(state.stale_topics()) == stale_current_exists(state)
+    assert fork.stale_topics() == stale
+    assert bool(fork.stale_topics()) == stale_current_exists(state)
     edges = list(state.edges.values())
     for tid in state.topics:
         successors = sorted(e.dst for e in edges if e.kind is EdgeKind.EXTENSION and e.src == tid)
         neighbors = {e.dst for e in edges if e.kind is EdgeKind.ASSOCIATION and e.src == tid}
         neighbors |= {e.src for e in edges if e.kind is EdgeKind.ASSOCIATION and e.dst == tid}
-        assert state.extension_successors(tid) == successors
-        assert state.association_neighbors(tid) == sorted(neighbors)
-    # settled on a fork, so that the state's own ranking marks stay pending
-    fork = state.shallow_clone()
+        assert fork.extension_successors(tid) == successors
+        assert fork.association_neighbors(tid) == sorted(neighbors)
     assert_ranking_exact(fork, state)
+
+
+def _table_names(part: Part) -> list[str]:
+    """A part's tables: its public attributes but its methods, `kinds` and `built`."""
+    return [name for name in dir(part) if not name.startswith("_") and name not in ("kinds", "built")
+            and not callable(getattr(part, name))]
+
+
+def _plain(value):
+    """A part's tables, with each vector as its terms and norm, since vectors
+    compare by identity."""
+    if isinstance(value, EmbeddingVector):
+        return value.terms, value.norm
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, Part):
+        return {name: _plain(getattr(value, name)) for name in _table_names(value)}
+    return value
 
 
 def assert_ranking_exact(ranked: MemoryState, state: MemoryState) -> None:
     """The ranking part of `ranked` equals a rebuild of `state`'s, from each
     live topic's `vector()`: archived and removed topics have no postings."""
-    postings, vectors = ranked.derived().ranking(ranked)
+    ranking = ranked.part("ranking")
+    postings, vectors = ranking.postings, ranking.vectors
     live = {tid: t.vector() for tid, t in state.topics.items() if not t.archived}
     rebuilt = {}
     for tid, vec in live.items():
@@ -220,8 +247,8 @@ def _ranked_engine(policies=None) -> Engine:
 
 def _tables(state: MemoryState):
     """A deep copy of the state's ranking tables, as they stand."""
-    agg = state.derived()
-    return copy.deepcopy(agg._postings), dict(agg._vectors)
+    ranking = state.aggregates.parts["ranking"]
+    return copy.deepcopy(ranking.postings), dict(ranking.vectors)
 
 
 def test_a_discarded_transaction_that_ranked_leaves_its_parent_exact():
@@ -277,8 +304,8 @@ def test_a_parent_ranked_after_its_child_committed_leaves_the_child_exact():
 
 def test_the_engine_builds_the_ranking_part_once_for_aborted_rankings(monkeypatch):
     builds = []
-    real_build = Aggregates._build_ranking
-    monkeypatch.setattr(Aggregates, "_build_ranking", lambda agg, state: builds.append(1) or real_build(agg, state))
+    real_build = Ranking.build
+    monkeypatch.setattr(Ranking, "build", lambda part, state: builds.append(1) or real_build(part, state))
     cap = parse_policy('POLICY cap ON pre_commit WHEN active_footprint > 6 DO reject_transition("cap")')
     engine = _ranked_engine(default_policy_set() + [cap])
     assert builds == [1]  # at construction, on the committed state
@@ -288,3 +315,75 @@ def test_the_engine_builds_the_ranking_part_once_for_aborted_rankings(monkeypatc
     _, records = engine.submit(EngineEvent.retrieve(Query(text="alpha notes")))
     assert records[-1].committed
     assert builds == [1]
+
+
+# -- the one protocol: routing, unbuilt parts and forks ------------------------
+
+
+def test_each_part_names_delta_kinds_that_exist_and_the_text_kinds_mark_the_ranking():
+    kinds = {kind for part in PARTS.values() for kind in part.kinds}
+    assert kinds <= set(DELTA_KINDS)
+    assert {kind for kind, spec in DELTA_KINDS.items() if spec.text} <= Ranking.kinds
+    # every delta that changes a topic marks its hash
+    assert Hashes.kinds == {kind for kind, spec in DELTA_KINDS.items() if spec.subject in ("id", "topic")} - {
+        "flag_added", "flag_removed"}
+
+
+def test_reads_and_a_tier_only_tick_leave_the_ranking_marks_as_they_were():
+    engine = _ranked_engine()
+    engine.state.topics["b"].fields["Note"].salience = 0.52  # below theta_summary after one decay step
+    engine.submit(_ingest("a", "a moves", Note="beta"))  # a hinted ingest leaves a ranking mark for a
+    ranking = engine.state.aggregates.parts["ranking"]
+    pending = set(ranking._pending)
+    assert pending == {"a"}
+    events = [
+        EngineEvent.retrieve(Query(mode="explicit", explicit=("c", "Note"))),
+        EngineEvent.retrieve(Query(mode="structural", root="c", depth=1)),
+        EngineEvent.tick(),
+    ]
+    for event in events:
+        _, records = engine.submit(event)
+        assert [r.committed for r in records] == [True]
+        ranking = engine.state.aggregates.parts["ranking"]
+        assert ranking._pending == pending, event.kind
+    assert {d["kind"] for d in records[-1].deltas} == {"epoch_advanced", "tier_set"}
+    assert_ranking_exact(engine.state, engine.state)
+
+
+def test_a_hand_built_state_takes_deltas_before_its_first_read_and_is_then_exact():
+    state = build_state([build_topic("a", fields={"A": "1"}), build_topic("b", fields={"B": "2"})])
+    apply_delta(state, {"kind": "topic_created", "id": "c", "title": "c", "summary": "c"})
+    apply_delta(state, {"kind": "tier_set", "topic": "a", "field": "A", "tier": "Hidden"})
+    apply_delta(state, {"kind": "edge_added", "src": "a", "dst": "c", "edge_kind": "Extension", "tick": 1})
+    apply_delta(state, {"kind": "topic_removed", "id": "b"})
+    assert not any(part.built for part in state.aggregates.parts.values())  # an unbuilt part takes no marks
+    assert state.footprint() == 0 and state.extension_successors("a") == ["c"]
+    assert_aggregates_exact(state)
+
+
+def test_a_fork_shares_every_table_until_it_writes():
+    engine = _ranked_engine()
+    parent = engine.state
+    txn = Txn(parent)
+    txn.add_flag("a", "test")
+    state_digest(txn.state)  # a commit's reads settle nothing a flag touches
+    txn.state.footprint(), txn.state.stale_topics(), rank_topics(txn.state, "notes", 1)
+    for name, part in parent.aggregates.parts.items():
+        forked = txn.state.aggregates.parts[name]
+        assert forked is not part and _table_names(part)
+        for table in _table_names(part):
+            assert getattr(forked, table) is getattr(part, table), (name, table)
+
+
+def test_the_baseline_neither_feeds_nor_derives_the_ranking(monkeypatch):
+    vectors = []
+    real_vector = Topic.vector
+    monkeypatch.setattr(Topic, "vector", lambda topic: vectors.append(topic.id) or real_vector(topic))
+    adapter = BaselineJournalAdapter(EngineConfig(), capacity=5)
+    for i in range(2000):
+        adapter.submit(_ingest(None, f"fact {i}", F=str(i)))
+    adapter.submit(EngineEvent.retrieve(Query(text="fact 1999")))
+    ranking = adapter.state.aggregates.parts["ranking"]
+    assert len(adapter.state.topics) == 5
+    assert not ranking.built and ranking._pending is None
+    assert vectors == []

@@ -85,6 +85,18 @@ def test_audit_rejects_tampered_digest():
         audit(e.journal, [])
 
 
+def test_audit_and_replay_reject_a_journal_that_removes_an_absent_edge():
+    e = Engine()
+    e.submit(EngineEvent.ingest(bundle("a", hint="t", A="1")))
+    e.submit(EngineEvent.ingest(bundle("b", hint="u", B="1")))
+    # a no-op delta: every digest after it still matches
+    e.journal.records[1].deltas.append({"kind": "edge_removed", "src": "t", "dst": "u", "edge_kind": "Extension"})
+    with pytest.raises(CorruptJournalError, match="unknown edge: t -> u"):
+        replay(e.journal)
+    with pytest.raises(CorruptJournalError, match="unknown edge: t -> u"):
+        audit(e.journal, [])
+
+
 def test_audit_and_replay_reject_a_deleted_record():
     e = Engine()
     e.submit(EngineEvent.ingest(bundle("a", hint="t", A="1")))

@@ -70,7 +70,8 @@ def test_apply_delta_refuses_a_malformed_nested_payload_and_changes_nothing(delt
     assert state.topics["t"].vector().norm > 0  # the content text still joins
 
 
-# one call of a Txn recorder per delta kind, on topics t (field f) and u
+# one call of a Txn recorder per delta kind, on topics t (field f) and u,
+# joined by the Extension edge t -> u
 RECORDER_CALLS = {
     "topic_created": ("create_topic", "n", "n", "n"),
     "topic_removed": ("remove_topic", "u"),
@@ -94,7 +95,7 @@ RECORDER_CALLS = {
 
 @pytest.mark.parametrize("kind", sorted(DELTA_KINDS))
 def test_a_recorder_writes_its_kind_and_only_a_text_kind_clears_the_embedding(kind):
-    txn = Txn(build_state([build_topic("t", fields={"f": "1"}), build_topic("u")]))
+    txn = Txn(build_state([build_topic("t", fields={"f": "1"}), build_topic("u")], edges=[("t", "u", "Extension")]))
     recorder, *operands = RECORDER_CALLS[kind]
     getattr(txn, recorder)(*operands)
     assert [d["kind"] for d in txn.deltas] == [kind]
