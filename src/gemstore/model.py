@@ -325,13 +325,13 @@ class MemoryState:
 
 
 class Part:
-    """Tables derived from a state's topics, its public attributes, kept
-    current from the deltas whose kinds are in `kinds` (incremental view
+    """A derived part of a state: tables, its public attributes, kept current
+    from the deltas whose kinds are in `kinds` (incremental view
     maintenance; Gupta & Mumick, 1995).  `apply_delta` marks each such
     delta's topic, and a read, given the state, settles the marked topics.
     A part that is not built takes no marks: its first read builds it by
     settling every topic into its class's empty tables, the oracle of the
-    tests.  One copy-on-write rule holds for every part.  After a fork both
+    tests.  One copy-on-write rule holds for every part: after a fork both
     sides share the tables and the pending marks, and a side copies a table,
     or an entry of one, before its first write to it.  So a mark from the
     other side is spurious: a settle writes only what differs, and starts a
@@ -376,11 +376,11 @@ class Part:
 
     def _entry(self, name: str, key) -> dict:
         """The entry `key` of the table `name`, copied or created like one."""
-        table = self._table(name)
         if (name, key) not in self._owned:
+            table = self._table(name)
             self._owned.add((name, key))
             table[key] = dict(table.get(key, ()))
-        return table[key]
+        return getattr(self, name)[key]
 
 
 def _active_fields(topic: Topic) -> int:
