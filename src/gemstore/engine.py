@@ -19,6 +19,7 @@ from .model import (
     OBJECT,
     STR,
     STR_OR_NULL,
+    Aggregates,
     MemoryState,
     check_references,
     check_types,
@@ -194,7 +195,7 @@ class Engine:
         # derived afresh, as the genesis may have been read and then filled in
         # by hand, and built on the committed state, so that a transaction
         # that builds a part and then aborts cannot discard the build
-        self.state.aggregates = None
+        self.state.aggregates = Aggregates()
         self._build_parts()
         genesis_dict = state_to_dict(self.state)
         self.journal = Journal(
@@ -220,7 +221,7 @@ class Engine:
 
     def _build_parts(self) -> None:
         """Build every part of the committed state's aggregates."""
-        for name in self.state.derived().parts:
+        for name in self.state.aggregates.parts:
             self.state.part(name)
 
     def _drain_revision_queue(self) -> list[TransitionRecord]:

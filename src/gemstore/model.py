@@ -270,7 +270,7 @@ class MemoryState:
     clock: int = 0
     epoch: int = 0
     revision_queue: set[tuple[str, str]] = dc_field(default_factory=set)
-    aggregates: Optional["Aggregates"] = dc_field(default=None, repr=False, compare=False)
+    aggregates: "Aggregates" = dc_field(default_factory=lambda: Aggregates(), repr=False, compare=False)
     owned: Optional[set[str]] = dc_field(default=None, repr=False, compare=False)
 
     def shallow_clone(self) -> "MemoryState":
@@ -283,7 +283,7 @@ class MemoryState:
             clock=self.clock,
             epoch=self.epoch,
             revision_queue=set(self.revision_queue),
-            aggregates=self.derived().fork(),
+            aggregates=self.aggregates.fork(),
             owned=set(),
         )
 
@@ -298,15 +298,9 @@ class MemoryState:
         of the forget ladder and `hide_order` spell it out per topic."""
         return decay(f.salience, self.epoch_of(topic) - f.since, lam)
 
-    def derived(self) -> "Aggregates":
-        """The state's aggregates, created on first use with no part built."""
-        if self.aggregates is None:
-            self.aggregates = Aggregates()
-        return self.aggregates
-
     def part(self, name: str) -> "Part":
         """The aggregates' part `name`, settled."""
-        return self.derived().parts[name].read(self)
+        return self.aggregates.parts[name].read(self)
 
     def extension_successors(self, topic_id: str) -> list[str]:
         return list(self.part("edges").successors.get(topic_id, ()))

@@ -180,7 +180,7 @@ def apply_delta(state: MemoryState, delta: dict) -> None:
     if spec.text:
         state.topics[delta["topic"]].embedding = None
     if spec.subject is not None:
-        state.derived().mark(kind, delta[spec.subject])
+        state.aggregates.mark(kind, delta[spec.subject])
 
 
 def _payload(decode, payload: dict):
