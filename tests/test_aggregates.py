@@ -61,7 +61,7 @@ def assert_aggregates_exact(state: MemoryState) -> None:
 
 
 def _table_names(part: Part) -> list[str]:
-    """A part's tables: its public attributes but its methods, `kinds` and `built`."""
+    """A part's tables: its public attributes other than its methods, `kinds` and `built`."""
     return [name for name in dir(part) if not name.startswith("_") and name not in ("kinds", "built")
             and not callable(getattr(part, name))]
 
