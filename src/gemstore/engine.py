@@ -19,7 +19,6 @@ from .model import (
     OBJECT,
     STR,
     STR_OR_NULL,
-    Aggregates,
     MemoryState,
     check_references,
     check_types,
@@ -27,6 +26,7 @@ from .model import (
     state_digest,
     state_from_dict,
     state_to_dict,
+    unbuilt_parts,
 )
 from .operators import (
     EvidenceItem,
@@ -195,7 +195,7 @@ class Engine:
         # derived afresh, as the genesis may have been read and then filled in
         # by hand, and built on the committed state, so that a transaction
         # that builds a part and then aborts cannot discard the build
-        self.state.aggregates = Aggregates()
+        self.state.parts = unbuilt_parts()
         self._build_parts()
         genesis_dict = state_to_dict(self.state)
         self.journal = Journal(
@@ -220,8 +220,8 @@ class Engine:
     # -- internals --------------------------------------------------------
 
     def _build_parts(self) -> None:
-        """Build every part of the committed state's aggregates."""
-        for name in self.state.aggregates.parts:
+        """Build every part of the committed state."""
+        for name in self.state.parts:
             self.state.part(name)
 
     def _drain_revision_queue(self) -> list[TransitionRecord]:

@@ -147,9 +147,9 @@ class Topic:
     archived: bool = False
     archived_at: Optional[int] = None  # the decay epoch its salience is frozen at
     merged_into: Optional[str] = None
-    # (canonical bytes, their SHA-256); cleared by the transaction layer
-    # before any delta touches the topic
-    _canonical_cache: Optional[tuple[bytes, bytes]] = dc_field(default=None, repr=False, compare=False)
+    # always None: the canonical bytes are not memoised; perfbench's cache
+    # counter still reads the name
+    _canonical_cache = None
 
     def clone(self) -> "Topic":
         return Topic(
@@ -209,15 +209,11 @@ class Topic:
         )
 
     def canonical_bytes(self) -> bytes:
-        if self._canonical_cache is None:
-            data = canonical_json(self.to_dict()).encode("utf-8")
-            self._canonical_cache = (data, hashlib.sha256(data).digest())
-        return self._canonical_cache[0]
+        return canonical_json(self.to_dict()).encode("utf-8")
 
     def content_hash(self) -> bytes:
-        """SHA-256 of `canonical_bytes()`, memoised with them."""
-        self.canonical_bytes()  # fills the cache on a miss
-        return self._canonical_cache[1]
+        """SHA-256 of `canonical_bytes()`."""
+        return hashlib.sha256(self.canonical_bytes()).digest()
 
 
 @dataclass(frozen=True)
@@ -248,16 +244,24 @@ class Edge:
         return Edge(d["src"], d["dst"], EdgeKind(d["kind"]), d["created_at"])
 
 
+def unbuilt_parts() -> dict[str, "Part"]:
+    """One unbuilt part of each class in `PARTS`, by name."""
+    return {name: part() for name, part in PARTS.items()}
+
+
 @dataclass
 class MemoryState:
     """Topics, edges, policies, clock, decay epoch and revision queue:
     everything that is journalled and hashed.  `epoch` counts committed
     ticks, from which `salience` derives each field's decayed value.
 
-    `aggregates` holds derived parts, read by name through `part` and never
-    serialised, hashed or journalled.  Each is built on its first read and
-    from then on kept current by `apply_delta`, so a hand-built state may be
-    filled in directly only until its first read, and by deltas after it.
+    `parts` holds the derived parts by name (see `Part`), read through
+    `part` and never serialised, hashed or journalled.  Each is built on its
+    first read and from then on kept current by the marks `apply_delta`
+    makes, so a hand-built state may be filled in directly only until its
+    first read, and by deltas after it.  A part is a value: `part` replaces
+    the state's entry with the value a read returns, and a fork shares every
+    part with the state it was cloned from.
 
     `owned` names the topics this state may change in place; the others it
     shares with the state it was cloned from.  It is None for a state that
@@ -270,12 +274,12 @@ class MemoryState:
     clock: int = 0
     epoch: int = 0
     revision_queue: set[tuple[str, str]] = dc_field(default_factory=set)
-    aggregates: "Aggregates" = dc_field(default_factory=lambda: Aggregates(), repr=False, compare=False)
+    parts: dict[str, "Part"] = dc_field(default_factory=unbuilt_parts, repr=False, compare=False)
     owned: Optional[set[str]] = dc_field(default=None, repr=False, compare=False)
 
     def shallow_clone(self) -> "MemoryState":
         """Copy containers; topics are shared until `apply_delta` first changes
-        them, and the aggregates' tables until a side first writes them."""
+        them, and the parts until a read settles them."""
         return MemoryState(
             topics=dict(self.topics),
             edges=dict(self.edges),
@@ -283,7 +287,7 @@ class MemoryState:
             clock=self.clock,
             epoch=self.epoch,
             revision_queue=set(self.revision_queue),
-            aggregates=self.aggregates.fork(),
+            parts=dict(self.parts),
             owned=set(),
         )
 
@@ -299,8 +303,14 @@ class MemoryState:
         return decay(f.salience, self.epoch_of(topic) - f.since, lam)
 
     def part(self, name: str) -> "Part":
-        """The aggregates' part `name`, settled."""
-        return self.aggregates.parts[name].read(self)
+        """The part `name`, settled, kept as this state's part `name`."""
+        part = self.parts[name] = self.parts[name].read(self)
+        return part
+
+    def mark(self, kind: str, topic_id: str) -> None:
+        """Mark the topic of a delta of `kind` in each part that it concerns."""
+        for name in _ROUTES.get(kind, ()):
+            self.parts[name].mark(topic_id)
 
     def extension_successors(self, topic_id: str) -> list[str]:
         return list(self.part("edges").successors.get(topic_id, ()))
@@ -309,7 +319,7 @@ class MemoryState:
         return list(self.part("edges").neighbors.get(topic_id, ()))
 
     def footprint(self) -> int:
-        """`active_footprint`, read from the aggregates."""
+        """`active_footprint`, read from the footprint part."""
         return self.part("footprint").total
 
     def stale_topics(self) -> frozenset[str]:
@@ -323,17 +333,19 @@ class Part:
     from the deltas whose kinds are in `kinds` (incremental view
     maintenance; Gupta & Mumick, 1995).  `apply_delta` marks each such
     delta's topic, and a read, given the state, settles the marked topics.
-    A part that is not built takes no marks: its first read builds it by
-    settling every topic into its class's empty tables, the oracle of the
-    tests.  One copy-on-write rule holds for every part: after a fork both
-    sides share the tables and the pending marks, and a side copies a table,
-    or an entry of one, before its first write to it.  So a mark from the
-    other side is spurious: a settle writes only what differs, and starts a
-    new pending set instead of clearing the shared one."""
+
+    A part is a value: once a read has returned it, no table of it changes,
+    so states share it freely (path copying; Driscoll et al., 1989).  A read
+    with no mark pending returns the part itself; otherwise it returns a
+    settled copy with a new pending set, which copies a table, or an entry
+    of one, before its first write to it in that settle.  A part that is not
+    built takes no marks: its first read builds it by the same settle of
+    every topic into its class's empty tables, the oracle of the tests.
+    States that share a part share its pending marks, so a mark from another
+    state is spurious: a settle writes only what differs."""
 
     kinds: frozenset[str] = frozenset()
     _pending: Optional[set[str]] = None  # None until built
-    _owned: frozenset = frozenset()  # the tables and entries this side has copied since it was built or forked
 
     @property
     def built(self) -> bool:
@@ -343,26 +355,25 @@ class Part:
         if self._pending is not None:
             self._pending.add(topic_id)
 
-    def fork(self) -> "Part":
-        child = object.__new__(type(self))
-        child.__dict__.update(self.__dict__)
-        self._owned, child._owned = set(), set()
-        return child
-
     def read(self, state: MemoryState) -> "Part":
         if self._pending is None:
-            self.build(state)
-        elif self._pending:
-            marked, self._pending = self._pending, set()
-            self.settle(state, marked)
+            return self.build(state)
+        if self._pending:
+            return self._settled(state, self._pending)
         return self
 
-    def build(self, state: MemoryState) -> None:
-        self._pending, self._owned = set(), set()
-        self.settle(state, state.topics)
+    def build(self, state: MemoryState) -> "Part":
+        return self._settled(state, state.topics)
+
+    def _settled(self, state: MemoryState, marked: Iterable[str]) -> "Part":
+        part = object.__new__(type(self))
+        part.__dict__.update(self.__dict__)
+        part._pending, part._owned = set(), set()  # _owned: the tables and entries this settle copied
+        part.settle(state, marked)
+        return part
 
     def _table(self, name: str):
-        """The table `name`, copied first if this side has not written it."""
+        """The table `name`, copied first if this settle has not written it."""
         if name not in self._owned:
             self._owned.add(name)
             setattr(self, name, getattr(self, name).copy())
@@ -484,12 +495,14 @@ class Policies(Part):
 
     def read(self, state: MemoryState) -> "Part":
         policies = state.policies
-        if len(policies) != len(self._rendered) or not all(map(operator.is_, policies, self._rendered)):
-            from .policy import render_policy
+        if len(policies) == len(self._rendered) and all(map(operator.is_, policies, self._rendered)):
+            return self
+        from .policy import render_policy
 
-            self._rendered = list(policies)
-            self.section = canonical_json([render_policy(p) for p in policies]).encode()
-        return self
+        part = Policies()
+        part._rendered = list(policies)
+        part.section = canonical_json([render_policy(p) for p in policies]).encode()
+        return part
 
 
 class Ranking(Part):
@@ -530,22 +543,6 @@ _ROUTES = {kind: tuple(name for name, part in PARTS.items() if kind in part.kind
            for kind in frozenset().union(*(part.kinds for part in PARTS.values()))}
 
 
-class Aggregates:
-    """The parts derived from a `MemoryState`, by name: the values a commit
-    would otherwise recompute by scanning the whole store (see `Part`)."""
-
-    def __init__(self, parts: Optional[dict[str, Part]] = None):
-        self.parts = parts if parts is not None else {name: part() for name, part in PARTS.items()}
-
-    def fork(self) -> "Aggregates":
-        return Aggregates({name: part.fork() for name, part in self.parts.items()})
-
-    def mark(self, kind: str, topic_id: str) -> None:
-        """Mark the topic of a delta of `kind` in each part that it concerns."""
-        for name in _ROUTES.get(kind, ()):
-            self.parts[name].mark(topic_id)
-
-
 def check_references(state: MemoryState) -> None:
     """Refuse an edge or a revision flag to a missing topic in a state that
     enters whole, as a genesis or a snapshot; `apply_delta` checks each edge
@@ -582,7 +579,7 @@ def history(state: MemoryState, topic_id: str, field_name: str) -> list[ValueEnt
 
 def active_footprint(state: MemoryState) -> int:
     """Active fields of live topics, by a full scan (the reference for the
-    aggregate that `MemoryState.footprint` reads)."""
+    part that `MemoryState.footprint` reads)."""
     return sum(_active_fields(topic) for topic in state.topics.values())
 
 
@@ -691,7 +688,7 @@ def state_digest(state: MemoryState) -> str:
     the edges a JSON list of their memoised encodings in byte order, and the
     topic hashes, in topic id order, are fixed-width and preceded by their
     count.  The topic hashes, their order and the policy and edge sections
-    are read from the state's aggregates.
+    are read from the state's parts.
     """
     hashes = state.part("hashes").hashes
     h = hashlib.sha256()

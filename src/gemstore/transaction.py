@@ -38,7 +38,7 @@ class DeltaKind:
     """One row of `DELTA_KINDS`: a kind's operands, name -> the types its
     value may have, in recorder argument order, and whether the kind can
     change a topic's `content_text()`, and so its embedding; `subject` names
-    the operand whose topic it marks in the state's aggregates, if any."""
+    the operand whose topic it marks in the state's parts, if any."""
 
     __slots__ = ("operands", "keys", "text", "subject")
 
@@ -76,7 +76,7 @@ DELTA_KINDS: dict[str, DeltaKind] = {
 
 def apply_delta(state: MemoryState, delta: dict) -> None:
     """Mutate `state` in place according to one delta, and mark its topic in
-    the parts of its aggregates that its kind concerns.  Deterministic.  A
+    the state's parts that its kind concerns.  Deterministic.  A
     delta whose kind is unknown, or whose keys or operand types differ from
     its kind's row of `DELTA_KINDS`, raises DeltaError before any change."""
     try:
@@ -180,7 +180,7 @@ def apply_delta(state: MemoryState, delta: dict) -> None:
     if spec.text:
         state.topics[delta["topic"]].embedding = None
     if spec.subject is not None:
-        state.aggregates.mark(kind, delta[spec.subject])
+        state.mark(kind, delta[spec.subject])
 
 
 def _payload(decode, payload: dict):
@@ -196,10 +196,8 @@ def _topic(state: MemoryState, tid: str) -> Topic:
     topic = state.topics.get(tid)
     if topic is None:
         raise DeltaError(f"unknown topic: {tid}")
-    if state.owned is None or tid in state.owned:
-        topic._canonical_cache = None  # content is about to change
-    else:
-        topic = state.topics[tid] = topic.clone()  # a clone starts without the memo
+    if state.owned is not None and tid not in state.owned:
+        topic = state.topics[tid] = topic.clone()
         state.owned.add(tid)
     return topic
 
@@ -228,7 +226,7 @@ class Txn:
     def derive_embeddings(self) -> None:
         """Fill the embedding memo of every live topic this transaction
         changed, unless the ranking part, which alone reads it, is unbuilt."""
-        if not self.state.aggregates.parts["ranking"].built:
+        if not self.state.parts["ranking"].built:
             return
         for tid in self.state.owned:
             topic = self.state.topics.get(tid)

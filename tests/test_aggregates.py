@@ -13,13 +13,16 @@ from gemstore.config import BetaSpec, EngineConfig
 from gemstore.embedding import EmbeddingVector, rank_topics
 from gemstore.engine import Engine, EngineEvent
 from gemstore.model import (
+    _ROUTES,
     PARTS,
     EdgeKind,
+    Field,
     Hashes,
     MemoryState,
     Part,
     Provenance,
     Ranking,
+    Tier,
     Topic,
     ValueEntry,
     active_footprint,
@@ -44,7 +47,7 @@ def assert_aggregates_exact(state: MemoryState) -> None:
     fresh = state_from_dict(state_to_dict(state))
     assert state_digest(state) == state_digest(fresh)
     fork = state.shallow_clone()
-    for name in state.aggregates.parts:
+    for name in state.parts:
         assert _plain(fork.part(name)) == _plain(fresh.part(name)), name
     assert fork.footprint() == active_footprint(state)
     stale = {tid for tid, t in state.topics.items() if stale_current_exists(MemoryState(topics={tid: t}))}
@@ -177,12 +180,12 @@ def test_graph_operations_keep_aggregates_exact(checked_transitions):
 
 def test_a_hand_built_state_keeps_its_aggregates_after_the_first_read():
     state = build_state([build_topic("a", fields={"A": "1"}), build_topic("b")])
-    assert not any(part.built for part in state.aggregates.parts.values())
+    assert not any(part.built for part in state.parts.values())
     digest = state_digest(state)
-    aggregates = state.aggregates
-    assert aggregates.parts["hashes"].built and aggregates.parts["edges"].built
+    parts = state.parts
+    assert parts["hashes"].built and parts["edges"].built
     assert state.footprint() == 1 and state_digest(state) == digest
-    assert state.aggregates is aggregates
+    assert state.parts is parts
     assert_aggregates_exact(state)
 
 
@@ -227,6 +230,39 @@ def test_rejected_commit_leaves_the_parent_aggregates(checked_transitions):
     _, records = engine.submit(_ingest("t", "t changes A", A="4"))
     assert records[-1].committed
     assert checked_transitions == ["aborted", "committed"]
+    # a child that writes every routed kind and reads every part leaves each
+    # part of its parent the same object, with the same tables
+    parent = engine.state
+    parts = dict(parent.parts)
+    tables = {name: copy.deepcopy(_plain(part)) for name, part in parts.items()}
+    entry = ValueEntry("x", 1, (Provenance("test", 1),))
+    txn = Txn(parent)
+    txn.create_topic("u", "u", "u")
+    txn.create_field("u", "X", None, 1.0, 1)
+    txn.append_entry("u", "X", entry)
+    txn.append_entry("u", "X", entry)
+    txn.set_entry_flags("u", "X", 0, True, False)
+    txn.compress_history("u", "X", 1, entry)
+    txn.install_field("t", Field("D", history=[entry]))
+    txn.remove_field("t", "D")
+    txn.set_salience("t", "A", 0.5)
+    txn.set_last_access("t", "A", 9)
+    txn.set_tier("t", "B", Tier.HIDDEN)
+    txn.add_edge("t", "u", EdgeKind.EXTENSION, 1)
+    txn.add_edge("u", "t", EdgeKind.ASSOCIATION, 1)
+    txn.remove_edge("u", "t", EdgeKind.ASSOCIATION)
+    txn.archive_topic("u")
+    txn.remove_topic("t")
+    assert {d["kind"] for d in txn.deltas} == set(_ROUTES)
+    txn.state.policies = default_policy_set()[:1]
+    for name in parts:
+        assert txn.state.part(name) is not parts[name], name
+    assert_aggregates_exact(txn.state)
+    del txn
+    for name, part in parts.items():
+        assert parent.parts[name] is part, name
+        assert _plain(part) == tables[name], name
+    assert_aggregates_exact(parent)
 
 
 # -- fork safety of the ranking part -----------------------------------------
@@ -246,7 +282,7 @@ def _ranked_engine(policies=None) -> Engine:
 
 def _tables(state: MemoryState):
     """A deep copy of the state's ranking tables, as they stand."""
-    ranking = state.aggregates.parts["ranking"]
+    ranking = state.parts["ranking"]
     return copy.deepcopy(ranking.postings), dict(ranking.vectors)
 
 
@@ -332,7 +368,7 @@ def test_reads_and_a_tier_only_tick_leave_the_ranking_marks_as_they_were():
     engine = _ranked_engine()
     engine.state.topics["b"].fields["Note"].salience = 0.52  # below theta_summary after one decay step
     engine.submit(_ingest("a", "a moves", Note="beta"))  # a hinted ingest leaves a ranking mark for a
-    ranking = engine.state.aggregates.parts["ranking"]
+    ranking = engine.state.parts["ranking"]
     pending = set(ranking._pending)
     assert pending == {"a"}
     events = [
@@ -343,7 +379,7 @@ def test_reads_and_a_tier_only_tick_leave_the_ranking_marks_as_they_were():
     for event in events:
         _, records = engine.submit(event)
         assert [r.committed for r in records] == [True]
-        ranking = engine.state.aggregates.parts["ranking"]
+        ranking = engine.state.parts["ranking"]
         assert ranking._pending == pending, event.kind
     assert {d["kind"] for d in records[-1].deltas} == {"epoch_advanced", "tier_set"}
     assert_ranking_exact(engine.state, engine.state)
@@ -355,7 +391,7 @@ def test_a_hand_built_state_takes_deltas_before_its_first_read_and_is_then_exact
     apply_delta(state, {"kind": "tier_set", "topic": "a", "field": "A", "tier": "Hidden"})
     apply_delta(state, {"kind": "edge_added", "src": "a", "dst": "c", "edge_kind": "Extension", "tick": 1})
     apply_delta(state, {"kind": "topic_removed", "id": "b"})
-    assert not any(part.built for part in state.aggregates.parts.values())  # an unbuilt part takes no marks
+    assert not any(part.built for part in state.parts.values())  # an unbuilt part takes no marks
     assert state.footprint() == 0 and state.extension_successors("a") == ["c"]
     assert_aggregates_exact(state)
 
@@ -367,9 +403,9 @@ def test_a_fork_shares_every_table_until_it_writes():
     txn.add_flag("a", "test")
     state_digest(txn.state)  # a commit's reads settle nothing a flag touches
     txn.state.footprint(), txn.state.stale_topics(), rank_topics(txn.state, "notes", 1)
-    for name, part in parent.aggregates.parts.items():
-        forked = txn.state.aggregates.parts[name]
-        assert forked is not part and _table_names(part)
+    for name, part in parent.parts.items():
+        forked = txn.state.parts[name]
+        assert forked is part and _table_names(part)
         for table in _table_names(part):
             assert getattr(forked, table) is getattr(part, table), (name, table)
 
@@ -382,7 +418,7 @@ def test_the_baseline_neither_feeds_nor_derives_the_ranking(monkeypatch):
     for i in range(2000):
         adapter.submit(_ingest(None, f"fact {i}", F=str(i)))
     adapter.submit(EngineEvent.retrieve(Query(text="fact 1999")))
-    ranking = adapter.state.aggregates.parts["ranking"]
+    ranking = adapter.state.parts["ranking"]
     assert len(adapter.state.topics) == 5
     assert not ranking.built and ranking._pending is None
     assert vectors == []

@@ -90,14 +90,13 @@ def test_archived_topics_stop_decaying():
         e.submit(EngineEvent.tick())
     assert e.state.topics["t"].archived
     frozen = _salience(e, "t", "A")
-    e.state.topics["t"].canonical_bytes()
-    cache = e.state.topics["t"]._canonical_cache
+    topic = e.state.topics["t"]
     for _ in range(5):
         _, records = e.submit(EngineEvent.tick())
         assert records[0].deltas == [{"kind": "epoch_advanced"}]
     assert _salience(e, "t", "A") == frozen
-    # a tick leaves an archived topic's canonical cache in place
-    assert e.state.topics["t"]._canonical_cache is cache
+    # a tick leaves an archived topic untouched
+    assert e.state.topics["t"] is topic
     # an explicit lookup bumps the archived unit from its frozen value,
     # and the bumped value stays frozen
     _, records = e.submit(EngineEvent.retrieve(Query(mode="explicit", explicit=("t", "A"))))
@@ -428,6 +427,51 @@ def test_drain_repairs_a_topic_after_every_pending_topic_that_reaches_it():
     assert "z.z-status changed" in current_value(e.state, "b", "b-status").value
     assert audit(e.journal, []).passed
 
+
+
+def _two_topic_engine(edges, rules, policies=None):
+    topics = [build_topic("a", fields={"fa": "0"}), build_topic("b", fields={"fb": "0"})]
+    genesis = build_state(topics, edges=edges, policies=policies)
+    e = Engine(genesis=genesis, rules=RuleTable.parse(rules))
+    e.submit(EngineEvent.ingest(bundle("a moved", hint="a", fa="v1")))
+    return e
+
+
+def test_a_drain_whose_repair_aborts_still_ends(monkeypatch):
+    # b's repair fires `broken`, which aborts it and leaves b queued: the
+    # drain ends because it visits each topic once, not because the queue empties
+    broken = parse_policy("POLICY broken ON field_updated WHEN field == fb DO flag_for_revision(ghost)")
+    e = _two_topic_engine([("a", "b", "Extension")], "a.fa -> b.fb : shift-annotation",
+                          policies=default_policy_set() + [broken])
+    assert e.state.revision_queue == {("b", "a.fa")}
+    calls = []
+    real = Engine._apply_once
+
+    def apply_once(self, event):
+        calls.append(event.kind)
+        assert len(calls) <= 3, f"the drain does not end: {calls}"
+        return real(self, event)
+
+    monkeypatch.setattr(Engine, "_apply_once", apply_once)
+    _, records = e.submit(EngineEvent.retrieve(Query(text="b fb")))
+    assert [(r.operator, r.outcome) for r in records] == [("revise", "aborted"), ("retrieve", "committed")]
+    assert records[0].reason == "flag_for_revision of unknown topic: ghost"
+    assert e.state.revision_queue == {("b", "a.fa")}
+
+
+@pytest.mark.xfail(strict=True, reason="an Extension cycle grows its values on every drain (ROADMAP item 1)")
+def test_a_dependency_cycle_stops_growing_after_the_first_drain():
+    # today a.fa grows to 71, 244 and 694 characters and b.fb to 36, 140
+    # and 417, and the audit reports C3 = 3
+    e = _two_topic_engine([("a", "b", "Extension"), ("b", "a", "Extension")],
+                          "a.fa -> b.fb : shift-annotation\nb.fb -> a.fa : shift-annotation")
+    lengths = []
+    for _ in range(3):
+        e.submit(EngineEvent.retrieve(Query(text="b fb")))
+        lengths.append((len(current_value(e.state, "a", "fa").value), len(current_value(e.state, "b", "fb").value)))
+    assert lengths == lengths[:1] * 3
+    report = audit(e.journal, [])
+    assert report.passed, report.totals()
 
 @pytest.mark.parametrize(
     "edit, error",
