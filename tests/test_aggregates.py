@@ -1,4 +1,4 @@
-"""Differential test of the aggregates that `apply_delta` maintains: after
+"""Differential test of the derived parts that `apply_delta` marks: after
 every committed and aborted transition each part equals a build on a fresh
 decoding of the state and a full recomputation, and an aborted or discarded
 transaction leaves its parent's parts as they were."""
@@ -40,7 +40,7 @@ from gemstore.workload_gen import generate_workload
 
 
 def assert_aggregates_exact(state: MemoryState) -> None:
-    """Every part of the aggregates, settled, equals its build on a fresh
+    """Every part of the state, settled, equals its build on a fresh
     decoding of `state`, and every value the parts serve equals a full scan.
     The parts are settled on a fork, so that the state's own marks stay
     pending and its unbuilt parts unbuilt."""
@@ -98,7 +98,7 @@ def assert_ranking_exact(ranked: MemoryState, state: MemoryState) -> None:
 
 @pytest.fixture
 def checked_transitions(monkeypatch):
-    """Check the aggregates after every transition an engine makes; return
+    """Check the parts after every transition an engine makes; return
     the outcomes seen."""
     outcomes = []
     real = Engine._apply_once
@@ -258,7 +258,6 @@ def test_rejected_commit_leaves_the_parent_aggregates(checked_transitions):
     for name in parts:
         assert txn.state.part(name) is not parts[name], name
     assert_aggregates_exact(txn.state)
-    del txn
     for name, part in parts.items():
         assert parent.parts[name] is part, name
         assert _plain(part) == tables[name], name
