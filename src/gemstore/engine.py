@@ -220,7 +220,9 @@ class Engine:
     # -- internals --------------------------------------------------------
 
     def _build_parts(self) -> None:
-        """Build every part of the committed state."""
+        """Build every part of the committed state, the ladder for this
+        engine's salience parameters."""
+        self.state.part("ladder", self.config.salience)
         for name in self.state.parts:
             self.state.part(name)
 

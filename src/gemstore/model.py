@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import operator
+from bisect import bisect_left, bisect_right, insort
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field, replace
 from enum import Enum
@@ -17,7 +19,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from .embedding import EmbeddingVector, embed
-from .salience import Tier, decay
+from .salience import SalienceParams, Tier, crossing, decay, tier_of
 
 if TYPE_CHECKING:  # pragma: no cover
     from .policy import Policy
@@ -107,6 +109,16 @@ class Field:
             if not entry.superseded and not entry.compressed:
                 return entry
         return None
+
+    def compress_cut(self, k_recent: int) -> int:
+        """How many leading history entries the forget ladder folds into one
+        summary: those before the last `k_recent` and before the current
+        entry.  Below 2 it folds none."""
+        cut = len(self.history) - k_recent
+        current = self.current_entry()
+        if current is not None:
+            cut = min(cut, self.history.index(current))
+        return cut
 
     def to_dict(self) -> dict:
         return {
@@ -298,13 +310,15 @@ class MemoryState:
 
     def salience(self, topic: Topic, f: Field, lam: float) -> float:
         """The field's salience now: its set value decayed by `lam` over the
-        epochs since it was set (Park et al., 2023).  The whole-store loops
-        of the forget ladder and `hide_order` spell it out per topic."""
+        epochs since it was set (Park et al., 2023).  The forget ladder and
+        `hide_order` spell it out per topic, and the ladder part finds from
+        it the epoch at which each topic's tiers next change."""
         return decay(f.salience, self.epoch_of(topic) - f.since, lam)
 
-    def part(self, name: str) -> "Part":
-        """The part `name`, settled, kept as this state's part `name`."""
-        part = self.parts[name] = self.parts[name].read(self)
+    def part(self, name: str, *args) -> "Part":
+        """The part `name`, settled (given `args`, which only the ladder part
+        takes), kept as this state's part `name`."""
+        part = self.parts[name] = self.parts[name].read(self, *args)
         return part
 
     def mark(self, kind: str, topic_id: str) -> None:
@@ -339,10 +353,11 @@ class Part:
     with no mark pending returns the part itself; otherwise it returns a
     settled copy with a new pending set, which copies a table, or an entry
     of one, before its first write to it in that settle.  A part that is not
-    built takes no marks: its first read builds it by the same settle of
-    every topic into its class's empty tables, the oracle of the tests.
-    States that share a part share its pending marks, so a mark from another
-    state is spurious: a settle writes only what differs."""
+    built takes no marks: its first read builds it, by default by the same
+    settle of every topic into its class's empty tables.  The ranking and
+    ladder parts build theirs in bulk instead, which the tests check every
+    settle against.  States that share a part share its pending marks, so a
+    mark from another state is spurious: a settle writes only what differs."""
 
     kinds: frozenset[str] = frozenset()
     _pending: Optional[set[str]] = None  # None until built
@@ -514,6 +529,16 @@ class Ranking(Part):
     postings: dict[int, dict[str, int]] = {}
     vectors: dict[str, EmbeddingVector] = {}
 
+    def build(self, state: MemoryState) -> "Part":
+        part = Ranking()
+        part._pending = set()
+        part.vectors = {tid: topic.vector() for tid, topic in state.topics.items() if not topic.archived}
+        part.postings = {}
+        for tid, vector in part.vectors.items():
+            for bucket, term in vector.terms.items():
+                part.postings.setdefault(bucket, {})[tid] = term
+        return part
+
     def settle(self, state: MemoryState, marked: Iterable[str]) -> None:
         for tid in marked:
             topic = state.topics.get(tid)
@@ -537,22 +562,136 @@ class Ranking(Part):
                 self._table("vectors")[tid] = new
 
 
+def _due(topic: Topic, p: SalienceParams, epoch: int) -> Optional[int]:
+    """The epoch at which the forget ladder next changes the topic, read at
+    decay epoch `epoch`: `epoch` itself if the ladder would change it now,
+    else the first later epoch at which it would re-tier a field, compress
+    a field's history or archive the topic.  None for an archived topic or
+    one without fields, which the ladder never changes.  Between the deltas
+    that set it a field's salience only falls, so a field whose tier holds
+    at `epoch` changes first where its salience falls below the threshold
+    under that tier; a hidden one never does, and a topic whose fields are
+    all hidden archives once the last of them is below theta_archive."""
+    if topic.archived or not topic.fields:
+        return None
+    due = None
+    for f in topic.fields.values():
+        tier = tier_of(decay(f.salience, epoch - f.since, p.decay), p)
+        if tier is not f.tier or (tier is not Tier.ACTIVE and f.compress_cut(p.k_recent) >= 2):
+            return epoch
+        if tier is not Tier.HIDDEN:
+            d = f.since + crossing(f.salience, p.theta_summary if tier is Tier.ACTIVE else p.theta_remove, p.decay)
+            due = d if due is None else min(due, d)
+    if due is None:
+        due = max(f.since + crossing(f.salience, p.theta_archive, p.decay) for f in topic.fields.values())
+    return max(due, epoch)
+
+
+class Ladder(Part):
+    """Each live topic's due epoch (`_due`) under `params`, and the calendar
+    of the due topics by epoch, its epochs in order (a calendar queue;
+    Brown, 1988), so that the forget ladder visits only the topics due by
+    the state's epoch.  A calendar slot is a dict of topic ids to None,
+    which copies faster than a set.
+
+    A settle reads each marked topic's due at the state's epoch, and an
+    unmarked topic keeps the due it was read with.  A later read would find
+    the same one: a due epoch is the first at which the ladder would act,
+    and every tick runs the ladder, which takes, and so marks, each topic
+    due by its epoch (`due_by`).  A read for other parameters builds the
+    part afresh."""
+
+    kinds = _HISTORY | {"topic_created", "topic_removed", "topic_archived", "field_created", "salience_set",
+                        "tier_set"}
+    params = SalienceParams()
+    due: dict[str, int] = {}
+    calendar: dict[int, dict[str, None]] = {}
+    epochs: list[int] = []
+
+    def read(self, state: MemoryState, params: Optional[SalienceParams] = None) -> "Part":
+        if params is None or params is self.params or params == self.params:
+            return super().read(state)
+        part = Ladder()
+        part.params = params
+        return part.build(state)
+
+    def build(self, state: MemoryState) -> "Part":
+        part = Ladder()
+        part.params, part._pending = self.params, set()
+        dues = ((tid, _due(topic, self.params, state.epoch)) for tid, topic in state.topics.items())
+        part.due = {tid: due for tid, due in dues if due is not None}
+        part.calendar = {}
+        for tid, due in part.due.items():
+            part.calendar.setdefault(due, {})[tid] = None
+        part.epochs = sorted(part.calendar)
+        return part
+
+    def settle(self, state: MemoryState, marked: Iterable[str]) -> None:
+        for tid in marked:
+            topic = state.topics.get(tid)
+            new = None if topic is None else _due(topic, self.params, state.epoch)
+            old = self.due.get(tid)
+            if new == old:
+                continue
+            if old is not None and len(self.calendar[old]) > 1:
+                del self._entry("calendar", old)[tid]
+            elif old is not None:  # its slot empties
+                del self._table("calendar")[old]
+                self._owned.discard(("calendar", old))
+                del self._table("epochs")[bisect_left(self.epochs, old)]
+            if new is None:
+                del self._table("due")[tid]
+            else:
+                self._table("due")[tid] = new
+                if new not in self.calendar:
+                    insort(self._table("epochs"), new)
+                self._entry("calendar", new)[tid] = None
+
+    def due_by(self, epoch: int) -> list[str]:
+        """The topics due at `epoch` or before, in id order, each marked so
+        that the next read settles it again, whether or not the ladder then
+        changes it."""
+        due = sorted(tid for slot in self.epochs[:bisect_right(self.epochs, epoch)] for tid in self.calendar[slot])
+        self._pending.update(due)
+        return due
+
+
 PARTS = {"hashes": Hashes, "footprint": Footprint, "stale": Stale, "edges": Edges, "policies": Policies,
-         "ranking": Ranking}
+         "ranking": Ranking, "ladder": Ladder}
 _ROUTES = {kind: tuple(name for name, part in PARTS.items() if kind in part.kinds)
            for kind in frozenset().union(*(part.kinds for part in PARTS.values()))}
 
 
 def check_references(state: MemoryState) -> None:
-    """Refuse an edge or a revision flag to a missing topic in a state that
-    enters whole, as a genesis or a snapshot; `apply_delta` checks each edge
-    and flag it adds."""
+    """Refuse, in a state that enters whole, as a genesis or a snapshot, an
+    edge or a revision flag to a missing topic, a live topic frozen at an
+    epoch, and a field whose salience `decay` would refuse
+    (`salience_fault`); `apply_delta` checks each edge, flag and salience
+    it adds."""
     for e in state.edges.values():
         if e.src not in state.topics or e.dst not in state.topics:
             raise ValueError(f"edge endpoint missing: {e.src} -> {e.dst}")
     for tid, cause in sorted(state.revision_queue):
         if tid not in state.topics:
             raise ValueError(f"revision flag for missing topic: {tid} ({cause})")
+    for tid, topic in state.topics.items():
+        if not topic.archived and topic.archived_at is not None:
+            raise ValueError(f"live topic frozen at epoch {topic.archived_at}: {tid}")
+        epoch = state.epoch_of(topic)
+        for f in topic.fields.values():
+            fault = salience_fault(f.salience, f.since, epoch)
+            if fault is not None:
+                raise ValueError(f"{tid}.{f.name}: {fault}")
+
+
+def salience_fault(salience: float, since: int, epoch: int) -> Optional[str]:
+    """Why `decay` would refuse a salience set at epoch `since` and read at
+    `epoch`: one that is negative or not finite, or set later; else None."""
+    if not 0.0 <= salience < math.inf:
+        return f"salience must be finite and non-negative, got {salience!r}"
+    if since > epoch:
+        return f"salience set at epoch {since}, after epoch {epoch}"
+    return None
 
 
 def current_value(state: MemoryState, topic_id: str, field_name: str) -> Optional[ValueEntry]:

@@ -628,10 +628,12 @@ def _promote(txn: Txn, src_id: str, tag: str, next_tick: int) -> list[tuple[str,
 
 
 def forget(txn: Txn, cfg: EngineConfig, next_tick: int, targets: Optional[list[str]] = None) -> None:
-    """Apply the graded attenuation ladder, then enforce the footprint bound."""
+    """Apply the graded attenuation ladder to `targets`, or else to the
+    topics the ladder part has due by the state's epoch, in id order (the
+    others it would leave as they are); then enforce the footprint bound."""
     p = cfg.salience
     state = txn.state
-    topic_ids = targets if targets is not None else sorted(state.topics)
+    topic_ids = targets if targets is not None else state.part("ladder", p).due_by(state.epoch)
     for tid in topic_ids:
         topic = state.topics.get(tid)
         if topic is None or topic.archived:
@@ -655,10 +657,7 @@ def forget(txn: Txn, cfg: EngineConfig, next_tick: int, targets: Optional[list[s
 
 def _compress_field(txn: Txn, topic_id: str, name: str, k_recent: int) -> None:
     f = txn.state.topics[topic_id].fields[name]
-    cut = len(f.history) - k_recent
-    current = f.current_entry()
-    if current is not None:
-        cut = min(cut, f.history.index(current))
+    cut = f.compress_cut(k_recent)
     if cut < 2:
         return  # nothing worth replacing with a summary
     run = f.history[:cut]

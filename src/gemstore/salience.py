@@ -3,8 +3,10 @@ and the graded attenuation ladder (compress / hide / archive)."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 
 class Tier(str, Enum):
@@ -32,12 +34,30 @@ class SalienceParams:
             raise ValueError("s0 must exceed theta_summary")
         if self.k_recent < 0:
             raise ValueError("k_recent must be non-negative")
+        if not self.delta_access >= 0.0:  # an access never lowers salience
+            raise ValueError("delta_access must be non-negative")
 
 
 def decay(s: float, ticks: int, lam: float) -> float:
     if s < 0 or ticks < 0:
         raise ValueError("salience and tick count must be non-negative")
     return s * lam**ticks
+
+
+@lru_cache(maxsize=1 << 12)  # fields share saliences: s0, and s0 bumped on the same epoch
+def crossing(s: float, theta: float, lam: float) -> int:
+    """The fewest ticks after which `decay` takes a finite salience `s` below
+    `theta`: 0 when `s` is below it already.  The estimate from logarithms is
+    confirmed, and stepped until it holds, with `decay` itself, so that no
+    boundary case differs from the ladder's own comparison."""
+    if s < theta:
+        return 0
+    d = max(1, math.ceil(math.log(theta / s) / math.log(lam)))
+    while decay(s, d, lam) >= theta:
+        d += 1
+    while d > 1 and decay(s, d - 1, lam) < theta:
+        d -= 1
+    return d
 
 
 def bump(s: float, delta_access: float) -> float:

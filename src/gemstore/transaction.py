@@ -26,6 +26,7 @@ from .model import (
     ValueEntry,
     check_types,
     decoding,
+    salience_fault,
 )
 
 
@@ -109,6 +110,7 @@ def apply_delta(state: MemoryState, delta: dict) -> None:
         topic = _topic(state, delta["topic"])
         if delta["field"] in topic.fields:
             raise DeltaError(f"field already exists: {delta['topic']}.{delta['field']}")
+        _check_salience(delta, delta["salience"])
         topic.fields[delta["field"]] = Field(
             name=delta["field"],
             entity_tag=delta["entity_tag"],
@@ -123,7 +125,9 @@ def apply_delta(state: MemoryState, delta: dict) -> None:
         del topic.fields[delta["field"]]
     elif kind == "field_installed":
         installed = _payload(Field.from_dict, delta["payload"])
-        _topic(state, delta["topic"]).fields[installed.name] = installed
+        topic = _topic(state, delta["topic"])
+        _check_salience(delta, installed.salience, installed.since, state.epoch_of(topic))
+        topic.fields[installed.name] = installed
     elif kind == "entry_appended":
         entry = _payload(ValueEntry.from_dict, delta["entry"])
         _field(_topic(state, delta["topic"]), delta["field"]).history.append(entry)
@@ -150,6 +154,7 @@ def apply_delta(state: MemoryState, delta: dict) -> None:
     elif kind == "salience_set":
         topic = _topic(state, delta["topic"])
         f = _field(topic, delta["field"])
+        _check_salience(delta, delta["value"])
         f.salience = delta["value"]
         f.since = state.epoch_of(topic)
     elif kind == "epoch_advanced":
@@ -181,6 +186,13 @@ def apply_delta(state: MemoryState, delta: dict) -> None:
         state.topics[delta["topic"]].embedding = None
     if spec.subject is not None:
         state.mark(kind, delta[spec.subject])
+
+
+def _check_salience(delta: dict, salience: float, since: int = 0, epoch: int = 0) -> None:
+    """Refuse a salience that the ladder's `decay` would refuse."""
+    fault = salience_fault(salience, since, epoch)
+    if fault is not None:
+        raise DeltaError(f"{delta['kind']} of {delta['topic']}: {fault}")
 
 
 def _payload(decode, payload: dict):

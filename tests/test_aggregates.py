@@ -48,7 +48,10 @@ def assert_aggregates_exact(state: MemoryState) -> None:
     assert state_digest(state) == state_digest(fresh)
     fork = state.shallow_clone()
     for name in state.parts:
-        assert _plain(fork.part(name)) == _plain(fresh.part(name)), name
+        settled = fork.part(name)
+        # the ladder is built for the parameters it was read with last
+        built = fresh.part(name, settled.params) if name == "ladder" else fresh.part(name)
+        assert _plain(settled) == _plain(built), name
     assert fork.footprint() == active_footprint(state)
     stale = {tid for tid, t in state.topics.items() if stale_current_exists(MemoryState(topics={tid: t}))}
     assert fork.stale_topics() == stale
@@ -264,15 +267,31 @@ def test_rejected_commit_leaves_the_parent_aggregates(checked_transitions):
     assert_aggregates_exact(parent)
 
 
+def test_a_due_topic_that_the_ladder_leaves_as_it_is_is_read_again(checked_transitions):
+    topic = build_topic("t", fields={"A": "x"})
+    f = topic.fields["A"]
+    f.salience, f.tier = 0.52, Tier.COMPRESSED  # Active at the genesis epoch, Compressed from the next one
+    engine = Engine(genesis=build_state([topic]))
+    assert engine.state.parts["ladder"].due == {"t": 0}
+    for _ in range(2):
+        _, records = engine.submit(EngineEvent.tick())
+        assert records[-1].deltas == [{"kind": "epoch_advanced"}]
+    assert engine.state.part("ladder").due == {"t": 10}  # 0.52 * 0.9 ** 10 < theta_remove <= 0.52 * 0.9 ** 9
+    assert checked_transitions == ["committed"] * 2
+
+
 # -- fork safety of the ranking part -----------------------------------------
 
 
-def _ranked_engine(policies=None) -> Engine:
+def _ranked_engine(policies=None, saliences=()) -> Engine:
     """An engine whose state has been ranked once, so its ranking part is
     built; topic `a`'s value words change its buckets on every ingest, and
-    `z` is archived without a merge marker."""
+    `z` is archived without a merge marker.  `saliences` sets the salience
+    of the genesis notes of the topics it names."""
     topics = [build_topic(tid, title=f"{tid} notes", fields={"Note": f"alpha {tid}"}) for tid in "abcdefz"]
     topics[-1].archived = True
+    for topic in topics:
+        topic.fields["Note"].salience = dict(saliences).get(topic.id, 1.0)
     genesis = build_state(topics, policies=policies)
     engine = Engine(config=EngineConfig(beta=BetaSpec(base=100)), genesis=genesis)
     rank_topics(engine.state, "notes alpha", 3)
@@ -364,8 +383,7 @@ def test_each_part_names_delta_kinds_that_exist_and_the_text_kinds_mark_the_rank
 
 
 def test_reads_and_a_tier_only_tick_leave_the_ranking_marks_as_they_were():
-    engine = _ranked_engine()
-    engine.state.topics["b"].fields["Note"].salience = 0.52  # below theta_summary after one decay step
+    engine = _ranked_engine(saliences={"b": 0.52})  # below theta_summary after one decay step
     engine.submit(_ingest("a", "a moves", Note="beta"))  # a hinted ingest leaves a ranking mark for a
     ranking = engine.state.parts["ranking"]
     pending = set(ranking._pending)

@@ -289,6 +289,7 @@ def test_a_genesis_topic_without_merged_into_is_corrupt(tmp_path, capsys):
         {"n_promote": "x"},
         {"bogus": 1},
         {"salience": {"bogus": 1}},
+        {"salience": {"delta_access": -2.0}},
         [1],
     ],
 )

@@ -44,6 +44,8 @@ def test_param_validation():
         SalienceParams(s0=0.4).validate()
     with pytest.raises(ValueError):
         SalienceParams(k_recent=-1).validate()
+    with pytest.raises(ValueError):
+        SalienceParams(delta_access=-2.0).validate()
     SalienceParams().validate()
 
 

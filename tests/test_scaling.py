@@ -44,6 +44,46 @@ class _CountingDict(dict):
         return super().keys()
 
 
+class _IteratedDict(_CountingDict):
+    """A `_CountingDict` that counts plain iteration too, by which the
+    forget ladder lists a topic's fields."""
+
+    def __iter__(self):
+        self.log.append(self.label)
+        return super().__iter__()
+
+
+def _ticked_engine(genesis) -> tuple[Engine, list[str]]:
+    """An engine on `genesis` whose every topic logs a scan of its fields
+    into the list returned with it."""
+    engine = Engine(config=EngineConfig(beta=BetaSpec(base=2 * N_TOPICS)), genesis=genesis)
+    scanned: list[str] = []
+    for tid, topic in engine.state.topics.items():
+        topic.fields = _IteratedDict(topic.fields, scanned, tid)
+    return engine, scanned
+
+
+def test_a_tick_that_crosses_no_threshold_scans_no_topics_fields():
+    engine, scanned = _ticked_engine(_large_state())
+    for _ in range(2):
+        _, records = engine.submit(EngineEvent.tick())
+        assert [r.outcome for r in records] == ["committed"]
+        assert records[0].deltas == [{"kind": "epoch_advanced"}]
+    assert scanned == []
+
+
+def test_a_tick_scans_only_the_topics_whose_fields_cross_a_threshold():
+    genesis = _large_state()
+    crossing = ["t0100", "t0500", "t0900"]
+    for tid in crossing:
+        genesis.topics[tid].fields["Status"].salience = 0.52  # below theta_summary after one decay step
+    engine, scanned = _ticked_engine(genesis)
+    _, records = engine.submit(EngineEvent.tick())
+    assert [r.outcome for r in records] == ["committed"]
+    assert [d["topic"] for d in records[0].deltas if d["kind"] == "tier_set"] == crossing
+    assert set(scanned) == set(crossing)
+
+
 def test_duplicate_detection_skips_topics_with_disjoint_titles(monkeypatch):
     calls = []
     real = operators.cosine

@@ -28,6 +28,15 @@ ENTRY = ValueEntry("2", 1, ()).to_dict()
          "superseded must be bool"),
         ({"kind": "history_compressed", "topic": "t", "field": "f", "count": 0, "summary": ENTRY}, "compression run"),
         ({"kind": "history_compressed", "topic": "t", "field": "f", "count": 2, "summary": ENTRY}, "compression run"),
+        # a salience the forget ladder could not decay
+        ({"kind": "salience_set", "topic": "t", "field": "f", "value": -1.0}, "finite and non-negative"),
+        ({"kind": "salience_set", "topic": "t", "field": "f", "value": float("inf")}, "finite and non-negative"),
+        ({"kind": "field_created", "topic": "t", "field": "g", "entity_tag": None, "salience": -1.0,
+          "last_access": 1, "tier": "Active"}, "finite and non-negative"),
+        ({"kind": "field_installed", "topic": "t", "payload": {**Field("h", salience=-0.5).to_dict()}},
+         "finite and non-negative"),
+        ({"kind": "field_installed", "topic": "t", "payload": {**Field("h", since=3).to_dict()}},
+         "set at epoch 3, after epoch 0"),
     ],
 )
 def test_apply_delta_refuses_a_malformed_delta_and_changes_nothing(delta, match):
