@@ -315,10 +315,11 @@ class MemoryState:
         it the epoch at which each topic's tiers next change."""
         return decay(f.salience, self.epoch_of(topic) - f.since, lam)
 
-    def part(self, name: str, *args) -> "Part":
-        """The part `name`, settled (given `args`, which only the ladder part
-        takes), kept as this state's part `name`."""
-        part = self.parts[name] = self.parts[name].read(self, *args)
+    def part(self, name: str, params: Optional[SalienceParams] = None) -> "Part":
+        """The part `name`, settled, kept as this state's part `name`.
+        `params` are the salience parameters to read the ladder part for;
+        the other parts ignore them."""
+        part = self.parts[name] = self.parts[name].read(self, params)
         return part
 
     def mark(self, kind: str, topic_id: str) -> None:
@@ -370,7 +371,7 @@ class Part:
         if self._pending is not None:
             self._pending.add(topic_id)
 
-    def read(self, state: MemoryState) -> "Part":
+    def read(self, state: MemoryState, params: Optional[SalienceParams] = None) -> "Part":
         if self._pending is None:
             return self.build(state)
         if self._pending:
@@ -508,7 +509,7 @@ class Policies(Part):
     section = b"[]"
     _rendered: list["Policy"] = []
 
-    def read(self, state: MemoryState) -> "Part":
+    def read(self, state: MemoryState, params: Optional[SalienceParams] = None) -> "Part":
         policies = state.policies
         if len(policies) == len(self._rendered) and all(map(operator.is_, policies, self._rendered)):
             return self
@@ -581,7 +582,8 @@ def _due(topic: Topic, p: SalienceParams, epoch: int) -> Optional[int]:
             return epoch
         if tier is not Tier.HIDDEN:
             d = f.since + crossing(f.salience, p.theta_summary if tier is Tier.ACTIVE else p.theta_remove, p.decay)
-            due = d if due is None else min(due, d)
+            if due is None or d < due:
+                due = d
     if due is None:
         due = max(f.since + crossing(f.salience, p.theta_archive, p.decay) for f in topic.fields.values())
     return max(due, epoch)
@@ -609,7 +611,7 @@ class Ladder(Part):
     epochs: list[int] = []
 
     def read(self, state: MemoryState, params: Optional[SalienceParams] = None) -> "Part":
-        if params is None or params is self.params or params == self.params:
+        if params is None or params is self.params or (self.built and params == self.params):
             return super().read(state)
         part = Ladder()
         part.params = params
@@ -627,24 +629,28 @@ class Ladder(Part):
         return part
 
     def settle(self, state: MemoryState, marked: Iterable[str]) -> None:
+        moved = []
         for tid in marked:
             topic = state.topics.get(tid)
             new = None if topic is None else _due(topic, self.params, state.epoch)
-            old = self.due.get(tid)
-            if new == old:
-                continue
-            if old is not None and len(self.calendar[old]) > 1:
-                del self._entry("calendar", old)[tid]
-            elif old is not None:  # its slot empties
-                del self._table("calendar")[old]
-                self._owned.discard(("calendar", old))
-                del self._table("epochs")[bisect_left(self.epochs, old)]
-            if new is None:
-                del self._table("due")[tid]
-            else:
-                self._table("due")[tid] = new
-                if new not in self.calendar:
-                    insort(self._table("epochs"), new)
+            if new != self.due.get(tid):
+                moved.append((tid, new))
+        if not moved:
+            return
+        due, calendar, epochs = self._table("due"), self._table("calendar"), self._table("epochs")
+        for tid, new in moved:
+            old = due.pop(tid, None)
+            if old is not None:
+                slot = self._entry("calendar", old)
+                del slot[tid]
+                if not slot:
+                    del calendar[old]
+                    self._owned.discard(("calendar", old))
+                    del epochs[bisect_left(epochs, old)]
+            if new is not None:
+                due[tid] = new
+                if new not in calendar:
+                    insort(epochs, new)
                 self._entry("calendar", new)[tid] = None
 
     def due_by(self, epoch: int) -> list[str]:
