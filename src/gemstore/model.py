@@ -575,17 +575,23 @@ def _due(topic: Topic, p: SalienceParams, epoch: int) -> Optional[int]:
     all hidden archives once the last of them is below theta_archive."""
     if topic.archived or not topic.fields:
         return None
-    due = None
+    lam, k_recent, due = p.decay, p.k_recent, None
     for f in topic.fields.values():
-        tier = tier_of(decay(f.salience, epoch - f.since, p.decay), p)
-        if tier is not f.tier or (tier is not Tier.ACTIVE and f.compress_cut(p.k_recent) >= 2):
+        tier = tier_of(decay(f.salience, epoch - f.since, lam), p)
+        if tier is not f.tier:
             return epoch
-        if tier is not Tier.HIDDEN:
-            d = f.since + crossing(f.salience, p.theta_summary if tier is Tier.ACTIVE else p.theta_remove, p.decay)
-            if due is None or d < due:
-                due = d
+        if tier is Tier.ACTIVE:
+            d = f.since + crossing(f.salience, p.theta_summary, lam)
+        elif len(f.history) >= k_recent + 2 and f.compress_cut(k_recent) >= 2:  # a cut is at most len - k_recent
+            return epoch
+        elif tier is Tier.COMPRESSED:
+            d = f.since + crossing(f.salience, p.theta_remove, lam)
+        else:
+            continue
+        if due is None or d < due:
+            due = d
     if due is None:
-        due = max(f.since + crossing(f.salience, p.theta_archive, p.decay) for f in topic.fields.values())
+        due = max(f.since + crossing(f.salience, p.theta_archive, lam) for f in topic.fields.values())
     return max(due, epoch)
 
 
@@ -640,13 +646,12 @@ class Ladder(Part):
         due, calendar, epochs = self._table("due"), self._table("calendar"), self._table("epochs")
         for tid, new in moved:
             old = due.pop(tid, None)
-            if old is not None:
-                slot = self._entry("calendar", old)
-                del slot[tid]
-                if not slot:
-                    del calendar[old]
-                    self._owned.discard(("calendar", old))
-                    del epochs[bisect_left(epochs, old)]
+            if old is not None and len(calendar[old]) > 1:
+                del self._entry("calendar", old)[tid]
+            elif old is not None:  # the topic leaves its slot empty
+                del calendar[old]
+                self._owned.discard(("calendar", old))
+                del epochs[bisect_left(epochs, old)]
             if new is not None:
                 due[tid] = new
                 if new not in calendar:
@@ -657,6 +662,8 @@ class Ladder(Part):
         """The topics due at `epoch` or before, in id order, each marked so
         that the next read settles it again, whether or not the ladder then
         changes it."""
+        if not self.epochs or self.epochs[0] > epoch:
+            return []
         due = sorted(tid for slot in self.epochs[:bisect_right(self.epochs, epoch)] for tid in self.calendar[slot])
         self._pending.update(due)
         return due

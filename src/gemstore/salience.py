@@ -52,7 +52,7 @@ def crossing(s: float, theta: float, lam: float) -> int:
     boundary case differs from the ladder's own comparison."""
     if s < theta:
         return 0
-    d = max(1, math.ceil(math.log(theta / s) / math.log(lam)))
+    d = math.ceil(math.log(theta / s) / math.log(lam)) or 1
     while decay(s, d, lam) >= theta:
         d += 1
     while d > 1 and decay(s, d - 1, lam) < theta:
