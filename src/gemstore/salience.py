@@ -44,7 +44,7 @@ def decay(s: float, ticks: int, lam: float) -> float:
     return s * lam**ticks
 
 
-@lru_cache(maxsize=1 << 12)  # fields share saliences: s0, and s0 bumped on the same epoch
+@lru_cache(maxsize=1 << 12)  # a settle asks again for the unchanged fields of each topic it re-reads
 def crossing(s: float, theta: float, lam: float) -> int:
     """The fewest ticks after which `decay` takes a finite salience `s` below
     `theta`: 0 when `s` is below it already.  The estimate from logarithms is
