@@ -42,7 +42,7 @@ from .operators import (
     revise,
 )
 from .policy import ActionSpec, EvaluationError, EventKind, Policy, evaluate_condition, resolve_target
-from .transaction import Txn, apply_delta
+from .transaction import DeltaError, Txn, apply_delta
 
 
 class CorruptJournalError(ValueError):
@@ -273,7 +273,9 @@ class Engine:
             pre_commit = (EventKind.PRE_COMMIT.value, {"beta": self.config.beta.bound(next_tick)})
             for event_name, ctx in [*sub_events, pre_commit]:
                 reject = self._run_policies(txn, event_name, ctx, policy_log, next_tick)
-        except (OperatorError, EvaluationError, RoutingError) as exc:
+        # a DeltaError here is an operator's delta that the state refuses,
+        # such as a salience bumped past the float range
+        except (OperatorError, EvaluationError, RoutingError, DeltaError) as exc:
             return None, self._abort(event, str(exc), policy_log)
 
         if reject is not None:

@@ -15,7 +15,7 @@ from gemstore import engine as engine_module
 from gemstore.config import BetaSpec, ConfigError, EngineConfig
 from gemstore.engine import Engine, EngineEvent
 from gemstore.model import Field, Tier, ValueEntry, state_from_dict, state_to_dict
-from gemstore.operators import _compress_field, _enforce_footprint, forget
+from gemstore.operators import Fact, FactBundle, Query, _compress_field, _enforce_footprint, forget
 from gemstore.salience import SalienceParams, crossing, decay, tier_of
 from gemstore.transaction import Txn
 from gemstore.workload import run_workload
@@ -204,6 +204,18 @@ def test_a_live_genesis_topic_frozen_at_an_epoch_is_refused():
     state.topics["t"].archived_at = 0
     with pytest.raises(ValueError, match="live topic frozen at epoch 0: t"):
         Engine(genesis=state)
+
+
+def test_a_bump_past_the_float_range_aborts_its_transition():
+    engine = Engine(config=EngineConfig(salience=SalienceParams(delta_access=1e308)))
+    engine.submit(EngineEvent.ingest(FactBundle((Fact("A", "1"),), "t gets A", topic_hint="t")))
+    lookup = EngineEvent.retrieve(Query(mode="explicit", explicit=("t", "A")))
+    _, records = engine.submit(lookup)  # 1e308
+    assert records[-1].committed
+    digest = engine.digest()
+    _, records = engine.submit(lookup)  # 1e308 + 1e308 is infinite
+    assert records[-1].outcome == "aborted" and "finite and non-negative" in records[-1].reason
+    assert engine.digest() == digest
 
 
 def test_a_negative_delta_access_is_a_config_error():
