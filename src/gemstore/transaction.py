@@ -189,7 +189,8 @@ def apply_delta(state: MemoryState, delta: dict) -> None:
 
 
 def _check_salience(delta: dict, salience: float, since: int = 0, epoch: int = 0) -> None:
-    """Refuse a salience that the ladder's `decay` would refuse."""
+    """Refuse a salience, set at epoch `since` and read at `epoch`, that the
+    ladder's `decay` would refuse."""
     fault = salience_fault(salience, since, epoch)
     if fault is not None:
         raise DeltaError(f"{delta['kind']} of {delta['topic']}: {fault}")
