@@ -11,7 +11,6 @@ import hashlib
 import json
 import math
 import operator
-from bisect import bisect_left, bisect_right, insort
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field, replace
 from enum import Enum
@@ -597,10 +596,12 @@ def _due(topic: Topic, p: SalienceParams, epoch: int) -> Optional[int]:
 
 class Ladder(Part):
     """Each live topic's due epoch (`_due`) under `params`, and the calendar
-    of the due topics by epoch, its epochs in order (a calendar queue;
-    Brown, 1988), so that the forget ladder visits only the topics due by
-    the state's epoch.  A calendar slot is a dict of topic ids to None,
-    which copies faster than a set.
+    of the due topics by epoch (a calendar queue; Brown, 1988), so that the
+    forget ladder visits only the topics due by the state's epoch.  A
+    calendar slot is a dict of topic ids to None, which copies faster than
+    a set.  The calendar holds one slot per due epoch, and due epochs lie
+    within the crossing horizon of the live saliences, however many topics
+    there are, so `due_by` scans the slots rather than keep them in order.
 
     A settle reads each marked topic's due at the state's epoch, and an
     unmarked topic keeps the due it was read with.  A later read would find
@@ -614,7 +615,6 @@ class Ladder(Part):
     params = SalienceParams()
     due: dict[str, int] = {}
     calendar: dict[int, dict[str, None]] = {}
-    epochs: list[int] = []
 
     def read(self, state: MemoryState, params: Optional[SalienceParams] = None) -> "Part":
         if params is None or params is self.params or (self.built and params == self.params):
@@ -631,7 +631,6 @@ class Ladder(Part):
         part.calendar = {}
         for tid, due in part.due.items():
             part.calendar.setdefault(due, {})[tid] = None
-        part.epochs = sorted(part.calendar)
         return part
 
     def settle(self, state: MemoryState, marked: Iterable[str]) -> None:
@@ -643,7 +642,7 @@ class Ladder(Part):
                 moved.append((tid, new))
         if not moved:
             return
-        due, calendar, epochs = self._table("due"), self._table("calendar"), self._table("epochs")
+        due, calendar = self._table("due"), self._table("calendar")
         for tid, new in moved:
             old = due.pop(tid, None)
             if old is not None and len(calendar[old]) > 1:
@@ -651,20 +650,15 @@ class Ladder(Part):
             elif old is not None:  # the topic leaves its slot empty
                 del calendar[old]
                 self._owned.discard(("calendar", old))
-                del epochs[bisect_left(epochs, old)]
             if new is not None:
                 due[tid] = new
-                if new not in calendar:
-                    insort(epochs, new)
                 self._entry("calendar", new)[tid] = None
 
     def due_by(self, epoch: int) -> list[str]:
         """The topics due at `epoch` or before, in id order, each marked so
         that the next read settles it again, whether or not the ladder then
         changes it."""
-        if not self.epochs or self.epochs[0] > epoch:
-            return []
-        due = sorted(tid for slot in self.epochs[:bisect_right(self.epochs, epoch)] for tid in self.calendar[slot])
+        due = sorted(tid for slot_epoch, slot in self.calendar.items() if slot_epoch <= epoch for tid in slot)
         self._pending.update(due)
         return due
 
