@@ -42,7 +42,7 @@ from .operators import (
     revise,
 )
 from .policy import ActionSpec, EvaluationError, EventKind, Policy, evaluate_condition, resolve_target
-from .transaction import DeltaError, Txn, apply_delta
+from .transaction import Txn, apply_delta
 
 
 class CorruptJournalError(ValueError):
@@ -222,7 +222,7 @@ class Engine:
     def _build_parts(self) -> None:
         """Build every part of the committed state, the ladder for this
         engine's salience parameters."""
-        self.state.part("ladder", self.config.salience)
+        self.state.ladder(self.config.salience)
         for name in self.state.parts:
             self.state.part(name)
 
@@ -273,9 +273,7 @@ class Engine:
             pre_commit = (EventKind.PRE_COMMIT.value, {"beta": self.config.beta.bound(next_tick)})
             for event_name, ctx in [*sub_events, pre_commit]:
                 reject = self._run_policies(txn, event_name, ctx, policy_log, next_tick)
-        # a DeltaError here is an operator's delta that the state refuses,
-        # such as a salience bumped past the float range
-        except (OperatorError, EvaluationError, RoutingError, DeltaError) as exc:
+        except (OperatorError, EvaluationError, RoutingError) as exc:
             return None, self._abort(event, str(exc), policy_log)
 
         if reject is not None:

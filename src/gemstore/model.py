@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from .embedding import EmbeddingVector, embed
-from .salience import SalienceParams, Tier, crossing, decay, tier_of
+from .salience import SalienceParams, Tier, decay, due_epoch
 
 if TYPE_CHECKING:  # pragma: no cover
     from .policy import Policy
@@ -108,16 +108,6 @@ class Field:
             if not entry.superseded and not entry.compressed:
                 return entry
         return None
-
-    def compress_cut(self, k_recent: int) -> int:
-        """How many leading history entries the forget ladder folds into one
-        summary: those before the last `k_recent` and before the current
-        entry.  Below 2 it folds none."""
-        cut = len(self.history) - k_recent
-        current = self.current_entry()
-        if current is not None:
-            cut = min(cut, self.history.index(current))
-        return cut
 
     def to_dict(self) -> dict:
         return {
@@ -310,15 +300,20 @@ class MemoryState:
     def salience(self, topic: Topic, f: Field, lam: float) -> float:
         """The field's salience now: its set value decayed by `lam` over the
         epochs since it was set (Park et al., 2023).  The forget ladder and
-        `hide_order` spell it out per topic, and the ladder part finds from
-        it the epoch at which each topic's tiers next change."""
+        `hide_order` spell it out per topic, and `salience.due_epoch` finds
+        from the same `decay` the epoch at which each topic's tiers next
+        change."""
         return decay(f.salience, self.epoch_of(topic) - f.since, lam)
 
-    def part(self, name: str, params: Optional[SalienceParams] = None) -> "Part":
-        """The part `name`, settled, kept as this state's part `name`.
-        `params` are the salience parameters to read the ladder part for;
-        the other parts ignore them."""
-        part = self.parts[name] = self.parts[name].read(self, params)
+    def part(self, name: str) -> "Part":
+        """The part `name`, settled, kept as this state's part `name`."""
+        part = self.parts[name] = self.parts[name].read(self)
+        return part
+
+    def ladder(self, params: SalienceParams) -> "Ladder":
+        """The ladder part, settled for the salience parameters `params`,
+        kept as this state's part `ladder`."""
+        part = self.parts["ladder"] = self.parts["ladder"].read_for(self, params)
         return part
 
     def mark(self, kind: str, topic_id: str) -> None:
@@ -370,7 +365,7 @@ class Part:
         if self._pending is not None:
             self._pending.add(topic_id)
 
-    def read(self, state: MemoryState, params: Optional[SalienceParams] = None) -> "Part":
+    def read(self, state: MemoryState) -> "Part":
         if self._pending is None:
             return self.build(state)
         if self._pending:
@@ -508,7 +503,7 @@ class Policies(Part):
     section = b"[]"
     _rendered: list["Policy"] = []
 
-    def read(self, state: MemoryState, params: Optional[SalienceParams] = None) -> "Part":
+    def read(self, state: MemoryState) -> "Part":
         policies = state.policies
         if len(policies) == len(self._rendered) and all(map(operator.is_, policies, self._rendered)):
             return self
@@ -562,53 +557,23 @@ class Ranking(Part):
                 self._table("vectors")[tid] = new
 
 
-def _due(topic: Topic, p: SalienceParams, epoch: int) -> Optional[int]:
-    """The epoch at which the forget ladder next changes the topic, read at
-    decay epoch `epoch`: `epoch` itself if the ladder would change it now,
-    else the first later epoch at which it would re-tier a field, compress
-    a field's history or archive the topic.  None for an archived topic or
-    one without fields, which the ladder never changes.  Between the deltas
-    that set it a field's salience only falls, so a field whose tier holds
-    at `epoch` changes first where its salience falls below the threshold
-    under that tier; a hidden one never does, and a topic whose fields are
-    all hidden archives once the last of them is below theta_archive."""
-    if topic.archived or not topic.fields:
-        return None
-    lam, k_recent, due = p.decay, p.k_recent, None
-    for f in topic.fields.values():
-        tier = tier_of(decay(f.salience, epoch - f.since, lam), p)
-        if tier is not f.tier:
-            return epoch
-        if tier is Tier.ACTIVE:
-            d = f.since + crossing(f.salience, p.theta_summary, lam)
-        elif len(f.history) >= k_recent + 2 and f.compress_cut(k_recent) >= 2:  # a cut is at most len - k_recent
-            return epoch
-        elif tier is Tier.COMPRESSED:
-            d = f.since + crossing(f.salience, p.theta_remove, lam)
-        else:
-            continue
-        if due is None or d < due:
-            due = d
-    if due is None:
-        due = max(f.since + crossing(f.salience, p.theta_archive, lam) for f in topic.fields.values())
-    return max(due, epoch)
-
-
 class Ladder(Part):
-    """Each live topic's due epoch (`_due`) under `params`, and the calendar
-    of the due topics by epoch (a calendar queue; Brown, 1988), so that the
-    forget ladder visits only the topics due by the state's epoch.  A
-    calendar slot is a dict of topic ids to None, which copies faster than
-    a set.  The calendar holds one slot per due epoch, and due epochs lie
-    within the crossing horizon of the live saliences, however many topics
-    there are, so `due_by` scans the slots rather than keep them in order.
+    """Each live topic's due epoch (`salience.due_epoch`) under `params`,
+    and the calendar of the due topics by epoch (a calendar queue; Brown,
+    1988), so that the forget ladder visits only the topics due by the
+    state's epoch.  A calendar slot is a dict of topic ids to None, which
+    copies faster than a set.  The calendar holds one slot per due epoch,
+    and due epochs lie within the crossing horizon of the live saliences,
+    however many topics there are, so `due_by` scans the slots rather than
+    keep them in order.
 
     A settle reads each marked topic's due at the state's epoch, and an
     unmarked topic keeps the due it was read with.  A later read would find
     the same one: a due epoch is the first at which the ladder would act,
     and every tick runs the ladder, which takes, and so marks, each topic
-    due by its epoch (`due_by`).  A read for other parameters builds the
-    part afresh."""
+    due by its epoch (`due_by`).  `MemoryState.ladder` reads it for the
+    salience parameters of a config, and builds it afresh for other
+    parameters than it was built for."""
 
     kinds = _HISTORY | {"topic_created", "topic_removed", "topic_archived", "field_created", "salience_set",
                         "tier_set"}
@@ -616,9 +581,9 @@ class Ladder(Part):
     due: dict[str, int] = {}
     calendar: dict[int, dict[str, None]] = {}
 
-    def read(self, state: MemoryState, params: Optional[SalienceParams] = None) -> "Part":
-        if params is None or params is self.params or (self.built and params == self.params):
-            return super().read(state)
+    def read_for(self, state: MemoryState, params: SalienceParams) -> "Ladder":
+        if params is self.params or (self.built and params == self.params):
+            return self.read(state)
         part = Ladder()
         part.params = params
         return part.build(state)
@@ -626,7 +591,7 @@ class Ladder(Part):
     def build(self, state: MemoryState) -> "Part":
         part = Ladder()
         part.params, part._pending = self.params, set()
-        dues = ((tid, _due(topic, self.params, state.epoch)) for tid, topic in state.topics.items())
+        dues = ((tid, due_epoch(topic, self.params, state.epoch)) for tid, topic in state.topics.items())
         part.due = {tid: due for tid, due in dues if due is not None}
         part.calendar = {}
         for tid, due in part.due.items():
@@ -637,7 +602,7 @@ class Ladder(Part):
         moved = []
         for tid in marked:
             topic = state.topics.get(tid)
-            new = None if topic is None else _due(topic, self.params, state.epoch)
+            new = None if topic is None else due_epoch(topic, self.params, state.epoch)
             if new != self.due.get(tid):
                 moved.append((tid, new))
         if not moved:

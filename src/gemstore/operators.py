@@ -7,6 +7,7 @@ working copy; sequencing, policy evaluation and commit belong to the engine.
 
 from __future__ import annotations
 
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
@@ -27,7 +28,7 @@ from .model import (
     ValueEntry,
     check_types,
 )
-from .salience import bump, decay, tier_of
+from .salience import SalienceParams, bump, compress_cut, decay, dormant, tier_of
 from .transaction import Txn
 
 
@@ -267,7 +268,7 @@ def ingest(txn: Txn, bundle: FactBundle, cfg: EngineConfig, next_tick: int) -> l
         if current is not None and current.value == fact.value:
             # exact duplicate of the stored current value: no new entry, just reinforce
             s = txn.state.salience(topic, existing, cfg.salience.decay)
-            txn.set_salience(topic_id, fact.field, bump(s, cfg.salience.delta_access))
+            txn.set_salience(topic_id, fact.field, _bumped(s, cfg.salience))
             continue
         if current is not None:
             idx = existing.history.index(current)
@@ -372,12 +373,21 @@ def retrieve(txn: Txn, q: Query, cfg: EngineConfig, next_tick: int) -> tuple[Ret
     for topic_id, field_name in out.accessed_units:
         topic = txn.state.topics[topic_id]
         s = txn.state.salience(topic, topic.fields[field_name], cfg.salience.decay)
-        txn.set_salience(topic_id, field_name, bump(s, cfg.salience.delta_access))
+        txn.set_salience(topic_id, field_name, _bumped(s, cfg.salience))
         txn.set_last_access(topic_id, field_name, next_tick)
         if topic_id not in seen_topics:
             seen_topics.add(topic_id)
             events.append(("retrieval_performed", {"accessed_topic": topic_id}))
     return out, events
+
+
+def _bumped(s: float, p: SalienceParams) -> float:
+    """`s` bumped by an access; one past the float range, which the forget
+    ladder could not decay, is refused."""
+    bumped = bump(s, p.delta_access)
+    if bumped == math.inf:
+        raise OperatorError(f"salience bumped past the float range: {s!r} + {p.delta_access!r}")
+    return bumped
 
 
 # ---------------------------------------------------------------------------
@@ -633,33 +643,32 @@ def forget(txn: Txn, cfg: EngineConfig, next_tick: int, targets: Optional[list[s
     others it would leave as they are); then enforce the footprint bound."""
     p = cfg.salience
     state = txn.state
-    topic_ids = targets if targets is not None else state.part("ladder", p).due_by(state.epoch)
+    topic_ids = targets if targets is not None else state.ladder(p).due_by(state.epoch)
     for tid in topic_ids:
         topic = state.topics.get(tid)
         if topic is None or topic.archived:
             continue
-        dormant = bool(topic.fields)
+        archive = bool(topic.fields)
         epoch = state.epoch_of(topic)
         for name in sorted(topic.fields):
             f = topic.fields[name]
             s = decay(f.salience, epoch - f.since, p.decay)
-            dormant = dormant and s < p.theta_archive
+            archive = archive and dormant(s, p)
             tier = tier_of(s, p)
-            if tier is not Tier.ACTIVE:
-                _compress_field(txn, tid, name, p.k_recent)
+            cut = compress_cut(f, tier, p.k_recent)
+            if cut:
+                _compress_field(txn, tid, name, cut)
             if f.tier is not tier:
                 txn.set_tier(tid, name, tier)
-        if dormant:
+        if archive:
             txn.archive_topic(tid)
 
     _enforce_footprint(txn, cfg, next_tick)
 
 
-def _compress_field(txn: Txn, topic_id: str, name: str, k_recent: int) -> None:
+def _compress_field(txn: Txn, topic_id: str, name: str, cut: int) -> None:
+    """Fold the first `cut` history entries of the field into one summary."""
     f = txn.state.topics[topic_id].fields[name]
-    cut = f.compress_cut(k_recent)
-    if cut < 2:
-        return  # nothing worth replacing with a summary
     run = f.history[:cut]
     provs: list = []
     seen = set()

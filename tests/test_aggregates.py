@@ -50,7 +50,7 @@ def assert_aggregates_exact(state: MemoryState) -> None:
     for name in state.parts:
         settled = fork.part(name)
         # the ladder is built for the parameters it was read with last
-        built = fresh.part(name, settled.params) if name == "ladder" else fresh.part(name)
+        built = fresh.ladder(settled.params) if name == "ladder" else fresh.part(name)
         assert _plain(settled) == _plain(built), name
     assert fork.footprint() == active_footprint(state)
     stale = {tid for tid, t in state.topics.items() if stale_current_exists(MemoryState(topics={tid: t}))}

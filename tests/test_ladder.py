@@ -16,7 +16,7 @@ from gemstore.config import BetaSpec, ConfigError, EngineConfig
 from gemstore.engine import Engine, EngineEvent
 from gemstore.model import Field, Tier, ValueEntry, state_from_dict, state_to_dict
 from gemstore.operators import Fact, FactBundle, Query, _compress_field, _enforce_footprint, forget
-from gemstore.salience import SalienceParams, crossing, decay, tier_of
+from gemstore.salience import SalienceParams, crossing, decay, due_epoch, tier_of
 from gemstore.transaction import Txn
 from gemstore.workload import run_workload
 from gemstore.workload_gen import generate_workload
@@ -28,9 +28,17 @@ if str(PERFBENCH) not in sys.path:
 P = SalienceParams()
 
 
+def _scan_cut(f: Field, k_recent: int) -> int:
+    cut = len(f.history) - k_recent
+    current = f.current_entry()
+    if current is not None:
+        cut = min(cut, f.history.index(current))
+    return cut
+
+
 def full_scan_forget(txn: Txn, cfg: EngineConfig, next_tick: int) -> None:
     """The untargeted forget ladder as a scan of every live topic, in id
-    order, then the footprint bound."""
+    order, then the footprint bound, with its rules spelled out."""
     p = cfg.salience
     state = txn.state
     for tid in sorted(state.topics):
@@ -44,8 +52,8 @@ def full_scan_forget(txn: Txn, cfg: EngineConfig, next_tick: int) -> None:
             s = decay(f.salience, epoch - f.since, p.decay)
             dormant = dormant and s < p.theta_archive
             tier = tier_of(s, p)
-            if tier is not Tier.ACTIVE:
-                _compress_field(txn, tid, name, p.k_recent)
+            if tier is not Tier.ACTIVE and _scan_cut(f, p.k_recent) >= 2:
+                _compress_field(txn, tid, name, _scan_cut(f, p.k_recent))
             if f.tier is not tier:
                 txn.set_tier(tid, name, tier)
         if dormant:
@@ -128,6 +136,25 @@ def test_a_topic_the_ladder_skips_is_one_the_full_scan_leaves_as_it_is(fields, k
     assert_ladders_agree(state, cfg, 1)
 
 
+@settings(max_examples=200)
+@given(fields=st.lists(_FIELD, min_size=1, max_size=3), k_recent=st.integers(min_value=0, max_value=3),
+       ahead=st.integers(min_value=0, max_value=5))
+def test_the_due_epoch_is_the_first_at_which_the_full_scan_changes_the_topic(fields, k_recent, ahead):
+    topic = build_topic("t")
+    for i, (salience, since, tier, superseded) in enumerate(fields):
+        history = [ValueEntry(f"v{j}", j, (), superseded=flag) for j, flag in enumerate(superseded)]
+        topic.fields[f"F{i}"] = Field(f"F{i}", history=history, salience=salience, since=since, tier=tier)
+    state = build_state([topic])
+    start = max(since for _, since, _, _ in fields) + ahead
+    cfg = EngineConfig(salience=SalienceParams(k_recent=k_recent), beta=BetaSpec(base=100))
+    due = due_epoch(topic, cfg.salience, start)
+    for epoch in range(start, due + 1):
+        state.epoch = epoch
+        txn = Txn(state)
+        full_scan_forget(txn, cfg, 1)
+        assert bool(txn.deltas) == (epoch == due), epoch
+
+
 _CONFIGS = {
     "default": EngineConfig(),
     # the footprint hides fields whose salience is still Active
@@ -164,12 +191,12 @@ def test_the_scheduled_ladder_journals_the_full_scans_deltas_on_benchmark_episod
 def test_a_ladder_read_with_other_parameters_builds_it_again():
     topic = build_topic("t", fields={"A": "x"})
     state = build_state([topic])
-    default = state.part("ladder", P)
+    default = state.ladder(P)
     assert default.due == {"t": crossing(1.0, P.theta_summary, P.decay)}
     slow = SalienceParams(decay=0.99)
-    ladder = state.part("ladder", slow)
+    ladder = state.ladder(slow)
     assert ladder.params == slow and ladder.due == {"t": crossing(1.0, P.theta_summary, 0.99)}
-    assert state.part("ladder") is ladder and state.part("ladder", SalienceParams(decay=0.99)) is ladder
+    assert state.part("ladder") is ladder and state.ladder(SalienceParams(decay=0.99)) is ladder
 
 
 # -- salience the ladder could not decay ---------------------------------------------
@@ -214,7 +241,7 @@ def test_a_bump_past_the_float_range_aborts_its_transition():
     assert records[-1].committed
     digest = engine.digest()
     _, records = engine.submit(lookup)  # 1e308 + 1e308 is infinite
-    assert records[-1].outcome == "aborted" and "finite and non-negative" in records[-1].reason
+    assert records[-1].outcome == "aborted" and "past the float range" in records[-1].reason
     assert engine.digest() == digest
 
 
@@ -222,3 +249,9 @@ def test_a_negative_delta_access_is_a_config_error():
     with pytest.raises(ConfigError, match="delta_access must be non-negative"):
         EngineConfig.from_dict({"salience": {"delta_access": -2.0}})
     EngineConfig.from_dict({"salience": {"delta_access": 0.0}})
+
+
+@pytest.mark.parametrize("name", ["s0", "delta_access"])
+def test_an_infinite_s0_or_delta_access_is_a_config_error(name):
+    with pytest.raises(ConfigError, match="s0 and delta_access must be finite"):
+        EngineConfig.from_dict({"salience": {name: math.inf}})
