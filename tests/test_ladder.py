@@ -52,8 +52,9 @@ def full_scan_forget(txn: Txn, cfg: EngineConfig, next_tick: int) -> None:
             s = decay(f.salience, epoch - f.since, p.decay)
             dormant = dormant and s < p.theta_archive
             tier = tier_of(s, p)
-            if tier is not Tier.ACTIVE and _scan_cut(f, p.k_recent) >= 2:
-                _compress_field(txn, tid, name, _scan_cut(f, p.k_recent))
+            cut = _scan_cut(f, p.k_recent)
+            if tier is not Tier.ACTIVE and cut >= 2:
+                _compress_field(txn, tid, name, cut)
             if f.tier is not tier:
                 txn.set_tier(tid, name, tier)
         if dormant:
@@ -122,16 +123,22 @@ _FIELD = st.tuples(
 )
 
 
-@settings(max_examples=300)
-@given(fields=st.lists(_FIELD, max_size=3), k_recent=st.integers(min_value=0, max_value=3),
-       ahead=st.integers(min_value=0, max_value=40))
-def test_a_topic_the_ladder_skips_is_one_the_full_scan_leaves_as_it_is(fields, k_recent, ahead):
+def _drawn_topic(fields) -> tuple:
+    """Topic `t` with the drawn fields, and the latest epoch one was set at."""
     topic = build_topic("t")
     for i, (salience, since, tier, superseded) in enumerate(fields):
         history = [ValueEntry(f"v{j}", j, (), superseded=flag) for j, flag in enumerate(superseded)]
         topic.fields[f"F{i}"] = Field(f"F{i}", history=history, salience=salience, since=since, tier=tier)
+    return topic, max((since for _, since, _, _ in fields), default=0)
+
+
+@settings(max_examples=300)
+@given(fields=st.lists(_FIELD, max_size=3), k_recent=st.integers(min_value=0, max_value=3),
+       ahead=st.integers(min_value=0, max_value=40))
+def test_a_topic_the_ladder_skips_is_one_the_full_scan_leaves_as_it_is(fields, k_recent, ahead):
+    topic, latest = _drawn_topic(fields)
     state = build_state([topic, build_topic("empty")])
-    state.epoch = max((since for _, since, _, _ in fields), default=0) + ahead
+    state.epoch = latest + ahead
     cfg = EngineConfig(salience=SalienceParams(k_recent=k_recent), beta=BetaSpec(base=100))
     assert_ladders_agree(state, cfg, 1)
 
@@ -140,12 +147,9 @@ def test_a_topic_the_ladder_skips_is_one_the_full_scan_leaves_as_it_is(fields, k
 @given(fields=st.lists(_FIELD, min_size=1, max_size=3), k_recent=st.integers(min_value=0, max_value=3),
        ahead=st.integers(min_value=0, max_value=5))
 def test_the_due_epoch_is_the_first_at_which_the_full_scan_changes_the_topic(fields, k_recent, ahead):
-    topic = build_topic("t")
-    for i, (salience, since, tier, superseded) in enumerate(fields):
-        history = [ValueEntry(f"v{j}", j, (), superseded=flag) for j, flag in enumerate(superseded)]
-        topic.fields[f"F{i}"] = Field(f"F{i}", history=history, salience=salience, since=since, tier=tier)
+    topic, latest = _drawn_topic(fields)
     state = build_state([topic])
-    start = max(since for _, since, _, _ in fields) + ahead
+    start = latest + ahead
     cfg = EngineConfig(salience=SalienceParams(k_recent=k_recent), beta=BetaSpec(base=100))
     due = due_epoch(topic, cfg.salience, start)
     for epoch in range(start, due + 1):
