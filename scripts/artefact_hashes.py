@@ -7,11 +7,15 @@ makes the engine faster must leave as they are:
 - the journal and audit report of workloads/deadline.workload;
 - the `gem compare` CSV and both journals of seeds 0-59 at capacities 1, 3, 5.
 
-Each engine run also prints a `<name>.answers` line: the hash of what every
-submit returned (the outcome and abort reason of each record, the answers as
-(topic, field, value, at) and the context).  It does not depend on the
-journal format, so it still compares two checkouts whose journal bytes
-differ by design.
+Each engine run also prints two lines that do not depend on the journal
+format, so they still compare two checkouts whose journal bytes differ by
+design:
+
+- `<name>.answers`, the hash of what every submit returned (the outcome and
+  abort reason of each record, the answers as (topic, field, value, at) and
+  the context);
+- `<name>.digests`, the hash of the state trajectory: the genesis digest and
+  each record's tick, operator, outcome, reason and digest after it.
 
 Usage: artefact_hashes.py [--quick]
 
@@ -65,8 +69,13 @@ class _Recording(Engine):
         return output, records
 
 
-def _print_answers(name: str, engine: _Recording) -> None:
+def _print_run(name: str, engine: _Recording) -> None:
+    """The run's `.answers` and `.digests` lines."""
     print(f"{name}.answers {engine.answers.hexdigest()}")
+    journal = engine.journal
+    trail = [journal.genesis_digest]
+    trail += [[r.tick, r.operator, r.outcome, r.reason, r.digest_after] for r in journal.records]
+    print(f"{name}.digests {_sha(json.dumps(trail).encode())}")
 
 
 def _journal_bytes(journal, workdir: Path) -> bytes:
@@ -98,19 +107,19 @@ def main() -> int:
                         engine.submit(op.event)
                     name = f"perfbench.{workload}.{seed}.{index}"
                     _journal_and_report(name, engine.journal, episode.probes, workdir)
-                    _print_answers(name, engine)
+                    _print_run(name, engine)
 
         for seed in profile["soak_seeds"]:
             engine = _Recording()
             run_workload(engine, generate_workload(seed, length=profile["soak_events"]))
             _journal_and_report(f"soak.{seed}", engine.journal, gen.SOAK_PROBES, workdir)
-            _print_answers(f"soak.{seed}", engine)
+            _print_run(f"soak.{seed}", engine)
 
         engine = _Recording()
         run_workload(engine, load_workload(WORKLOAD_DIR / "deadline.workload"))
         probes = [Query.from_dict(d) for d in _probe_lines(WORKLOAD_DIR / "deadline.probes")]
         _journal_and_report("deadline", engine.journal, probes, workdir)
-        _print_answers("deadline", engine)
+        _print_run("deadline", engine)
 
         for seed in profile["compare_seeds"]:
             events = generate_workload(seed)
@@ -121,7 +130,7 @@ def main() -> int:
                 name = f"compare.{seed}.{capacity}"
                 print(f"{name}.csv {_sha(csv_text.encode('utf-8'))}")
                 print(f"{name}.gem.journal {_sha(_journal_bytes(engine.journal, workdir))}")
-                _print_answers(f"{name}.gem", engine)
+                _print_run(f"{name}.gem", engine)
                 print(f"{name}.baseline.journal {_sha(_journal_bytes(adapter.journal, workdir))}")
     return 0
 

@@ -9,8 +9,10 @@ Usage: store_sweep.py [--sizes 250,1000,4000]
 The episodes, their set-up, the timed closed loop and the journal checks are
 perfbench's own (`perfbench/gen.py` and `perfbench/harness.py`, imported
 read-only): seed 11, episodes 0 and 1 of the full scale with
-`Scale.store_topics` set to each size.  Each episode runs once, so with about
-15 samples per operator and episode p99 is the slowest sample or next to it.
+`Scale.store_topics` set to each size.  Each episode runs `REPEATS` times
+and each operation keeps its fastest time (`EpisodeTimes.keep_fastest`, as
+perfbench does), so an operator has about 15 samples per episode, each the
+fastest of three, and p99 is the slowest sample or next to it.
 Each submit is timed whole, so a retrieve includes the revisions it drains
 first.  A size whose run fails a correctness check of the harness still
 gets its line, with `"correct": false` and the failures, and the exit code
@@ -34,6 +36,7 @@ import harness  # noqa: E402  (perfbench/harness.py, imported read-only)
 
 SEED = 11
 EPISODES = 2
+REPEATS = 3
 
 
 def _operator(event) -> str:
@@ -58,9 +61,12 @@ def run_size(n: int, workdir: Path) -> dict:
     try:
         for index in range(EPISODES):
             times = harness.EpisodeTimes()
-            episode, engine = harness._setup("store-large", SEED, index, scale, stats, cpu)
-            harness.drive(engine, episode, stats, times, cpu)
-            harness.check_journal(engine, episode, workdir, stats, times, cpu)
+            for _ in range(REPEATS):
+                repeat = harness.EpisodeTimes()
+                episode, engine = harness._setup("store-large", SEED, index, scale, stats, cpu)
+                harness.drive(engine, episode, stats, repeat, cpu)
+                harness.check_journal(engine, episode, workdir, stats, repeat, cpu)
+                times.keep_fastest(repeat)
             for op, ns in zip(episode.ops, times.op_ns):
                 if ns is not None:
                     samples.setdefault(_operator(op.event), []).append(ns / 1e6)
@@ -102,7 +108,7 @@ def main(argv=None) -> int:
         rows = [run_size(int(n), Path(workdir)) for n in args.sizes.split(",")]
     add_ratios(rows)
     for row in rows:
-        print(json.dumps({"sweep": "store-large", "seed": SEED, "episodes": EPISODES, **row}))
+        print(json.dumps({"sweep": "store-large", "seed": SEED, "episodes": EPISODES, "repeats": REPEATS, **row}))
     return 0 if all(row["correct"] for row in rows) else 1
 
 

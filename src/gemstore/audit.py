@@ -24,7 +24,7 @@ CONDITIONS = ("c1", "c2", "c3", "c4", "c5", "c6")
 # delta kinds that can remove or rewrite history entries; anything else
 # cannot lose provenance, so the before/after scan is skipped
 _PROVENANCE_RISK_DELTAS = frozenset(
-    ("history_compressed", "field_removed", "field_installed", "topic_removed", "entry_flags")
+    ("history_compressed", "field_removed", "field_installed", "topic_removed", "entry_superseded")
 )
 
 
@@ -71,7 +71,7 @@ class ShadowLedger:
             name = fact.field
             concept = bundle.topic_hint
             if concept is None:
-                owners = [c for c, fields in self.concepts.items() if name in fields]
+                owners = _owners(self, name)
                 concept = owners[0] if len(owners) == 1 else f"anon-{tick}"
             self.concepts.setdefault(concept, {}).setdefault(name, []).append((tick, fact.value))
 

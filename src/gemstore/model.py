@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from .embedding import EmbeddingVector, embed
-from .salience import SalienceParams, Tier, decay, due_epoch
+from .salience import ACTIVE, HIDDEN, SalienceParams, Tier, decay, due_epoch
 
 if TYPE_CHECKING:  # pragma: no cover
     from .policy import Policy
@@ -401,7 +401,7 @@ class Part:
 def _active_fields(topic: Topic) -> int:
     if topic.archived:
         return 0
-    return sum(1 for f in topic.fields.values() if f.tier is Tier.ACTIVE)
+    return sum(1 for f in topic.fields.values() if f.tier is ACTIVE)
 
 
 def _serves_stale(topic: Topic) -> bool:
@@ -416,14 +416,15 @@ def _serves_stale(topic: Topic) -> bool:
     return False
 
 
-_HISTORY = frozenset({"field_removed", "field_installed", "entry_appended", "entry_flags", "history_compressed"})
+_HISTORY = frozenset({"field_removed", "field_installed", "entry_appended", "entry_superseded",
+                      "history_compressed"})
 
 
 class Hashes(Part):
     """Each topic's content hash, in topic id order: the input of `state_digest`."""
 
     kinds = _HISTORY | {"topic_created", "topic_removed", "topic_archived", "field_created", "salience_set",
-                        "last_access_set", "tier_set"}
+                        "unit_accessed", "tier_set"}
     hashes: dict[str, bytes] = {}
 
     def settle(self, state: MemoryState, marked: Iterable[str]) -> None:
@@ -576,7 +577,7 @@ class Ladder(Part):
     parameters than it was built for."""
 
     kinds = _HISTORY | {"topic_created", "topic_removed", "topic_archived", "field_created", "salience_set",
-                        "tier_set"}
+                        "unit_accessed", "tier_set"}
     params = SalienceParams()
     due: dict[str, int] = {}
     calendar: dict[int, dict[str, None]] = {}
@@ -672,7 +673,7 @@ def current_value(state: MemoryState, topic_id: str, field_name: str) -> Optiona
     if topic is None or topic.archived:
         return None
     f = topic.fields.get(field_name)
-    if f is None or f.tier is Tier.HIDDEN:
+    if f is None or f.tier is HIDDEN:
         return None
     return f.current_entry()
 

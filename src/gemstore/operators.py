@@ -24,11 +24,10 @@ from .model import (
     EdgeKind,
     MemoryState,
     Provenance,
-    Tier,
     ValueEntry,
     check_types,
 )
-from .salience import SalienceParams, bump, compress_cut, decay, dormant, tier_of
+from .salience import ACTIVE, HIDDEN, SalienceParams, bump, compress_cut, decay, dormant, tier_of
 from .transaction import Txn
 
 
@@ -271,8 +270,7 @@ def ingest(txn: Txn, bundle: FactBundle, cfg: EngineConfig, next_tick: int) -> l
             txn.set_salience(topic_id, fact.field, _bumped(s, cfg.salience))
             continue
         if current is not None:
-            idx = existing.history.index(current)
-            txn.set_entry_flags(topic_id, fact.field, idx, superseded=True, compressed=False)
+            txn.supersede_entry(topic_id, fact.field, existing.history.index(current))
         txn.append_entry(topic_id, fact.field, ValueEntry(fact.value, next_tick, (prov,)))
         events.append(("field_updated", {"updated_topic": topic_id, "updated_field": fact.field}))
     return events
@@ -337,7 +335,7 @@ def retrieve_read(state: MemoryState, q: Query, cfg: EngineConfig) -> RetrievalO
             if not q_tokens & set(tokenize(name)):
                 continue
             if q.mode == "default":
-                if f.tier is Tier.HIDDEN:
+                if f.tier is HIDDEN:
                     continue
                 entry = f.current_entry()
                 if entry is None:
@@ -373,8 +371,7 @@ def retrieve(txn: Txn, q: Query, cfg: EngineConfig, next_tick: int) -> tuple[Ret
     for topic_id, field_name in out.accessed_units:
         topic = txn.state.topics[topic_id]
         s = txn.state.salience(topic, topic.fields[field_name], cfg.salience.decay)
-        txn.set_salience(topic_id, field_name, _bumped(s, cfg.salience))
-        txn.set_last_access(topic_id, field_name, next_tick)
+        txn.access_unit(topic_id, field_name, _bumped(s, cfg.salience), next_tick)
         if topic_id not in seen_topics:
             seen_topics.add(topic_id)
             events.append(("retrieval_performed", {"accessed_topic": topic_id}))
@@ -541,8 +538,7 @@ def _repair_dependency(txn: Txn, item: EvidenceItem, rules: RuleTable, next_tick
         if new_value == current.value:
             continue
         prov = Provenance("revision", cause_entry.at, f"{cause} -> {cause_entry.value}")
-        idx = dep.history.index(current)
-        txn.set_entry_flags(topic_id, rule.dependent_field, idx, superseded=True, compressed=False)
+        txn.supersede_entry(topic_id, rule.dependent_field, dep.history.index(current))
         txn.append_entry(topic_id, rule.dependent_field, ValueEntry(new_value, next_tick, (prov,)))
         events.append(("field_updated", {"updated_topic": topic_id, "updated_field": rule.dependent_field}))
     return events
@@ -604,7 +600,7 @@ def _resolve_conflict(txn: Txn, topic_id: str, field_name: str, next_tick: int) 
     reappend = keep_index != max(i for i, e in enumerate(f.history) if not e.compressed)
     for i, _ in currents:
         if i != keep_index or reappend:
-            txn.set_entry_flags(topic_id, field_name, i, superseded=True, compressed=False)
+            txn.supersede_entry(topic_id, field_name, i)
     if not reappend:
         return []
     txn.append_entry(topic_id, field_name, ValueEntry(keep.value, next_tick, keep.provenance))
@@ -657,35 +653,13 @@ def forget(txn: Txn, cfg: EngineConfig, next_tick: int, targets: Optional[list[s
             tier = tier_of(s, p)
             cut = compress_cut(f, tier, p.k_recent)
             if cut:
-                _compress_field(txn, tid, name, cut)
+                txn.compress_history(tid, name, cut)
             if f.tier is not tier:
                 txn.set_tier(tid, name, tier)
         if archive:
             txn.archive_topic(tid)
 
     _enforce_footprint(txn, cfg, next_tick)
-
-
-def _compress_field(txn: Txn, topic_id: str, name: str, cut: int) -> None:
-    """Fold the first `cut` history entries of the field into one summary."""
-    f = txn.state.topics[topic_id].fields[name]
-    run = f.history[:cut]
-    provs: list = []
-    seen = set()
-    for entry in run:
-        for prov in entry.provenance:
-            key = (prov.source_id, prov.event_id, prov.excerpt)
-            if key not in seen:
-                seen.add(key)
-                provs.append(prov)
-    summary = ValueEntry(
-        value=f"{len(run)} earlier values ({run[0].value} ... {run[-1].value})",
-        at=run[-1].at,
-        provenance=tuple(provs),
-        superseded=True,
-        compressed=True,
-    )
-    txn.compress_history(topic_id, name, cut, summary)
 
 
 def _enforce_footprint(txn: Txn, cfg: EngineConfig, next_tick: int) -> None:
@@ -695,9 +669,9 @@ def _enforce_footprint(txn: Txn, cfg: EngineConfig, next_tick: int) -> None:
     # relevance-ordered, never age-ordered: lowest salience goes first
     topics = txn.state.topics
     order = hide_order(txn.state, cfg.salience.decay)
-    victims = [(tid, name) for tid, name in order if topics[tid].fields[name].tier is Tier.ACTIVE]
+    victims = [(tid, name) for tid, name in order if topics[tid].fields[name].tier is ACTIVE]
     for tid, name in victims[:excess]:
-        txn.set_tier(tid, name, Tier.HIDDEN)
+        txn.set_tier(tid, name, HIDDEN)
 
 
 def hide_order(state: MemoryState, lam: float) -> list[tuple[str, str]]:

@@ -20,9 +20,10 @@ class Tier(str, Enum):
     HIDDEN = "Hidden"
 
 
-# the members bound once for the ladder's loops: on Python 3.11 each read of
-# one off the class is a descriptor call, about ten times a global's cost
-_ACTIVE, _COMPRESSED, _HIDDEN = Tier.ACTIVE, Tier.COMPRESSED, Tier.HIDDEN
+# the members bound once for the loops that read a tier per field: on Python
+# 3.11 each read of one off the class is a descriptor call, about ten times a
+# global's cost
+ACTIVE, COMPRESSED, HIDDEN = Tier.ACTIVE, Tier.COMPRESSED, Tier.HIDDEN
 
 
 @dataclass(frozen=True)
@@ -88,10 +89,10 @@ def tier_of(s: float, p: SalienceParams) -> Tier:
     Thresholds compare with strict less-than; below `theta_archive` a field
     stays hidden, and is `dormant`."""
     if s < p.theta_remove:
-        return _HIDDEN
+        return HIDDEN
     if s < p.theta_summary:
-        return _COMPRESSED
-    return _ACTIVE
+        return COMPRESSED
+    return ACTIVE
 
 
 def dormant(s: float, p: SalienceParams) -> bool:
@@ -106,7 +107,7 @@ def compress_cut(f: "Field", tier: Tier, k_recent: int) -> int:
     before the last `k_recent` and before the current entry, if they are
     two or more."""
     cut = len(f.history) - k_recent
-    if tier is _ACTIVE or cut < 2:
+    if tier is ACTIVE or cut < 2:
         return 0
     current = f.current_entry()
     if current is not None:
@@ -135,14 +136,14 @@ def due_epoch(topic: "Topic", p: SalienceParams, epoch: int) -> Optional[int]:
         age = epoch - f.since
         ends = crossing(f.salience, theta_summary, lam)
         if age < ends:  # Active, which folds no history
-            if f.tier is not _ACTIVE:
+            if f.tier is not ACTIVE:
                 return epoch
         else:
             ends = crossing(f.salience, theta_remove, lam)
-            tier = _COMPRESSED if age < ends else _HIDDEN
+            tier = COMPRESSED if age < ends else HIDDEN
             if tier is not f.tier or compress_cut(f, tier, k_recent):
                 return epoch
-            if tier is _HIDDEN:
+            if tier is HIDDEN:
                 continue
         if first is None or f.since + ends < first:
             first = f.since + ends

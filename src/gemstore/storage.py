@@ -19,8 +19,10 @@ SNAPSHOT_MAGIC = b"GEMS"
 # 2: one SHA-256 per topic in the digest; 3: embeddings derived, not stored;
 # 4: ticks are plain integers; 5: a field stores its salience with the decay
 # epoch it was set at, the state counts epochs, and a tick journals one
-# epoch_advanced delta in place of decaying every field
-FORMAT_VERSION = 5
+# epoch_advanced delta in place of decaying every field; 6: a delta journals
+# only what its operator chose: an access is one unit_accessed, a supersede
+# names an entry by index, a compression its count, and a new field no tier
+FORMAT_VERSION = 6
 
 
 def _write_frame(fh, payload: bytes) -> None:

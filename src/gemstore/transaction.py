@@ -8,10 +8,10 @@ the delta list against the prior snapshot produces.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from .model import (
-    BOOL,
     INT,
     NUMBER,
     OBJECT,
@@ -56,17 +56,15 @@ DELTA_KINDS: dict[str, DeltaKind] = {
     "topic_created": DeltaKind({"id": STR, "title": STR, "summary": STR}),
     "topic_removed": DeltaKind({"id": STR}),
     "topic_archived": DeltaKind({"id": STR, "merged_into": STR_OR_NULL}),
-    "field_created": DeltaKind(
-        {**_TOPIC_FIELD, "entity_tag": STR_OR_NULL, "salience": NUMBER, "last_access": INT, "tier": STR}
-    ),
+    "field_created": DeltaKind({**_TOPIC_FIELD, "entity_tag": STR_OR_NULL, "salience": NUMBER, "last_access": INT}),
     "field_removed": DeltaKind(_TOPIC_FIELD, text=True),
     "field_installed": DeltaKind({"topic": STR, "payload": OBJECT}, text=True),
     "entry_appended": DeltaKind({**_TOPIC_FIELD, "entry": OBJECT}, text=True),
-    "entry_flags": DeltaKind({**_TOPIC_FIELD, "index": INT, "superseded": BOOL, "compressed": BOOL}, text=True),
-    "history_compressed": DeltaKind({**_TOPIC_FIELD, "count": INT, "summary": OBJECT}, text=True),
+    "entry_superseded": DeltaKind({**_TOPIC_FIELD, "index": INT}, text=True),
+    "history_compressed": DeltaKind({**_TOPIC_FIELD, "count": INT}, text=True),
     "salience_set": DeltaKind({**_TOPIC_FIELD, "value": NUMBER}),
     "epoch_advanced": DeltaKind({}),
-    "last_access_set": DeltaKind({**_TOPIC_FIELD, "tick": INT}),
+    "unit_accessed": DeltaKind({**_TOPIC_FIELD, "value": NUMBER, "tick": INT}),
     "tier_set": DeltaKind({**_TOPIC_FIELD, "tier": STR}),
     "edge_added": DeltaKind({"src": STR, "dst": STR, "edge_kind": STR, "tick": INT}),
     "edge_removed": DeltaKind({"src": STR, "dst": STR, "edge_kind": STR}),
@@ -116,7 +114,6 @@ def apply_delta(state: MemoryState, delta: dict) -> None:
             entity_tag=delta["entity_tag"],
             salience=delta["salience"],
             since=state.epoch_of(topic),
-            tier=Tier(delta["tier"]),
             last_access=delta["last_access"],
         )
     elif kind == "field_removed":
@@ -131,38 +128,29 @@ def apply_delta(state: MemoryState, delta: dict) -> None:
     elif kind == "entry_appended":
         entry = _payload(ValueEntry.from_dict, delta["entry"])
         _field(_topic(state, delta["topic"]), delta["field"]).history.append(entry)
-    elif kind == "entry_flags":
+    elif kind == "entry_superseded":
         f = _field(_topic(state, delta["topic"]), delta["field"])
         idx = delta["index"]
         if not 0 <= idx < len(f.history):
             raise DeltaError(f"entry index out of range: {delta['topic']}.{delta['field']}[{idx}]")
-        entry = f.history[idx]
-        f.history[idx] = ValueEntry(
-            value=entry.value,
-            at=entry.at,
-            provenance=entry.provenance,
-            superseded=delta["superseded"],
-            compressed=delta["compressed"],
-        )
+        f.history[idx] = replace(f.history[idx], superseded=True)
     elif kind == "history_compressed":
-        summary = _payload(ValueEntry.from_dict, delta["summary"])
         f = _field(_topic(state, delta["topic"]), delta["field"])
         count = delta["count"]
         if not 1 <= count <= len(f.history):
             raise DeltaError(f"compression run of {count} outside a history of {len(f.history)}")
-        f.history = [summary] + f.history[count:]
-    elif kind == "salience_set":
+        f.history = [_summary(f.history[:count])] + f.history[count:]
+    elif kind in ("salience_set", "unit_accessed"):
         topic = _topic(state, delta["topic"])
         f = _field(topic, delta["field"])
         _check_salience(delta, delta["value"])
         f.salience = delta["value"]
         f.since = state.epoch_of(topic)
+        if kind == "unit_accessed":
+            f.last_access = delta["tick"]
     elif kind == "epoch_advanced":
         # every live salience reads one decay step lower; no topic changes
         state.epoch += 1
-    elif kind == "last_access_set":
-        f = _field(_topic(state, delta["topic"]), delta["field"])
-        f.last_access = delta["tick"]
     elif kind == "tier_set":
         f = _field(_topic(state, delta["topic"]), delta["field"])
         f.tier = Tier(delta["tier"])
@@ -194,6 +182,20 @@ def _check_salience(delta: dict, salience: float, since: int = 0, epoch: int = 0
     fault = salience_fault(salience, since, epoch)
     if fault is not None:
         raise DeltaError(f"{delta['kind']} of {delta['topic']}: {fault}")
+
+
+def _summary(run: list[ValueEntry]) -> ValueEntry:
+    """The one entry a compression folds `run` into: superseded and
+    compressed, dated as its last entry, holding each distinct provenance
+    record of the run once, in order of first appearance."""
+    provenance = dict.fromkeys(prov for entry in run for prov in entry.provenance)
+    return ValueEntry(
+        value=f"{len(run)} earlier values ({run[0].value} ... {run[-1].value})",
+        at=run[-1].at,
+        provenance=tuple(provenance),
+        superseded=True,
+        compressed=True,
+    )
 
 
 def _payload(decode, payload: dict):
@@ -260,7 +262,7 @@ class Txn:
     def create_field(
         self, topic_id: str, name: str, entity_tag: Optional[str], salience: float, last_access: int
     ) -> None:
-        self._record("field_created", topic_id, name, entity_tag, salience, last_access, Tier.ACTIVE.value)
+        self._record("field_created", topic_id, name, entity_tag, salience, last_access)
 
     def remove_field(self, topic_id: str, name: str) -> None:
         self._record("field_removed", topic_id, name)
@@ -271,11 +273,12 @@ class Txn:
     def append_entry(self, topic_id: str, name: str, entry: ValueEntry) -> None:
         self._record("entry_appended", topic_id, name, entry.to_dict())
 
-    def set_entry_flags(self, topic_id: str, name: str, index: int, superseded: bool, compressed: bool) -> None:
-        self._record("entry_flags", topic_id, name, index, superseded, compressed)
+    def supersede_entry(self, topic_id: str, name: str, index: int) -> None:
+        self._record("entry_superseded", topic_id, name, index)
 
-    def compress_history(self, topic_id: str, name: str, count: int, summary: ValueEntry) -> None:
-        self._record("history_compressed", topic_id, name, count, summary.to_dict())
+    def compress_history(self, topic_id: str, name: str, count: int) -> None:
+        """Fold the first `count` history entries of the field into one summary."""
+        self._record("history_compressed", topic_id, name, count)
 
     def set_salience(self, topic_id: str, name: str, value: float) -> None:
         self._record("salience_set", topic_id, name, value)
@@ -283,8 +286,8 @@ class Txn:
     def advance_epoch(self) -> None:
         self._record("epoch_advanced")
 
-    def set_last_access(self, topic_id: str, name: str, tick: int) -> None:
-        self._record("last_access_set", topic_id, name, tick)
+    def access_unit(self, topic_id: str, name: str, value: float, tick: int) -> None:
+        self._record("unit_accessed", topic_id, name, value, tick)
 
     def set_tier(self, topic_id: str, name: str, tier: Tier) -> None:
         self._record("tier_set", topic_id, name, tier.value)

@@ -244,12 +244,12 @@ def test_rejected_commit_leaves_the_parent_aggregates(checked_transitions):
     txn.create_field("u", "X", None, 1.0, 1)
     txn.append_entry("u", "X", entry)
     txn.append_entry("u", "X", entry)
-    txn.set_entry_flags("u", "X", 0, True, False)
-    txn.compress_history("u", "X", 1, entry)
+    txn.supersede_entry("u", "X", 0)
+    txn.compress_history("u", "X", 1)
     txn.install_field("t", Field("D", history=[entry]))
     txn.remove_field("t", "D")
     txn.set_salience("t", "A", 0.5)
-    txn.set_last_access("t", "A", 9)
+    txn.access_unit("t", "A", 1.5, 9)
     txn.set_tier("t", "B", Tier.HIDDEN)
     txn.add_edge("t", "u", EdgeKind.EXTENSION, 1)
     txn.add_edge("u", "t", EdgeKind.ASSOCIATION, 1)

@@ -163,8 +163,8 @@ JOURNAL_MUTANTS = {
         frames, lambda b: b["facts"][0].update(value=5)),
     "delta-with-an-extra-operand": lambda frames: _edit_first_delta(
         frames, "entry_appended", lambda d: d.update(extra=1)),
-    "entry-flags-index-negative": lambda frames: _edit_first_delta(
-        frames, "entry_flags", lambda d: d.update(index=-100)),
+    "entry-superseded-index-negative": lambda frames: _edit_first_delta(
+        frames, "entry_superseded", lambda d: d.update(index=-100)),
     "flag-cause-not-a-string": lambda frames: _flag_one_topic_twice(frames, ["x", 5]),
 }
 

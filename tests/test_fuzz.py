@@ -119,7 +119,6 @@ _OPERAND_BY_NAME = {
     "tier": st.sampled_from([t.value for t in Tier]),
     "edge_kind": st.sampled_from([k.value for k in EdgeKind]),
     "entry": _ENTRY,
-    "summary": _ENTRY,
     "payload": st.builds(lambda name, e: Field(name, history=[ValueEntry.from_dict(e)]).to_dict(), _FIELD, _ENTRY),
 }
 _OPERAND_BY_TYPES = {
@@ -172,7 +171,7 @@ def test_a_mutated_delta_raises_delta_error_or_applies(kind, op, data):
 
 
 # the deltas that carry an entry or a field, a nested payload of its own
-NESTED = {"entry_appended": "entry", "history_compressed": "summary", "field_installed": "payload"}
+NESTED = {"entry_appended": "entry", "field_installed": "payload"}
 
 
 @pytest.mark.parametrize("kind", sorted(NESTED))

@@ -15,7 +15,7 @@ from gemstore import engine as engine_module
 from gemstore.config import BetaSpec, ConfigError, EngineConfig
 from gemstore.engine import Engine, EngineEvent
 from gemstore.model import Field, Tier, ValueEntry, state_from_dict, state_to_dict
-from gemstore.operators import Fact, FactBundle, Query, _compress_field, _enforce_footprint, forget
+from gemstore.operators import Fact, FactBundle, Query, _enforce_footprint, forget
 from gemstore.salience import SalienceParams, crossing, decay, due_epoch, tier_of
 from gemstore.transaction import Txn
 from gemstore.workload import run_workload
@@ -54,7 +54,7 @@ def full_scan_forget(txn: Txn, cfg: EngineConfig, next_tick: int) -> None:
             tier = tier_of(s, p)
             cut = _scan_cut(f, p.k_recent)
             if tier is not Tier.ACTIVE and cut >= 2:
-                _compress_field(txn, tid, name, cut)
+                txn.compress_history(tid, name, cut)
             if f.tier is not tier:
                 txn.set_tier(tid, name, tier)
         if dormant:

@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import build_state, build_topic
-from gemstore.model import EdgeKind, Field, Tier, ValueEntry, state_digest
+from gemstore.model import EdgeKind, Field, Provenance, Tier, ValueEntry, state_digest
 from gemstore.transaction import DELTA_KINDS, DeltaError, Txn, apply_delta
 
 ENTRY = ValueEntry("2", 1, ()).to_dict()
@@ -16,23 +17,22 @@ ENTRY = ValueEntry("2", 1, ()).to_dict()
         ({"kind": "flag_removed"}, "must carry"),
         ({"kind": "epoch_advanced", "extra": 1}, "must carry"),
         ({"kind": "flag_added", "topic": "t", "cause": 5}, "cause must be str"),
-        ({"kind": "last_access_set", "topic": "t", "field": "f", "tick": True}, "tick must be int"),
+        ({"kind": "unit_accessed", "topic": "t", "field": "f", "value": 2.0, "tick": True}, "tick must be int"),
         ({"kind": "salience_set", "topic": "t", "field": "f", "value": "1"}, "value must be int or float"),
         ({"kind": "topic_archived", "id": "t", "merged_into": 3}, "merged_into must be str or null"),
         ({"kind": "entry_appended", "topic": "t", "field": "f", "entry": [ENTRY]}, "entry must be dict"),
-        ({"kind": "entry_flags", "topic": "t", "field": "f", "index": -1, "superseded": True, "compressed": False},
-         "out of range"),
-        ({"kind": "entry_flags", "topic": "t", "field": "f", "index": 1, "superseded": True, "compressed": False},
-         "out of range"),
-        ({"kind": "entry_flags", "topic": "t", "field": "f", "index": 0, "superseded": 1, "compressed": False},
-         "superseded must be bool"),
-        ({"kind": "history_compressed", "topic": "t", "field": "f", "count": 0, "summary": ENTRY}, "compression run"),
-        ({"kind": "history_compressed", "topic": "t", "field": "f", "count": 2, "summary": ENTRY}, "compression run"),
+        ({"kind": "entry_superseded", "topic": "t", "field": "f", "index": -1}, "out of range"),
+        ({"kind": "entry_superseded", "topic": "t", "field": "f", "index": 1}, "out of range"),
+        ({"kind": "history_compressed", "topic": "t", "field": "f", "count": 0}, "compression run"),
+        ({"kind": "history_compressed", "topic": "t", "field": "f", "count": 2}, "compression run"),
         # a salience the forget ladder could not decay
         ({"kind": "salience_set", "topic": "t", "field": "f", "value": -1.0}, "finite and non-negative"),
         ({"kind": "salience_set", "topic": "t", "field": "f", "value": float("inf")}, "finite and non-negative"),
+        ({"kind": "unit_accessed", "topic": "t", "field": "f", "value": -1.0, "tick": 2}, "finite and non-negative"),
+        ({"kind": "unit_accessed", "topic": "t", "field": "f", "value": float("inf"), "tick": 2},
+         "finite and non-negative"),
         ({"kind": "field_created", "topic": "t", "field": "g", "entity_tag": None, "salience": -1.0,
-          "last_access": 1, "tier": "Active"}, "finite and non-negative"),
+          "last_access": 1}, "finite and non-negative"),
         ({"kind": "field_installed", "topic": "t", "payload": {**Field("h", salience=-0.5).to_dict()}},
          "finite and non-negative"),
         ({"kind": "field_installed", "topic": "t", "payload": {**Field("h", since=3).to_dict()}},
@@ -61,8 +61,6 @@ _FIELD = Field("h").to_dict()
           "entry": {**ENTRY, "provenance": [{"source_id": "s", "event_id": "1", "excerpt": ""}]}},
          "provenance event_id must be int"),
         ({"kind": "entry_appended", "topic": "t", "field": "f", "entry": {"value": "2"}}, "KeyError"),
-        ({"kind": "history_compressed", "topic": "t", "field": "f", "count": 1, "summary": {**ENTRY, "superseded": 0}},
-         "entry superseded must be bool"),
         ({"kind": "field_installed", "topic": "t", "payload": {**_FIELD, "since": 1.5}}, "field since must be int"),
         ({"kind": "field_installed", "topic": "t", "payload": {**_FIELD, "history": ""}}, "field history must be list"),
         ({"kind": "field_installed", "topic": "t", "payload": {**_FIELD, "history": [_BAD_ENTRY]}},
@@ -89,11 +87,11 @@ RECORDER_CALLS = {
     "field_removed": ("remove_field", "t", "f"),
     "field_installed": ("install_field", "t", Field("h")),
     "entry_appended": ("append_entry", "t", "f", ValueEntry("2", 1, ())),
-    "entry_flags": ("set_entry_flags", "t", "f", 0, True, False),
-    "history_compressed": ("compress_history", "t", "f", 1, ValueEntry("s", 1, ())),
+    "entry_superseded": ("supersede_entry", "t", "f", 0),
+    "history_compressed": ("compress_history", "t", "f", 1),
     "salience_set": ("set_salience", "t", "f", 0.5),
     "epoch_advanced": ("advance_epoch",),
-    "last_access_set": ("set_last_access", "t", "f", 2),
+    "unit_accessed": ("access_unit", "t", "f", 2.0, 2),
     "tier_set": ("set_tier", "t", "f", Tier.HIDDEN),
     "edge_added": ("add_edge", "t", "u", EdgeKind.EXTENSION, 1),
     "edge_removed": ("remove_edge", "t", "u", EdgeKind.EXTENSION),
@@ -109,3 +107,68 @@ def test_a_recorder_writes_its_kind_and_only_a_text_kind_clears_the_embedding(ki
     getattr(txn, recorder)(*operands)
     assert [d["kind"] for d in txn.deltas] == [kind]
     assert (txn.state.topics["t"].embedding is None) == DELTA_KINDS[kind].text
+
+
+# -- what apply_delta derives from the state ----------------------------------
+
+
+def oracle_summary(run: list[ValueEntry]) -> ValueEntry:
+    """The summary of a compressed run, spelled out as the forget ladder
+    built it when its delta carried the summary whole: each provenance
+    record once, keyed by (source_id, event_id, excerpt), in order of first
+    appearance."""
+    provs = []
+    seen = set()
+    for entry in run:
+        for prov in entry.provenance:
+            key = (prov.source_id, prov.event_id, prov.excerpt)
+            if key not in seen:
+                seen.add(key)
+                provs.append(prov)
+    return ValueEntry(
+        value=f"{len(run)} earlier values ({run[0].value} ... {run[-1].value})",
+        at=run[-1].at,
+        provenance=tuple(provs),
+        superseded=True,
+        compressed=True,
+    )
+
+
+# few distinct records, so that entries often repeat one
+_PROVENANCE = st.builds(Provenance, st.sampled_from(["s", "t"]), st.integers(1, 2), st.sampled_from(["", "x"]))
+_ENTRIES = st.builds(ValueEntry, st.sampled_from("abc"), st.integers(0, 5), st.lists(_PROVENANCE, max_size=3).map(tuple),
+                     st.booleans(), st.booleans())
+_P1, _P2, _P3 = Provenance("s", 1, "x"), Provenance("s", 2, "x"), Provenance("t", 1, "x")
+
+
+@settings(max_examples=200, derandomize=True, database=None)
+@given(history=st.lists(_ENTRIES, min_size=1, max_size=6), count=st.integers(1, 6))
+@example(history=[ValueEntry("a", 1, (_P1,)), ValueEntry("b", 2, (_P1, _P2)), ValueEntry("c", 3, (_P2, _P1, _P3)),
+                  ValueEntry("d", 4, (_P1,))], count=3)
+@example(history=[ValueEntry("a", 1, (_P1, _P2, _P1)), ValueEntry("b", 2, ())], count=1)
+def test_a_compression_derives_the_summary_of_the_entries_it_folds(history, count):
+    count = min(count, len(history))
+    state = build_state([build_topic("t")])
+    state.topics["t"].fields["f"] = Field("f", history=list(history))
+    apply_delta(state, {"kind": "history_compressed", "topic": "t", "field": "f", "count": count})
+    expected = [oracle_summary(history[:count]), *history[count:]]
+    assert [e.to_dict() for e in state.topics["t"].fields["f"].history] == [e.to_dict() for e in expected]
+
+
+@pytest.mark.parametrize("compressed", [False, True])
+def test_a_supersede_keeps_the_entry_compressed_flag(compressed):
+    state = build_state([build_topic("t")])
+    entry = ValueEntry("1", 1, (Provenance("seed", 1),), compressed=compressed)
+    state.topics["t"].fields["f"] = Field("f", history=[entry])
+    apply_delta(state, {"kind": "entry_superseded", "topic": "t", "field": "f", "index": 0})
+    (after,) = state.topics["t"].fields["f"].history
+    assert (after.superseded, after.compressed) == (True, compressed)
+    assert (after.value, after.at, after.provenance) == (entry.value, entry.at, entry.provenance)
+
+
+def test_an_access_sets_the_salience_its_epoch_and_the_last_access_together():
+    state = build_state([build_topic("t", fields={"f": "1"})])
+    state.epoch = 4
+    apply_delta(state, {"kind": "unit_accessed", "topic": "t", "field": "f", "value": 1.5, "tick": 9})
+    f = state.topics["t"].fields["f"]
+    assert (f.salience, f.since, f.last_access) == (1.5, 4, 9)
