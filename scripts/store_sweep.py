@@ -78,7 +78,7 @@ def run_size(n: int, workdir: Path) -> dict:
     return {
         "n": n,
         "correct": stats.failed == 0,
-        "failures": stats.failures,
+        "failures": list(dict.fromkeys(stats.failures)),  # each repeat fails alike
         "operators": {
             name: {"samples": len(values), "p50_ms": statistics.median(values), "p99_ms": _p99(values)}
             for name, values in sorted(samples.items())

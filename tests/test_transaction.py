@@ -136,8 +136,8 @@ def oracle_summary(run: list[ValueEntry]) -> ValueEntry:
 
 # few distinct records, so that entries often repeat one
 _PROVENANCE = st.builds(Provenance, st.sampled_from(["s", "t"]), st.integers(1, 2), st.sampled_from(["", "x"]))
-_ENTRIES = st.builds(ValueEntry, st.sampled_from("abc"), st.integers(0, 5), st.lists(_PROVENANCE, max_size=3).map(tuple),
-                     st.booleans(), st.booleans())
+_ENTRIES = st.builds(ValueEntry, st.sampled_from("abc"), st.integers(0, 5),
+                     st.lists(_PROVENANCE, max_size=3).map(tuple), st.booleans(), st.booleans())
 _P1, _P2, _P3 = Provenance("s", 1, "x"), Provenance("s", 2, "x"), Provenance("t", 1, "x")
 
 
