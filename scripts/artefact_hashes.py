@@ -17,6 +17,8 @@ design:
 - `<name>.digests`, the hash of the state trajectory: the genesis digest and
   each record's tick, operator, outcome, reason and digest after it.
 
+The CRUD baseline of each `gem compare` run prints its `.digests` line too.
+
 Usage: artefact_hashes.py [--quick]
 
 `--quick` covers a small subset in a few seconds.  To check a change, run
@@ -72,7 +74,10 @@ class _Recording(Engine):
 def _print_run(name: str, engine: _Recording) -> None:
     """The run's `.answers` and `.digests` lines."""
     print(f"{name}.answers {engine.answers.hexdigest()}")
-    journal = engine.journal
+    _print_digests(name, engine.journal)
+
+
+def _print_digests(name: str, journal) -> None:
     trail = [journal.genesis_digest]
     trail += [[r.tick, r.operator, r.outcome, r.reason, r.digest_after] for r in journal.records]
     print(f"{name}.digests {_sha(json.dumps(trail).encode())}")
@@ -132,6 +137,7 @@ def main() -> int:
                 print(f"{name}.gem.journal {_sha(_journal_bytes(engine.journal, workdir))}")
                 _print_run(f"{name}.gem", engine)
                 print(f"{name}.baseline.journal {_sha(_journal_bytes(adapter.journal, workdir))}")
+                _print_digests(f"{name}.baseline", adapter.journal)
     return 0
 
 

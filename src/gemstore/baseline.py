@@ -15,7 +15,7 @@ from typing import Optional
 from .config import EngineConfig
 from .embedding import cosine, embed
 from .engine import Engine, EngineEvent, TransitionRecord
-from .model import MemoryState, Provenance, ValueEntry
+from .model import MemoryState, Provenance
 from .operators import Answer, FactBundle, Query, RetrievalOutput
 from .transaction import Txn
 
@@ -46,23 +46,23 @@ class BaselineJournalAdapter(Engine):
             return None, []
         return super().submit(event)
 
-    def _dispatch(self, txn: Txn, event: EngineEvent, next_tick: int):
+    def _dispatch(self, txn: Txn, event: EngineEvent):
         """A put, a pure cosine read, or a tick that changes nothing."""
         if event.kind == "ingest":
-            self._put(txn, event.bundle, next_tick)
+            self._put(txn, event.bundle)
         elif event.kind == "retrieve":
             return self._read(txn.state, event.query), []
         return None, []
 
-    def _put(self, txn: Txn, bundle: FactBundle, next_tick: int) -> None:
+    def _put(self, txn: Txn, bundle: FactBundle) -> None:
         """One record per fact, duplicates included; evict oldest beyond capacity."""
         for fact in bundle.facts:
             topic_id = f"rec-{self.next_id:04d}"
             self.next_id += 1
             txn.create_topic(topic_id, title=f"{fact.field}: {fact.value}", summary=bundle.text)
-            txn.create_field(topic_id, fact.field, None, self.config.salience.s0, last_access=next_tick)
-            prov = Provenance(bundle.source_id, next_tick, fact.excerpt or bundle.text)
-            txn.append_entry(topic_id, fact.field, ValueEntry(fact.value, next_tick, (prov,)))
+            txn.create_field(topic_id, fact.field, None, self.config.salience.s0)
+            prov = Provenance(bundle.source_id, txn.tick, fact.excerpt or bundle.text)
+            txn.append_entry(topic_id, fact.field, fact.value, (prov,))
             while len(txn.state.topics) > self.capacity:
                 txn.remove_topic(min(txn.state.topics, key=_record_id))
 

@@ -4,6 +4,7 @@ footprint bound, and paths to policy / dependency-rule files."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
@@ -23,6 +24,12 @@ class BetaSpec:
     base: int = 200
     per_tick: float = 0.0
 
+    def validate(self) -> None:
+        if self.base < 0:
+            raise ValueError("beta base must be non-negative")
+        if not math.isfinite(self.per_tick):  # json reads NaN and Infinity
+            raise ValueError("beta per_tick must be finite")
+
     def bound(self, tick: int) -> int:
         return int(self.base + self.per_tick * tick)
 
@@ -41,12 +48,11 @@ class EngineConfig:
 
     def validate(self) -> None:
         self.salience.validate()
+        self.beta.validate()
         if not (0.0 <= self.tau_topic <= 1.0 and 0.0 <= self.tau_dup <= 1.0):
             raise ConfigError("router thresholds must lie in [0, 1]")
         if self.k_topics < 1:
             raise ConfigError("k_topics must be at least 1")
-        if self.beta.base < 0:
-            raise ConfigError("beta base must be non-negative")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -264,15 +264,14 @@ class Engine:
         return next((tid for tid in pending if tid not in reached), pending[0])
 
     def _apply_once(self, event: EngineEvent) -> tuple[Optional[RetrievalOutput], TransitionRecord]:
-        next_tick = self.state.clock + 1
         txn = Txn(self.state)
         policy_log: list[dict] = []
 
         try:
-            output, sub_events = self._dispatch(txn, event, next_tick)
-            pre_commit = (EventKind.PRE_COMMIT.value, {"beta": self.config.beta.bound(next_tick)})
+            output, sub_events = self._dispatch(txn, event)
+            pre_commit = (EventKind.PRE_COMMIT.value, {"beta": self.config.beta.bound(txn.tick)})
             for event_name, ctx in [*sub_events, pre_commit]:
-                reject = self._run_policies(txn, event_name, ctx, policy_log, next_tick)
+                reject = self._run_policies(txn, event_name, ctx, policy_log)
         except (OperatorError, EvaluationError, RoutingError) as exc:
             return None, self._abort(event, str(exc), policy_log)
 
@@ -281,9 +280,9 @@ class Engine:
 
         # ingest and revise pay for the embeddings they change, not the next read
         txn.derive_embeddings()
-        txn.state.clock = next_tick
+        txn.state.clock = txn.tick
         record = TransitionRecord(
-            tick=next_tick,
+            tick=txn.tick,
             operator=event.kind,
             input=event.to_dict(),
             deltas=txn.deltas,
@@ -311,32 +310,28 @@ class Engine:
         self.journal.records.append(record)
         return record
 
-    def _dispatch(
-        self, txn: Txn, event: EngineEvent, next_tick: int
-    ) -> tuple[Optional[RetrievalOutput], list[tuple[str, dict]]]:
+    def _dispatch(self, txn: Txn, event: EngineEvent) -> tuple[Optional[RetrievalOutput], list[tuple[str, dict]]]:
         """Run the event's operator on `txn`; returns the read's output and
         the sub-events for policy evaluation."""
         if event.kind == "ingest":
-            return None, ingest(txn, event.bundle, self.config, next_tick)
+            return None, ingest(txn, event.bundle, self.config)
         if event.kind == "retrieve":
-            return retrieve(txn, event.query, self.config, next_tick)
+            return retrieve(txn, event.query, self.config)
         if event.kind == "revise":
             evidence = list(event.evidence) if event.evidence is not None else detect_evidence(txn.state, self.config)
-            return None, revise(txn, evidence, self.config, self.rules, next_tick)
+            return None, revise(txn, evidence, self.config, self.rules)
         if event.kind == "forget":
-            forget(txn, self.config, next_tick)
+            forget(txn, self.config)
             return None, []
         if event.kind == "tick":
             # a tick is one decay epoch plus the attenuation ladder, in one
             # transition that writes only the tiers and archives it changes
             txn.advance_epoch()
-            forget(txn, self.config, next_tick)
+            forget(txn, self.config)
             return None, [("tick", {})]
         raise OperatorError(f"unknown event kind: {event.kind}")
 
-    def _run_policies(
-        self, txn: Txn, event_name: str, ctx: dict, policy_log: list[dict], next_tick: int
-    ) -> Optional[str]:
+    def _run_policies(self, txn: Txn, event_name: str, ctx: dict, policy_log: list[dict]) -> Optional[str]:
         """Apply the fired actions of the policies on `event_name`, in order.  A
         fired `reject_transition` returns its reason on pre_commit only."""
         ctx = {**ctx, "decay": self.config.salience.decay}
@@ -346,12 +341,12 @@ class Engine:
             fired = evaluate_condition(policy.condition, txn.state, ctx)
             policy_log.append({"policy": policy.name, "fired": fired, "action": policy.action.kind})
             if fired and policy.action.kind != "reject_transition":
-                self._apply_action(txn, policy.action, ctx, next_tick)
+                self._apply_action(txn, policy.action, ctx)
             elif fired and policy.on_event is EventKind.PRE_COMMIT:
                 return policy.action.message or policy.name
         return None
 
-    def _apply_action(self, txn: Txn, action: ActionSpec, ctx: dict, next_tick: int) -> None:
+    def _apply_action(self, txn: Txn, action: ActionSpec, ctx: dict) -> None:
         if action.kind == "noop":
             return
         if action.kind == "flag_for_revision":
@@ -370,7 +365,7 @@ class Engine:
             return
         if action.kind == "attenuate":
             targets = None if action.target is None else [resolve_target(action.target, ctx)]
-            forget(txn, self.config, next_tick, targets=targets)
+            forget(txn, self.config, targets=targets)
             return
         if action.kind == "archive":
             target = resolve_target(action.target, ctx)
@@ -388,7 +383,7 @@ class Engine:
 def replay_record(state: MemoryState, record: TransitionRecord) -> None:
     """Advance `state` in place by one committed record, checking that its
     tick follows the state's clock and that the result matches its digest."""
-    if record.tick != state.clock + 1:
+    if record.tick != state.transition_tick:
         raise CorruptJournalError(f"non-consecutive tick at {record.tick}")
     with decoding(CorruptJournalError, f"bad delta at tick {record.tick}"):
         for delta in record.deltas:

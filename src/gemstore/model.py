@@ -292,6 +292,12 @@ class MemoryState:
             owned=set(),
         )
 
+    @property
+    def transition_tick(self) -> int:
+        """The tick of a transition from this state: its clock plus one, as
+        `replay_record` requires of each committed record."""
+        return self.clock + 1
+
     def epoch_of(self, topic: Topic) -> int:
         """The epoch the topic's salience is read at: the state's, or the one
         the topic was archived at, so that archived salience stays frozen."""
@@ -559,14 +565,10 @@ class Ranking(Part):
 
 
 class Ladder(Part):
-    """Each live topic's due epoch (`salience.due_epoch`) under `params`,
-    and the calendar of the due topics by epoch (a calendar queue; Brown,
-    1988), so that the forget ladder visits only the topics due by the
-    state's epoch.  A calendar slot is a dict of topic ids to None, which
-    copies faster than a set.  The calendar holds one slot per due epoch,
-    and due epochs lie within the crossing horizon of the live saliences,
-    however many topics there are, so `due_by` scans the slots rather than
-    keep them in order.
+    """Each live topic's due epoch (`salience.due_epoch`) under `params`, so
+    that the forget ladder visits only the topics due by the state's epoch.
+    Due epochs are not kept in order: `due_by` filters the one table, which
+    a settle copies once however many topics it moves.
 
     A settle reads each marked topic's due at the state's epoch, and an
     unmarked topic keeps the due it was read with.  A later read would find
@@ -580,7 +582,6 @@ class Ladder(Part):
                         "unit_accessed", "tier_set"}
     params = SalienceParams()
     due: dict[str, int] = {}
-    calendar: dict[int, dict[str, None]] = {}
 
     def read_for(self, state: MemoryState, params: SalienceParams) -> "Ladder":
         if params is self.params or (self.built and params == self.params):
@@ -594,9 +595,6 @@ class Ladder(Part):
         part.params, part._pending = self.params, set()
         dues = ((tid, due_epoch(topic, self.params, state.epoch)) for tid, topic in state.topics.items())
         part.due = {tid: due for tid, due in dues if due is not None}
-        part.calendar = {}
-        for tid, due in part.due.items():
-            part.calendar.setdefault(due, {})[tid] = None
         return part
 
     def settle(self, state: MemoryState, marked: Iterable[str]) -> None:
@@ -608,23 +606,18 @@ class Ladder(Part):
                 moved.append((tid, new))
         if not moved:
             return
-        due, calendar = self._table("due"), self._table("calendar")
+        due = self._table("due")
         for tid, new in moved:
-            old = due.pop(tid, None)
-            if old is not None and len(calendar[old]) > 1:
-                del self._entry("calendar", old)[tid]
-            elif old is not None:  # the topic leaves its slot empty
-                del calendar[old]
-                self._owned.discard(("calendar", old))
-            if new is not None:
+            if new is None:
+                del due[tid]
+            else:
                 due[tid] = new
-                self._entry("calendar", new)[tid] = None
 
     def due_by(self, epoch: int) -> list[str]:
         """The topics due at `epoch` or before, in id order, each marked so
         that the next read settles it again, whether or not the ladder then
         changes it."""
-        due = sorted(tid for slot_epoch, slot in self.calendar.items() if slot_epoch <= epoch for tid in slot)
+        due = sorted(tid for tid, d in self.due.items() if d <= epoch)
         self._pending.update(due)
         return due
 

@@ -234,7 +234,7 @@ def slugify(text: str, max_tokens: int = 6) -> str:
     return "-".join(tokens) or "topic"
 
 
-def ingest(txn: Txn, bundle: FactBundle, cfg: EngineConfig, next_tick: int) -> list[tuple[str, dict]]:
+def ingest(txn: Txn, bundle: FactBundle, cfg: EngineConfig) -> list[tuple[str, dict]]:
     """Integrate a fact bundle; returns the sub-events for policy evaluation."""
     if not bundle.facts:
         raise OperatorError("empty-bundle")
@@ -247,7 +247,7 @@ def ingest(txn: Txn, bundle: FactBundle, cfg: EngineConfig, next_tick: int) -> l
     if choice.topic_id is None:
         topic_id = bundle.topic_hint or slugify(bundle.text)
         if topic_id in txn.state.topics:
-            topic_id = f"{topic_id}-{next_tick}"
+            topic_id = f"{topic_id}-{txn.tick}"
         title = bundle.text.strip()[:60] or topic_id
         txn.create_topic(topic_id, title=title, summary=bundle.text.strip())
         events.append(("topic_created", {"updated_topic": topic_id}))
@@ -255,12 +255,12 @@ def ingest(txn: Txn, bundle: FactBundle, cfg: EngineConfig, next_tick: int) -> l
         topic_id = choice.topic_id
 
     for fact in bundle.facts:
-        prov = Provenance(bundle.source_id, next_tick, fact.excerpt or bundle.text.strip())
+        provenance = (Provenance(bundle.source_id, txn.tick, fact.excerpt or bundle.text.strip()),)
         topic = txn.state.topics[topic_id]
         existing = topic.fields.get(fact.field)
         if existing is None:
-            txn.create_field(topic_id, fact.field, fact.entity_tag, cfg.salience.s0, last_access=next_tick)
-            txn.append_entry(topic_id, fact.field, ValueEntry(fact.value, next_tick, (prov,)))
+            txn.create_field(topic_id, fact.field, fact.entity_tag, cfg.salience.s0)
+            txn.append_entry(topic_id, fact.field, fact.value, provenance)
             events.append(("field_updated", {"updated_topic": topic_id, "updated_field": fact.field}))
             continue
         current = existing.current_entry()
@@ -271,7 +271,7 @@ def ingest(txn: Txn, bundle: FactBundle, cfg: EngineConfig, next_tick: int) -> l
             continue
         if current is not None:
             txn.supersede_entry(topic_id, fact.field, existing.history.index(current))
-        txn.append_entry(topic_id, fact.field, ValueEntry(fact.value, next_tick, (prov,)))
+        txn.append_entry(topic_id, fact.field, fact.value, provenance)
         events.append(("field_updated", {"updated_topic": topic_id, "updated_field": fact.field}))
     return events
 
@@ -364,14 +364,14 @@ def retrieve_read(state: MemoryState, q: Query, cfg: EngineConfig) -> RetrievalO
     return out
 
 
-def retrieve(txn: Txn, q: Query, cfg: EngineConfig, next_tick: int) -> tuple[RetrievalOutput, list[tuple[str, dict]]]:
+def retrieve(txn: Txn, q: Query, cfg: EngineConfig) -> tuple[RetrievalOutput, list[tuple[str, dict]]]:
     out = retrieve_read(txn.state, q, cfg)
     events: list[tuple[str, dict]] = []
     seen_topics = set()
     for topic_id, field_name in out.accessed_units:
         topic = txn.state.topics[topic_id]
         s = txn.state.salience(topic, topic.fields[field_name], cfg.salience.decay)
-        txn.access_unit(topic_id, field_name, _bumped(s, cfg.salience), next_tick)
+        txn.access_unit(topic_id, field_name, _bumped(s, cfg.salience))
         if topic_id not in seen_topics:
             seen_topics.add(topic_id)
             events.append(("retrieval_performed", {"accessed_topic": topic_id}))
@@ -485,29 +485,23 @@ def _merge_histories(a: list[ValueEntry], b: list[ValueEntry]) -> list[ValueEntr
     return out
 
 
-def revise(
-    txn: Txn,
-    evidence: list[EvidenceItem],
-    cfg: EngineConfig,
-    rules: RuleTable,
-    next_tick: int,
-) -> list[tuple[str, dict]]:
+def revise(txn: Txn, evidence: list[EvidenceItem], cfg: EngineConfig, rules: RuleTable) -> list[tuple[str, dict]]:
     events: list[tuple[str, dict]] = []
     for item in evidence:
         if item.kind == "dependency_flag":
-            events.extend(_repair_dependency(txn, item, rules, next_tick))
+            events.extend(_repair_dependency(txn, item, rules))
         elif item.kind == "duplicate_topics":
-            events.extend(_merge_topics(txn, item.topic, item.other, cfg, next_tick))
+            events.extend(_merge_topics(txn, item.topic, item.other, cfg))
         elif item.kind == "conflicting_values":
-            events.extend(_resolve_conflict(txn, item.topic, item.field, next_tick))
+            events.extend(_resolve_conflict(txn, item.topic, item.field))
         elif item.kind == "promotion_candidate":
-            events.extend(_promote(txn, item.topic, item.other, next_tick))
+            events.extend(_promote(txn, item.topic, item.other))
         else:
             raise OperatorError(f"unknown evidence kind: {item.kind}")
     return events
 
 
-def _repair_dependency(txn: Txn, item: EvidenceItem, rules: RuleTable, next_tick: int) -> list[tuple[str, dict]]:
+def _repair_dependency(txn: Txn, item: EvidenceItem, rules: RuleTable) -> list[tuple[str, dict]]:
     topic_id = item.topic
     if topic_id not in txn.state.topics:
         raise OperatorError(f"revision target missing: {topic_id}")
@@ -539,12 +533,12 @@ def _repair_dependency(txn: Txn, item: EvidenceItem, rules: RuleTable, next_tick
             continue
         prov = Provenance("revision", cause_entry.at, f"{cause} -> {cause_entry.value}")
         txn.supersede_entry(topic_id, rule.dependent_field, dep.history.index(current))
-        txn.append_entry(topic_id, rule.dependent_field, ValueEntry(new_value, next_tick, (prov,)))
+        txn.append_entry(topic_id, rule.dependent_field, new_value, (prov,))
         events.append(("field_updated", {"updated_topic": topic_id, "updated_field": rule.dependent_field}))
     return events
 
 
-def _merge_topics(txn: Txn, a_id: str, b_id: str, cfg: EngineConfig, next_tick: int) -> list[tuple[str, dict]]:
+def _merge_topics(txn: Txn, a_id: str, b_id: str, cfg: EngineConfig) -> list[tuple[str, dict]]:
     for tid in (a_id, b_id):
         topic = txn.state.topics.get(tid)
         if topic is None:
@@ -585,7 +579,7 @@ def _merge_topics(txn: Txn, a_id: str, b_id: str, cfg: EngineConfig, next_tick: 
     return [("topic_merged", {"updated_topic": winner_id})]
 
 
-def _resolve_conflict(txn: Txn, topic_id: str, field_name: str, next_tick: int) -> list[tuple[str, dict]]:
+def _resolve_conflict(txn: Txn, topic_id: str, field_name: str) -> list[tuple[str, dict]]:
     """Keep the latest-dated current value.  When it is not the field's last
     non-compressed entry it is appended again, because a superseded last entry
     would serve a stale value as current."""
@@ -603,11 +597,11 @@ def _resolve_conflict(txn: Txn, topic_id: str, field_name: str, next_tick: int) 
             txn.supersede_entry(topic_id, field_name, i)
     if not reappend:
         return []
-    txn.append_entry(topic_id, field_name, ValueEntry(keep.value, next_tick, keep.provenance))
+    txn.append_entry(topic_id, field_name, keep.value, keep.provenance)
     return [("field_updated", {"updated_topic": topic_id, "updated_field": field_name})]
 
 
-def _promote(txn: Txn, src_id: str, tag: str, next_tick: int) -> list[tuple[str, dict]]:
+def _promote(txn: Txn, src_id: str, tag: str) -> list[tuple[str, dict]]:
     src = txn.state.topics.get(src_id)
     if src is None:
         raise OperatorError(f"promotion source missing: {src_id}")
@@ -624,7 +618,7 @@ def _promote(txn: Txn, src_id: str, tag: str, next_tick: int) -> list[tuple[str,
         payload.since += txn.state.epoch - txn.state.epoch_of(src)
         txn.install_field(new_id, payload)
         txn.remove_field(src_id, name)
-    txn.add_edge(src_id, new_id, EdgeKind.EXTENSION, next_tick)
+    txn.add_edge(src_id, new_id, EdgeKind.EXTENSION, txn.tick)
     return [("topic_created", {"updated_topic": new_id})]
 
 
@@ -633,7 +627,7 @@ def _promote(txn: Txn, src_id: str, tag: str, next_tick: int) -> list[tuple[str,
 # ---------------------------------------------------------------------------
 
 
-def forget(txn: Txn, cfg: EngineConfig, next_tick: int, targets: Optional[list[str]] = None) -> None:
+def forget(txn: Txn, cfg: EngineConfig, targets: Optional[list[str]] = None) -> None:
     """Apply the graded attenuation ladder to `targets`, or else to the
     topics the ladder part has due by the state's epoch, in id order (the
     others it would leave as they are); then enforce the footprint bound."""
@@ -659,11 +653,11 @@ def forget(txn: Txn, cfg: EngineConfig, next_tick: int, targets: Optional[list[s
         if archive:
             txn.archive_topic(tid)
 
-    _enforce_footprint(txn, cfg, next_tick)
+    _enforce_footprint(txn, cfg)
 
 
-def _enforce_footprint(txn: Txn, cfg: EngineConfig, next_tick: int) -> None:
-    excess = txn.state.footprint() - cfg.beta.bound(next_tick)
+def _enforce_footprint(txn: Txn, cfg: EngineConfig) -> None:
+    excess = txn.state.footprint() - cfg.beta.bound(txn.tick)
     if excess <= 0:
         return
     # relevance-ordered, never age-ordered: lowest salience goes first

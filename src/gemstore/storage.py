@@ -21,8 +21,11 @@ SNAPSHOT_MAGIC = b"GEMS"
 # epoch it was set at, the state counts epochs, and a tick journals one
 # epoch_advanced delta in place of decaying every field; 6: a delta journals
 # only what its operator chose: an access is one unit_accessed, a supersede
-# names an entry by index, a compression its count, and a new field no tier
-FORMAT_VERSION = 6
+# names an entry by index, a compression its count, and a new field no tier;
+# 7: an appended entry, a new field and an access journal no tick, which is
+# the base state's clock plus one: an entry_appended delta carries only the
+# entry's value and provenance
+FORMAT_VERSION = 7
 
 
 def _write_frame(fh, payload: bytes) -> None:

@@ -13,6 +13,7 @@ from typing import Optional
 
 from .model import (
     INT,
+    LIST,
     NUMBER,
     OBJECT,
     STR,
@@ -21,6 +22,7 @@ from .model import (
     EdgeKind,
     Field,
     MemoryState,
+    Provenance,
     Tier,
     Topic,
     ValueEntry,
@@ -56,15 +58,15 @@ DELTA_KINDS: dict[str, DeltaKind] = {
     "topic_created": DeltaKind({"id": STR, "title": STR, "summary": STR}),
     "topic_removed": DeltaKind({"id": STR}),
     "topic_archived": DeltaKind({"id": STR, "merged_into": STR_OR_NULL}),
-    "field_created": DeltaKind({**_TOPIC_FIELD, "entity_tag": STR_OR_NULL, "salience": NUMBER, "last_access": INT}),
+    "field_created": DeltaKind({**_TOPIC_FIELD, "entity_tag": STR_OR_NULL, "salience": NUMBER}),
     "field_removed": DeltaKind(_TOPIC_FIELD, text=True),
     "field_installed": DeltaKind({"topic": STR, "payload": OBJECT}, text=True),
-    "entry_appended": DeltaKind({**_TOPIC_FIELD, "entry": OBJECT}, text=True),
+    "entry_appended": DeltaKind({**_TOPIC_FIELD, "value": STR, "provenance": LIST}, text=True),
     "entry_superseded": DeltaKind({**_TOPIC_FIELD, "index": INT}, text=True),
     "history_compressed": DeltaKind({**_TOPIC_FIELD, "count": INT}, text=True),
     "salience_set": DeltaKind({**_TOPIC_FIELD, "value": NUMBER}),
     "epoch_advanced": DeltaKind({}),
-    "unit_accessed": DeltaKind({**_TOPIC_FIELD, "value": NUMBER, "tick": INT}),
+    "unit_accessed": DeltaKind({**_TOPIC_FIELD, "value": NUMBER}),
     "tier_set": DeltaKind({**_TOPIC_FIELD, "tier": STR}),
     "edge_added": DeltaKind({"src": STR, "dst": STR, "edge_kind": STR, "tick": INT}),
     "edge_removed": DeltaKind({"src": STR, "dst": STR, "edge_kind": STR}),
@@ -114,7 +116,7 @@ def apply_delta(state: MemoryState, delta: dict) -> None:
             entity_tag=delta["entity_tag"],
             salience=delta["salience"],
             since=state.epoch_of(topic),
-            last_access=delta["last_access"],
+            last_access=state.transition_tick,
         )
     elif kind == "field_removed":
         topic = _topic(state, delta["topic"])
@@ -126,7 +128,8 @@ def apply_delta(state: MemoryState, delta: dict) -> None:
         _check_salience(delta, installed.salience, installed.since, state.epoch_of(topic))
         topic.fields[installed.name] = installed
     elif kind == "entry_appended":
-        entry = _payload(ValueEntry.from_dict, delta["entry"])
+        provenance = tuple(_payload(Provenance.from_dict, p) for p in delta["provenance"])
+        entry = ValueEntry(delta["value"], state.transition_tick, provenance)
         _field(_topic(state, delta["topic"]), delta["field"]).history.append(entry)
     elif kind == "entry_superseded":
         f = _field(_topic(state, delta["topic"]), delta["field"])
@@ -147,7 +150,7 @@ def apply_delta(state: MemoryState, delta: dict) -> None:
         f.salience = delta["value"]
         f.since = state.epoch_of(topic)
         if kind == "unit_accessed":
-            f.last_access = delta["tick"]
+            f.last_access = state.transition_tick
     elif kind == "epoch_advanced":
         # every live salience reads one decay step lower; no topic changes
         state.epoch += 1
@@ -199,8 +202,8 @@ def _summary(run: list[ValueEntry]) -> ValueEntry:
 
 
 def _payload(decode, payload: dict):
-    """A delta's nested entry or field, decoded; a malformed one raises
-    DeltaError."""
+    """A delta's nested provenance record or field, decoded; a malformed one
+    raises DeltaError."""
     with decoding(DeltaError, "malformed payload"):
         return decode(payload)
 
@@ -225,10 +228,13 @@ def _field(topic: Topic, name: str) -> Field:
 
 
 class Txn:
-    """Copy-on-write working state plus the delta log that produced it."""
+    """Copy-on-write working state plus the delta log that produced it.
+    `tick` is the tick of the transition it builds, its base state's
+    `transition_tick`."""
 
     def __init__(self, base: MemoryState):
         self.state = base.shallow_clone()
+        self.tick = base.transition_tick
         self.deltas: list[dict] = []
 
     def _record(self, kind: str, *operands) -> None:
@@ -259,10 +265,8 @@ class Txn:
     def archive_topic(self, topic_id: str, merged_into: Optional[str] = None) -> None:
         self._record("topic_archived", topic_id, merged_into)
 
-    def create_field(
-        self, topic_id: str, name: str, entity_tag: Optional[str], salience: float, last_access: int
-    ) -> None:
-        self._record("field_created", topic_id, name, entity_tag, salience, last_access)
+    def create_field(self, topic_id: str, name: str, entity_tag: Optional[str], salience: float) -> None:
+        self._record("field_created", topic_id, name, entity_tag, salience)
 
     def remove_field(self, topic_id: str, name: str) -> None:
         self._record("field_removed", topic_id, name)
@@ -270,8 +274,9 @@ class Txn:
     def install_field(self, topic_id: str, payload: Field) -> None:
         self._record("field_installed", topic_id, payload.to_dict())
 
-    def append_entry(self, topic_id: str, name: str, entry: ValueEntry) -> None:
-        self._record("entry_appended", topic_id, name, entry.to_dict())
+    def append_entry(self, topic_id: str, name: str, value: str, provenance: tuple[Provenance, ...]) -> None:
+        """Append a current entry dated at this transaction's tick."""
+        self._record("entry_appended", topic_id, name, value, [p.to_dict() for p in provenance])
 
     def supersede_entry(self, topic_id: str, name: str, index: int) -> None:
         self._record("entry_superseded", topic_id, name, index)
@@ -286,8 +291,8 @@ class Txn:
     def advance_epoch(self) -> None:
         self._record("epoch_advanced")
 
-    def access_unit(self, topic_id: str, name: str, value: float, tick: int) -> None:
-        self._record("unit_accessed", topic_id, name, value, tick)
+    def access_unit(self, topic_id: str, name: str, value: float) -> None:
+        self._record("unit_accessed", topic_id, name, value)
 
     def set_tier(self, topic_id: str, name: str, tier: Tier) -> None:
         self._record("tier_set", topic_id, name, tier.value)

@@ -241,15 +241,15 @@ def test_rejected_commit_leaves_the_parent_aggregates(checked_transitions):
     entry = ValueEntry("x", 1, (Provenance("test", 1),))
     txn = Txn(parent)
     txn.create_topic("u", "u", "u")
-    txn.create_field("u", "X", None, 1.0, 1)
-    txn.append_entry("u", "X", entry)
-    txn.append_entry("u", "X", entry)
+    txn.create_field("u", "X", None, 1.0)
+    txn.append_entry("u", "X", entry.value, entry.provenance)
+    txn.append_entry("u", "X", entry.value, entry.provenance)
     txn.supersede_entry("u", "X", 0)
     txn.compress_history("u", "X", 1)
     txn.install_field("t", Field("D", history=[entry]))
     txn.remove_field("t", "D")
     txn.set_salience("t", "A", 0.5)
-    txn.access_unit("t", "A", 1.5, 9)
+    txn.access_unit("t", "A", 1.5)
     txn.set_tier("t", "B", Tier.HIDDEN)
     txn.add_edge("t", "u", EdgeKind.EXTENSION, 1)
     txn.add_edge("u", "t", EdgeKind.ASSOCIATION, 1)
@@ -309,7 +309,7 @@ def test_a_discarded_transaction_that_ranked_leaves_its_parent_exact():
     parent = engine.state
     before = _tables(parent)
     txn = Txn(parent)
-    txn.append_entry("a", "Note", ValueEntry("gamma delta", 1, (Provenance("test", 1),)))
+    txn.append_entry("a", "Note", "gamma delta", (Provenance("test", 1),))
     txn.create_topic("g", "g notes", "gamma delta notes")
     txn.archive_topic("b")
     assert rank_topics(txn.state, "gamma delta", 2)[0][1] in ("a", "g")

@@ -144,8 +144,8 @@ def test_violation_counts_monotone_in_journal_prefix():
 def test_c6_catches_an_unaccessed_unit_bumped_past_an_accessed_one(monkeypatch):
     real_retrieve = engine_module.retrieve
 
-    def retrieve_and_bump(txn, q, cfg, next_tick):
-        out, events = real_retrieve(txn, q, cfg, next_tick)
+    def retrieve_and_bump(txn, q, cfg):
+        out, events = real_retrieve(txn, q, cfg)
         txn.set_salience("notes", "Beta", 10.0)  # from below Alpha to above it
         return out, events
 

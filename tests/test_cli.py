@@ -290,6 +290,9 @@ def test_a_genesis_topic_without_merged_into_is_corrupt(tmp_path, capsys):
         {"bogus": 1},
         {"salience": {"bogus": 1}},
         {"salience": {"delta_access": -2.0}},
+        # json reads NaN and Infinity, which no footprint bound can be
+        {"beta": {"per_tick": float("nan")}},
+        {"beta": {"per_tick": float("inf")}},
         [1],
     ],
 )

@@ -113,12 +113,13 @@ def _delta_state():
 DELTA_STATE = _delta_state()
 _TOPIC, _NEW_TOPIC, _FIELD = st.sampled_from("tu"), st.sampled_from(["t", "u", "new"]), st.sampled_from("fgh")
 _ENTRY = st.builds(lambda v, at: ValueEntry(v, at, (Provenance("s", at),)).to_dict(), _FIELD, st.integers(0, 4))
+_PROVENANCE = st.lists(st.builds(lambda at: Provenance("s", at).to_dict(), st.integers(0, 4)), min_size=1, max_size=2)
 _OPERAND_BY_NAME = {
     "topic": _TOPIC,
     "field": _FIELD,
     "tier": st.sampled_from([t.value for t in Tier]),
     "edge_kind": st.sampled_from([k.value for k in EdgeKind]),
-    "entry": _ENTRY,
+    "provenance": _PROVENANCE,
     "payload": st.builds(lambda name, e: Field(name, history=[ValueEntry.from_dict(e)]).to_dict(), _FIELD, _ENTRY),
 }
 _OPERAND_BY_TYPES = {
@@ -170,8 +171,8 @@ def test_a_mutated_delta_raises_delta_error_or_applies(kind, op, data):
     canonical_json(state_to_dict(state))
 
 
-# the deltas that carry an entry or a field, a nested payload of its own
-NESTED = {"entry_appended": "entry", "field_installed": "payload"}
+# the deltas that carry provenance records or a field, a nested payload of its own
+NESTED = {"entry_appended": "provenance", "field_installed": "payload"}
 
 
 @pytest.mark.parametrize("kind", sorted(NESTED))

@@ -36,7 +36,7 @@ def _scan_cut(f: Field, k_recent: int) -> int:
     return cut
 
 
-def full_scan_forget(txn: Txn, cfg: EngineConfig, next_tick: int) -> None:
+def full_scan_forget(txn: Txn, cfg: EngineConfig) -> None:
     """The untargeted forget ladder as a scan of every live topic, in id
     order, then the footprint bound, with its rules spelled out."""
     p = cfg.salience
@@ -59,15 +59,15 @@ def full_scan_forget(txn: Txn, cfg: EngineConfig, next_tick: int) -> None:
                 txn.set_tier(tid, name, tier)
         if dormant:
             txn.archive_topic(tid)
-    _enforce_footprint(txn, cfg, next_tick)
+    _enforce_footprint(txn, cfg)
 
 
-def assert_ladders_agree(state, cfg: EngineConfig, next_tick: int) -> list[dict]:
+def assert_ladders_agree(state, cfg: EngineConfig) -> list[dict]:
     """The scheduled and the full-scan ladder, each on its own fork of
     `state`, journal the same deltas; returns them."""
     scheduled, scanned = Txn(state), Txn(state)
-    forget(scheduled, cfg, next_tick)
-    full_scan_forget(scanned, cfg, next_tick)
+    forget(scheduled, cfg)
+    full_scan_forget(scanned, cfg)
     assert scheduled.deltas == scanned.deltas
     return scanned.deltas
 
@@ -79,10 +79,10 @@ def checked_ladder(monkeypatch):
     number of deltas of each check."""
     checked = []
 
-    def forget_checked(txn, cfg, next_tick, targets=None):
+    def forget_checked(txn, cfg, targets=None):
         if targets is None:
-            checked.append(len(assert_ladders_agree(txn.state, cfg, next_tick)))
-        forget(txn, cfg, next_tick, targets)
+            checked.append(len(assert_ladders_agree(txn.state, cfg)))
+        forget(txn, cfg, targets)
 
     monkeypatch.setattr(engine_module, "forget", forget_checked)
     return checked
@@ -140,7 +140,7 @@ def test_a_topic_the_ladder_skips_is_one_the_full_scan_leaves_as_it_is(fields, k
     state = build_state([topic, build_topic("empty")])
     state.epoch = latest + ahead
     cfg = EngineConfig(salience=SalienceParams(k_recent=k_recent), beta=BetaSpec(base=100))
-    assert_ladders_agree(state, cfg, 1)
+    assert_ladders_agree(state, cfg)
 
 
 @settings(max_examples=200)
@@ -155,7 +155,7 @@ def test_the_due_epoch_is_the_first_at_which_the_full_scan_changes_the_topic(fie
     for epoch in range(start, due + 1):
         state.epoch = epoch
         txn = Txn(state)
-        full_scan_forget(txn, cfg, 1)
+        full_scan_forget(txn, cfg)
         assert bool(txn.deltas) == (epoch == due), epoch
 
 

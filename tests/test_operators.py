@@ -6,7 +6,7 @@ import pytest
 from conftest import build_state, build_topic
 from gemstore.config import EngineConfig
 from gemstore.embedding import cosine, embed, tokenize
-from gemstore.model import EdgeKind, Tier, current_value
+from gemstore.model import EdgeKind, Provenance, Tier, current_value
 from gemstore.operators import (
     Fact,
     FactBundle,
@@ -43,7 +43,7 @@ def bundle(text, hint=None, **facts):
 
 def test_ingest_creates_topic_under_hint():
     txn = Txn(build_state())
-    events = ingest(txn, bundle("website redesign deadline March 15", hint="web", Deadline="March 15"), CFG, 1)
+    events = ingest(txn, bundle("website redesign deadline March 15", hint="web", Deadline="March 15"), CFG)
     assert "web" in txn.state.topics
     assert current_value(txn.state, "web", "Deadline").value == "March 15"
     assert ("topic_created", {"updated_topic": "web"}) in events
@@ -52,7 +52,7 @@ def test_ingest_creates_topic_under_hint():
 def test_ingest_update_supersedes_previous_current():
     state = build_state([build_topic("web", fields={"Deadline": "March 15"})])
     txn = Txn(state)
-    ingest(txn, bundle("deadline moved", hint="web", Deadline="April 20"), CFG, 2)
+    ingest(txn, bundle("deadline moved", hint="web", Deadline="April 20"), CFG)
     f = txn.state.topics["web"].fields["Deadline"]
     assert [e.value for e in f.history] == ["March 15", "April 20"]
     assert f.history[0].superseded and not f.history[1].superseded
@@ -63,7 +63,7 @@ def test_ingest_exact_duplicate_only_bumps_salience():
     state = build_state([build_topic("web", fields={"Deadline": "March 15"})])
     before = state.topics["web"].fields["Deadline"].salience
     txn = Txn(state)
-    ingest(txn, bundle("same again", hint="web", Deadline="March 15"), CFG, 2)
+    ingest(txn, bundle("same again", hint="web", Deadline="March 15"), CFG)
     f = txn.state.topics["web"].fields["Deadline"]
     assert len(f.history) == 1
     assert f.salience == before + CFG.salience.delta_access
@@ -72,20 +72,20 @@ def test_ingest_exact_duplicate_only_bumps_salience():
 def test_ingest_unhinted_routes_by_similarity():
     state = build_state([build_topic("web", title="website redesign deadline", fields={"Deadline": "March 15"})])
     txn = Txn(state)
-    ingest(txn, bundle("website redesign deadline moved to April 20", Deadline="April 20"), CFG, 2)
+    ingest(txn, bundle("website redesign deadline moved to April 20", Deadline="April 20"), CFG)
     assert current_value(txn.state, "web", "Deadline").value == "April 20"
 
 
 def test_ingest_unhinted_below_threshold_creates_slug_topic():
     state = build_state([build_topic("web", title="website redesign deadline", fields={"Deadline": "March 15"})])
     txn = Txn(state)
-    ingest(txn, bundle("favorite tea is oolong", Tea="oolong"), CFG, 2)
+    ingest(txn, bundle("favorite tea is oolong", Tea="oolong"), CFG)
     assert "favorite-tea-is-oolong" in txn.state.topics
 
 
 def test_ingest_rejects_empty_bundle():
     with pytest.raises(OperatorError):
-        ingest(Txn(build_state()), FactBundle((), "x"), CFG, 1)
+        ingest(Txn(build_state()), FactBundle((), "x"), CFG)
 
 
 def test_slugify():
@@ -107,10 +107,11 @@ def test_default_retrieval_returns_current_and_skips_hidden():
 
 
 def test_historical_retrieval_includes_superseded_up_to_as_of():
-    state = build_state([build_topic("web", title="website redesign", fields={"Deadline": "March 15"})], tick=5)
+    state = build_state([build_topic("web", title="website redesign", fields={"Deadline": "March 15"})], tick=4)
     txn = Txn(state)
-    ingest(txn, bundle("moved", hint="web", Deadline="April 20"), CFG, 5)
+    ingest(txn, bundle("moved", hint="web", Deadline="April 20"), CFG)
     state = txn.state
+    state.clock = txn.tick  # committed, as the engine commits it
 
     out = retrieve_read(state, Query(text="website deadline", mode="historical", as_of=5), CFG)
     assert [a.value for a in out.answers] == ["March 15", "April 20"]
@@ -138,10 +139,10 @@ def test_structural_retrieval_walks_edges_without_access():
 
 
 def test_retrieve_bumps_salience_and_last_access():
-    state = build_state([build_topic("web", title="website redesign", fields={"Deadline": "April 20"})])
+    state = build_state([build_topic("web", title="website redesign", fields={"Deadline": "April 20"})], tick=8)
     before = state.topics["web"].fields["Deadline"].salience
     txn = Txn(state)
-    out, events = retrieve(txn, Query(text="website deadline"), CFG, 9)
+    out, events = retrieve(txn, Query(text="website deadline"), CFG)
     f = txn.state.topics["web"].fields["Deadline"]
     assert f.salience == before + CFG.salience.delta_access
     assert f.last_access == 9
@@ -164,7 +165,7 @@ def test_dependency_repair_annotates_dependent_field():
     rules = RuleTable.parse("plan.Deadline -> checklist.Status : shift-annotation")
     txn = Txn(state)
     evidence = [e for e in detect_evidence(state, CFG) if e.kind == "dependency_flag"]
-    events = revise(txn, evidence, CFG, rules, 5)
+    events = revise(txn, evidence, CFG, rules)
 
     value = current_value(txn.state, "checklist", "Status").value
     assert value == "on track (needs review: plan.Deadline changed to April 20)"
@@ -184,7 +185,7 @@ def test_dependency_repair_is_idempotent():
     state.revision_queue.add(("checklist", "plan.Deadline"))
     rules = RuleTable.parse("plan.Deadline -> checklist.Status : shift-annotation")
     txn = Txn(state)
-    events = revise(txn, [e for e in detect_evidence(state, CFG) if e.kind == "dependency_flag"], CFG, rules, 5)
+    events = revise(txn, [e for e in detect_evidence(state, CFG) if e.kind == "dependency_flag"], CFG, rules)
     assert current_value(txn.state, "checklist", "Status").value == annotated
     assert events == []  # no change, no re-flagging
 
@@ -197,7 +198,7 @@ def test_merge_keeps_loser_recoverable():
     txn = Txn(state)
     evidence = [e for e in detect_evidence(state, CFG) if e.kind == "duplicate_topics"]
     assert evidence, "duplicate detection should fire for near-identical topics"
-    revise(txn, evidence, CFG, RuleTable.empty(), 3)
+    revise(txn, evidence, CFG, RuleTable.empty())
 
     winner = txn.state.topics["proj-a"]
     loser = txn.state.topics["proj-b"]
@@ -214,16 +215,14 @@ def test_promotion_moves_tagged_fields_behind_extension_edge():
     txn = Txn(state)
     for i, name in enumerate(["BudgetQ1", "BudgetQ2", "BudgetQ3", "Agenda", "Notes"]):
         tag = "budget-review" if name.startswith("Budget") else None
-        txn.create_field("meetings", name, tag, 1.0, last_access=1)
-        from gemstore.model import Provenance, Timestamp, ValueEntry
-
-        txn.append_entry("meetings", name, ValueEntry(f"v{i}", Timestamp(1), (Provenance("s", 1),)))
+        txn.create_field("meetings", name, tag, 1.0)
+        txn.append_entry("meetings", name, f"v{i}", (Provenance("s", 1),))
     state = txn.state
 
     evidence = [e for e in detect_evidence(state, CFG) if e.kind == "promotion_candidate"]
     assert evidence and evidence[0].other == "budget-review"
     txn = Txn(state)
-    revise(txn, evidence, CFG, RuleTable.empty(), 2)
+    revise(txn, evidence, CFG, RuleTable.empty())
     assert "budget-review" in txn.state.topics
     assert set(txn.state.topics["budget-review"].fields) == {"BudgetQ1", "BudgetQ2", "BudgetQ3"}
     assert "BudgetQ1" not in txn.state.topics["meetings"].fields
@@ -238,7 +237,7 @@ def test_merge_rejects_archived_target():
     from gemstore.operators import EvidenceItem
 
     with pytest.raises(OperatorError, match="merge-archived:b"):
-        revise(Txn(state), [EvidenceItem("duplicate_topics", "a", other="b")], CFG, RuleTable.empty(), 2)
+        revise(Txn(state), [EvidenceItem("duplicate_topics", "a", other="b")], CFG, RuleTable.empty())
 
 
 # -- forgetting -------------------------------------------------------------
@@ -251,7 +250,7 @@ def test_attenuation_ladder_compress_hide_archive():
     topic.fields["C"].salience = 0.6   # stays current
     state = build_state([topic])
     txn = Txn(state)
-    forget(txn, CFG, 2)
+    forget(txn, CFG)
     fields = txn.state.topics["t"].fields
     assert fields["A"].tier is Tier.COMPRESSED
     assert fields["B"].tier is Tier.HIDDEN
@@ -265,7 +264,7 @@ def test_whole_topic_archives_when_everything_is_negligible():
     topic.fields["B"].salience = 0.02
     state = build_state([topic])
     txn = Txn(state)
-    forget(txn, CFG, 2)
+    forget(txn, CFG)
     assert txn.state.topics["t"].archived
 
 
@@ -275,7 +274,7 @@ def test_a_topic_archives_only_below_theta_archive(below):
     topic = build_topic("t", fields={"A": "x"})
     topic.fields["A"].salience = math.nextafter(theta, 0.0) if below else theta
     txn = Txn(build_state([topic]))
-    forget(txn, CFG, 2)
+    forget(txn, CFG)
     # a field at or below theta_archive is hidden; only below it does its topic archive
     assert txn.state.topics["t"].fields["A"].tier is Tier.HIDDEN
     assert txn.state.topics["t"].archived is below
@@ -286,14 +285,14 @@ def test_compression_summarizes_old_history_and_keeps_provenance():
     state = build_state([topic])
     txn = Txn(state)
     for i in range(1, 8):
-        ingest(txn, bundle(f"update {i}", hint="t", A=f"v{i}"), CFG, i + 1)
+        ingest(txn, bundle(f"update {i}", hint="t", A=f"v{i}"), CFG)
     txn.state.topics["t"].fields["A"].salience = 0.3
     before = {
         (p.source_id, p.event_id, p.excerpt)
         for e in txn.state.topics["t"].fields["A"].history
         for p in e.provenance
     }
-    forget(txn, CFG, 10)
+    forget(txn, CFG)
     f = txn.state.topics["t"].fields["A"]
     assert f.history[0].compressed
     assert "earlier values" in f.history[0].value
@@ -313,7 +312,7 @@ def test_footprint_enforcement_hides_lowest_salience_first():
 
     cfg = EngineConfig(beta=BetaSpec(base=4))
     txn = Txn(state)
-    forget(txn, cfg, 2)
+    forget(txn, cfg)
     hidden = [tid for tid in txn.state.topics if txn.state.topics[tid].fields[f"F{tid[1]}"].tier is Tier.HIDDEN]
     assert hidden == ["t0", "t1"]
 

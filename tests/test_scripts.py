@@ -49,6 +49,7 @@ def test_artefact_hashes_quick_profile_is_deterministic():
     assert any(line.startswith("deadline.audit ") for line in lines)
     assert any(line.startswith("deadline.digests ") for line in lines)
     assert any(line.startswith("compare.1.3.baseline.journal ") for line in lines)
+    assert any(line.startswith("compare.1.3.baseline.digests ") for line in lines)
 
 
 def test_store_sweep_reports_each_size_and_operator():

@@ -108,7 +108,7 @@ def test_resume_from_snapshot_continues_deterministically(tmp_path):
     assert resumed.digest() == e.digest()
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
 def test_older_journal_and_snapshot_versions_are_refused(tmp_path, monkeypatch, version):
     e = sample_engine()
     jpath, spath = tmp_path / "old.journal", tmp_path / "old.snap"

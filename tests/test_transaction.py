@@ -5,7 +5,7 @@ from conftest import build_state, build_topic
 from gemstore.model import EdgeKind, Field, Provenance, Tier, ValueEntry, state_digest
 from gemstore.transaction import DELTA_KINDS, DeltaError, Txn, apply_delta
 
-ENTRY = ValueEntry("2", 1, ()).to_dict()
+PROVENANCE = [Provenance("s", 1).to_dict()]
 
 
 @pytest.mark.parametrize(
@@ -17,10 +17,12 @@ ENTRY = ValueEntry("2", 1, ()).to_dict()
         ({"kind": "flag_removed"}, "must carry"),
         ({"kind": "epoch_advanced", "extra": 1}, "must carry"),
         ({"kind": "flag_added", "topic": "t", "cause": 5}, "cause must be str"),
-        ({"kind": "unit_accessed", "topic": "t", "field": "f", "value": 2.0, "tick": True}, "tick must be int"),
+        ({"kind": "unit_accessed", "topic": "t", "field": "f", "value": True}, "value must be int or float"),
         ({"kind": "salience_set", "topic": "t", "field": "f", "value": "1"}, "value must be int or float"),
         ({"kind": "topic_archived", "id": "t", "merged_into": 3}, "merged_into must be str or null"),
-        ({"kind": "entry_appended", "topic": "t", "field": "f", "entry": [ENTRY]}, "entry must be dict"),
+        ({"kind": "entry_appended", "topic": "t", "field": "f", "value": "2", "provenance": PROVENANCE[0]},
+         "provenance must be list"),
+        ({"kind": "entry_appended", "topic": "t", "field": "f", "value": 2, "provenance": []}, "value must be str"),
         ({"kind": "entry_superseded", "topic": "t", "field": "f", "index": -1}, "out of range"),
         ({"kind": "entry_superseded", "topic": "t", "field": "f", "index": 1}, "out of range"),
         ({"kind": "history_compressed", "topic": "t", "field": "f", "count": 0}, "compression run"),
@@ -28,11 +30,18 @@ ENTRY = ValueEntry("2", 1, ()).to_dict()
         # a salience the forget ladder could not decay
         ({"kind": "salience_set", "topic": "t", "field": "f", "value": -1.0}, "finite and non-negative"),
         ({"kind": "salience_set", "topic": "t", "field": "f", "value": float("inf")}, "finite and non-negative"),
-        ({"kind": "unit_accessed", "topic": "t", "field": "f", "value": -1.0, "tick": 2}, "finite and non-negative"),
-        ({"kind": "unit_accessed", "topic": "t", "field": "f", "value": float("inf"), "tick": 2},
+        ({"kind": "unit_accessed", "topic": "t", "field": "f", "value": -1.0}, "finite and non-negative"),
+        ({"kind": "unit_accessed", "topic": "t", "field": "f", "value": float("inf")}, "finite and non-negative"),
+        ({"kind": "field_created", "topic": "t", "field": "g", "entity_tag": None, "salience": -1.0},
          "finite and non-negative"),
-        ({"kind": "field_created", "topic": "t", "field": "g", "entity_tag": None, "salience": -1.0,
-          "last_access": 1}, "finite and non-negative"),
+        # the format v6 shapes, which journalled the tick a transition derives
+        ({"kind": "entry_appended", "topic": "t", "field": "f", "entry": ValueEntry("2", 1, ()).to_dict()},
+         "must carry"),
+        ({"kind": "entry_appended", "topic": "t", "field": "f", "value": "2", "provenance": [], "at": 1},
+         "must carry"),
+        ({"kind": "field_created", "topic": "t", "field": "g", "entity_tag": None, "salience": 1.0,
+          "last_access": 1}, "must carry"),
+        ({"kind": "unit_accessed", "topic": "t", "field": "f", "value": 2.0, "tick": 1}, "must carry"),
         ({"kind": "field_installed", "topic": "t", "payload": {**Field("h", salience=-0.5).to_dict()}},
          "finite and non-negative"),
         ({"kind": "field_installed", "topic": "t", "payload": {**Field("h", since=3).to_dict()}},
@@ -54,13 +63,11 @@ _FIELD = Field("h").to_dict()
 @pytest.mark.parametrize(
     "delta, match",
     [
-        ({"kind": "entry_appended", "topic": "t", "field": "f", "entry": _BAD_ENTRY}, "entry value must be str"),
-        ({"kind": "entry_appended", "topic": "t", "field": "f", "entry": {**ENTRY, "provenance": "p"}},
-         "entry provenance must be list"),
-        ({"kind": "entry_appended", "topic": "t", "field": "f",
-          "entry": {**ENTRY, "provenance": [{"source_id": "s", "event_id": "1", "excerpt": ""}]}},
-         "provenance event_id must be int"),
-        ({"kind": "entry_appended", "topic": "t", "field": "f", "entry": {"value": "2"}}, "KeyError"),
+        ({"kind": "entry_appended", "topic": "t", "field": "f", "value": "2", "provenance": ["p"]}, "TypeError"),
+        ({"kind": "entry_appended", "topic": "t", "field": "f", "value": "2",
+          "provenance": [{"source_id": "s", "event_id": "1", "excerpt": ""}]}, "provenance event_id must be int"),
+        ({"kind": "entry_appended", "topic": "t", "field": "f", "value": "2", "provenance": [{"source_id": "s"}]},
+         "KeyError"),
         ({"kind": "field_installed", "topic": "t", "payload": {**_FIELD, "since": 1.5}}, "field since must be int"),
         ({"kind": "field_installed", "topic": "t", "payload": {**_FIELD, "history": ""}}, "field history must be list"),
         ({"kind": "field_installed", "topic": "t", "payload": {**_FIELD, "history": [_BAD_ENTRY]}},
@@ -83,15 +90,15 @@ RECORDER_CALLS = {
     "topic_created": ("create_topic", "n", "n", "n"),
     "topic_removed": ("remove_topic", "u"),
     "topic_archived": ("archive_topic", "t"),
-    "field_created": ("create_field", "t", "g", None, 1.0, 1),
+    "field_created": ("create_field", "t", "g", None, 1.0),
     "field_removed": ("remove_field", "t", "f"),
     "field_installed": ("install_field", "t", Field("h")),
-    "entry_appended": ("append_entry", "t", "f", ValueEntry("2", 1, ())),
+    "entry_appended": ("append_entry", "t", "f", "2", ()),
     "entry_superseded": ("supersede_entry", "t", "f", 0),
     "history_compressed": ("compress_history", "t", "f", 1),
     "salience_set": ("set_salience", "t", "f", 0.5),
     "epoch_advanced": ("advance_epoch",),
-    "unit_accessed": ("access_unit", "t", "f", 2.0, 2),
+    "unit_accessed": ("access_unit", "t", "f", 2.0),
     "tier_set": ("set_tier", "t", "f", Tier.HIDDEN),
     "edge_added": ("add_edge", "t", "u", EdgeKind.EXTENSION, 1),
     "edge_removed": ("remove_edge", "t", "u", EdgeKind.EXTENSION),
@@ -167,8 +174,24 @@ def test_a_supersede_keeps_the_entry_compressed_flag(compressed):
 
 
 def test_an_access_sets_the_salience_its_epoch_and_the_last_access_together():
-    state = build_state([build_topic("t", fields={"f": "1"})])
+    state = build_state([build_topic("t", fields={"f": "1"})], tick=8)
     state.epoch = 4
-    apply_delta(state, {"kind": "unit_accessed", "topic": "t", "field": "f", "value": 1.5, "tick": 9})
+    apply_delta(state, {"kind": "unit_accessed", "topic": "t", "field": "f", "value": 1.5})
     f = state.topics["t"].fields["f"]
     assert (f.salience, f.since, f.last_access) == (1.5, 4, 9)
+
+
+@pytest.mark.parametrize("clock", [0, 6])
+def test_a_transition_dates_what_it_appends_creates_and_accesses_at_the_clock_plus_one(clock):
+    state = build_state([build_topic("t", fields={"f": "1"})], tick=clock)
+    prov = Provenance("s", 3, "x")
+    apply_delta(state, {"kind": "entry_appended", "topic": "t", "field": "f", "value": "2",
+                        "provenance": [prov.to_dict()]})
+    apply_delta(state, {"kind": "field_created", "topic": "t", "field": "g", "entity_tag": None, "salience": 1.0})
+    apply_delta(state, {"kind": "unit_accessed", "topic": "t", "field": "f", "value": 2.0})
+    fields = state.topics["t"].fields
+    assert fields["f"].history[-1] == ValueEntry("2", clock + 1, (prov,), superseded=False, compressed=False)
+    assert fields["f"].last_access == fields["g"].last_access == clock + 1
+    assert state.clock == clock
+    # a transaction reads the same tick, and the engine commits at it
+    assert Txn(state).tick == clock + 1

@@ -178,6 +178,6 @@ def test_compare_deadline_matches_golden_csv():
     records = adapter.journal.records
     assert len(records) == 33
     encoded = canonical_json([r.to_dict() for r in records]).encode()
-    assert hashlib.sha256(encoded).hexdigest() == "aa190a0e8b4001cdf07c2be0979d21b661cff58bf806953f9f26ee1c9d747ad9"
+    assert hashlib.sha256(encoded).hexdigest() == "1037c990045f2b3ddd1c90cdedd7a40b6c5cd106923679951609c2a11101f7d9"
     totals = audit(adapter.journal, [Query(text="website redesign deadline")]).totals()
     assert totals == {"c1": 18, "c2": 0, "c3": 0, "c4": 0, "c5": 4, "c6": 3}
