@@ -4,7 +4,8 @@ makes the engine faster must leave as they are:
 
 - the journal and audit report of every perfbench episode at seeds 31 and 32;
 - the journal and audit report of soak seeds 0-199 (100 events, soak probes);
-- the journal and audit report of workloads/deadline.workload;
+- the journal, audit report and snapshot (`gem snapshot`) of
+  workloads/deadline.workload;
 - the `gem compare` CSV and both journals of seeds 0-59 at capacities 1, 3, 5.
 
 Each engine run also prints two lines that do not depend on the journal
@@ -39,7 +40,7 @@ import gen  # noqa: E402  (perfbench/gen.py, imported read-only)
 from gemstore import BaselineJournalAdapter, Engine, EngineConfig  # noqa: E402
 from gemstore.audit import audit, render_report  # noqa: E402
 from gemstore.operators import Query  # noqa: E402
-from gemstore.storage import read_journal, write_journal  # noqa: E402
+from gemstore.storage import read_journal, snapshot_from_journal, write_journal  # noqa: E402
 from gemstore.workload import compare, load_workload, rows_to_csv, run_workload  # noqa: E402
 from gemstore.workload_gen import generate_workload  # noqa: E402
 
@@ -125,6 +126,9 @@ def main() -> int:
         probes = [Query.from_dict(d) for d in _probe_lines(WORKLOAD_DIR / "deadline.probes")]
         _journal_and_report("deadline", engine.journal, probes, workdir)
         _print_run("deadline", engine)
+        snapshot = workdir / "deadline.snapshot"  # of the journal _journal_and_report wrote
+        snapshot_from_journal(workdir / "artefact.journal", snapshot)
+        print(f"deadline.snapshot {_sha(snapshot.read_bytes())}")
 
         for seed in profile["compare_seeds"]:
             events = generate_workload(seed)

@@ -33,7 +33,7 @@ from .policy import (
     render_policy,
 )
 from .salience import SalienceParams
-from .storage import read_journal, read_snapshot, write_journal, write_snapshot
+from .storage import read_journal, write_journal
 from .workload import load_workload, run_workload
 
 __all__ = [
@@ -78,9 +78,7 @@ __all__ = [
     "render_policy",
     "SalienceParams",
     "read_journal",
-    "read_snapshot",
     "write_journal",
-    "write_snapshot",
     "load_workload",
     "run_workload",
 ]

@@ -1,4 +1,5 @@
-"""Command line harness: replay, audit, compare, snapshot, restore.
+"""Command line harness: replay, audit, compare, snapshot, restore.  A
+snapshot is a journal with no records, so `audit` and `restore` read either.
 
 Exit codes: 0 success, 1 a check failed (assertion, audit violation, corrupt
 input), 2 usage or I/O error.
@@ -14,11 +15,11 @@ from pathlib import Path
 from .audit import audit, render_report
 from .baseline import BaselineJournalAdapter
 from .config import ConfigError, EngineConfig
-from .engine import CorruptJournalError, Engine
+from .engine import CorruptJournalError, Engine, replay
 from .model import decoding, state_digest
 from .operators import Query, RuleError, RuleTable
 from .policy import PolicyParseError, parse_policies
-from .storage import read_journal, read_snapshot, snapshot_from_journal, write_journal
+from .storage import read_journal, snapshot_from_journal, write_journal
 from .workload import WorkloadError, compare, json_lines, load_workload, rows_to_csv, run_workload
 
 
@@ -100,13 +101,10 @@ def cmd_snapshot(args) -> int:
 
 
 def cmd_restore(args) -> int:
-    state, config = read_snapshot(getattr(args, "in"))
+    state = replay(read_journal(getattr(args, "in")))
     print(f"digest: {state_digest(state)}")
     print(f"tick: {state.clock}")
     print(f"topics: {len(state.topics)}")
-    if args.journal_out:
-        write_journal(args.journal_out, Engine(config=config, genesis=state).journal)
-        print(f"journal written: {args.journal_out}")
     return 0
 
 
@@ -138,14 +136,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--capacity", type=_capacity, default=5)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("snapshot", help="materialize a journal into a state snapshot")
+    p = sub.add_parser("snapshot", help="write a journal's final state as a journal with no records")
     p.add_argument("--journal", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_snapshot)
 
-    p = sub.add_parser("restore", help="load a snapshot and report its digest")
+    p = sub.add_parser("restore", help="replay a journal or snapshot and report its final state")
     p.add_argument("--in", required=True)
-    p.add_argument("--journal-out")
     p.set_defaults(func=cmd_restore)
     return parser
 

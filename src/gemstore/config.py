@@ -27,8 +27,10 @@ class BetaSpec:
     def validate(self) -> None:
         if self.base < 0:
             raise ValueError("beta base must be non-negative")
-        if not math.isfinite(self.per_tick):  # json reads NaN and Infinity
-            raise ValueError("beta per_tick must be finite")
+        # json reads NaN and Infinity; a negative slope takes beta below the
+        # footprint, after which the footprint policy refuses every transition
+        if not 0.0 <= self.per_tick < math.inf:
+            raise ValueError("beta per_tick must be finite and non-negative")
 
     def bound(self, tick: int) -> int:
         return int(self.base + self.per_tick * tick)
@@ -50,9 +52,9 @@ class EngineConfig:
         self.salience.validate()
         self.beta.validate()
         if not (0.0 <= self.tau_topic <= 1.0 and 0.0 <= self.tau_dup <= 1.0):
-            raise ConfigError("router thresholds must lie in [0, 1]")
+            raise ValueError("router thresholds must lie in [0, 1]")
         if self.k_topics < 1:
-            raise ConfigError("k_topics must be at least 1")
+            raise ValueError("k_topics must be at least 1")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -1,7 +1,8 @@
-"""On-disk formats: length-prefixed journal files and state snapshots.
+"""On-disk format: length-prefixed journal files.
 
-Both formats carry a version header and content digests so truncation or
-bit-rot surfaces as a corruption error instead of silent divergence.
+A snapshot is a journal with no records whose genesis is another journal's
+final state.  The version header and content digests make truncation or
+bit-rot surface as a corruption error instead of silent divergence.
 """
 
 from __future__ import annotations
@@ -12,10 +13,9 @@ from pathlib import Path
 
 from .config import EngineConfig
 from .engine import CorruptJournalError, Journal, TransitionRecord, replay
-from .model import MemoryState, canonical_json, decoding, state_digest, state_from_dict, state_to_dict
+from .model import canonical_json, decoding, state_digest, state_to_dict
 
 JOURNAL_MAGIC = b"GEMJ"
-SNAPSHOT_MAGIC = b"GEMS"
 # 2: one SHA-256 per topic in the digest; 3: embeddings derived, not stored;
 # 4: ticks are plain integers; 5: a field stores its salience with the decay
 # epoch it was set at, the state counts epochs, and a tick journals one
@@ -44,17 +44,6 @@ def _read_frame(fh) -> bytes:
     return payload
 
 
-def _read_header(fh, magic: bytes, what: str) -> dict:
-    """Check a file's magic and read its header object, which must carry
-    this format version."""
-    if fh.read(4) != magic:
-        raise CorruptJournalError(f"not a {what} file")
-    header = _read_object(fh)
-    if header.get("version") != FORMAT_VERSION:
-        raise CorruptJournalError(f"unsupported {what} version: {header.get('version')}")
-    return header
-
-
 def _read_object(fh) -> dict:
     """One frame that holds a JSON object."""
     payload = _read_frame(fh)
@@ -81,7 +70,11 @@ def write_journal(path: str | Path, journal: Journal) -> None:
 
 def read_journal(path: str | Path) -> Journal:
     with open(path, "rb") as fh:
-        header = _read_header(fh, JOURNAL_MAGIC, "journal")
+        if fh.read(4) != JOURNAL_MAGIC:
+            raise CorruptJournalError("not a journal file")
+        header = _read_object(fh)
+        if header.get("version") != FORMAT_VERSION:
+            raise CorruptJournalError(f"unsupported journal version: {header.get('version')}")
         with decoding(CorruptJournalError, "malformed journal header"):
             journal = Journal(
                 config=EngineConfig.from_dict(header["config"]),
@@ -95,32 +88,11 @@ def read_journal(path: str | Path) -> Journal:
     return journal
 
 
-def write_snapshot(path: str | Path, state: MemoryState, config: EngineConfig) -> None:
-    with open(path, "wb") as fh:
-        fh.write(SNAPSHOT_MAGIC)
-        payload = {
-            "version": FORMAT_VERSION,
-            "config": config.to_dict(),
-            "state": state_to_dict(state),
-            "digest": state_digest(state),
-        }
-        _write_frame(fh, canonical_json(payload).encode("utf-8"))
-
-
-def read_snapshot(path: str | Path) -> tuple[MemoryState, EngineConfig]:
-    with open(path, "rb") as fh:
-        payload = _read_header(fh, SNAPSHOT_MAGIC, "snapshot")
-        with decoding(CorruptJournalError, "malformed snapshot"):
-            state = state_from_dict(payload["state"])
-            digest = payload["digest"]
-            config = EngineConfig.from_dict(payload["config"])
-        if state_digest(state) != digest:
-            raise CorruptJournalError("snapshot digest mismatch")
-        return state, config
-
-
 def snapshot_from_journal(journal_path: str | Path, snapshot_path: str | Path) -> str:
+    """Write the final state of a journal as a journal with no records whose
+    genesis is that state, and return its digest."""
     journal = read_journal(journal_path)
     state = replay(journal)
-    write_snapshot(snapshot_path, state, journal.config)
-    return state_digest(state)
+    digest = state_digest(state)
+    write_journal(snapshot_path, Journal(journal.config, state_to_dict(state), digest))
+    return digest

@@ -11,7 +11,7 @@ from conftest import build_state, build_topic
 from gemstore.audit import audit
 from gemstore.baseline import BaselineJournalAdapter
 from gemstore.config import BetaSpec, EngineConfig
-from gemstore.engine import CorruptJournalError, Engine, EngineEvent
+from gemstore.engine import CorruptJournalError, Engine, EngineEvent, replay
 from gemstore.model import active_footprint, current_value, history, state_digest
 from gemstore.operators import Fact, FactBundle, Query, RuleTable, hide_order
 from gemstore.policy import (
@@ -32,7 +32,7 @@ from gemstore.policy import (
     render_policy,
 )
 from gemstore.salience import SalienceParams
-from gemstore.storage import read_journal, read_snapshot, write_journal, write_snapshot
+from gemstore.storage import read_journal, snapshot_from_journal, write_journal
 from gemstore.workload import load_workload, run_workload
 from gemstore.workload_gen import generate_workload
 
@@ -223,11 +223,12 @@ def test_determinism_and_crash_recovery(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
     snap = tmp_path / "state.snap"
-    write_snapshot(snap, e1.state, e1.config)
-    state, config = read_snapshot(snap)
+    assert snapshot_from_journal(p1, snap) == e1.digest()
+    snapshot = read_journal(snap)
+    state = replay(snapshot)
     assert state_digest(state) == e1.digest()
 
-    resumed = Engine(config=config, genesis=state)
+    resumed = Engine(config=snapshot.config, genesis=state)
     resumed.submit(EngineEvent.tick())
     e1.submit(EngineEvent.tick())
     assert resumed.digest() == e1.digest()

@@ -5,13 +5,14 @@ from pathlib import Path
 import pytest
 
 from conftest import build_state, build_topic
+from test_storage import RETIRED_MAGIC
 from gemstore import cli
 from gemstore.cli import main
 from gemstore.config import EngineConfig
 from gemstore.engine import Engine, EngineEvent, Journal
 from gemstore.model import Edge, EdgeKind, state_digest, state_to_dict
 from gemstore.operators import Fact, FactBundle, Query
-from gemstore.storage import write_journal, write_snapshot
+from gemstore.storage import write_journal
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "workloads"
 DEADLINE = str(WORKLOADS / "deadline.workload")
@@ -67,9 +68,19 @@ def test_snapshot_and_restore_round_trip(tmp_path, capsys):
     snap_out = capsys.readouterr().out
     assert digest in snap_out
 
+    # a snapshot is a journal with no records: it audits, and restores to
+    # the state its journal replays to
+    assert main(["audit", "--journal", str(snap)]) == 0
+    assert capsys.readouterr().out.startswith("PASS C1-C6")
     assert main(["restore", "--in", str(snap)]) == 0
     restore_out = capsys.readouterr().out
-    assert digest in restore_out
+    assert f"digest: {digest}" in restore_out.splitlines()
+    assert main(["restore", "--in", str(journal)]) == 0
+    assert capsys.readouterr().out == restore_out
+
+    snap.write_bytes(RETIRED_MAGIC + snap.read_bytes()[4:])
+    assert main(["restore", "--in", str(snap)]) == 1
+    assert capsys.readouterr().err == "corrupt input: not a journal file\n"
 
 
 def test_missing_file_is_a_usage_error(capsys):
@@ -259,16 +270,13 @@ def test_a_malformed_genesis_or_snapshot_topic_or_edge_is_corrupt(tmp_path, caps
         edges=[("a", "b", "Extension")],
     )
     mutate(state)
-    journal, snap = tmp_path / "genesis.journal", tmp_path / "genesis.snap"
+    journal = tmp_path / "genesis.journal"  # with no records, it is also a snapshot
     write_journal(journal, Journal(EngineConfig(), state_to_dict(state), state_digest(state)))
-    write_snapshot(snap, state, EngineConfig())
     capsys.readouterr()
     assert main(["audit", "--journal", str(journal)]) == 1
-    assert main(["restore", "--in", str(snap)]) == 1
+    assert main(["restore", "--in", str(journal)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert [line.split(": ", 2)[:2] for line in err] == [
-        ["corrupt input", "malformed genesis"], ["corrupt input", "malformed snapshot"]
-    ]
+    assert [line.split(": ", 2)[:2] for line in err] == [["corrupt input", "malformed genesis"]] * 2
 
 
 def test_a_genesis_topic_without_merged_into_is_corrupt(tmp_path, capsys):
@@ -293,6 +301,10 @@ def test_a_genesis_topic_without_merged_into_is_corrupt(tmp_path, capsys):
         # json reads NaN and Infinity, which no footprint bound can be
         {"beta": {"per_tick": float("nan")}},
         {"beta": {"per_tick": float("inf")}},
+        # a negative slope takes beta below the footprint, after which nothing commits
+        {"beta": {"per_tick": -1.0}},
+        {"tau_topic": 2.0},
+        {"k_topics": 0},
         [1],
     ],
 )
@@ -344,12 +356,11 @@ def test_audit_reports_a_malformed_probe_with_its_line(tmp_path, capsys, line):
 
 def test_a_dangling_genesis_or_snapshot_edge_is_corrupt(tmp_path, capsys):
     state = build_state([build_topic("a")], edges=[("a", "ghost", "Association")])
-    journal, snap = tmp_path / "dangling.journal", tmp_path / "dangling.snap"
+    journal = tmp_path / "dangling.journal"  # with no records, it is also a snapshot
     write_journal(journal, Journal(EngineConfig(), state_to_dict(state), state_digest(state)))
-    write_snapshot(snap, state, EngineConfig())
     capsys.readouterr()
     assert main(["audit", "--journal", str(journal)]) == 1
-    assert main(["restore", "--in", str(snap)]) == 1
+    assert main(["restore", "--in", str(journal)]) == 1
     err = capsys.readouterr().err
     assert err.count("edge endpoint missing: a -> ghost") == 2
     assert "Traceback" not in err

@@ -1,10 +1,11 @@
 """Decoder fuzz.  Valid inputs (the deltas generated from `DELTA_KINDS` and
-their nested payloads, journal and snapshot frames, and the text inputs of
-`gem`) are mutated: a key dropped, a key added, a value's type swapped, an
-integer negated, or a byte of text changed.  Each mutant must either raise its
-decoder's typed error or decode, and `gem` must answer it with an exit code
-(2 for a usage error, 1 for corrupt input or a failed check), never with an
-exception.  The runs are derandomized, so every run tries the same cases."""
+their nested payloads, journal frames, a snapshot's one frame, and the text
+inputs of `gem`) are mutated: a key dropped, a key added, a value's type
+swapped, an integer negated, or a byte of text changed.  Each mutant must
+either raise its decoder's typed error or decode, and `gem` must answer it
+with an exit code (2 for a usage error, 1 for corrupt input or a failed
+check), never with an exception.  The runs are derandomized, so every run
+tries the same cases."""
 
 import copy
 import json
@@ -37,7 +38,7 @@ from gemstore.model import (
 )
 from gemstore.operators import RuleTable
 from gemstore.policy import DEFAULT_POLICY_TEXT, PolicyParseError, parse_policies, parse_policy, render_policy
-from gemstore.storage import read_journal, read_snapshot, snapshot_from_journal, write_journal
+from gemstore.storage import read_journal, snapshot_from_journal, write_journal
 from gemstore.transaction import DELTA_KINDS, DeltaError, apply_delta
 from gemstore.workload import ASSERT_CHECKS, WorkloadError, parse_workload, run_workload
 
@@ -278,7 +279,8 @@ def test_a_flipped_journal_byte_is_corrupt_or_replays(journal_frames, scratch, d
 
 @pytest.fixture(scope="module")
 def snapshot_payload(journal_frames, tmp_path_factory):
-    """The frame of a snapshot of the deadline workload's final state, decoded."""
+    """The one frame of a snapshot of the deadline workload's final state (a
+    journal with no records, whose genesis is that state), decoded."""
     source, _ = journal_frames
     path = tmp_path_factory.mktemp("snapshot") / "deadline.snap"
     snapshot_from_journal(source, path)
@@ -290,8 +292,8 @@ def snapshot_payload(journal_frames, tmp_path_factory):
 def test_a_mutated_snapshot_is_corrupt_or_restores(snapshot_payload, scratch, data):
     frame = json.dumps(data.draw(json_mutants(snapshot_payload))).encode()
     path = scratch / "mutant.snap"
-    path.write_bytes(b"GEMS" + struct.pack(">I", len(frame)) + frame)
-    restores = _decodes(lambda: read_snapshot(path), CorruptJournalError)
+    path.write_bytes(b"GEMJ" + struct.pack(">I", len(frame)) + frame)
+    restores = _decodes(lambda: replay(read_journal(path)), CorruptJournalError)
     assert main(["restore", "--in", str(path)]) == (0 if restores else 1)
 
 

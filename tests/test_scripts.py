@@ -48,6 +48,7 @@ def test_artefact_hashes_quick_profile_is_deterministic():
     assert any(line.startswith("perfbench.store-large.31.0.journal ") for line in lines)
     assert any(line.startswith("deadline.audit ") for line in lines)
     assert any(line.startswith("deadline.digests ") for line in lines)
+    assert any(line.startswith("deadline.snapshot ") for line in lines)
     assert any(line.startswith("compare.1.3.baseline.journal ") for line in lines)
     assert any(line.startswith("compare.1.3.baseline.digests ") for line in lines)
 
