@@ -6,7 +6,13 @@ makes the engine faster must leave as they are:
 - the journal and audit report of soak seeds 0-199 (100 events, soak probes);
 - the journal, audit report and snapshot (`gem snapshot`) of
   workloads/deadline.workload;
-- the `gem compare` CSV and both journals of seeds 0-59 at capacities 1, 3, 5.
+- the `gem compare` CSV and both journals of seeds 0-59 at capacities 1, 3, 5;
+- the journal and audit report of the `revision` scenario (`revision_run`),
+  whose journal holds every delta kind but `topic_removed`: a dependency
+  repair along an Extension edge, an auto-detected revise that merges two
+  duplicate topics, resolves a field with two current entries and promotes
+  an entity tag, and an `attenuate` pre_commit policy that the footprint
+  sets off.
 
 Each engine run also prints two lines that do not depend on the journal
 format, so they still compare two checkouts whose journal bytes differ by
@@ -39,7 +45,11 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import gen  # noqa: E402  (perfbench/gen.py, imported read-only)
 from gemstore import BaselineJournalAdapter, Engine, EngineConfig  # noqa: E402
 from gemstore.audit import audit, render_report  # noqa: E402
-from gemstore.operators import Query  # noqa: E402
+from gemstore.config import BetaSpec  # noqa: E402
+from gemstore.engine import EngineEvent  # noqa: E402
+from gemstore.model import Edge, EdgeKind, Field, MemoryState, Provenance, Topic, ValueEntry  # noqa: E402
+from gemstore.operators import Fact, FactBundle, Query, RuleTable  # noqa: E402
+from gemstore.policy import default_policy_set, parse_policies  # noqa: E402
 from gemstore.storage import read_journal, snapshot_from_journal, write_journal  # noqa: E402
 from gemstore.workload import compare, load_workload, rows_to_csv, run_workload  # noqa: E402
 from gemstore.workload_gen import generate_workload  # noqa: E402
@@ -97,6 +107,54 @@ def _journal_and_report(name: str, journal, probes, workdir: Path) -> None:
     print(f"{name}.audit {_sha(report.encode('utf-8'))}")
 
 
+def _field(name: str, values: list[str], tag: str | None = None, current: int = 1) -> Field:
+    """A field holding one entry per value, at ticks 1, 2, ..., of which
+    all but the last `current` are superseded."""
+    history = [ValueEntry(v, at, (Provenance("genesis", at),), superseded=at <= len(values) - current)
+               for at, v in enumerate(values, start=1)]
+    return Field(name, entity_tag=tag, history=history)
+
+
+def revision_run() -> tuple["_Recording", list[Query]]:
+    """The `revision` scenario's engine, after its events, and its probes."""
+    notes = _field("Notes", ["a", "b", "c", "d", "e"])
+    notes.salience = 0.55  # Compressed after one tick, which folds its history
+    topics = {
+        "plan": ("project plan", [_field("Deadline", ["March 15"]), notes]),
+        "checklist": ("launch checklist", [_field("Deadline", ["March 15"])]),
+        "budget": ("team budget review", [_field("Amount", ["4000"])]),
+        "budget-copy": ("team budget review", [_field("Amount", ["4000"])]),
+        "people": ("people", [_field("Lead", ["kim", "lee"], current=2), _field("Backup", ["ray"], "staff"),
+                              _field("Deputy", ["sam"], "staff"), _field("Office", ["north"], "staff")]),
+    }
+    genesis = MemoryState(policies=parse_policies(
+        "POLICY trim ON pre_commit WHEN active_footprint > beta DO attenuate") + default_policy_set())
+    for tid, (title, fields) in topics.items():
+        genesis.topics[tid] = Topic(tid, title, title, fields={f.name: f for f in fields})
+    for src, dst, kind in [("plan", "checklist", EdgeKind.EXTENSION), ("budget-copy", "plan", EdgeKind.ASSOCIATION)]:
+        genesis.edges[(src, dst, kind.value)] = Edge(src, dst, kind, 0)
+    rules = RuleTable.parse("plan.Deadline -> checklist.Deadline : shift-annotation")
+    # the genesis holds 9 active fields, the merge leaves 8 and the ingest of lunch makes 11
+    engine = _Recording(config=EngineConfig(beta=BetaSpec(base=10)), genesis=genesis, rules=rules)
+
+    def ingest(hint, text, **facts):
+        return EngineEvent.ingest(FactBundle(tuple(Fact(k, v) for k, v in facts.items()), text, topic_hint=hint))
+
+    events = [
+        ingest("plan", "project plan deadline moved", Deadline="April 20"),  # flags checklist
+        ingest("plan", "project plan deadline restated", Deadline="April 20"),  # reinforces it
+        EngineEvent.retrieve(Query(text="project plan deadline")),  # repairs checklist first
+        EngineEvent.revise(),  # merges the budgets, resolves people.Lead, promotes staff
+        ingest("lunch", "lunch plans", Place="cafe", Day="friday", Time="noon"),  # over beta: attenuates
+        EngineEvent.tick(),
+    ]
+    for event in events:
+        engine.submit(event)
+    probes = [Query(text="launch checklist deadline"), Query(text="team budget review"),
+              Query(mode="explicit", explicit=("staff", "Backup"))]
+    return engine, probes
+
+
 def main() -> int:
     profile = QUICK if sys.argv[1:] == ["--quick"] else FULL
     if sys.argv[1:] not in ([], ["--quick"]):
@@ -129,6 +187,10 @@ def main() -> int:
         snapshot = workdir / "deadline.snapshot"  # of the journal _journal_and_report wrote
         snapshot_from_journal(workdir / "artefact.journal", snapshot)
         print(f"deadline.snapshot {_sha(snapshot.read_bytes())}")
+
+        engine, probes = revision_run()
+        _journal_and_report("revision", engine.journal, probes, workdir)
+        _print_run("revision", engine)
 
         for seed in profile["compare_seeds"]:
             events = generate_workload(seed)

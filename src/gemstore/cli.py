@@ -30,15 +30,20 @@ def _load_config(path: str | None) -> EngineConfig:
     return EngineConfig.load(path)
 
 
+def _parse_file(path: str, parse):
+    """`parse` of the text of a file that a config names; a parse error
+    names the file."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except (PolicyParseError, RuleError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _build_engine(config: EngineConfig) -> Engine:
     policies = None
     if config.policy_paths:
-        policies = []
-        for p in config.policy_paths:
-            policies.extend(parse_policies(Path(p).read_text(encoding="utf-8")))
-    rules = None
-    if config.rule_path:
-        rules = RuleTable.parse(Path(config.rule_path).read_text(encoding="utf-8"))
+        policies = [p for path in config.policy_paths for p in _parse_file(path, parse_policies)]
+    rules = _parse_file(config.rule_path, RuleTable.parse) if config.rule_path else None
     return Engine(config=config, policies=policies, rules=rules)
 
 

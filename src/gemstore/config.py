@@ -60,10 +60,10 @@ class EngineConfig:
         return asdict(self)
 
     @staticmethod
-    def from_dict(d: dict) -> "EngineConfig":
+    def from_dict(d: dict, what: str = "config") -> "EngineConfig":
         """Decode and validate a config, each of whose keys must name a field;
-        any problem raises a ConfigError."""
-        with decoding(ConfigError, "config"):
+        any problem raises a ConfigError that names `what`."""
+        with decoding(ConfigError, what):
             nested = {"salience": SalienceParams, "beta": BetaSpec}
             cfg = EngineConfig(**{k: nested[k](**v) if k in nested else v for k, v in d.items()})
             for obj in (cfg, cfg.salience, cfg.beta):  # a number has its default's type, or is an int
@@ -79,4 +79,4 @@ class EngineConfig:
     @staticmethod
     def load(path: str | Path) -> "EngineConfig":
         with open(path, "r", encoding="utf-8") as fh, decoding(ConfigError, f"config {path}"):
-            return EngineConfig.from_dict(json.load(fh))
+            return EngineConfig.from_dict(json.load(fh), f"config {path}")

@@ -78,7 +78,7 @@ def rank_topics(state: "MemoryState", text: str, k: int) -> list[tuple[float, st
     """
     query = embed(text)
     ranking = state.part("ranking")
-    postings, vectors = ranking.postings, ranking.vectors
+    postings, vectors = ranking.postings, ranking.values
     dots: dict[str, int] = {}
     for bucket, value in query.terms.items():
         for tid, term in postings.get(bucket, {}).items():

@@ -337,11 +337,6 @@ class MemoryState:
         """`active_footprint`, read from the footprint part."""
         return self.part("footprint").total
 
-    def stale_topics(self) -> frozenset[str]:
-        """Topics that would serve a superseded value as current; empty
-        exactly when `stale_current_exists` is false."""
-        return frozenset(self.part("stale").counts)
-
 
 class Part:
     """A derived part of a state: tables, its public attributes, kept current
@@ -355,10 +350,11 @@ class Part:
     settled copy with a new pending set, which copies a table, or an entry
     of one, before its first write to it in that settle.  A part that is not
     built takes no marks: its first read builds it, by default by the same
-    settle of every topic into its class's empty tables.  The ranking and
-    ladder parts build theirs in bulk instead, which the tests check every
-    settle against.  States that share a part share its pending marks, so a
-    mark from another state is spurious: a settle writes only what differs."""
+    settle of every topic into its class's empty tables, which the ranking
+    part replaces by a bulk build that the tests check every settle against.
+    States that share a part share its pending marks, so a mark from another
+    state is spurious: a settle writes only what differs.  Every part but
+    the edges and the policies is a `PerTopic` table."""
 
     kinds: frozenset[str] = frozenset()
     _pending: Optional[set[str]] = None  # None until built
@@ -404,6 +400,34 @@ class Part:
         return getattr(self, name)[key]
 
 
+class PerTopic(Part):
+    """A part whose table `values` holds `value(state, topic)` for each topic
+    where that is not None.  A settle writes each marked topic whose value
+    differs, copying `values` once, and hands each change `(tid, old, new)`,
+    None standing for no value, to `changed`, which keeps the part's other
+    tables."""
+
+    values: dict = {}
+
+    def value(self, state: MemoryState, topic: Topic):
+        raise NotImplementedError
+
+    def changed(self, tid: str, old, new) -> None:
+        pass
+
+    def settle(self, state: MemoryState, marked: Iterable[str]) -> None:
+        for tid in marked:
+            topic = state.topics.get(tid)
+            new = None if topic is None else self.value(state, topic)
+            old = self.values.get(tid)
+            if new != old:
+                if new is None:
+                    del self._table("values")[tid]
+                else:
+                    self._table("values")[tid] = new
+                self.changed(tid, old, new)
+
+
 def _active_fields(topic: Topic) -> int:
     if topic.archived:
         return 0
@@ -422,47 +446,42 @@ def _serves_stale(topic: Topic) -> bool:
     return False
 
 
-_HISTORY = frozenset({"field_removed", "field_installed", "entry_appended", "entry_superseded",
-                      "history_compressed"})
+# the delta kinds that can change a topic's history, and so its
+# `content_text()` and embedding
+TEXT_KINDS = frozenset({"field_removed", "field_installed", "entry_appended", "entry_superseded",
+                        "history_compressed"})
 
 
-class Hashes(Part):
+class Hashes(PerTopic):
     """Each topic's content hash, in topic id order: the input of `state_digest`."""
 
-    kinds = _HISTORY | {"topic_created", "topic_removed", "topic_archived", "field_created", "salience_set",
-                        "unit_accessed", "tier_set"}
-    hashes: dict[str, bytes] = {}
+    kinds = TEXT_KINDS | {"topic_created", "topic_removed", "topic_archived", "field_created", "salience_set",
+                          "unit_accessed", "tier_set"}
 
-    def settle(self, state: MemoryState, marked: Iterable[str]) -> None:
-        added = False
-        for tid in marked:
-            digest = state.topics[tid].content_hash() if tid in state.topics else None
-            if self.hashes.get(tid) != digest:
-                added = added or tid not in self.hashes
-                if digest is None:
-                    del self._table("hashes")[tid]
-                else:
-                    self._table("hashes")[tid] = digest
-        if added:  # inserted at the end, out of order
-            self.hashes = dict(sorted(self.hashes.items()))
+    def value(self, state: MemoryState, topic: Topic) -> bytes:
+        return topic.content_hash()
+
+    def build(self, state: MemoryState) -> "Part":
+        return self._settled(state, sorted(state.topics))  # so that each insert lands in order
+
+    def changed(self, tid: str, old, new) -> None:
+        if old is None:  # inserted at the end, perhaps out of order
+            ids = reversed(self.values)
+            next(ids)
+            if next(ids, tid) > tid:
+                self.values = dict(sorted(self.values.items()))
 
 
-class Counts(Part):
+class Counts(PerTopic):
     """Each topic's count, where it is not 0, and their total."""
 
-    counts: dict[str, int] = {}
     total = 0
 
-    def settle(self, state: MemoryState, marked: Iterable[str]) -> None:
-        for tid in marked:
-            count = self.count(state.topics[tid]) if tid in state.topics else 0
-            old = self.counts.get(tid, 0)
-            if count != old:
-                self.total += count - old
-                if count:
-                    self._table("counts")[tid] = count
-                else:
-                    del self._table("counts")[tid]
+    def value(self, state: MemoryState, topic: Topic) -> Optional[int]:
+        return self.count(topic) or None
+
+    def changed(self, tid: str, old, new) -> None:
+        self.total += (new or 0) - (old or 0)
 
 
 class Footprint(Counts):
@@ -476,7 +495,7 @@ class Footprint(Counts):
 class Stale(Counts):
     """1 for each topic that would serve a superseded value as current."""
 
-    kinds = _HISTORY | {"topic_removed"}
+    kinds = TEXT_KINDS | {"topic_removed"}
     count = staticmethod(_serves_stale)
 
 
@@ -522,49 +541,41 @@ class Policies(Part):
         return part
 
 
-class Ranking(Part):
-    """Each embedding bucket's posting list `{live topic id: integer term}`,
-    and the vector each live topic was entered with.  Only `rank_topics`
-    reads it, so ticks and hinted ingests never pay for its settle."""
+class Ranking(PerTopic):
+    """Each live topic's vector, and each embedding bucket's posting list
+    `{live topic id: integer term}`.  Only `rank_topics` reads it, so ticks
+    and hinted ingests never pay for its settle."""
 
-    kinds = _HISTORY | {"topic_created", "topic_removed", "topic_archived"}
+    kinds = TEXT_KINDS | {"topic_created", "topic_removed", "topic_archived"}
     postings: dict[int, dict[str, int]] = {}
-    vectors: dict[str, EmbeddingVector] = {}
+
+    def value(self, state: MemoryState, topic: Topic) -> Optional[EmbeddingVector]:
+        return None if topic.archived else topic.vector()
 
     def build(self, state: MemoryState) -> "Part":
         part = Ranking()
         part._pending = set()
-        part.vectors = {tid: topic.vector() for tid, topic in state.topics.items() if not topic.archived}
+        part.values = {tid: topic.vector() for tid, topic in state.topics.items() if not topic.archived}
         part.postings = {}
-        for tid, vector in part.vectors.items():
+        for tid, vector in part.values.items():
             for bucket, term in vector.terms.items():
                 part.postings.setdefault(bucket, {})[tid] = term
         return part
 
-    def settle(self, state: MemoryState, marked: Iterable[str]) -> None:
-        for tid in marked:
-            topic = state.topics.get(tid)
-            new = None if topic is None or topic.archived else topic.vector()
-            old = self.vectors.get(tid)
-            if new is old:
-                continue
-            old_terms = {} if old is None else old.terms
-            new_terms = {} if new is None else new.terms
-            for bucket in old_terms.keys() - new_terms.keys():
-                del self._entry("postings", bucket)[tid]
-                if not self.postings[bucket]:
-                    del self.postings[bucket]
-                    self._owned.remove(("postings", bucket))
-            for bucket, term in new_terms.items():
-                if old_terms.get(bucket) != term:
-                    self._entry("postings", bucket)[tid] = term
-            if new is None:
-                del self._table("vectors")[tid]
-            else:
-                self._table("vectors")[tid] = new
+    def changed(self, tid: str, old, new) -> None:
+        old_terms = {} if old is None else old.terms
+        new_terms = {} if new is None else new.terms
+        for bucket in old_terms.keys() - new_terms.keys():
+            del self._entry("postings", bucket)[tid]
+            if not self.postings[bucket]:
+                del self.postings[bucket]
+                self._owned.remove(("postings", bucket))
+        for bucket, term in new_terms.items():
+            if old_terms.get(bucket) != term:
+                self._entry("postings", bucket)[tid] = term
 
 
-class Ladder(Part):
+class Ladder(PerTopic):
     """Each live topic's due epoch (`salience.due_epoch`) under `params`, so
     that the forget ladder visits only the topics due by the state's epoch.
     Due epochs are not kept in order: `due_by` filters the one table, which
@@ -578,10 +589,11 @@ class Ladder(Part):
     salience parameters of a config, and builds it afresh for other
     parameters than it was built for."""
 
-    kinds = _HISTORY | {"topic_created", "topic_removed", "topic_archived", "field_created", "salience_set",
-                        "unit_accessed", "tier_set"}
+    kinds = Hashes.kinds  # what changes a topic's hash may change its due epoch
     params = SalienceParams()
-    due: dict[str, int] = {}
+
+    def value(self, state: MemoryState, topic: Topic) -> Optional[int]:
+        return due_epoch(topic, self.params, state.epoch)
 
     def read_for(self, state: MemoryState, params: SalienceParams) -> "Ladder":
         if params is self.params or (self.built and params == self.params):
@@ -590,34 +602,11 @@ class Ladder(Part):
         part.params = params
         return part.build(state)
 
-    def build(self, state: MemoryState) -> "Part":
-        part = Ladder()
-        part.params, part._pending = self.params, set()
-        dues = ((tid, due_epoch(topic, self.params, state.epoch)) for tid, topic in state.topics.items())
-        part.due = {tid: due for tid, due in dues if due is not None}
-        return part
-
-    def settle(self, state: MemoryState, marked: Iterable[str]) -> None:
-        moved = []
-        for tid in marked:
-            topic = state.topics.get(tid)
-            new = None if topic is None else due_epoch(topic, self.params, state.epoch)
-            if new != self.due.get(tid):
-                moved.append((tid, new))
-        if not moved:
-            return
-        due = self._table("due")
-        for tid, new in moved:
-            if new is None:
-                del due[tid]
-            else:
-                due[tid] = new
-
     def due_by(self, epoch: int) -> list[str]:
         """The topics due at `epoch` or before, in id order, each marked so
         that the next read settles it again, whether or not the ladder then
         changes it."""
-        due = sorted(tid for tid, d in self.due.items() if d <= epoch)
+        due = sorted(tid for tid, d in self.values.items() if d <= epoch)
         self._pending.update(due)
         return due
 
@@ -690,7 +679,7 @@ def active_footprint(state: MemoryState) -> int:
 
 def stale_current_exists(state: MemoryState) -> bool:
     """True if some field's current entry is not its latest non-compressed
-    entry, by a full scan (the reference for `MemoryState.stale_topics`)."""
+    entry, by a full scan (the reference for the stale part's `total`)."""
     return any(_serves_stale(topic) for topic in state.topics.values())
 
 
@@ -795,7 +784,7 @@ def state_digest(state: MemoryState) -> str:
     count.  The topic hashes, their order and the policy and edge sections
     are read from the state's parts.
     """
-    hashes = state.part("hashes").hashes
+    hashes = state.part("hashes").values
     h = hashlib.sha256()
     h.update(canonical_json([state.clock, state.epoch]).encode())
     h.update(state.part("policies").section)

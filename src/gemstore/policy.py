@@ -514,7 +514,7 @@ def evaluate_condition(cond: ConditionExpr, state, ctx: dict) -> bool:
         topic = state.topics.get(topic_id)
         return topic is not None and topic.archived
     if isinstance(cond, StaleCurrentExists):
-        return bool(state.stale_topics())
+        return state.part("stale").total > 0
     raise TypeError(f"unknown condition node: {cond!r}")
 
 

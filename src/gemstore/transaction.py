@@ -18,6 +18,7 @@ from .model import (
     OBJECT,
     STR,
     STR_OR_NULL,
+    TEXT_KINDS,
     Edge,
     EdgeKind,
     Field,
@@ -39,16 +40,14 @@ class DeltaError(ValueError):
 
 class DeltaKind:
     """One row of `DELTA_KINDS`: a kind's operands, name -> the types its
-    value may have, in recorder argument order, and whether the kind can
-    change a topic's `content_text()`, and so its embedding; `subject` names
-    the operand whose topic it marks in the state's parts, if any."""
+    value may have, in recorder argument order; `subject` names the operand
+    whose topic it marks in the state's parts, if any."""
 
-    __slots__ = ("operands", "keys", "text", "subject")
+    __slots__ = ("operands", "keys", "subject")
 
-    def __init__(self, operands: dict[str, tuple[type, ...]], text: bool = False):
+    def __init__(self, operands: dict[str, tuple[type, ...]]):
         self.operands = operands
         self.keys = frozenset(("kind", *operands))
-        self.text = text
         self.subject = next((name for name in ("id", "topic", "src") if name in operands), None)
 
 
@@ -59,11 +58,11 @@ DELTA_KINDS: dict[str, DeltaKind] = {
     "topic_removed": DeltaKind({"id": STR}),
     "topic_archived": DeltaKind({"id": STR, "merged_into": STR_OR_NULL}),
     "field_created": DeltaKind({**_TOPIC_FIELD, "entity_tag": STR_OR_NULL, "salience": NUMBER}),
-    "field_removed": DeltaKind(_TOPIC_FIELD, text=True),
-    "field_installed": DeltaKind({"topic": STR, "payload": OBJECT}, text=True),
-    "entry_appended": DeltaKind({**_TOPIC_FIELD, "value": STR, "provenance": LIST}, text=True),
-    "entry_superseded": DeltaKind({**_TOPIC_FIELD, "index": INT}, text=True),
-    "history_compressed": DeltaKind({**_TOPIC_FIELD, "count": INT}, text=True),
+    "field_removed": DeltaKind(_TOPIC_FIELD),
+    "field_installed": DeltaKind({"topic": STR, "payload": OBJECT}),
+    "entry_appended": DeltaKind({**_TOPIC_FIELD, "value": STR, "provenance": LIST}),
+    "entry_superseded": DeltaKind({**_TOPIC_FIELD, "index": INT}),
+    "history_compressed": DeltaKind({**_TOPIC_FIELD, "count": INT}),
     "salience_set": DeltaKind({**_TOPIC_FIELD, "value": NUMBER}),
     "epoch_advanced": DeltaKind({}),
     "unit_accessed": DeltaKind({**_TOPIC_FIELD, "value": NUMBER}),
@@ -173,7 +172,7 @@ def apply_delta(state: MemoryState, delta: dict) -> None:
         state.revision_queue.add((delta["topic"], delta["cause"]))
     elif kind == "flag_removed":
         state.revision_queue = {(t, c) for t, c in state.revision_queue if t != delta["topic"]}
-    if spec.text:
+    if kind in TEXT_KINDS:
         state.topics[delta["topic"]].embedding = None
     if spec.subject is not None:
         state.mark(kind, delta[spec.subject])

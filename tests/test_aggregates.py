@@ -15,6 +15,7 @@ from gemstore.engine import Engine, EngineEvent
 from gemstore.model import (
     _ROUTES,
     PARTS,
+    TEXT_KINDS,
     EdgeKind,
     Field,
     Hashes,
@@ -34,6 +35,7 @@ from gemstore.model import (
 from gemstore.operators import EvidenceItem, Fact, FactBundle, Query, RuleTable
 from gemstore import policy
 from gemstore.policy import default_policy_set, parse_policy
+from gemstore.salience import due_epoch
 from gemstore.transaction import DELTA_KINDS, Txn, apply_delta
 from gemstore.workload import run_workload
 from gemstore.workload_gen import generate_workload
@@ -52,10 +54,16 @@ def assert_aggregates_exact(state: MemoryState) -> None:
         # the ladder is built for the parameters it was read with last
         built = fresh.ladder(settled.params) if name == "ladder" else fresh.part(name)
         assert _plain(settled) == _plain(built), name
+    # the per-topic tables a build settles too, against independent scans
+    hashes = [(tid, state.topics[tid].content_hash()) for tid in sorted(state.topics)]
+    assert list(fork.part("hashes").values.items()) == hashes
+    ladder = fork.parts["ladder"]
+    dues = {tid: due_epoch(topic, ladder.params, state.epoch) for tid, topic in state.topics.items()}
+    assert ladder.values == {tid: due for tid, due in dues.items() if due is not None}
     assert fork.footprint() == active_footprint(state)
     stale = {tid for tid, t in state.topics.items() if stale_current_exists(MemoryState(topics={tid: t}))}
-    assert fork.stale_topics() == stale
-    assert bool(fork.stale_topics()) == stale_current_exists(state)
+    assert fork.part("stale").values.keys() == stale
+    assert (fork.part("stale").total > 0) == stale_current_exists(state)
     edges = list(state.edges.values())
     for tid in state.topics:
         successors = sorted(e.dst for e in edges if e.kind is EdgeKind.EXTENSION and e.src == tid)
@@ -88,7 +96,7 @@ def assert_ranking_exact(ranked: MemoryState, state: MemoryState) -> None:
     """The ranking part of `ranked` equals a rebuild of `state`'s, from each
     live topic's `vector()`: archived and removed topics have no postings."""
     ranking = ranked.part("ranking")
-    postings, vectors = ranking.postings, ranking.vectors
+    postings, vectors = ranking.postings, ranking.values
     live = {tid: t.vector() for tid, t in state.topics.items() if not t.archived}
     rebuilt = {}
     for tid, vec in live.items():
@@ -272,11 +280,11 @@ def test_a_due_topic_that_the_ladder_leaves_as_it_is_is_read_again(checked_trans
     f = topic.fields["A"]
     f.salience, f.tier = 0.52, Tier.COMPRESSED  # Active at the genesis epoch, Compressed from the next one
     engine = Engine(genesis=build_state([topic]))
-    assert engine.state.parts["ladder"].due == {"t": 0}
+    assert engine.state.parts["ladder"].values == {"t": 0}
     for _ in range(2):
         _, records = engine.submit(EngineEvent.tick())
         assert records[-1].deltas == [{"kind": "epoch_advanced"}]
-    assert engine.state.part("ladder").due == {"t": 10}  # 0.52 * 0.9 ** 10 < theta_remove <= 0.52 * 0.9 ** 9
+    assert engine.state.part("ladder").values == {"t": 10}  # 0.52 * 0.9 ** 10 < theta_remove <= 0.52 * 0.9 ** 9
     assert checked_transitions == ["committed"] * 2
 
 
@@ -301,7 +309,7 @@ def _ranked_engine(policies=None, saliences=()) -> Engine:
 def _tables(state: MemoryState):
     """A deep copy of the state's ranking tables, as they stand."""
     ranking = state.parts["ranking"]
-    return copy.deepcopy(ranking.postings), dict(ranking.vectors)
+    return copy.deepcopy(ranking.postings), dict(ranking.values)
 
 
 def test_a_discarded_transaction_that_ranked_leaves_its_parent_exact():
@@ -376,7 +384,7 @@ def test_the_engine_builds_the_ranking_part_once_for_aborted_rankings(monkeypatc
 def test_each_part_names_delta_kinds_that_exist_and_the_text_kinds_mark_the_ranking():
     kinds = {kind for part in PARTS.values() for kind in part.kinds}
     assert kinds <= set(DELTA_KINDS)
-    assert {kind for kind, spec in DELTA_KINDS.items() if spec.text} <= Ranking.kinds
+    assert TEXT_KINDS <= Ranking.kinds
     # every delta that changes a topic marks its hash
     assert Hashes.kinds == {kind for kind, spec in DELTA_KINDS.items() if spec.subject in ("id", "topic")} - {
         "flag_added", "flag_removed"}
@@ -419,7 +427,7 @@ def test_a_fork_shares_every_table_until_it_writes():
     txn = Txn(parent)
     txn.add_flag("a", "test")
     state_digest(txn.state)  # a commit's reads settle nothing a flag touches
-    txn.state.footprint(), txn.state.stale_topics(), rank_topics(txn.state, "notes", 1)
+    txn.state.footprint(), txn.state.part("stale"), rank_topics(txn.state, "notes", 1)
     for name, part in parent.parts.items():
         forked = txn.state.parts[name]
         assert forked is part and _table_names(part)

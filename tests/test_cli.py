@@ -313,7 +313,7 @@ def test_replay_reports_a_malformed_config_as_a_usage_error(tmp_path, capsys, co
     path.write_text(json.dumps(config), encoding="utf-8")
     assert main(["replay", "--workload", DEADLINE, "--config", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: config: ")
+    assert err.startswith(f"error: config {path}: ")
     assert "Traceback" not in err
 
 
@@ -335,10 +335,22 @@ def test_replay_reports_a_malformed_assert_as_a_usage_error(tmp_path, capsys, li
 
 def test_gem_config_names_the_config_file(tmp_path, capsys, monkeypatch):
     path = tmp_path / "c.json"
-    path.write_text('{"bogus": 1}', encoding="utf-8")
+    policies, rules = tmp_path / "bad.gem", tmp_path / "bad.rules"
+    policies.write_text("POLICY p ON bogus WHEN stale_current_exists DO noop", encoding="utf-8")
+    rules.write_text("not a rule", encoding="utf-8")
     monkeypatch.setenv("GEM_CONFIG", str(path))
-    assert main(["compare", "--workload", DEADLINE]) == 2
-    assert "unexpected keyword argument 'bogus'" in capsys.readouterr().err
+    # each error names the file it is in: the config, or a file the config names
+    cases = [
+        ('{"bogus": 1}', path, "unexpected keyword argument 'bogus'"),
+        ('{"tau_topic": 2.0}', path, "router thresholds must lie in [0, 1]"),
+        (json.dumps({"policy_paths": [str(policies)]}), policies, "unknown event 'bogus' (line 1, column 13)"),
+        (json.dumps({"rule_path": str(rules)}), rules, "bad dependency rule on line 1"),
+    ]
+    for text, named, message in cases:
+        path.write_text(text, encoding="utf-8")
+        assert main(["compare", "--workload", DEADLINE]) == 2
+        err = capsys.readouterr().err
+        assert f"{named}" in err and message in err, err
     path.write_text(Path(CONFIG).read_text(encoding="utf-8"), encoding="utf-8")
     assert main(["replay", "--workload", DEADLINE]) == 0
 
@@ -384,10 +396,10 @@ def test_a_committed_record_whose_outcome_is_bogus_is_corrupt(tmp_path, capsys):
 @pytest.mark.parametrize(
     "name, text, key, message",
     [
-        ("c.json", "{not json", None, "error: config "),
+        ("c.json", "{not json", None, "error: config {path}: "),
         ("p.gem", "POLICY p ON field_updated WHEN EXISTS updated_topic DO archive", "policy_paths",
-         "(line 1, column 63)"),
-        ("r.rules", "t.A -> u.B : no-such-transform", "rule_path", "error: unknown transform on line 1"),
+         "error: {path}: expected '(', got 'end of input' (line 1, column 63)"),
+        ("r.rules", "t.A -> u.B : no-such-transform", "rule_path", "error: {path}: unknown transform on line 1"),
     ],
 )
 def test_a_malformed_config_policy_or_rule_file_is_a_usage_error(tmp_path, capsys, name, text, key, message):
@@ -397,7 +409,7 @@ def test_a_malformed_config_policy_or_rule_file_is_a_usage_error(tmp_path, capsy
         config = tmp_path / "config.json"
         config.write_text(json.dumps({key: [str(path)] if key == "policy_paths" else str(path)}), encoding="utf-8")
     assert main(["replay", "--workload", DEADLINE, "--config", str(config)]) == 2
-    assert message in capsys.readouterr().err
+    assert message.format(path=path) in capsys.readouterr().err
 
 
 def test_a_workload_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):

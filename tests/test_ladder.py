@@ -196,10 +196,10 @@ def test_a_ladder_read_with_other_parameters_builds_it_again():
     topic = build_topic("t", fields={"A": "x"})
     state = build_state([topic])
     default = state.ladder(P)
-    assert default.due == {"t": crossing(1.0, P.theta_summary, P.decay)}
+    assert default.values == {"t": crossing(1.0, P.theta_summary, P.decay)}
     slow = SalienceParams(decay=0.99)
     ladder = state.ladder(slow)
-    assert ladder.params == slow and ladder.due == {"t": crossing(1.0, P.theta_summary, 0.99)}
+    assert ladder.params == slow and ladder.values == {"t": crossing(1.0, P.theta_summary, 0.99)}
     assert state.part("ladder") is ladder and state.ladder(SalienceParams(decay=0.99)) is ladder
 
 

@@ -1,12 +1,15 @@
 """Smoke tests for the scripts under scripts/: each runs in a subprocess
-against the sources in src/, as a user would run it."""
+against the sources in src/, as a user would run it.  The revision scenario
+of artefact_hashes.py is also imported, to read its journal."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+from gemstore.transaction import DELTA_KINDS
 from test_workload import DEADLINE_CSV
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,6 +54,18 @@ def test_artefact_hashes_quick_profile_is_deterministic():
     assert any(line.startswith("deadline.snapshot ") for line in lines)
     assert any(line.startswith("compare.1.3.baseline.journal ") for line in lines)
     assert any(line.startswith("compare.1.3.baseline.digests ") for line in lines)
+    for suffix in ("journal", "audit", "answers", "digests"):
+        assert any(line.startswith(f"revision.{suffix} ") for line in lines)
+
+
+def test_the_revision_scenario_journals_every_delta_kind_but_topic_removed():
+    spec = importlib.util.spec_from_file_location("artefact_hashes", ROOT / "scripts" / "artefact_hashes.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    engine, _ = script.revision_run()
+    records = engine.journal.records
+    assert all(r.committed for r in records)
+    assert {d["kind"] for r in records for d in r.deltas} == set(DELTA_KINDS) - {"topic_removed"}
 
 
 def test_store_sweep_reports_each_size_and_operator():

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import build_state, build_topic
-from gemstore.model import EdgeKind, Field, Provenance, Tier, ValueEntry, state_digest
+from gemstore.model import TEXT_KINDS, EdgeKind, Field, Provenance, Tier, ValueEntry, state_digest
 from gemstore.transaction import DELTA_KINDS, DeltaError, Txn, apply_delta
 
 
@@ -111,7 +111,7 @@ def test_a_recorder_writes_its_kind_and_only_a_text_kind_clears_the_embedding(ki
     recorder, *operands = RECORDER_CALLS[kind]
     getattr(txn, recorder)(*operands)
     assert [d["kind"] for d in txn.deltas] == [kind]
-    assert (txn.state.topics["t"].embedding is None) == DELTA_KINDS[kind].text
+    assert (txn.state.topics["t"].embedding is None) == (kind in TEXT_KINDS)
 
 
 # -- what apply_delta derives from the state ----------------------------------
