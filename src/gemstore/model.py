@@ -10,18 +10,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import operator
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field, replace
 from enum import Enum
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import Iterable, Optional
 
 from .embedding import EmbeddingVector, embed
+from .policy import Policy, parse_policy, render_policy
 from .salience import ACTIVE, HIDDEN, SalienceParams, Tier, decay, due_epoch
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .policy import Policy
 
 
 class EdgeKind(str, Enum):
@@ -271,7 +268,7 @@ class MemoryState:
 
     topics: dict[str, Topic] = dc_field(default_factory=dict)
     edges: dict[tuple[str, str, str], Edge] = dc_field(default_factory=dict)
-    policies: list["Policy"] = dc_field(default_factory=list)
+    policies: list[Policy] = dc_field(default_factory=list)
     clock: int = 0
     epoch: int = 0
     revision_queue: set[tuple[str, str]] = dc_field(default_factory=set)
@@ -350,11 +347,11 @@ class Part:
     settled copy with a new pending set, which copies a table, or an entry
     of one, before its first write to it in that settle.  A part that is not
     built takes no marks: its first read builds it, by default by the same
-    settle of every topic into its class's empty tables, which the ranking
-    part replaces by a bulk build that the tests check every settle against.
-    States that share a part share its pending marks, so a mark from another
-    state is spurious: a settle writes only what differs.  Every part but
-    the edges and the policies is a `PerTopic` table."""
+    settle of every topic, in id order, into its class's empty tables,
+    which the ranking part replaces by a bulk build that the tests check
+    every settle against.  States that share a part share its pending
+    marks, so a mark from another state is spurious: a settle writes only
+    what differs.  Every part but the edges is a `PerTopic` table."""
 
     kinds: frozenset[str] = frozenset()
     _pending: Optional[set[str]] = None  # None until built
@@ -375,7 +372,7 @@ class Part:
         return self
 
     def build(self, state: MemoryState) -> "Part":
-        return self._settled(state, state.topics)
+        return self._settled(state, sorted(state.topics))
 
     def _settled(self, state: MemoryState, marked: Iterable[str]) -> "Part":
         part = object.__new__(type(self))
@@ -461,9 +458,6 @@ class Hashes(PerTopic):
     def value(self, state: MemoryState, topic: Topic) -> bytes:
         return topic.content_hash()
 
-    def build(self, state: MemoryState) -> "Part":
-        return self._settled(state, sorted(state.topics))  # so that each insert lands in order
-
     def changed(self, tid: str, old, new) -> None:
         if old is None:  # inserted at the end, perhaps out of order
             ids = reversed(self.values)
@@ -520,25 +514,6 @@ class Edges(Part):
         self.successors = {tid: sorted(dsts) for tid, dsts in successors.items()}
         self.neighbors = {tid: sorted(others) for tid, others in neighbors.items()}
         self.section = b"[" + b",".join(sorted(e.canonical_bytes for e in state.edges.values())) + b"]"
-
-
-class Policies(Part):
-    """The digest's policy section.  No delta changes the policies, so a read
-    renders it again only when they are not the ones it was rendered from."""
-
-    section = b"[]"
-    _rendered: list["Policy"] = []
-
-    def read(self, state: MemoryState) -> "Part":
-        policies = state.policies
-        if len(policies) == len(self._rendered) and all(map(operator.is_, policies, self._rendered)):
-            return self
-        from .policy import render_policy
-
-        part = Policies()
-        part._rendered = list(policies)
-        part.section = canonical_json([render_policy(p) for p in policies]).encode()
-        return part
 
 
 class Ranking(PerTopic):
@@ -611,8 +586,8 @@ class Ladder(PerTopic):
         return due
 
 
-PARTS = {"hashes": Hashes, "footprint": Footprint, "stale": Stale, "edges": Edges, "policies": Policies,
-         "ranking": Ranking, "ladder": Ladder}
+PARTS = {"hashes": Hashes, "footprint": Footprint, "stale": Stale, "edges": Edges, "ranking": Ranking,
+         "ladder": Ladder}
 _ROUTES = {kind: tuple(name for name, part in PARTS.items() if kind in part.kinds)
            for kind in frozenset().union(*(part.kinds for part in PARTS.values()))}
 
@@ -731,8 +706,6 @@ _STATE_TYPES = {"topics": OBJECT, "edges": LIST, "policies": LIST, "clock": INT,
 
 
 def state_to_dict(state: MemoryState) -> dict:
-    from .policy import render_policy
-
     return {
         "topics": {tid: t.to_dict() for tid, t in sorted(state.topics.items())},
         "edges": [e.to_dict() for _, e in sorted(state.edges.items())],
@@ -747,8 +720,6 @@ def state_from_dict(d: dict) -> MemoryState:
     """Decode a genesis or snapshot state, each of whose parts must carry its
     keys with their types, each topic and field keyed under its own name;
     anything else raises KeyError, TypeError or ValueError."""
-    from .policy import parse_policy
-
     check_types(TypeError, "state", d, _STATE_TYPES)
     edges = {}
     for ed in d["edges"]:
@@ -777,17 +748,17 @@ def state_digest(state: MemoryState) -> str:
 
     Two levels: each topic contributes the SHA-256 of its canonical JSON, so
     a commit re-serialises only the topics it touched.  Every section is
-    self-delimiting: the clock and epoch pair, the policies and the revision
-    queue are JSON values,
-    the edges a JSON list of their memoised encodings in byte order, and the
-    topic hashes, in topic id order, are fixed-width and preceded by their
-    count.  The topic hashes, their order and the policy and edge sections
-    are read from the state's parts.
+    self-delimiting: the clock and epoch pair and the revision queue are
+    JSON values, the policies and the edges JSON lists of the encodings
+    memoised on each (`canonical_bytes`), the policies in list order and
+    the edges in byte order, and the topic hashes, in topic id order, are
+    fixed-width and preceded by their count.  The topic hashes, their order
+    and the edge section are read from the state's parts.
     """
     hashes = state.part("hashes").values
     h = hashlib.sha256()
     h.update(canonical_json([state.clock, state.epoch]).encode())
-    h.update(state.part("policies").section)
+    h.update(b"[" + b",".join([p.canonical_bytes for p in state.policies]) + b"]")
     h.update(state.part("edges").section)
     h.update(canonical_json(sorted(list(pair) for pair in state.revision_queue)).encode())
     h.update(b"%d:" % len(hashes))

@@ -226,12 +226,11 @@ class RuleTable:
 # Ingestion
 # ---------------------------------------------------------------------------
 
-_SLUG_RE = re.compile(r"[^a-z0-9]+")
+SLUG_TOKENS = 6  # the tokens of a bundle's text that name a new topic
 
 
-def slugify(text: str, max_tokens: int = 6) -> str:
-    tokens = [t for t in _SLUG_RE.split(text.lower()) if t][:max_tokens]
-    return "-".join(tokens) or "topic"
+def slugify(text: str) -> str:
+    return "-".join(tokenize(text)[:SLUG_TOKENS]) or "topic"
 
 
 def ingest(txn: Txn, bundle: FactBundle, cfg: EngineConfig) -> list[tuple[str, dict]]:

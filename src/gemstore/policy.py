@@ -31,6 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Union
 
 CONTEXT_VARIABLES = ("updated_field", "updated_topic", "dependent_topic", "accessed_topic")
@@ -131,6 +132,13 @@ class Policy:
     condition: ConditionExpr
     action: ActionSpec
     evidence: tuple[str, ...] = ()
+
+    @cached_property
+    def canonical_bytes(self) -> bytes:
+        """The policy's entry in the digest's policy section."""
+        from .model import canonical_json
+
+        return canonical_json(render_policy(self)).encode()
 
 
 # ---------------------------------------------------------------------------

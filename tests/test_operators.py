@@ -1,7 +1,9 @@
 import math
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import build_state, build_topic
 from gemstore.config import EngineConfig
@@ -88,9 +90,19 @@ def test_ingest_rejects_empty_bundle():
         ingest(Txn(build_state()), FactBundle((), "x"), CFG)
 
 
-def test_slugify():
+def _split_slug(text: str) -> str:
+    """The slug by a split on runs of characters other than a-z and 0-9,
+    as `slugify` once took it."""
+    tokens = [t for t in re.split(r"[^a-z0-9]+", text.lower()) if t][:6]
+    return "-".join(tokens) or "topic"
+
+
+@given(st.text(max_size=60) | st.text(alphabet="aZ9 -_:!ÄéİßΣK\u212a\u0130\n", max_size=60))
+@settings(max_examples=500, derandomize=True, database=None)
+def test_slugify(text):
     assert slugify("Website Redesign: Deadline!") == "website-redesign-deadline"
     assert slugify("   ") == "topic"
+    assert slugify(text) == _split_slug(text)
 
 
 # -- retrieval --------------------------------------------------------------

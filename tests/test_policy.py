@@ -1,7 +1,10 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gemstore.model import MemoryState
+from conftest import build_state, build_topic
+from gemstore.model import MemoryState, canonical_json, state_digest
 from gemstore.policy import (
     ActionSpec,
     And,
@@ -173,6 +176,60 @@ _policies = st.builds(
 @given(policy=_policies)
 def test_render_parse_round_trip_random(policy):
     assert parse_policy(render_policy(policy)) == policy
+
+
+# -- the digest's policy section ----------------------------------------------
+
+
+def _restated_digest(state: MemoryState) -> str:
+    """`state_digest` restated from the state alone, the policy section
+    rendered afresh as one JSON list of the policies' texts."""
+    edges = sorted(canonical_json(e.to_dict()).encode() for e in state.edges.values())
+    h = hashlib.sha256()
+    h.update(canonical_json([state.clock, state.epoch]).encode())
+    h.update(canonical_json([render_policy(p) for p in state.policies]).encode())
+    h.update(b"[" + b",".join(edges) + b"]")
+    h.update(canonical_json(sorted(list(pair) for pair in state.revision_queue)).encode())
+    h.update(b"%d:" % len(state.topics))
+    h.update(b"".join(hashlib.sha256(canonical_json(state.topics[tid].to_dict()).encode()).digest()
+                      for tid in sorted(state.topics)))
+    return h.hexdigest()
+
+
+def _digest_state(policies) -> MemoryState:
+    topics = [build_topic("b", fields={"A": "1"}), build_topic("a", fields={"B": "2"})]
+    return build_state(topics, edges=[("a", "b", "Extension")], policies=policies)
+
+
+@settings(max_examples=100, derandomize=True, database=None)
+@given(policies=st.lists(_policies, max_size=6))
+def test_the_digest_hashes_each_policy_as_its_rendered_text(policies):
+    state = _digest_state(policies)
+    assert state_digest(state) == _restated_digest(state)
+    # the memo of each policy gives the same digest on a second read
+    assert state_digest(state) == _restated_digest(state)
+
+
+def test_the_digest_follows_a_replaced_or_popped_policy_list():
+    state = _digest_state(default_policy_set())
+    digests = [state_digest(state)]
+    state.policies = default_policy_set()[:1]  # a new list of other objects
+    digests.append(state_digest(state))
+    assert digests[-1] == _restated_digest(state)
+    state.policies = default_policy_set()
+    assert state_digest(state) == digests[0]
+    state.policies.pop()  # the same list, one policy shorter
+    digests.append(state_digest(state))
+    assert digests[-1] == _restated_digest(state)
+    state.policies[0] = parse_policy(PROPAGATE)  # an equal policy, another object
+    assert state_digest(state) == digests[-1]
+    state.policies[1] = parse_policy("POLICY other ON tick WHEN stale_current_exists DO noop")
+    digests.append(state_digest(state))
+    assert digests[-1] == _restated_digest(state)
+    state.policies.clear()
+    digests.append(state_digest(state))
+    assert digests[-1] == _restated_digest(state)
+    assert len(set(digests)) == len(digests)
 
 
 def test_evaluate_exists_and_field_atoms():
