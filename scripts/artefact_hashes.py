@@ -28,9 +28,9 @@ The CRUD baseline of each `gem compare` run prints its `.digests` line too.
 
 Usage: artefact_hashes.py [--quick]
 
-`--quick` covers a small subset in a few seconds.  To check a change, run
-the script in both checkouts, each with its own `src` on PYTHONPATH, and
-diff the two outputs.
+`--quick` covers a small subset in a few seconds.  The script imports
+gemstore from its own checkout's `src`, whatever PYTHONPATH names, so to
+check a change, run it in both checkouts and diff the two outputs.
 """
 
 import hashlib
@@ -41,6 +41,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
+
+from run import _import_gemstore  # noqa: E402  (perfbench/run.py, imported read-only)
+
+if _import_gemstore() is None:  # this checkout's src, whatever PYTHONPATH names
+    sys.exit(f"{Path(__file__).name}: gemstore sources not found under {ROOT / 'src'}")
 
 import gen  # noqa: E402  (perfbench/gen.py, imported read-only)
 from gemstore import BaselineJournalAdapter, Engine, EngineConfig  # noqa: E402

@@ -6,9 +6,10 @@ first size, and the engine and audit time per journal record.
 
 Usage: store_sweep.py [--sizes 250,1000,4000]
 
-The episodes, their set-up, the timed closed loop and the journal checks are
-perfbench's own (`perfbench/gen.py` and `perfbench/harness.py`, imported
-read-only): seed 11, episodes 0 and 1 of the full scale with
+gemstore is imported from this checkout's `src`, whatever PYTHONPATH
+names.  The episodes, their set-up, the timed closed loop and the journal
+checks are perfbench's own (`perfbench/gen.py` and `perfbench/harness.py`,
+imported read-only): seed 11, episodes 0 and 1 of the full scale with
 `Scale.store_topics` set to each size.  Each episode runs `REPEATS` times
 and each operation keeps its fastest time (`EpisodeTimes.keep_fastest`, as
 perfbench does), so an operator has about 15 samples per episode, each the
@@ -30,6 +31,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
+
+from run import _import_gemstore  # noqa: E402  (perfbench/run.py, imported read-only)
+
+if _import_gemstore() is None:  # this checkout's src, whatever PYTHONPATH names
+    sys.exit(f"{Path(__file__).name}: gemstore sources not found under {ROOT / 'src'}")
 
 import gen  # noqa: E402  (perfbench/gen.py, imported read-only)
 import harness  # noqa: E402  (perfbench/harness.py, imported read-only)

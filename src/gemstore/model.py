@@ -10,13 +10,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field, replace
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
-from .embedding import EmbeddingVector, embed
+from .embedding import EmbeddingVector, embed, tokenize
 from .policy import Policy, parse_policy, render_policy
 from .salience import ACTIVE, HIDDEN, SalienceParams, Tier, decay, due_epoch
 
@@ -402,7 +403,7 @@ class PerTopic(Part):
     where that is not None.  A settle writes each marked topic whose value
     differs, copying `values` once, and hands each change `(tid, old, new)`,
     None standing for no value, to `changed`, which keeps the part's other
-    tables."""
+    tables; it returns the changes."""
 
     values: dict = {}
 
@@ -412,7 +413,8 @@ class PerTopic(Part):
     def changed(self, tid: str, old, new) -> None:
         pass
 
-    def settle(self, state: MemoryState, marked: Iterable[str]) -> None:
+    def settle(self, state: MemoryState, marked: Iterable[str]) -> list[tuple[str, object, object]]:
+        changes = []
         for tid in marked:
             topic = state.topics.get(tid)
             new = None if topic is None else self.value(state, topic)
@@ -423,6 +425,8 @@ class PerTopic(Part):
                 else:
                     self._table("values")[tid] = new
                 self.changed(tid, old, new)
+                changes.append((tid, old, new))
+        return changes
 
 
 def _active_fields(topic: Topic) -> int:
@@ -586,8 +590,111 @@ class Ladder(PerTopic):
         return due
 
 
+class TopicEvidence(NamedTuple):
+    """What revision evidence a live topic gives, whatever the config."""
+
+    tokens: frozenset[str]  # of its title
+    conflicts: tuple[str, ...]  # the fields with more than one current entry, in name order
+    entries: int  # the entries of all its fields
+    tags: tuple[tuple[str, int], ...]  # (entity tag, fields carrying it), by tag
+
+
+# the entered titles up to which a settle of the evidence part compares each
+# with every live title rather than recompute all pairs
+PROBED_TITLES_MAX = 8
+
+
+def _notable(value: Optional[TopicEvidence]) -> bool:
+    return value is not None and bool(value.conflicts or value.tags)
+
+
+class Evidence(PerTopic):
+    """Each live topic's `TopicEvidence`; `notable`, the live topics with a
+    conflict or a tag; and `pairs`, in id order, the live topic pairs whose
+    titles share at least half the smaller title's tokens.
+
+    No delta kind rewrites a title, so `pairs` change only when a topic
+    enters or leaves the live set (or is removed and created again under
+    another title).  A settle in which up to `PROBED_TITLES_MAX` titles
+    entered drops the pairs of the moved topics and compares each entered
+    title with every live one; past that, recomputing all pairs by the
+    prefix filter costs less.  Only `detect_evidence` reads the part."""
+
+    kinds = TEXT_KINDS | {"topic_created", "topic_removed", "topic_archived", "field_created"}
+    notable: set[str] = set()
+    pairs: list[tuple[str, str]] = []
+
+    def value(self, state: MemoryState, topic: Topic) -> Optional[TopicEvidence]:
+        if topic.archived:
+            return None
+        entries, conflicts, tags = 0, [], {}
+        for name, f in topic.fields.items():
+            entries += len(f.history)
+            if len(f.history) > 1 and sum(not (e.superseded or e.compressed) for e in f.history) > 1:
+                conflicts.append(name)
+            if f.entity_tag:
+                tags[f.entity_tag] = tags.get(f.entity_tag, 0) + 1
+        return TopicEvidence(frozenset(tokenize(topic.title)), tuple(sorted(conflicts)) if conflicts else (),
+                             entries, tuple(sorted(tags.items())) if tags else ())
+
+    def changed(self, tid: str, old, new) -> None:
+        now = _notable(new)
+        if now != _notable(old):
+            if now:
+                self._table("notable").add(tid)
+            else:
+                self._table("notable").remove(tid)
+
+    def settle(self, state: MemoryState, marked: Iterable[str]) -> list[tuple[str, object, object]]:
+        changes = super().settle(state, marked)
+        moved = {tid for tid, old, new in changes if old is None or new is None or old.tokens != new.tokens}
+        if moved:
+            entered = sorted(moved & self.values.keys())
+            if len(entered) <= PROBED_TITLES_MAX:
+                self.pairs = self._probed_pairs(moved, entered)
+            else:
+                self.pairs = self._overlapping_pairs()
+        return changes
+
+    def _probed_pairs(self, moved: set[str], entered: list[str]) -> list[tuple[str, str]]:
+        """The pairs with no moved topic, and each entered title's overlaps
+        with every live title, a pair of two entered ones counted once."""
+        pairs = [pair for pair in self.pairs if pair[0] not in moved and pair[1] not in moved]
+        for a in entered:
+            tokens = self.values[a].tokens
+            for b, value in self.values.items():
+                shared = len(tokens & value.tokens)
+                if shared and shared / min(len(tokens), len(value.tokens)) >= 0.5 and (b not in moved or a < b):
+                    pairs.append((a, b) if a < b else (b, a))
+        return sorted(pairs)
+
+    def _overlapping_pairs(self) -> list[tuple[str, str]]:
+        """All pairs, by a prefix filter (Bayardo et al., WWW 2007): two
+        non-empty token sets with |a & b| >= min(|a|, |b|) / 2 must share one
+        of the smaller set's k // 2 + 1 rarest tokens, k being its size,
+        because at most k - ceil(k/2) of its tokens lie outside the
+        intersection.  Sets are indexed by their prefix in order of size and
+        every set probes with all of its tokens, so each probe meets only
+        sets no larger than itself."""
+        ids = sorted(self.values)
+        titles = [self.values[tid].tokens for tid in ids]
+        df = Counter(tok for tokens in titles for tok in tokens)
+        rarity = {tok: r for r, tok in enumerate(sorted(sorted(df), key=df.__getitem__))}
+        index: dict[str, list[int]] = {}
+        candidates: set[tuple[int, int]] = set()
+        for j in sorted(range(len(titles)), key=lambda j: len(titles[j])):
+            tokens = titles[j]
+            for tok in tokens:
+                for i in index.get(tok, ()):
+                    candidates.add((i, j) if i < j else (j, i))
+            for tok in sorted(tokens, key=rarity.__getitem__)[: len(tokens) // 2 + 1]:
+                index.setdefault(tok, []).append(j)
+        return [(ids[i], ids[j]) for i, j in sorted(candidates)
+                if len(titles[i] & titles[j]) / min(len(titles[i]), len(titles[j])) >= 0.5]
+
+
 PARTS = {"hashes": Hashes, "footprint": Footprint, "stale": Stale, "edges": Edges, "ranking": Ranking,
-         "ladder": Ladder}
+         "ladder": Ladder, "evidence": Evidence}
 _ROUTES = {kind: tuple(name for name, part in PARTS.items() if kind in part.kinds)
            for kind in frozenset().union(*(part.kinds for part in PARTS.values()))}
 

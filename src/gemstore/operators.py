@@ -1,5 +1,5 @@
 """The four state-level operator branches: ingestion, revision, forgetting,
-and retrieval, plus the deterministic evidence scan that feeds revision.
+and retrieval, plus the evidence read that feeds revision.
 
 Operators are pure in the sense that they only touch the transaction's
 working copy; sequencing, policy evaluation and commit belong to the engine.
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -391,85 +390,31 @@ def _bumped(s: float, p: SalienceParams) -> float:
 # ---------------------------------------------------------------------------
 
 
-# Below this many live topics the pairwise scan beats building the prefix
-# index.  The measured crossover lies between 9 live topics (four-token
-# titles) and 18 (nine-token titles).
-PREFIX_FILTER_MIN_TOPICS = 12
-
-
 def detect_evidence(state: MemoryState, cfg: EngineConfig) -> list[EvidenceItem]:
-    items: list[EvidenceItem] = []
+    """The evidence an auto-detect revise repairs, in repair order: each
+    revision flag; each pair of live topics whose titles overlap by half and
+    whose cosine reaches `tau_dup`; each field of a live topic with more
+    than one current entry; and each entity tag that `n_promote` fields of a
+    live topic with `m_promote` entries carry and that names no topic yet.
 
-    for topic_id, cause in sorted(state.revision_queue):
-        items.append(EvidenceItem("dependency_flag", topic_id, other=cause))
-
-    live = [state.topics[tid] for tid in sorted(state.topics) if not state.topics[tid].archived]
-    if len(live) < PREFIX_FILTER_MIN_TOPICS:
-        for i, a in enumerate(live):
-            for b in live[i + 1 :]:
-                sim = cosine(a.vector(), b.vector())
-                if sim < cfg.tau_dup:
-                    continue
-                ta, tb = set(tokenize(a.title)), set(tokenize(b.title))
-                if not ta or not tb:
-                    continue
-                overlap = len(ta & tb) / min(len(ta), len(tb))
-                if overlap >= 0.5:
-                    items.append(EvidenceItem("duplicate_topics", a.id, other=b.id, similarity=sim))
-    else:
-        titles = [set(tokenize(t.title)) for t in live]
-        for i, j in _title_overlap_candidates(titles):
-            ta, tb = titles[i], titles[j]
-            if len(ta & tb) / min(len(ta), len(tb)) < 0.5:
-                continue
-            a, b = live[i], live[j]
-            sim = cosine(a.vector(), b.vector())
-            if sim >= cfg.tau_dup:
-                items.append(EvidenceItem("duplicate_topics", a.id, other=b.id, similarity=sim))
-
-    for topic in live:
-        for name in sorted(topic.fields):
-            f = topic.fields[name]
-            currents = [e for e in f.history if not e.superseded and not e.compressed]
-            if len(currents) > 1:
-                items.append(EvidenceItem("conflicting_values", topic.id, field=name))
-
-    for topic in live:
-        total_entries = sum(len(f.history) for f in topic.fields.values())
-        if total_entries < cfg.m_promote:
-            continue
-        tags: dict[str, int] = {}
-        for f in topic.fields.values():
-            if f.entity_tag:
-                tags[f.entity_tag] = tags.get(f.entity_tag, 0) + 1
-        for tag in sorted(tags):
-            if tags[tag] >= cfg.n_promote and slugify(tag) not in state.topics:
-                items.append(EvidenceItem("promotion_candidate", topic.id, other=tag))
+    The state's evidence part keeps the title overlaps, conflicts, entry
+    totals and tag counts, settled for the topics changed since its last
+    read; the cosines and the config's thresholds are applied here."""
+    items = [EvidenceItem("dependency_flag", tid, other=cause) for tid, cause in sorted(state.revision_queue)]
+    evidence = state.part("evidence")
+    topics = state.topics
+    for a, b in evidence.pairs:
+        sim = cosine(topics[a].vector(), topics[b].vector())
+        if sim >= cfg.tau_dup:
+            items.append(EvidenceItem("duplicate_topics", a, other=b, similarity=sim))
+    notable = [(tid, evidence.values[tid]) for tid in sorted(evidence.notable)]
+    for tid, found in notable:
+        items.extend(EvidenceItem("conflicting_values", tid, field=name) for name in found.conflicts)
+    for tid, found in notable:
+        if found.entries >= cfg.m_promote:
+            items.extend(EvidenceItem("promotion_candidate", tid, other=tag) for tag, count in found.tags
+                         if count >= cfg.n_promote and slugify(tag) not in topics)
     return items
-
-
-def _title_overlap_candidates(titles: list[set[str]]) -> list[tuple[int, int]]:
-    """Sorted index pairs (i < j) that may pass the title-overlap test.
-
-    Prefix filter (Bayardo et al., WWW 2007): two non-empty token sets with
-    |a & b| >= min(|a|, |b|) / 2 must share one of the smaller set's
-    k // 2 + 1 rarest tokens, k being its size, because at most k - ceil(k/2)
-    of its tokens lie outside the intersection.  Sets are indexed by their
-    prefix in order of size and every set probes with all of its tokens, so
-    each probe meets only sets no larger than itself.
-    """
-    df = Counter(tok for tokens in titles for tok in tokens)
-    rarity = {tok: r for r, tok in enumerate(sorted(sorted(df), key=df.__getitem__))}
-    index: dict[str, list[int]] = {}
-    pairs: set[tuple[int, int]] = set()
-    for j in sorted(range(len(titles)), key=lambda j: len(titles[j])):
-        tokens = titles[j]
-        for tok in tokens:
-            for i in index.get(tok, ()):
-                pairs.add((i, j) if i < j else (j, i))
-        for tok in sorted(tokens, key=rarity.__getitem__)[: len(tokens) // 2 + 1]:
-            index.setdefault(tok, []).append(j)
-    return sorted(pairs)
 
 
 def _merge_histories(a: list[ValueEntry], b: list[ValueEntry]) -> list[ValueEntry]:

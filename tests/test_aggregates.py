@@ -1,7 +1,8 @@
 """Differential test of the derived parts that `apply_delta` marks: after
 every committed and aborted transition each part equals a build on a fresh
-decoding of the state and a full recomputation, and an aborted or discarded
-transaction leaves its parent's parts as they were."""
+decoding of the state and a full recomputation, the evidence read from the
+parts equals a full scan, and an aborted or discarded transaction leaves its
+parent's parts as they were."""
 
 import copy
 
@@ -10,7 +11,7 @@ import pytest
 from conftest import build_state, build_topic
 from gemstore.baseline import BaselineJournalAdapter
 from gemstore.config import BetaSpec, EngineConfig
-from gemstore.embedding import EmbeddingVector, rank_topics
+from gemstore.embedding import EmbeddingVector, cosine, rank_topics, tokenize
 from gemstore.engine import Engine, EngineEvent
 from gemstore.model import (
     _ROUTES,
@@ -32,7 +33,7 @@ from gemstore.model import (
     state_from_dict,
     state_to_dict,
 )
-from gemstore.operators import EvidenceItem, Fact, FactBundle, Query, RuleTable
+from gemstore.operators import EvidenceItem, Fact, FactBundle, Query, RuleTable, detect_evidence, slugify
 from gemstore import policy
 from gemstore.policy import default_policy_set, parse_policy
 from gemstore.salience import due_epoch
@@ -72,6 +73,46 @@ def assert_aggregates_exact(state: MemoryState) -> None:
         assert fork.extension_successors(tid) == successors
         assert fork.association_neighbors(tid) == sorted(neighbors)
     assert_ranking_exact(fork, state)
+    for cfg in (EngineConfig(), PERMISSIVE):
+        assert detect_evidence(fork, cfg) == _evidence_oracle(fork, cfg)
+
+
+# a config under which duplicates and promotions are found, not only conflicts
+PERMISSIVE = EngineConfig(tau_dup=0.0, m_promote=1, n_promote=1)
+
+
+def _evidence_oracle(state: MemoryState, cfg: EngineConfig) -> list[EvidenceItem]:
+    """`detect_evidence` by a full scan of the state, kept as its reference:
+    the revision flags, then every pair of live topics compared, then each
+    live topic's fields, in id and name order."""
+    items = [EvidenceItem("dependency_flag", tid, other=cause) for tid, cause in sorted(state.revision_queue)]
+    live = [state.topics[tid] for tid in sorted(state.topics) if not state.topics[tid].archived]
+    for i, a in enumerate(live):
+        for b in live[i + 1 :]:
+            sim = cosine(a.vector(), b.vector())
+            if sim < cfg.tau_dup:
+                continue
+            ta, tb = set(tokenize(a.title)), set(tokenize(b.title))
+            if not ta or not tb:
+                continue
+            if len(ta & tb) / min(len(ta), len(tb)) >= 0.5:
+                items.append(EvidenceItem("duplicate_topics", a.id, other=b.id, similarity=sim))
+    for topic in live:
+        for name in sorted(topic.fields):
+            currents = [e for e in topic.fields[name].history if not e.superseded and not e.compressed]
+            if len(currents) > 1:
+                items.append(EvidenceItem("conflicting_values", topic.id, field=name))
+    for topic in live:
+        if sum(len(f.history) for f in topic.fields.values()) < cfg.m_promote:
+            continue
+        tags: dict[str, int] = {}
+        for f in topic.fields.values():
+            if f.entity_tag:
+                tags[f.entity_tag] = tags.get(f.entity_tag, 0) + 1
+        for tag in sorted(tags):
+            if tags[tag] >= cfg.n_promote and slugify(tag) not in state.topics:
+                items.append(EvidenceItem("promotion_candidate", topic.id, other=tag))
+    return items
 
 
 def _table_names(part: Part) -> list[str]:
@@ -185,6 +226,11 @@ def test_graph_operations_keep_aggregates_exact(checked_transitions):
     txn.remove_topic("notes")
     assert_aggregates_exact(txn.state)
     assert "notes" not in txn.state.extension_successors("plan")
+    txn.create_topic("notes", "plan notes", "created again under another title")
+    assert_aggregates_exact(txn.state)
+    assert ("notes", "plan") in txn.state.part("evidence").pairs
+    txn.create_field("notes", "Lead", "staff", 1.0)  # a tag, before any entry
+    assert_aggregates_exact(txn.state)
     assert engine.digest() == parent_digest
     assert_aggregates_exact(engine.state)
 

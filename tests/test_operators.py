@@ -12,7 +12,6 @@ from gemstore.model import EdgeKind, Provenance, Tier, current_value
 from gemstore.operators import (
     Fact,
     FactBundle,
-    PREFIX_FILTER_MIN_TOPICS,
     EvidenceItem,
     OperatorError,
     Query,
@@ -350,7 +349,7 @@ def test_rule_table_parse_and_errors():
         RuleTable.parse("a.b -> c.d : frobnicate")
 
 
-# -- duplicate detection: prefix filter against the pairwise scan ------------
+# -- duplicate detection: the evidence part against the pairwise scan -------
 
 _TITLE_WORDS = ["project", "is", "about", "the", "update", "plan", "alpha", "beta", "gamma", "delta", "kim", "q3"]
 _EMBED_WORDS = ["red", "green", "blue", "dark"]
@@ -390,10 +389,10 @@ def _random_topic_state(rng):
 def test_duplicate_detection_matches_pairwise_scan(tau_dup):
     cfg = EngineConfig(tau_dup=tau_dup)
     rng = random.Random(f"dup-{tau_dup}")
-    sizes = set()
+    overlaps = set()
     for _ in range(250):
         state = _random_topic_state(rng)
         found = [e for e in detect_evidence(state, cfg) if e.kind == "duplicate_topics"]
         assert found == _duplicates_oracle(state, cfg)
-        sizes.add(sum(not t.archived for t in state.topics.values()) >= PREFIX_FILTER_MIN_TOPICS)
-    assert sizes == {False, True}  # both sides of the crossover were exercised
+        overlaps.add(bool(state.part("evidence").pairs))
+    assert overlaps == {False, True}  # stores with and without overlapping titles

@@ -6,7 +6,7 @@ from gemstore import embedding, operators
 from gemstore.config import BetaSpec, EngineConfig
 from gemstore.engine import Engine, EngineEvent
 from gemstore.embedding import EmbeddingVector, embed
-from gemstore.model import MemoryState, Topic, active_footprint
+from gemstore.model import Evidence, MemoryState, Topic, active_footprint
 from gemstore.operators import Fact, FactBundle, Query
 from gemstore.salience import decay
 
@@ -91,6 +91,23 @@ def test_duplicate_detection_skips_topics_with_disjoint_titles(monkeypatch):
     items = operators.detect_evidence(_large_state(), EngineConfig())
     assert [e for e in items if e.kind == "duplicate_topics"] == []
     assert calls == []
+
+
+def test_an_auto_detect_revise_settles_only_the_topic_changed_since_the_last_read(monkeypatch):
+    engine = Engine(config=EngineConfig(beta=BetaSpec(base=2 * N_TOPICS)), genesis=_large_state())
+    bundle = FactBundle((Fact("Status", "done"),), "status update", topic_hint="t0500")
+    _, records = engine.submit(EngineEvent.ingest(bundle))
+    assert [r.outcome for r in records] == ["committed"]
+    pairs = engine.state.parts["evidence"].pairs
+    valued, compared = [], []
+    real_value, real_cosine = Evidence.value, operators.cosine
+    monkeypatch.setattr(Evidence, "value", lambda part, state, topic: valued.append(topic.id)
+                        or real_value(part, state, topic))
+    monkeypatch.setattr(operators, "cosine", lambda a, b: compared.append(1) or real_cosine(a, b))
+    _, records = engine.submit(EngineEvent.revise())
+    assert [r.outcome for r in records] == ["committed"]
+    assert valued == ["t0500"] and compared == []
+    assert engine.state.parts["evidence"].pairs is pairs  # no title entered or left
 
 
 def test_hinted_ingest_serialises_only_the_touched_topic(monkeypatch):

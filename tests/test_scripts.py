@@ -1,6 +1,8 @@
 """Smoke tests for the scripts under scripts/: each runs in a subprocess
-against the sources in src/, as a user would run it.  The revision scenario
-of artefact_hashes.py is also imported, to read its journal."""
+against the sources in src/, as a user would run it.  The two that compare
+checkouts run with PYTHONPATH naming a decoy gemstore instead, which they
+must not import.  The revision scenario of artefact_hashes.py is also
+imported, to read its journal."""
 
 import importlib.util
 import json
@@ -9,18 +11,28 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from gemstore.transaction import DELTA_KINDS
 from test_workload import DEADLINE_CSV
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run(script: str, *args: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def _run(script: str, *args: str, pythonpath: Path = ROOT / "src") -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(pythonpath))
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+@pytest.fixture
+def decoy(tmp_path) -> Path:
+    """A directory holding a `gemstore` package that fails to import."""
+    (tmp_path / "gemstore").mkdir()
+    (tmp_path / "gemstore" / "__init__.py").write_text('raise ImportError("decoy gemstore imported")\n')
+    return tmp_path
 
 
 def test_run_deadline_answers_the_moved_deadline():
@@ -43,8 +55,8 @@ def test_soak_audit_runs_clean():
     assert "3 workloads x 50 events, 0 failures" in result.stdout
 
 
-def test_artefact_hashes_quick_profile_is_deterministic():
-    first, second = _run("artefact_hashes.py", "--quick"), _run("artefact_hashes.py", "--quick")
+def test_artefact_hashes_quick_profile_is_deterministic(decoy):
+    first, second = _run("artefact_hashes.py", "--quick"), _run("artefact_hashes.py", "--quick", pythonpath=decoy)
     assert first.returncode == second.returncode == 0, first.stderr + second.stderr
     lines = first.stdout.splitlines()
     assert lines == second.stdout.splitlines()
@@ -68,8 +80,8 @@ def test_the_revision_scenario_journals_every_delta_kind_but_topic_removed():
     assert {d["kind"] for r in records for d in r.deltas} == set(DELTA_KINDS) - {"topic_removed"}
 
 
-def test_store_sweep_reports_each_size_and_operator():
-    result = _run("store_sweep.py", "--sizes", "20,40")
+def test_store_sweep_reports_each_size_and_operator(decoy):
+    result = _run("store_sweep.py", "--sizes", "20,40", pythonpath=decoy)
     rows = [json.loads(line) for line in result.stdout.splitlines()]
     assert [row["n"] for row in rows] == [20, 40], result.stderr
     # at N = 40 the harness's audit reports the C3 false positive kept as a

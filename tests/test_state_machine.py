@@ -1,8 +1,10 @@
 """Model-based test of the engine (Claessen & Hughes, QuickCheck, 2000): a
 Hypothesis state machine drives an `Engine` from a small random genesis,
-with overlapping titles and Extension and Association edges, cycles
-included, through hinted, unhinted and archived-hint ingests, all four read
-modes, ticks, auto-detect and explicit merge revises, and forgets.
+with overlapping titles, entity tags on some fields, and Extension and
+Association edges, cycles included, through hinted, unhinted and
+archived-hint ingests of facts that may carry a tag, all four read modes,
+ticks, auto-detect revises (which merge duplicates and promote tags) and
+explicit merge revises, and forgets.
 
 After every step every derived part equals a fresh build and a full scan
 (`assert_aggregates_exact`), and once a record has committed the footprint
@@ -12,6 +14,7 @@ revise, then a read reports the known C3 false positive (ROADMAP item 1).
 """
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from hypothesis import settings, strategies as st
@@ -28,6 +31,9 @@ from test_aggregates import assert_aggregates_exact
 WORDS = ("plan", "review", "launch", "notes", "budget")
 FIELDS = ("Deadline", "Owner", "Status")
 VALUES = ("March", "April", "dana", "done", "1")
+TAGS = ("staff", "budget-review")
+
+_tags = st.one_of(st.none(), st.sampled_from(TAGS))
 
 _titles = st.lists(st.sampled_from(WORDS), min_size=1, max_size=3).map(" ".join)
 _fields = st.lists(st.sampled_from(FIELDS), min_size=1, max_size=3, unique=True)
@@ -35,16 +41,19 @@ _fields = st.lists(st.sampled_from(FIELDS), min_size=1, max_size=3, unique=True)
 
 @st.composite
 def _geneses(draw):
-    """Topics t0.. with overlapping titles, some of them archived; edges of
-    both kinds between any two of them; and a `shift-annotation` rule from
-    a field of the source to a field of the destination of each Extension
-    edge."""
+    """Topics t0.. with overlapping titles, some of them archived, some
+    fields tagged; edges of both kinds between any two of them; a
+    `shift-annotation` rule from a field of the source to a field of the
+    destination of each Extension edge; beta; and the promotion thresholds,
+    the defaults or ones that a topic's first tagged entry meets."""
     n = draw(st.integers(1, 5))
     topics = []
     for i in range(n):
         names = draw(_fields)
         topic = build_topic(f"t{i}", title=draw(_titles), fields={f: draw(st.sampled_from(VALUES)) for f in names},
                             tick=0)
+        for f in topic.fields.values():
+            f.entity_tag = draw(_tags)
         if i and draw(st.integers(0, 4)) == 0:
             topic.archived, topic.archived_at = True, 0
         topics.append(topic)
@@ -58,8 +67,10 @@ def _geneses(draw):
             cause = draw(st.sampled_from(sorted(topics[int(src[1:])].fields)))
             dependent = draw(st.sampled_from(sorted(topics[int(dst[1:])].fields)))
             rules.append(f"{src}.{cause} -> {dst}.{dependent} : shift-annotation")
-    beta = draw(st.sampled_from([3, 12, 200]))
-    return build_state(topics, edges=edges), RuleTable.parse("\n".join(rules)), beta
+    config = EngineConfig(beta=BetaSpec(base=draw(st.sampled_from([3, 12, 200]))))
+    if draw(st.booleans()):
+        config = replace(config, m_promote=1, n_promote=1)
+    return build_state(topics, edges=edges), RuleTable.parse("\n".join(rules)), config
 
 
 class EngineMachine(RuleBasedStateMachine):
@@ -67,8 +78,8 @@ class EngineMachine(RuleBasedStateMachine):
 
     @initialize(genesis=_geneses())
     def start(self, genesis):
-        state, rules, beta = genesis
-        self.engine = Engine(config=EngineConfig(beta=BetaSpec(base=beta)), genesis=state, rules=rules)
+        state, rules, config = genesis
+        self.engine = Engine(config=config, genesis=state, rules=rules)
 
     def _topic(self, data, archived=None):
         """A topic id of the store, archived or live as `archived` asks, or
@@ -78,7 +89,7 @@ class EngineMachine(RuleBasedStateMachine):
 
     def _bundle(self, data, hint):
         names = data.draw(_fields)
-        facts = tuple(Fact(name, data.draw(st.sampled_from(VALUES))) for name in names)
+        facts = tuple(Fact(name, data.draw(st.sampled_from(VALUES)), data.draw(_tags)) for name in names)
         return FactBundle(facts, f"{data.draw(_titles)} {' '.join(names)}", topic_hint=hint)
 
     @rule(data=st.data())
