@@ -20,6 +20,7 @@ from .model import (
     STR,
     STR_OR_NULL,
     MemoryState,
+    check_keys,
     check_references,
     check_types,
     decoding,
@@ -41,7 +42,15 @@ from .operators import (
     retrieve,
     revise,
 )
-from .policy import ActionSpec, EvaluationError, EventKind, Policy, evaluate_condition, resolve_target
+from .policy import (
+    ActionSpec,
+    EvaluationError,
+    EventKind,
+    Policy,
+    default_policy_set,
+    evaluate_condition,
+    resolve_target,
+)
 from .transaction import Txn, apply_delta
 
 
@@ -92,6 +101,7 @@ class EngineEvent:
 
     @staticmethod
     def from_dict(d: dict) -> "EngineEvent":
+        check_keys(ValueError, "event", d, ("bundle", "query", "evidence", *_EVENT_TYPES))
         event = EngineEvent(
             kind=d["kind"],
             bundle=FactBundle.from_dict(d["bundle"]) if d.get("bundle") else None,
@@ -182,8 +192,6 @@ class Engine:
         policies: Optional[list[Policy]] = None,
         rules: Optional[RuleTable] = None,
     ):
-        from .policy import default_policy_set
-
         self.config = config or EngineConfig()
         self.config.validate()
         self.rules = rules or RuleTable.empty()
@@ -244,23 +252,17 @@ class Engine:
         return records
 
     def _next_to_repair(self, pending: list[str]) -> str:
-        """The smallest pending topic that no other pending topic reaches
-        through Extension edges, so that no later repair in this drain flags
-        it again; the smallest pending topic when a cycle leaves none."""
-        if len(pending) == 1:
-            return pending[0]
+        """The smallest pending topic that no pending topic reaches through
+        Extension edges (one traversal from their successors), so that no
+        later repair flags it again; the smallest when a cycle leaves none."""
         successors = self.state.part("edges").successors
         reached: set[str] = set()
-        for src in pending:
-            seen: set[str] = set()
-            stack = list(successors.get(src, ()))
-            while stack:
-                tid = stack.pop()
-                if tid not in seen:
-                    seen.add(tid)
-                    stack.extend(successors.get(tid, ()))
-            seen.discard(src)
-            reached |= seen
+        stack = [dst for src in pending for dst in successors.get(src, ())]
+        while stack:
+            tid = stack.pop()
+            if tid not in reached:
+                reached.add(tid)
+                stack.extend(successors.get(tid, ()))
         return next((tid for tid in pending if tid not in reached), pending[0])
 
     def _apply_once(self, event: EngineEvent) -> tuple[Optional[RetrievalOutput], TransitionRecord]:
@@ -305,7 +307,8 @@ class Engine:
             policy_log=policy_log,
             outcome="aborted",
             reason=reason,
-            digest_after=state_digest(self.state),
+            digest_after=self.journal.records[-1].digest_after if self.journal.records
+            else self.journal.genesis_digest,
         )
         self.journal.records.append(record)
         return record

@@ -332,8 +332,8 @@ class MemoryState:
         return list(self.part("edges").neighbors.get(topic_id, ()))
 
     def footprint(self) -> int:
-        """`active_footprint`, read from the footprint part."""
-        return self.part("footprint").total
+        """`active_footprint`, read from the counts part."""
+        return self.part("counts").active
 
 
 class Part:
@@ -347,12 +347,11 @@ class Part:
     with no mark pending returns the part itself; otherwise it returns a
     settled copy with a new pending set, which copies a table, or an entry
     of one, before its first write to it in that settle.  A part that is not
-    built takes no marks: its first read builds it, by default by the same
-    settle of every topic, in id order, into its class's empty tables,
-    which the ranking part replaces by a bulk build that the tests check
-    every settle against.  States that share a part share its pending
-    marks, so a mark from another state is spurious: a settle writes only
-    what differs.  Every part but the edges is a `PerTopic` table."""
+    built takes no marks: its first read builds it, by the same settle of
+    every topic, in id order, into its class's empty tables.  States that
+    share a part share its pending marks, so a mark from another state is
+    spurious: a settle writes only what differs.  Every part but the edges
+    is a `PerTopic` table."""
 
     kinds: frozenset[str] = frozenset()
     _pending: Optional[set[str]] = None  # None until built
@@ -429,21 +428,12 @@ class PerTopic(Part):
         return changes
 
 
-def _active_fields(topic: Topic) -> int:
-    if topic.archived:
-        return 0
-    return sum(1 for f in topic.fields.values() if f.tier is ACTIVE)
-
-
-def _serves_stale(topic: Topic) -> bool:
-    for f in topic.fields.values():
-        latest = None
-        for entry in reversed(f.history):
-            if not entry.compressed:
-                latest = entry
-                break
-        if latest is not None and latest.superseded and f.current_entry() is not None:
-            return True
+def _serves_stale(f: Field) -> bool:
+    """Whether the field's current entry is not its latest non-compressed
+    entry, which a supersede without a newer entry leaves."""
+    for entry in reversed(f.history):
+        if not entry.compressed:
+            return entry.superseded and f.current_entry() is not None
     return False
 
 
@@ -471,30 +461,27 @@ class Hashes(PerTopic):
 
 
 class Counts(PerTopic):
-    """Each topic's count, where it is not 0, and their total."""
+    """Each topic's `(active fields, serves a stale value)`, where either is
+    not 0, and their totals: `active` is `active_footprint`, and `stale`,
+    the topics that would serve a superseded value as current, is above 0
+    exactly when `stale_current_exists`."""
 
-    total = 0
+    kinds = TEXT_KINDS | {"topic_removed", "topic_archived", "field_created", "tier_set"}
+    active = 0
+    stale = 0
 
-    def value(self, state: MemoryState, topic: Topic) -> Optional[int]:
-        return self.count(topic) or None
+    def value(self, state: MemoryState, topic: Topic) -> Optional[tuple[int, bool]]:
+        active, stale = 0, False
+        for f in topic.fields.values():
+            active += f.tier is ACTIVE and not topic.archived
+            stale = stale or _serves_stale(f)
+        return (active, stale) if active or stale else None
 
     def changed(self, tid: str, old, new) -> None:
-        self.total += (new or 0) - (old or 0)
-
-
-class Footprint(Counts):
-    """Each live topic's count of active fields: `active_footprint`."""
-
-    kinds = frozenset({"topic_removed", "topic_archived", "field_created", "field_removed", "field_installed",
-                       "tier_set"})
-    count = staticmethod(_active_fields)
-
-
-class Stale(Counts):
-    """1 for each topic that would serve a superseded value as current."""
-
-    kinds = TEXT_KINDS | {"topic_removed"}
-    count = staticmethod(_serves_stale)
+        old_active, old_stale = old or (0, False)
+        new_active, new_stale = new or (0, False)
+        self.active += new_active - old_active
+        self.stale += new_stale - old_stale
 
 
 class Edges(Part):
@@ -530,16 +517,6 @@ class Ranking(PerTopic):
 
     def value(self, state: MemoryState, topic: Topic) -> Optional[EmbeddingVector]:
         return None if topic.archived else topic.vector()
-
-    def build(self, state: MemoryState) -> "Part":
-        part = Ranking()
-        part._pending = set()
-        part.values = {tid: topic.vector() for tid, topic in state.topics.items() if not topic.archived}
-        part.postings = {}
-        for tid, vector in part.values.items():
-            for bucket, term in vector.terms.items():
-                part.postings.setdefault(bucket, {})[tid] = term
-        return part
 
     def changed(self, tid: str, old, new) -> None:
         old_terms = {} if old is None else old.terms
@@ -693,8 +670,8 @@ class Evidence(PerTopic):
                 if len(titles[i] & titles[j]) / min(len(titles[i]), len(titles[j])) >= 0.5]
 
 
-PARTS = {"hashes": Hashes, "footprint": Footprint, "stale": Stale, "edges": Edges, "ranking": Ranking,
-         "ladder": Ladder, "evidence": Evidence}
+PARTS = {"hashes": Hashes, "counts": Counts, "edges": Edges, "ranking": Ranking, "ladder": Ladder,
+         "evidence": Evidence}
 _ROUTES = {kind: tuple(name for name, part in PARTS.items() if kind in part.kinds)
            for kind in frozenset().union(*(part.kinds for part in PARTS.values()))}
 
@@ -755,14 +732,15 @@ def history(state: MemoryState, topic_id: str, field_name: str) -> list[ValueEnt
 
 def active_footprint(state: MemoryState) -> int:
     """Active fields of live topics, by a full scan (the reference for the
-    part that `MemoryState.footprint` reads)."""
-    return sum(_active_fields(topic) for topic in state.topics.values())
+    counts part's `active`, which `MemoryState.footprint` reads)."""
+    return sum(1 for topic in state.topics.values() if not topic.archived
+               for f in topic.fields.values() if f.tier is ACTIVE)
 
 
 def stale_current_exists(state: MemoryState) -> bool:
     """True if some field's current entry is not its latest non-compressed
-    entry, by a full scan (the reference for the stale part's `total`)."""
-    return any(_serves_stale(topic) for topic in state.topics.values())
+    entry, by a full scan (the reference for the counts part's `stale`)."""
+    return any(_serves_stale(f) for topic in state.topics.values() for f in topic.fields.values())
 
 
 def canonical_json(obj) -> str:
@@ -797,6 +775,13 @@ def check_types(error: type[Exception], what: str, values: dict, types: dict[str
         if type(values[name]) not in allowed:
             expected = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
             raise error(f"{what} {name} must be {expected}, got {values[name]!r}")
+
+
+def check_keys(error: type[Exception], what: str, values: dict, known) -> None:
+    """Raise `error` naming the smallest key of `values` that `known` lacks."""
+    unknown = sorted(values.keys() - set(known))
+    if unknown:
+        raise error(f"{what} has an unknown key {unknown[0]!r}")
 
 
 # the nested payloads of topics and deltas; each decoder raises TypeError for

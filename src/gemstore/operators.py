@@ -24,6 +24,7 @@ from .model import (
     MemoryState,
     Provenance,
     ValueEntry,
+    check_keys,
     check_types,
 )
 from .salience import ACTIVE, HIDDEN, SalienceParams, bump, compress_cut, decay, dormant, tier_of
@@ -55,6 +56,7 @@ class Fact:
 
     @staticmethod
     def from_dict(d: dict) -> "Fact":
+        check_keys(ValueError, "fact", d, _FACT_TYPES)
         fact = Fact(d["field"], d["value"], d.get("entity_tag"), d.get("excerpt", ""))
         check_types(TypeError, "fact", vars(fact), _FACT_TYPES)
         return fact
@@ -72,6 +74,7 @@ class FactBundle:
 
     @staticmethod
     def from_dict(d: dict) -> "FactBundle":
+        check_keys(ValueError, "bundle", d, ("facts", *_BUNDLE_TYPES))
         bundle = FactBundle(
             facts=tuple(Fact.from_dict(f) for f in d["facts"]),
             text=d["text"],
@@ -100,6 +103,7 @@ class Query:
 
     @staticmethod
     def from_dict(d: dict) -> "Query":
+        check_keys(ValueError, "query", d, ("explicit", *_QUERY_TYPES))
         explicit = d.get("explicit")
         q = Query(
             text=d.get("text", ""),
@@ -148,6 +152,7 @@ class EvidenceItem:
 
     @staticmethod
     def from_dict(d: dict) -> "EvidenceItem":
+        check_keys(ValueError, "evidence", d, _EVIDENCE_TYPES)
         check_types(TypeError, "evidence", d, _EVIDENCE_TYPES)
         return EvidenceItem(d["kind"], d["topic"], d["other"], d["field"], d["similarity"])
 

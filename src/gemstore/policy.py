@@ -522,7 +522,7 @@ def evaluate_condition(cond: ConditionExpr, state, ctx: dict) -> bool:
         topic = state.topics.get(topic_id)
         return topic is not None and topic.archived
     if isinstance(cond, StaleCurrentExists):
-        return state.part("stale").total > 0
+        return state.part("counts").stale > 0
     raise TypeError(f"unknown condition node: {cond!r}")
 
 

@@ -23,6 +23,7 @@ from .model import (
     MemoryState,
     Tier,
     active_footprint,
+    check_keys,
     check_types,
     current_value,
     decoding,
@@ -72,6 +73,7 @@ def load_workload(path: str | Path) -> list[WorkloadEvent]:
 def _parse_event(obj: dict, lineno: int) -> WorkloadEvent:
     op = obj.get("op")
     if op == "ingest":
+        check_keys(WorkloadError, f"line {lineno}: ingest", obj, ("op", "facts", "text", "source", "hint"))
         bundle = {
             "facts": obj.get("facts", []),
             "text": obj.get("text", ""),
@@ -80,13 +82,16 @@ def _parse_event(obj: dict, lineno: int) -> WorkloadEvent:
         }
         return WorkloadEvent("ingest", bundle=FactBundle.from_dict(bundle))
     if op == "query":
-        return WorkloadEvent("query", query=Query.from_dict(obj), expected=obj.get("expected"))
+        query = {k: v for k, v in obj.items() if k not in ("op", "expected")}
+        return WorkloadEvent("query", query=Query.from_dict(query), expected=obj.get("expected"))
     if op == "tick":
+        check_keys(WorkloadError, f"line {lineno}: tick", obj, ("op", "count"))
         count = obj.get("count", 1)
         if type(count) is not int or count < 1:
             raise WorkloadError(f"line {lineno}: tick count must be an integer >= 1, got {count!r}")
         return WorkloadEvent("tick", count=count)
     if op in ("revise", "forget"):
+        check_keys(WorkloadError, f"line {lineno}: {op}", obj, ("op",))
         return WorkloadEvent(op)
     if op == "assert":
         check = {k: v for k, v in obj.items() if k != "op"}

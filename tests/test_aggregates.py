@@ -62,9 +62,14 @@ def assert_aggregates_exact(state: MemoryState) -> None:
     dues = {tid: due_epoch(topic, ladder.params, state.epoch) for tid, topic in state.topics.items()}
     assert ladder.values == {tid: due for tid, due in dues.items() if due is not None}
     assert fork.footprint() == active_footprint(state)
-    stale = {tid for tid, t in state.topics.items() if stale_current_exists(MemoryState(topics={tid: t}))}
-    assert fork.part("stale").values.keys() == stale
-    assert (fork.part("stale").total > 0) == stale_current_exists(state)
+    counts = {}
+    for tid, t in state.topics.items():
+        alone = MemoryState(topics={tid: t})
+        value = (active_footprint(alone), stale_current_exists(alone))
+        if any(value):
+            counts[tid] = value
+    assert fork.part("counts").values == counts
+    assert fork.part("counts").stale == sum(stale for _, stale in counts.values())
     edges = list(state.edges.values())
     for tid in state.topics:
         successors = sorted(e.dst for e in edges if e.kind is EdgeKind.EXTENSION and e.src == tid)
@@ -473,7 +478,7 @@ def test_a_fork_shares_every_table_until_it_writes():
     txn = Txn(parent)
     txn.add_flag("a", "test")
     state_digest(txn.state)  # a commit's reads settle nothing a flag touches
-    txn.state.footprint(), txn.state.part("stale"), rank_topics(txn.state, "notes", 1)
+    txn.state.footprint(), txn.state.part("counts").stale, rank_topics(txn.state, "notes", 1)
     for name, part in parent.parts.items():
         forked = txn.state.parts[name]
         assert forked is part and _table_names(part)

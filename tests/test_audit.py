@@ -39,6 +39,19 @@ def test_c1_catches_stale_probe_answers():
     assert any("March 15" in v.detail for v in report.c1)
 
 
+@pytest.mark.xfail(strict=True, reason="C1 compares a genesis-only topic with another topic's ingests (ROADMAP item 1)")
+def test_c1_does_not_compare_a_genesis_topic_with_another_topics_ingest():
+    # today the probe answers checklist's own March 15, which the auditor
+    # compares with plan's ingested April 20: C1 = 2, at ticks 1 and 2
+    genesis = build_state([build_topic("plan", fields={"Deadline": "March 15"}),
+                           build_topic("checklist", fields={"Deadline": "March 15"})])
+    e = Engine(genesis=genesis)
+    e.submit(EngineEvent.ingest(bundle("plan deadline moved", hint="plan", Deadline="April 20")))
+    e.submit(EngineEvent.tick())
+    report = audit(e.journal, [Query(text="launch checklist deadline")])
+    assert report.passed, [(v.tick, v.subject) for v in report.c1]
+
+
 def test_c3_catches_unrevised_dependent_reads():
     # an engine without the propagation policy commits the update but never
     # revises the successor; the auditor sees the gap when a read lands on it

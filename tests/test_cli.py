@@ -6,6 +6,7 @@ import pytest
 
 from conftest import build_state, build_topic
 from test_storage import RETIRED_MAGIC
+from test_workload import DEADLINE_CSV
 from gemstore import cli
 from gemstore.cli import main
 from gemstore.config import EngineConfig
@@ -52,9 +53,7 @@ def test_compare_writes_csv(tmp_path, capsys):
     csv_path = tmp_path / "out.csv"
     code = main(["compare", "--workload", DEADLINE, "--csv-out", str(csv_path)])
     assert code == 0
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == "system,tick,footprint,stale_answers,lost_answers,salience_delta_sum"
-    assert any(line.startswith("baseline,") for line in lines)
+    assert csv_path.read_text(encoding="utf-8") == DEADLINE_CSV
 
 
 def test_snapshot_and_restore_round_trip(tmp_path, capsys):
@@ -215,6 +214,8 @@ EXTENSION_MUTANTS = {
         frames, lambda r: r["input"]["evidence"][0].update(topic=[])),
     "input-kind-differs-from-operator": lambda frames: _edit_first_revise(
         frames, lambda r: r["input"].update(kind="ingest")),
+    "input-with-an-unknown-key": lambda frames: _edit_first_revise(
+        frames, lambda r: r["input"].update(trgt="plan")),
 }
 
 
@@ -355,7 +356,9 @@ def test_gem_config_names_the_config_file(tmp_path, capsys, monkeypatch):
     assert main(["replay", "--workload", DEADLINE]) == 0
 
 
-@pytest.mark.parametrize("line", ["[1]", '{"text": "a", "explicit": 5}', "not json"])
+@pytest.mark.parametrize(
+    "line", ["[1]", '{"text": "a", "explicit": 5}', "not json", '{"text": "a", "mdoe": "explicit"}']
+)
 def test_audit_reports_a_malformed_probe_with_its_line(tmp_path, capsys, line):
     journal = tmp_path / "deadline.journal"
     assert main(["replay", "--workload", DEADLINE, "--journal-out", str(journal)]) == 0

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import build_state, build_topic
 from gemstore.audit import audit
@@ -9,6 +10,7 @@ from gemstore.model import (
     Field,
     Provenance,
     Timestamp,
+    Topic,
     ValueEntry,
     canonical_json,
     current_value,
@@ -47,6 +49,19 @@ def test_abort_is_journaled_without_consuming_a_tick():
     assert e.state.clock == 0
     assert e.digest() == before
     assert e.journal.records[-1] is record
+
+
+def test_an_abort_journals_the_committed_digest_without_hashing(monkeypatch):
+    e = Engine(config=EngineConfig(beta=BetaSpec(base=1)))
+    e.submit(EngineEvent.ingest(bundle("first", hint="t", A="1")))
+    hashed = []
+    real_hash = Topic.content_hash
+    monkeypatch.setattr(Topic, "content_hash", lambda topic: hashed.append(topic.id) or real_hash(topic))
+    # the fork marks t's hash, then the bound refuses it
+    _, records = e.submit(EngineEvent.ingest(bundle("second", hint="t", B="2")))
+    assert records[0].reason == "bounded-active-state"
+    assert hashed == []
+    assert records[0].digest_after == e.journal.records[0].digest_after == e.digest()
 
 
 def test_footprint_policy_rejects_oversized_ingest():
@@ -429,6 +444,45 @@ def test_drain_repairs_a_topic_after_every_pending_topic_that_reaches_it():
 
 
 
+def _pick_per_topic(successors: dict[str, list[str]], pending: list[str]) -> str:
+    """The drain's pick by one traversal per pending topic, each leaving out
+    its own start: the reference for `Engine._next_to_repair`."""
+    reached: set[str] = set()
+    for src in pending:
+        seen: set[str] = set()
+        stack = list(successors.get(src, ()))
+        while stack:
+            tid = stack.pop()
+            if tid not in seen:
+                seen.add(tid)
+                stack.extend(successors.get(tid, ()))
+        seen.discard(src)
+        reached |= seen
+    return next((tid for tid in pending if tid not in reached), pending[0])
+
+
+@st.composite
+def _drains(draw):
+    """A graph of Extension edges and a sorted pending set: acyclic, or with
+    back edges and one pending topic."""
+    order = draw(st.permutations([f"t{i}" for i in range(draw(st.integers(1, 8)))]))
+    forward = [(a, b) for i, a in enumerate(order) for b in order[i + 1 :]]
+    edges = draw(st.lists(st.sampled_from(forward), unique=True)) if forward else []
+    pending = sorted(draw(st.lists(st.sampled_from(order), min_size=1, unique=True)))
+    if len(pending) == 1 and forward:
+        edges += draw(st.lists(st.sampled_from([(b, a) for a, b in forward]), unique=True))
+    return order, edges, pending
+
+
+@settings(max_examples=150, deadline=None)
+@given(_drains())
+def test_the_drain_picks_as_one_traversal_per_pending_topic(drain):
+    order, edges, pending = drain
+    e = Engine(genesis=build_state([Topic(tid, tid, tid) for tid in order],
+                                   edges=[(a, b, "Extension") for a, b in edges]))
+    assert e._next_to_repair(pending) == _pick_per_topic(e.state.part("edges").successors, pending)
+
+
 def _two_topic_engine(edges, rules, policies=None):
     topics = [build_topic("a", fields={"fa": "0"}), build_topic("b", fields={"fb": "0"})]
     genesis = build_state(topics, edges=edges, policies=policies)
@@ -503,6 +557,22 @@ def test_an_event_of_no_known_kind_or_with_a_bad_target_does_not_decode(edit, er
     assert EngineEvent.from_dict(event.to_dict()) == event
     with pytest.raises(error):
         EngineEvent.from_dict({**event.to_dict(), **edit})
+
+
+UNKNOWN_KEYS = [
+    (Fact, {"field": "Deadline", "value": "May", "tag": "p"}, "tag"),
+    (FactBundle, {"facts": [], "text": "x", "hnit": "t"}, "hnit"),
+    (Query, {"text": "plan deadline", "mdoe": "explicit"}, "mdoe"),
+    (EvidenceItem, {**EvidenceItem("dependency_flag", "plan").to_dict(), "cause": "src.A"}, "cause"),
+    (EngineEvent, {**EngineEvent.tick().to_dict(), "count": 2}, "count"),
+    (EngineEvent, {**EngineEvent.ingest(bundle("x", hint="t", A="1")).to_dict(), "hint": "t"}, "hint"),
+]
+
+
+@pytest.mark.parametrize("decoded, value, key", UNKNOWN_KEYS, ids=lambda v: getattr(v, "__name__", None))
+def test_an_input_with_an_unknown_key_does_not_decode(decoded, value, key):
+    with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+        decoded.from_dict(value)
 
 
 @pytest.mark.parametrize(

@@ -334,7 +334,8 @@ def test_a_mutated_workload_line_is_refused_or_runs(scratch, data):
 @given(data=st.data())
 def test_a_mutated_probe_is_refused_or_audits(journal_frames, scratch, data):
     journal, _ = journal_frames
-    probe = data.draw(st.sampled_from([line for line in WORKLOAD_LINES if line["op"] == "query"]))
+    line = data.draw(st.sampled_from([line for line in WORKLOAD_LINES if line["op"] == "query"]))
+    probe = {k: v for k, v in line.items() if k not in ("op", "expected")}
     path = scratch / "mutant.probes"
     path.write_text(json.dumps(data.draw(json_mutants(probe))) + "\n", encoding="utf-8")
     loads = _decodes(lambda: _load_probes(str(path)), WorkloadError)

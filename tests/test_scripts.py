@@ -14,7 +14,6 @@ from pathlib import Path
 import pytest
 
 from gemstore.transaction import DELTA_KINDS
-from test_workload import DEADLINE_CSV
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -40,13 +39,6 @@ def test_run_deadline_answers_the_moved_deadline():
     assert result.returncode == 0, result.stdout + result.stderr
     assert "website-redesign.Deadline = 'April 20' (tick 12)" in result.stdout
     assert "PASS C1-C6" in result.stdout
-
-
-def test_compare_deadline_writes_the_golden_csv(tmp_path):
-    csv_path = tmp_path / "deadline.csv"
-    result = _run("compare_deadline.py", str(csv_path))
-    assert result.returncode == 0, result.stdout + result.stderr
-    assert csv_path.read_text(encoding="utf-8") == DEADLINE_CSV
 
 
 def test_soak_audit_runs_clean():

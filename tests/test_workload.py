@@ -79,6 +79,22 @@ def test_parse_workload_rejects_a_malformed_line(line):
         parse_workload('{"op": "forget"}\n' + line)
 
 
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ('{"op": "query", "text": "plan deadline", "mdoe": "explicit"}', "mdoe"),
+        ('{"op": "ingest", "facts": [{"field": "A", "value": "1"}], "text": "x", "hnit": "t"}', "hnit"),
+        ('{"op": "ingest", "facts": [{"field": "A", "value": "1", "tag": "p"}], "text": "x"}', "tag"),
+        ('{"op": "tick", "cuont": 2}', "cuont"),
+        ('{"op": "revise", "target": "t"}', "target"),
+        ('{"op": "forget", "count": 1}', "count"),
+    ],
+)
+def test_parse_workload_refuses_an_unknown_key_by_name(line, key):
+    with pytest.raises(WorkloadError, match=f"line 2: .*unknown key '{key}'"):
+        parse_workload('{"op": "forget"}\n' + line)
+
+
 def test_a_topic_archived_assert_expects_an_archived_topic_by_default():
     (event,) = parse_workload('{"op": "assert", "check": "topic_archived", "topic": "t"}')
     assert event.check == {"check": "topic_archived", "topic": "t", "value": True}
