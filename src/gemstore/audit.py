@@ -7,6 +7,14 @@ a deliberate second implementation of "what should be current", never read
 from engine state.  Units whose current value was produced by a committed
 revision are exempt from the shadow comparison (their values are derived,
 not ingested); they are still covered by C2 and C4.
+
+The stale-value check of C2 and the footprint bound of C5 read the
+auditor's own `Tally`: each topic's active fields and whether it serves a
+superseded value, counted from the genesis and recounted, after each record,
+for the topics its deltas name, never read from the engine's parts.  C6
+ranks the hide keys of the whole store only for a retrieve whose deltas can
+move an unaccessed unit's key (`_ranks_may_worsen`); the cost of these three
+checks follows what the record touches, not the size of the store.
 """
 
 from __future__ import annotations
@@ -14,10 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from .engine import CorruptJournalError, EngineEvent, Journal, replay_record
-from .model import MemoryState, active_footprint, canonical_json, decoding, stale_current_exists
+from .engine import CorruptJournalError, EngineEvent, Journal, TransitionRecord, replay_record
+from .model import Field, MemoryState, Topic, canonical_json, decoding
 from .operators import FactBundle, OperatorError, Query, retrieve_read
 from .policy import EventKind, evaluate_condition
+from .salience import ACTIVE
+from .transaction import DELTA_KINDS
 
 CONDITIONS = ("c1", "c2", "c3", "c4", "c5", "c6")
 
@@ -25,6 +35,13 @@ CONDITIONS = ("c1", "c2", "c3", "c4", "c5", "c6")
 # cannot lose provenance, so the before/after scan is skipped
 _PROVENANCE_RISK_DELTAS = frozenset(
     ("history_compressed", "field_removed", "field_installed", "topic_removed", "entry_superseded")
+)
+
+# delta kinds that can move the hide key of any unit, or add a unit to the
+# ranked set or drop one from it (see `_hide_ranks`)
+_RANK_MOVING_DELTAS = frozenset(
+    ("epoch_advanced", "topic_created", "topic_removed", "topic_archived", "field_created", "field_removed",
+     "field_installed")
 )
 
 
@@ -95,11 +112,73 @@ def shadow_expected(ledger: ShadowLedger, topic_id: str, field_name: str) -> Opt
     return None  # unknown or ambiguous: no opinion
 
 
+def _serves_stale(f: Field) -> bool:
+    """Whether the field's latest non-compressed entry is superseded while an
+    earlier one is still current: a supersede without a newer entry, which
+    would serve the superseded value as current."""
+    superseded = [entry.superseded for entry in f.history if not entry.compressed]
+    return bool(superseded) and superseded[-1] and not all(superseded)
+
+
+def _topic_tally(topic: Topic) -> tuple[int, bool]:
+    """The topic's active fields if it is live, and whether it serves a
+    stale value."""
+    fields = topic.fields.values()
+    active = 0 if topic.archived else sum(f.tier is ACTIVE for f in fields)
+    return active, any(map(_serves_stale, fields))
+
+
+class Tally:
+    """The auditor's own `_topic_tally` of each topic and its totals:
+    `footprint`, the active fields of live topics, which C5 bounds, and
+    `stale`, the topics that would serve a superseded value as current,
+    which C2 requires to be 0.  Counted from the genesis, then kept by
+    `after`, which recounts the topics a record's deltas name: no other
+    topic changes in a transition."""
+
+    def __init__(self, state: MemoryState):
+        self.topics: dict[str, tuple[int, bool]] = {}
+        self.footprint = 0
+        self.stale = 0
+        self.recount(state, state.topics)
+
+    def after(self, state: MemoryState, record: TransitionRecord) -> None:
+        """Recount the topics named by the deltas of `record`, just replayed
+        into `state`."""
+        named = set()
+        for delta in record.deltas:
+            subject = DELTA_KINDS[delta["kind"]].subject
+            if subject is not None:
+                named.add(delta[subject])
+        self.recount(state, named)
+
+    def recount(self, state: MemoryState, topic_ids) -> None:
+        for tid in topic_ids:
+            old_active, old_stale = self.topics.pop(tid, (0, False))
+            if tid in state.topics:
+                self.topics[tid] = _topic_tally(state.topics[tid])
+            new_active, new_stale = self.topics.get(tid, (0, False))
+            self.footprint += new_active - old_active
+            self.stale += new_stale - old_stale
+
+
+def _ranks_may_worsen(deltas: list[dict], accessed: set[tuple[str, str]]) -> bool:
+    """Whether `deltas` can move the hide key of a unit outside `accessed`,
+    or the set of ranked units; unless they can, `_hide_ranks` cannot find
+    a bumped unit whose rank worsened."""
+    return any(
+        d["kind"] in _RANK_MOVING_DELTAS
+        or d["kind"] in ("salience_set", "unit_accessed") and (d.get("topic"), d.get("field")) not in accessed
+        for d in deltas
+    )
+
+
 def audit(journal: Journal, probes: list[Query]) -> ViolationReport:
     report = ViolationReport()
     cfg = journal.config
     lam = cfg.salience.decay
     state = journal.genesis_state()
+    tally = Tally(state)
 
     ledger = ShadowLedger()
     revision_touched: set[tuple[str, str]] = set()
@@ -136,12 +215,14 @@ def audit(journal: Journal, probes: list[Query]) -> ViolationReport:
             if t in pre_state.topics and f in pre_state.topics[t].fields
         }
         accessed_set = set(accessed_units)
-        pre_ranks = _hide_ranks(pre_state, lam, accessed_set)
+        rank_check = bool(accessed_units) and _ranks_may_worsen(record.deltas, accessed_set)
+        pre_ranks = _hide_ranks(pre_state, lam, accessed_set) if rank_check else {}
         pre_prov = None
         if record.operator in ("revise", "forget", "tick") and delta_kinds & _PROVENANCE_RISK_DELTAS:
             pre_prov = _reachable_provenance(pre_state)
 
         replay_record(state, record)
+        tally.after(state, record)
 
         # --- bookkeeping from deltas -----------------------------------
         changed_topics = set()
@@ -189,7 +270,7 @@ def audit(journal: Journal, probes: list[Query]) -> ViolationReport:
                 continue
             if evaluate_condition(policy.condition, state, ctx):
                 report.add("c2", tick, policy.name, "post-commit state violates a pre_commit policy")
-        if stale_current_exists(state):
+        if tally.stale:
             report.add("c2", tick, "state", "a superseded value would be returned as current")
 
         # --- C4: provenance preservation --------------------------------
@@ -200,14 +281,13 @@ def audit(journal: Journal, probes: list[Query]) -> ViolationReport:
                 report.add("c4", tick, item[0], f"provenance record lost: {item}")
 
         # --- C5: bounded active state ------------------------------------
-        footprint = active_footprint(state)
         bound = cfg.beta.bound(tick)
-        if footprint > bound:
-            report.add("c5", tick, "footprint", f"active footprint {footprint} exceeds bound {bound}")
+        if tally.footprint > bound:
+            report.add("c5", tick, "footprint", f"active footprint {tally.footprint} exceeds bound {bound}")
 
         # --- C6: retrieval-induced adaptation ----------------------------
         if record.operator == "retrieve" and accessed_units:
-            post_ranks = _hide_ranks(state, lam, accessed_set)
+            post_ranks = _hide_ranks(state, lam, accessed_set) if rank_check else {}
             unbumped = []
             worsened = []
             for unit in accessed_units:
@@ -259,7 +339,20 @@ def _hide_ranks(state: MemoryState, lam: float, accessed: set[tuple[str, str]]) 
     """Each accessed live unit's rank among the unaccessed ones: how many
     unaccessed units have a smaller hide key (salience, last_access, field,
     topic) and would be hidden before it.  Accessed units may legitimately
-    swap among themselves, so they are not counted."""
+    swap among themselves, so they are not counted.
+
+    C6 calls it, before and after a retrieve, only when `_ranks_may_worsen`
+    holds, for otherwise no rank can worsen.  A unit's key reads its
+    salience, `since`, last access and topic's epoch and archival; of the
+    delta kinds, only an epoch advance, the creation, removal or archival of
+    a topic, the creation, removal or installation of a field, and a
+    salience set or access of a unit change them or the set of live units.
+    Without those, and with every salience set or access on an accessed
+    unit, no unaccessed key and no member of the unaccessed set changes.
+    Then an accessed unit whose salience rose strictly has a strictly larger
+    key, still above every unaccessed key it was above, so its rank cannot
+    fall; and one whose salience did not rise is reported as unbumped,
+    whatever its rank."""
     if not accessed:
         return {}
     keys = {}

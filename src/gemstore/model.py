@@ -45,7 +45,7 @@ class Provenance:
 
     @staticmethod
     def from_dict(d: dict) -> "Provenance":
-        check_types(TypeError, "provenance", d, _PROVENANCE_TYPES)
+        _check_fields("provenance", d, _PROVENANCE_TYPES)
         return Provenance(d["source_id"], d["event_id"], d["excerpt"])
 
 
@@ -68,7 +68,7 @@ class ValueEntry:
 
     @staticmethod
     def from_dict(d: dict) -> "ValueEntry":
-        check_types(TypeError, "entry", d, _ENTRY_TYPES)
+        _check_fields("entry", d, _ENTRY_TYPES)
         return ValueEntry(
             value=d["value"],
             at=d["at"],
@@ -120,7 +120,7 @@ class Field:
 
     @staticmethod
     def from_dict(d: dict) -> "Field":
-        check_types(TypeError, "field", d, _FIELD_TYPES)
+        _check_fields("field", d, _FIELD_TYPES)
         return Field(
             name=d["name"],
             entity_tag=d["entity_tag"],
@@ -192,7 +192,7 @@ class Topic:
 
     @staticmethod
     def from_dict(d: dict) -> "Topic":
-        check_types(TypeError, "topic", d, _TOPIC_TYPES)
+        _check_fields("topic", d, _TOPIC_TYPES)
         fields = {name: Field.from_dict(f) for name, f in d["fields"].items()}
         for name, f in fields.items():
             if f.name != name:
@@ -239,7 +239,7 @@ class Edge:
 
     @staticmethod
     def from_dict(d: dict) -> "Edge":
-        check_types(TypeError, "edge", d, _EDGE_TYPES)
+        _check_fields("edge", d, _EDGE_TYPES)
         return Edge(d["src"], d["dst"], EdgeKind(d["kind"]), d["created_at"])
 
 
@@ -784,8 +784,18 @@ def check_keys(error: type[Exception], what: str, values: dict, known) -> None:
         raise error(f"{what} has an unknown key {unknown[0]!r}")
 
 
-# the nested payloads of topics and deltas; each decoder raises TypeError for
-# a missing key or a value of another type
+def _check_fields(what: str, d: dict, types: dict[str, tuple[type, ...]]) -> None:
+    """Check a decoder's input `d` against `types`: a missing key raises
+    KeyError, a value of another type TypeError (`check_types`), and a key
+    that `types` does not name ValueError (`check_keys`).  Once every key of
+    `types` is found, `d` has another exactly when it is longer."""
+    check_types(TypeError, what, d, types)
+    if len(d) != len(types):
+        check_keys(ValueError, what, d, types)
+
+
+# the keys and value types of each part of a state, and of the nested
+# payloads of deltas, that a decoder checks by `_check_fields`
 _PROVENANCE_TYPES = {"source_id": STR, "event_id": INT, "excerpt": STR}
 _ENTRY_TYPES = {"value": STR, "at": INT, "provenance": LIST, "superseded": BOOL, "compressed": BOOL}
 _FIELD_TYPES = {"name": STR, "entity_tag": STR_OR_NULL, "history": LIST, "salience": NUMBER, "since": INT,
@@ -810,9 +820,9 @@ def state_to_dict(state: MemoryState) -> dict:
 
 def state_from_dict(d: dict) -> MemoryState:
     """Decode a genesis or snapshot state, each of whose parts must carry its
-    keys with their types, each topic and field keyed under its own name;
-    anything else raises KeyError, TypeError or ValueError."""
-    check_types(TypeError, "state", d, _STATE_TYPES)
+    keys with their types and no other key, each topic and field keyed under
+    its own name; anything else raises KeyError, TypeError or ValueError."""
+    _check_fields("state", d, _STATE_TYPES)
     edges = {}
     for ed in d["edges"]:
         e = Edge.from_dict(ed)

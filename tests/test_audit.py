@@ -3,11 +3,11 @@ import pytest
 from conftest import build_state, build_topic
 from gemstore.audit import audit, render_report, report_to_dict
 from gemstore.baseline import BaselineJournalAdapter
-from gemstore.config import EngineConfig
+from gemstore.config import BetaSpec, EngineConfig
 from gemstore import engine as engine_module
 from gemstore.engine import CorruptJournalError, Engine, EngineEvent, replay
 from gemstore.operators import Fact, FactBundle, Query, RuleTable
-from gemstore.policy import parse_policies
+from gemstore.policy import default_policy_set, parse_policies
 
 
 def bundle(text, hint=None, **facts):
@@ -179,4 +179,57 @@ def test_c6_catches_an_unaccessed_unit_bumped_past_an_accessed_one(monkeypatch):
         "C6: 1",
         f"  tick 3 retrieve: {detail}",
         '{"c1":[],"c2":[],"c3":[],"c4":[],"c5":[],"c6":[{"detail":"' + detail + '","subject":"retrieve","tick":3}]}',
+    ]
+
+
+def _policies_without(name):
+    return [p for p in default_policy_set() if p.name != name]
+
+
+def test_c5_catches_a_footprint_past_beta_without_the_footprint_policy():
+    e = Engine(config=EngineConfig(beta=BetaSpec(base=2)), policies=_policies_without("bounded-active-state"))
+    _, records = e.submit(EngineEvent.ingest(bundle("three notes", hint="notes", A="1", B="2", C="3")))
+    assert records[-1].committed
+    detail = "active footprint 3 exceeds bound 2"
+    assert render_report(audit(e.journal, [])).splitlines() == [
+        "FAIL C1-C6: 1 violations",
+        "C1: 0",
+        "C2: 0",
+        "C3: 0",
+        "C4: 0",
+        "C5: 1",
+        f"  tick 1 footprint: {detail}",
+        "C6: 0",
+        '{"c1":[],"c2":[],"c3":[],"c4":[],"c5":[{"detail":"' + detail + '","subject":"footprint","tick":1}],"c6":[]}',
+    ]
+
+
+def test_c2_catches_an_update_that_leaves_the_superseded_entry_current(monkeypatch):
+    real_ingest = engine_module.ingest
+
+    def ingest_superseding_the_new_entry(txn, b, cfg):
+        fact = b.facts[0]
+        if b.topic_hint not in txn.state.topics:
+            return real_ingest(txn, b, cfg)
+        txn.append_entry(b.topic_hint, fact.field, fact.value, ())
+        newest = len(txn.state.topics[b.topic_hint].fields[fact.field].history) - 1
+        txn.supersede_entry(b.topic_hint, fact.field, newest)  # the old entry stays current
+        return [("field_updated", {"updated_topic": b.topic_hint, "updated_field": fact.field})]
+
+    monkeypatch.setattr(engine_module, "ingest", ingest_superseding_the_new_entry)
+    e = Engine(policies=_policies_without("reject-stale-current"))
+    e.submit(EngineEvent.ingest(bundle("web deadline", hint="web", Deadline="March 15")))
+    _, records = e.submit(EngineEvent.ingest(bundle("moved", hint="web", Deadline="April 20")))
+    assert records[-1].committed
+    detail = "a superseded value would be returned as current"
+    assert render_report(audit(e.journal, [])).splitlines() == [
+        "FAIL C1-C6: 1 violations",
+        "C1: 0",
+        "C2: 1",
+        f"  tick 2 state: {detail}",
+        "C3: 0",
+        "C4: 0",
+        "C5: 0",
+        "C6: 0",
+        '{"c1":[],"c2":[{"detail":"' + detail + '","subject":"state","tick":2}],"c3":[],"c4":[],"c5":[],"c6":[]}',
     ]

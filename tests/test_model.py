@@ -173,3 +173,26 @@ def test_digest_ignores_edge_insertion_order():
     b.edges = dict(reversed(list(b.edges.items())))
     assert list(a.edges) != list(b.edges)
     assert state_digest(a) == state_digest(b)
+
+
+# each decoder of a state's parts, and where its input sits in a state's dict
+_DECODERS = {
+    "state": (state_from_dict, lambda d: d),
+    "topic": (Topic.from_dict, lambda d: d["topics"]["p"]),
+    "field": (Field.from_dict, lambda d: d["topics"]["p"]["fields"]["A"]),
+    "entry": (ValueEntry.from_dict, lambda d: d["topics"]["p"]["fields"]["A"]["history"][0]),
+    "provenance": (Provenance.from_dict, lambda d: d["topics"]["p"]["fields"]["A"]["history"][0]["provenance"][0]),
+    "edge": (Edge.from_dict, lambda d: d["edges"][0]),
+}
+
+
+@pytest.mark.parametrize("what", sorted(_DECODERS))
+def test_a_decoder_refuses_a_key_that_names_no_field(what):
+    decode, part = _DECODERS[what]
+    d = state_to_dict(_digest_sample())
+    decode(part(d))
+    part(d)["tag"] = "x"
+    with pytest.raises(ValueError, match=f"^{what} has an unknown key 'tag'$"):
+        decode(part(d))
+    with pytest.raises(ValueError, match=f"^{what} has an unknown key 'tag'$"):
+        state_from_dict(d)  # a genesis or snapshot carrying it

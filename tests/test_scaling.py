@@ -1,6 +1,9 @@
 """Deterministic scaling guards: the work a transition does is counted, not
 timed, so these hold on any machine."""
 
+import importlib
+from collections import Counter
+
 from conftest import build_state, build_topic
 from gemstore import embedding, operators
 from gemstore.config import BetaSpec, EngineConfig
@@ -11,6 +14,8 @@ from gemstore.operators import Fact, FactBundle, Query
 from gemstore.salience import decay
 
 N_TOPICS = 1000
+
+audit_module = importlib.import_module("gemstore.audit")  # `gemstore.audit` names the function
 
 
 def _large_state(edges=()):
@@ -243,3 +248,25 @@ def test_ranking_scores_only_the_topics_that_share_a_bucket_with_the_query(monke
     assert [r.outcome for r in records] == ["committed"]
     assert engine.state.topics["t0700"].fields["Status"].current_entry().value == "done"  # routed, not created
     assert compared == [] and scans == []
+
+
+def test_the_audit_of_ingests_and_retrieves_recounts_only_the_topics_their_deltas_name(monkeypatch):
+    engine = Engine(config=EngineConfig(beta=BetaSpec(base=2 * N_TOPICS)), genesis=_large_state())
+    for i in (100, 500, 900):
+        bundle = FactBundle((Fact("Status", "done"),), "status update", topic_hint=f"t{i:04d}")
+        engine.submit(EngineEvent.ingest(bundle))
+        engine.submit(EngineEvent.retrieve(Query(text=f"w{i}a w{i}b status")))
+    records = engine.journal.records
+    assert [r.operator for r in records] == ["ingest", "retrieve"] * 3 and all(r.committed for r in records)
+    assert all(d["kind"] == "unit_accessed" for r in records[1::2] for d in r.deltas)
+
+    tallied, ranked = [], []
+    real_tally, real_ranks = audit_module._topic_tally, audit_module._hide_ranks
+    monkeypatch.setattr(audit_module, "_topic_tally", lambda topic: tallied.append(topic.id) or real_tally(topic))
+    monkeypatch.setattr(audit_module, "_hide_ranks", lambda *args: ranked.append(1) or real_ranks(*args))
+    assert audit_module.audit(engine.journal, []).passed
+    assert ranked == []
+    # the genesis is counted once; then each record recounts the topics it names
+    named = [tid for r in records for tid in {d["topic"] for d in r.deltas}]
+    assert sorted(tallied[:N_TOPICS]) == sorted(engine.journal.genesis["topics"])
+    assert Counter(tallied[N_TOPICS:]) == Counter(named)

@@ -71,6 +71,9 @@ _FIELD = Field("h").to_dict()
         ({"kind": "field_installed", "topic": "t", "payload": {**_FIELD, "history": [_BAD_ENTRY]}},
          "entry value must be str"),
         ({"kind": "field_installed", "topic": "t", "payload": {**_FIELD, "tier": "Gone"}}, "is not a valid Tier"),
+        ({"kind": "field_installed", "topic": "t", "payload": {**_FIELD, "tag": "x"}}, "field has an unknown key 'tag'"),
+        ({"kind": "entry_appended", "topic": "t", "field": "f", "value": "2",
+          "provenance": [{"source_id": "s", "event_id": 1, "excerpt": "", "at": 1}]}, "provenance has an unknown key 'at'"),
     ],
 )
 def test_apply_delta_refuses_a_malformed_nested_payload_and_changes_nothing(delta, match):
