@@ -15,6 +15,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field, replace
 from enum import Enum
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Iterable, NamedTuple, Optional
 
 from .embedding import EmbeddingVector, embed, tokenize
@@ -49,13 +50,22 @@ class Provenance:
         return Provenance(d["source_id"], d["event_id"], d["excerpt"])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValueEntry:
+    """One value of a field's history.  An entry never changes once made (a
+    supersede or a compression replaces it), so it encodes itself once, when
+    made: `canonical_bytes` is `canonical_json(self.to_dict())`, encoded,
+    kept in a slot, and `replace` makes a new entry that encodes itself."""
+
     value: str
     at: int
     provenance: tuple[Provenance, ...]
     superseded: bool = False
     compressed: bool = False
+    canonical_bytes: bytes = dc_field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "canonical_bytes", _entry_json(self).encode())
 
     def to_dict(self) -> dict:
         return {
@@ -102,10 +112,27 @@ class Field:
 
     def current_entry(self) -> Optional[ValueEntry]:
         """Last non-compressed, non-superseded entry, ignoring tier."""
-        for entry in reversed(self.history):
+        i = self.current_index()
+        return None if i is None else self.history[i]
+
+    def current_index(self) -> Optional[int]:
+        """The index of `current_entry()` in the history, found from the end."""
+        history = self.history
+        for i in range(len(history) - 1, -1, -1):
+            entry = history[i]
             if not entry.superseded and not entry.compressed:
-                return entry
+                return i
         return None
+
+    def canonical_items(self) -> list[bytes]:
+        """`canonical_json(self.to_dict())`, encoded, as the items whose join
+        by commas it is: each entry's `canonical_bytes`, the first and the
+        last with the JSON around them (`_enclosed`)."""
+        head = f'{{"entity_tag":{_json(self.entity_tag)},"history":['
+        tail = (f'],"last_access":{_json(self.last_access)},"name":{_json(self.name)},'
+                f'"salience":{_json(self.salience)},"since":{_json(self.since)},'
+                f'"tier":{_encode_str(self.tier.value)}}}')
+        return _enclosed(head.encode(), [e.canonical_bytes for e in self.history], tail.encode())
 
     def to_dict(self) -> dict:
         return {
@@ -146,8 +173,9 @@ class Topic:
     archived: bool = False
     archived_at: Optional[int] = None  # the decay epoch its salience is frozen at
     merged_into: Optional[str] = None
-    # always None: the canonical bytes are not memoised; perfbench's cache
-    # counter still reads the name
+    # always None: each call of `canonical_bytes` joins the topic's bytes
+    # afresh from its entries' (`ValueEntry.canonical_bytes`); perfbench's
+    # cache counter still reads the name
     _canonical_cache = None
 
     def clone(self) -> "Topic":
@@ -208,7 +236,16 @@ class Topic:
         )
 
     def canonical_bytes(self) -> bytes:
-        return canonical_json(self.to_dict()).encode("utf-8")
+        """`canonical_json(self.to_dict())`, encoded, as one join by commas of
+        each field's `canonical_items()` and the topic's other keys around
+        them, so that each entry's bytes are copied once."""
+        items = []
+        for name, f in sorted(self.fields.items()):
+            items += _enclosed(f"{_encode_str(name)}:".encode(), f.canonical_items(), b"")
+        head = f'{{"archived":{_json(self.archived)},"archived_at":{_json(self.archived_at)},"fields":{{'
+        tail = (f'}},"id":{_json(self.id)},"merged_into":{_json(self.merged_into)},'
+                f'"summary":{_json(self.summary)},"title":{_json(self.title)}}}')
+        return b",".join(_enclosed(head.encode(), items, tail.encode()))
 
     def content_hash(self) -> bytes:
         """SHA-256 of `canonical_bytes()`."""
@@ -747,6 +784,40 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
+def _json(value) -> str:
+    """`canonical_json(value)` for a scalar: by hand for a string, an int, a
+    bool, None and a finite float, as `json` encodes each, and by
+    `canonical_json` for anything else."""
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int or kind is float and math.isfinite(value):
+        return repr(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    return canonical_json(value)
+
+
+def _enclosed(head: bytes, items: list[bytes], tail: bytes) -> list[bytes]:
+    """`items` with `head` joined to the first and `tail` to the last, so
+    that their join by commas is `head + b",".join(items) + tail`."""
+    if not items:
+        return [head + tail]
+    items[0] = head + items[0]
+    items[-1] += tail
+    return items
+
+
+def _entry_json(e: ValueEntry) -> str:
+    """`canonical_json(e.to_dict())`, by hand: keys sorted, no spaces."""
+    provenance = ",".join([f'{{"event_id":{_json(p.event_id)},"excerpt":{_json(p.excerpt)},'
+                           f'"source_id":{_json(p.source_id)}}}' for p in e.provenance])
+    return (f'{{"at":{_json(e.at)},"compressed":{_json(e.compressed)},"provenance":[{provenance}],'
+            f'"superseded":{_json(e.superseded)},"value":{_json(e.value)}}}')
+
+
 @contextmanager
 def decoding(error: type[ValueError], what: str):
     """Raise `error` naming `what` for any KeyError, TypeError or ValueError
@@ -849,7 +920,11 @@ def state_digest(state: MemoryState) -> str:
     """Content digest independent of container iteration order.
 
     Two levels: each topic contributes the SHA-256 of its canonical JSON, so
-    a commit re-serialises only the topics it touched.  Every section is
+    a commit re-hashes only the topics it touched.  A topic's bytes
+    (`Topic.canonical_bytes`) equal `canonical_json` of its `to_dict()`, but
+    are joined from each entry's bytes, encoded once when the entry is made,
+    so a commit encodes only the new entries and the scalars around them,
+    though it still hashes the whole topic.  Every section is
     self-delimiting: the clock and epoch pair and the revision queue are
     JSON values, the policies and the edges JSON lists of the encodings
     memoised on each (`canonical_bytes`), the policies in list order and

@@ -273,7 +273,7 @@ def ingest(txn: Txn, bundle: FactBundle, cfg: EngineConfig) -> list[tuple[str, d
             txn.set_salience(topic_id, fact.field, _bumped(s, cfg.salience))
             continue
         if current is not None:
-            txn.supersede_entry(topic_id, fact.field, existing.history.index(current))
+            txn.supersede_entry(topic_id, fact.field, existing.current_index())
         txn.append_entry(topic_id, fact.field, fact.value, provenance)
         events.append(("field_updated", {"updated_topic": topic_id, "updated_field": fact.field}))
     return events
@@ -481,7 +481,7 @@ def _repair_dependency(txn: Txn, item: EvidenceItem, rules: RuleTable) -> list[t
         if new_value == current.value:
             continue
         prov = Provenance("revision", cause_entry.at, f"{cause} -> {cause_entry.value}")
-        txn.supersede_entry(topic_id, rule.dependent_field, dep.history.index(current))
+        txn.supersede_entry(topic_id, rule.dependent_field, dep.current_index())
         txn.append_entry(topic_id, rule.dependent_field, new_value, (prov,))
         events.append(("field_updated", {"updated_topic": topic_id, "updated_field": rule.dependent_field}))
     return events

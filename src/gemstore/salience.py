@@ -109,9 +109,9 @@ def compress_cut(f: "Field", tier: Tier, k_recent: int) -> int:
     cut = len(f.history) - k_recent
     if tier is ACTIVE or cut < 2:
         return 0
-    current = f.current_entry()
+    current = f.current_index()
     if current is not None:
-        cut = min(cut, f.history.index(current))
+        cut = min(cut, current)
     return cut if cut >= 2 else 0
 
 

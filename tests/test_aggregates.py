@@ -28,6 +28,7 @@ from gemstore.model import (
     Topic,
     ValueEntry,
     active_footprint,
+    canonical_json,
     stale_current_exists,
     state_digest,
     state_from_dict,
@@ -49,6 +50,8 @@ def assert_aggregates_exact(state: MemoryState) -> None:
     pending and its unbuilt parts unbuilt."""
     fresh = state_from_dict(state_to_dict(state))
     assert state_digest(state) == state_digest(fresh)
+    for topic in state.topics.values():  # the hand-written encoder against its oracle
+        assert topic.canonical_bytes() == canonical_json(topic.to_dict()).encode(), topic.id
     fork = state.shallow_clone()
     for name in state.parts:
         settled = fork.part(name)

@@ -1,4 +1,8 @@
+import math
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gemstore.model import (
     Edge,
@@ -45,6 +49,79 @@ def test_current_entry_skips_superseded_and_compressed():
     assert f.current_entry().value == "new"
     f.history = [ValueEntry("only", Timestamp(1), (), superseded=True)]
     assert f.current_entry() is None
+
+
+# equal entries, as distinct objects, so that a history may hold copies
+_EQUAL_ENTRIES = st.builds(
+    lambda value, superseded, compressed: ValueEntry(value, 1, (), superseded=superseded, compressed=compressed),
+    st.sampled_from("ab"), st.booleans(), st.booleans(),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.lists(_EQUAL_ENTRIES, max_size=8))
+def test_current_index_finds_the_current_entry_from_the_end(entries):
+    f = Field(name="F", history=entries)
+    i = f.current_index()
+    current = f.current_entry()
+    if current is None:
+        assert i is None
+        return
+    assert f.history[i] is current
+    assert all(e.superseded or e.compressed for e in f.history[i + 1:])
+    # `history.index` finds the first entry equal to the current one, which
+    # is an earlier copy when the history holds one
+    first = f.history.index(current)
+    assert f.history[first] == current
+    assert (first == i) == (f.history.count(current) == 1)
+
+
+_TEXT = st.text(st.characters(exclude_categories=()), max_size=6)  # any code point, surrogates too
+_NUMBERS = st.one_of(st.integers(), st.floats(), st.sampled_from([-0.0, 1e16, 5e-324, math.inf]))
+_PROVENANCE = st.builds(Provenance, _TEXT, st.integers(), _TEXT)
+_ENTRIES = st.builds(ValueEntry, _TEXT, st.integers(), st.lists(_PROVENANCE, max_size=3).map(tuple),
+                     st.booleans(), st.booleans())
+_FIELDS = st.builds(Field, _TEXT, st.none() | _TEXT, st.lists(_ENTRIES, max_size=3), _NUMBERS, st.integers(),
+                    st.sampled_from(Tier), st.integers())
+_TOPICS = st.builds(
+    lambda tid, title, summary, fields, archived, archived_at, merged_into: Topic(
+        tid, title, summary, fields={f.name: f for f in fields}, archived=archived, archived_at=archived_at,
+        merged_into=merged_into),
+    _TEXT, _TEXT, _TEXT, st.lists(_FIELDS, max_size=3), st.booleans(), st.none() | st.integers(),
+    st.none() | _TEXT,
+)
+
+
+def _assert_encoded_as_json(topic: Topic) -> None:
+    assert topic.canonical_bytes() == canonical_json(topic.to_dict()).encode()
+    for f in topic.fields.values():
+        assert b",".join(f.canonical_items()) == canonical_json(f.to_dict()).encode()
+        for e in f.history:
+            assert e.canonical_bytes == canonical_json(e.to_dict()).encode()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_TOPICS)
+def test_canonical_bytes_equal_canonical_json(topic):
+    _assert_encoded_as_json(topic)
+    # a replaced entry encodes itself anew, so its bytes follow its flags
+    for f in topic.fields.values():
+        f.history = [replace(e, superseded=not e.superseded) for e in f.history]
+    _assert_encoded_as_json(topic)
+
+
+def test_canonical_bytes_of_a_decoded_genesis_equal_canonical_json():
+    state = MemoryState()
+    state.topics["t"] = make_topic("t", Deadline="März 15\n\u0007", Owner="dana")
+    state.topics["t"].fields["Owner"].entity_tag = "staff"
+    state.topics["u"] = make_topic("u")  # no fields
+    d = state_to_dict(state)
+    d["topics"]["t"]["fields"]["Deadline"]["salience"] = 1  # an int, as JSON may hold it
+    decoded = state_from_dict(d)
+    assert type(decoded.topics["t"].fields["Deadline"].salience) is int
+    for topic in decoded.topics.values():
+        _assert_encoded_as_json(topic)
+    assert decoded.topics["t"].canonical_bytes() == canonical_json(d["topics"]["t"]).encode()
 
 
 def test_current_value_respects_tier_and_archive():

@@ -5,11 +5,11 @@ import importlib
 from collections import Counter
 
 from conftest import build_state, build_topic
-from gemstore import embedding, operators
+from gemstore import embedding, model, operators
 from gemstore.config import BetaSpec, EngineConfig
 from gemstore.engine import Engine, EngineEvent
 from gemstore.embedding import EmbeddingVector, embed
-from gemstore.model import Evidence, MemoryState, Topic, active_footprint
+from gemstore.model import Evidence, MemoryState, Provenance, Topic, ValueEntry, active_footprint
 from gemstore.operators import Fact, FactBundle, Query
 from gemstore.salience import decay
 
@@ -118,12 +118,28 @@ def test_an_auto_detect_revise_settles_only_the_topic_changed_since_the_last_rea
 def test_hinted_ingest_serialises_only_the_touched_topic(monkeypatch):
     engine = Engine(config=EngineConfig(beta=BetaSpec(base=2 * N_TOPICS)), genesis=_large_state())
     serialised = []
-    real = Topic.to_dict
-    monkeypatch.setattr(Topic, "to_dict", lambda self: serialised.append(self.id) or real(self))
+    real = Topic.canonical_bytes
+    monkeypatch.setattr(Topic, "canonical_bytes", lambda self: serialised.append(self.id) or real(self))
     bundle = FactBundle((Fact("Status", "done"),), "status update", topic_hint="t0500")
     _, records = engine.submit(EngineEvent.ingest(bundle))
     assert [r.outcome for r in records] == ["committed"]
     assert serialised == ["t0500"]
+
+
+def test_an_ingest_into_a_long_history_encodes_only_the_entries_it_makes(monkeypatch):
+    entries = [ValueEntry(f"d{i}", 0, (Provenance("genesis", i),), superseded=True) for i in range(999)]
+    topic = build_topic("hot", title="hot deadline", fields={"Deadline": "d999"})
+    topic.fields["Deadline"].history[:0] = entries
+    engine = Engine(genesis=build_state([topic]))
+    encoded = []
+    real = model._entry_json
+    monkeypatch.setattr(model, "_entry_json", lambda e: encoded.append(e.value) or real(e))
+    bundle = FactBundle((Fact("Deadline", "d1000"),), "deadline moved", topic_hint="hot")
+    _, records = engine.submit(EngineEvent.ingest(bundle))
+    assert [r.outcome for r in records] == ["committed"]
+    assert len(engine.state.topics["hot"].fields["Deadline"].history) == 1001
+    # the superseded copy of the old current entry, and the new one
+    assert encoded == ["d999", "d1000"]
 
 
 def test_tick_derives_no_embeddings(monkeypatch):

@@ -1,8 +1,8 @@
 """Smoke tests for the scripts under scripts/: each runs in a subprocess
-against the sources in src/, as a user would run it.  The two that compare
-checkouts run with PYTHONPATH naming a decoy gemstore instead, which they
-must not import.  The revision scenario of artefact_hashes.py is also
-imported, to read its journal."""
+against the sources in src/, as a user would run it.  The ones that import
+gemstore from their own checkout run with PYTHONPATH naming a decoy
+gemstore instead, which they must not import.  The revision scenario of
+artefact_hashes.py is also imported, to read its journal."""
 
 import importlib.util
 import json
@@ -18,8 +18,8 @@ from gemstore.transaction import DELTA_KINDS
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run(script: str, *args: str, pythonpath: Path = ROOT / "src") -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(pythonpath))
+def _run(script: str, *args: str, pythonpath: Path = ROOT / "src", **env: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(pythonpath), **env)
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
@@ -48,7 +48,9 @@ def test_soak_audit_runs_clean():
 
 
 def test_artefact_hashes_quick_profile_is_deterministic(decoy):
-    first, second = _run("artefact_hashes.py", "--quick"), _run("artefact_hashes.py", "--quick", pythonpath=decoy)
+    # two string-hash seeds, so that no byte may follow the order of a set or a hash
+    first = _run("artefact_hashes.py", "--quick", PYTHONHASHSEED="1")
+    second = _run("artefact_hashes.py", "--quick", pythonpath=decoy, PYTHONHASHSEED="2")
     assert first.returncode == second.returncode == 0, first.stderr + second.stderr
     lines = first.stdout.splitlines()
     assert lines == second.stdout.splitlines()
@@ -70,6 +72,18 @@ def test_the_revision_scenario_journals_every_delta_kind_but_topic_removed():
     records = engine.journal.records
     assert all(r.committed for r in records)
     assert {d["kind"] for r in records for d in r.deltas} == set(DELTA_KINDS) - {"topic_removed"}
+
+
+def test_hot_field_reports_each_window_of_updates(decoy):
+    result = _run("hot_field.py", "--updates", "120", "--block", "50", pythonpath=decoy)
+    assert result.returncode == 0, result.stdout + result.stderr
+    rows = [json.loads(line) for line in result.stdout.splitlines()]
+    assert [row["updates"] for row in rows] == [[0, 50], [0, 50], [50, 100], [100, 120]]
+    assert [row["retrieves"] for row in rows] == [10, 10, 10, 4]
+    for row in rows:
+        assert row["correct"] is True and row["entries"] == row["updates"][0]
+        assert row["ingest_p50_ms"] > 0 and row["retrieve_p50_ms"] > 0
+    assert rows[0]["ingest_p50_ratio"] == rows[0]["retrieve_p50_ratio"] == 1.0
 
 
 def test_store_sweep_reports_each_size_and_operator(decoy):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from gemstore.config import EngineConfig
 from gemstore.engine import Engine, EngineEvent
 from gemstore.model import canonical_json
 from gemstore.operators import Fact, FactBundle, Query
+from gemstore.storage import write_journal
 from gemstore.workload import (
     CSV_HEADER,
     WorkloadError,
@@ -197,3 +199,25 @@ def test_compare_deadline_matches_golden_csv():
     assert hashlib.sha256(encoded).hexdigest() == "1037c990045f2b3ddd1c90cdedd7a40b6c5cd106923679951609c2a11101f7d9"
     totals = audit(adapter.journal, [Query(text="website redesign deadline")]).totals()
     assert totals == {"c1": 18, "c2": 0, "c3": 0, "c4": 0, "c5": 4, "c6": 3}
+
+
+def _journal_sha(journal, tmp_path) -> str:
+    path = tmp_path / "pinned.journal"
+    write_journal(path, journal)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_engine_journals_and_digests_are_pinned(tmp_path):
+    # the `deadline.journal`, `soak.0.journal` and `soak.0.digests` lines of
+    # scripts/artefact_hashes.py: a change that moves them changes the
+    # engine's bytes, and updates these pins on purpose
+    engine = Engine()
+    run_workload(engine, load_workload(WORKLOADS / "deadline.workload"))
+    assert _journal_sha(engine.journal, tmp_path) == "955861b2d97605495d96a4fd71450e33a78b07f3da8ac924265d928f5a2fdab3"
+    engine = Engine()
+    run_workload(engine, generate_workload(0))
+    assert _journal_sha(engine.journal, tmp_path) == "10fe18d19f74498a6ab9d2a1d841509d9445e8418a605c9e2363c5cc5698d770"
+    trail = [engine.journal.genesis_digest]
+    trail += [[r.tick, r.operator, r.outcome, r.reason, r.digest_after] for r in engine.journal.records]
+    digests = hashlib.sha256(json.dumps(trail).encode()).hexdigest()
+    assert digests == "7810849fc4066248916b3255d735f0616146c453f6e9dc1f186ec485486b69ff"
