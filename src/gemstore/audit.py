@@ -8,13 +8,19 @@ from engine state.  Units whose current value was produced by a committed
 revision are exempt from the shadow comparison (their values are derived,
 not ingested); they are still covered by C2 and C4.
 
-The stale-value check of C2 and the footprint bound of C5 read the
-auditor's own `Tally`: each topic's active fields and whether it serves a
-superseded value, counted from the genesis and recounted, after each record,
-for the topics its deltas name, never read from the engine's parts.  C6
-ranks the hide keys of the whole store only for a retrieve whose deltas can
-move an unaccessed unit's key (`_ranks_may_worsen`); the cost of these three
-checks follows what the record touches, not the size of the store.
+A record changes only the topics its deltas name (`_named`), and the checks
+that would otherwise scan the whole store after every record work from those
+topics, so that their cost follows the record, not the size of the store:
+
+- C1 reads a probe again only when a named topic can enter or leave its top
+  k (`ProbeMemo`); its answers, read again or not, are judged after every
+  record;
+- C2's stale check and C5's bound read the auditor's own `Tally`, recounted
+  for the named topics, never read from the engine's parts;
+- C4 compares the provenance of the named topics before and after, and
+  scans the whole store only for records they dropped (`_lost_provenance`);
+- C6 ranks the hide keys of the whole store only for a retrieve whose deltas
+  can move an unaccessed unit's key (`_ranks_may_worsen`).
 """
 
 from __future__ import annotations
@@ -22,9 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from .engine import CorruptJournalError, EngineEvent, Journal, TransitionRecord, replay_record
+from .config import EngineConfig
+from .embedding import cosine, embed
+from .engine import CorruptJournalError, EngineEvent, Journal, replay_record
 from .model import Field, MemoryState, Topic, canonical_json, decoding
-from .operators import FactBundle, OperatorError, Query, retrieve_read
+from .operators import Answer, FactBundle, OperatorError, Query, retrieve_read
 from .policy import EventKind, evaluate_condition
 from .salience import ACTIVE
 from .transaction import DELTA_KINDS
@@ -132,25 +140,15 @@ class Tally:
     """The auditor's own `_topic_tally` of each topic and its totals:
     `footprint`, the active fields of live topics, which C5 bounds, and
     `stale`, the topics that would serve a superseded value as current,
-    which C2 requires to be 0.  Counted from the genesis, then kept by
-    `after`, which recounts the topics a record's deltas name: no other
-    topic changes in a transition."""
+    which C2 requires to be 0.  Counted from the genesis, then recounted
+    after each record for the topics it names: no other topic changes in a
+    transition."""
 
     def __init__(self, state: MemoryState):
         self.topics: dict[str, tuple[int, bool]] = {}
         self.footprint = 0
         self.stale = 0
         self.recount(state, state.topics)
-
-    def after(self, state: MemoryState, record: TransitionRecord) -> None:
-        """Recount the topics named by the deltas of `record`, just replayed
-        into `state`."""
-        named = set()
-        for delta in record.deltas:
-            subject = DELTA_KINDS[delta["kind"]].subject
-            if subject is not None:
-                named.add(delta[subject])
-        self.recount(state, named)
 
     def recount(self, state: MemoryState, topic_ids) -> None:
         for tid in topic_ids:
@@ -160,6 +158,64 @@ class Tally:
             new_active, new_stale = self.topics.get(tid, (0, False))
             self.footprint += new_active - old_active
             self.stale += new_stale - old_stale
+
+
+def _named(deltas: list[dict]) -> set[str]:
+    """The topics `deltas` name (`DELTA_KINDS[kind].subject`), the only ones
+    they can change.  A malformed delta names none: its replay fails."""
+    named = set()
+    for delta in deltas:
+        spec = DELTA_KINDS.get(delta["kind"])
+        subject = delta.get(spec.subject) if spec is not None else None
+        if type(subject) is str:
+            named.add(subject)
+    return named
+
+
+class ProbeMemo:
+    """A probe's answers from its last read, kept while no record can change
+    them.
+
+    A ranked read (mode default or historical) answers from its top k, the k
+    smallest `(-cosine, topic id)` keys over the live topics, and reads
+    nothing else of the state but the clock, which only grows.  Only the
+    topics a record names change, so after a record the top k and its
+    answers stand when no named topic is in it and no named topic that is
+    live now has a key below its k-th; with fewer than k keys, every live
+    topic was in it, so the record must leave no named topic live.  The key
+    is the float `rank_topics` computes: `cosine` divides the same integer
+    dot by `query.norm * vector.norm`.  Any other read, and one that raised,
+    is made again after every record."""
+
+    def __init__(self, probe: Query, cfg: EngineConfig):
+        self.probe = probe
+        self.cfg = cfg
+        self.query = embed(probe.text)
+        self.ranked: Optional[list[tuple[float, str]]] = None  # None: read again
+        self.answers: list[Answer] = []
+
+    def answers_after(self, state: MemoryState, named: set[str]) -> list[Answer]:
+        """The probe's answers on `state`, just changed in the topics `named`."""
+        if self.ranked is None or not self._holds(state, named):
+            try:
+                out = retrieve_read(state, self.probe, self.cfg)
+            except OperatorError:
+                self.ranked, self.answers = None, []
+            else:
+                self.ranked, self.answers = out.ranked, out.answers
+        return self.answers
+
+    def _holds(self, state: MemoryState, named: set[str]) -> bool:
+        ranked = self.ranked
+        if any(tid in named for _, tid in ranked):
+            return False
+        for tid in named:
+            topic = state.topics.get(tid)
+            if topic is None or topic.archived:
+                continue
+            if len(ranked) < self.cfg.k_topics or (-cosine(self.query, topic.vector()), tid) < ranked[-1]:
+                return False
+        return True
 
 
 def _ranks_may_worsen(deltas: list[dict], accessed: set[tuple[str, str]]) -> bool:
@@ -179,6 +235,7 @@ def audit(journal: Journal, probes: list[Query]) -> ViolationReport:
     lam = cfg.salience.decay
     state = journal.genesis_state()
     tally = Tally(state)
+    memos = [ProbeMemo(probe, cfg) for probe in probes]
 
     ledger = ShadowLedger()
     revision_touched: set[tuple[str, str]] = set()
@@ -196,6 +253,7 @@ def audit(journal: Journal, probes: list[Query]) -> ViolationReport:
         with decoding(CorruptJournalError, f"malformed record at tick {tick}"):
             event = EngineEvent.from_dict(record.input)
             delta_kinds = {d["kind"] for d in record.deltas}
+        named = _named(record.deltas)
         if record.operator == "retrieve" and event.query is None:
             raise CorruptJournalError(f"retrieve without a query at tick {tick}")
 
@@ -219,10 +277,10 @@ def audit(journal: Journal, probes: list[Query]) -> ViolationReport:
         pre_ranks = _hide_ranks(pre_state, lam, accessed_set) if rank_check else {}
         pre_prov = None
         if record.operator in ("revise", "forget", "tick") and delta_kinds & _PROVENANCE_RISK_DELTAS:
-            pre_prov = _reachable_provenance(pre_state)
+            pre_prov = _reachable_provenance(pre_state, named)
 
         replay_record(state, record)
-        tally.after(state, record)
+        tally.recount(state, named)
 
         # --- bookkeeping from deltas -----------------------------------
         changed_topics = set()
@@ -275,9 +333,7 @@ def audit(journal: Journal, probes: list[Query]) -> ViolationReport:
 
         # --- C4: provenance preservation --------------------------------
         if pre_prov is not None:
-            post_prov = _reachable_provenance(state)
-            missing = pre_prov - post_prov
-            for item in sorted(missing):
+            for item in sorted(_lost_provenance(pre_prov, state, named)):
                 report.add("c4", tick, item[0], f"provenance record lost: {item}")
 
         # --- C5: bounded active state ------------------------------------
@@ -307,12 +363,8 @@ def audit(journal: Journal, probes: list[Query]) -> ViolationReport:
                 report.add("c6", tick, "retrieve", "hide-ordering rank worsened for " + ", ".join(worsened))
 
         # --- C1: query soundness -----------------------------------------
-        for probe in probes:
-            try:
-                out = retrieve_read(state, probe, cfg)
-            except OperatorError:
-                continue
-            for answer in out.answers:
+        for memo in memos:
+            for answer in memo.answers_after(state, named):
                 unit = (answer.topic, answer.field)
                 if unit in revision_touched:
                     continue
@@ -364,14 +416,25 @@ def _hide_ranks(state: MemoryState, lam: float, accessed: set[tuple[str, str]]) 
     return {unit: sum(map(keys[unit].__gt__, others)) for unit in accessed if unit in keys}
 
 
-def _reachable_provenance(state: MemoryState) -> set[tuple[str, int, str]]:
+def _reachable_provenance(state: MemoryState, topic_ids=None) -> set[tuple[str, int, str]]:
+    """The provenance records held by the topics `topic_ids` that exist in
+    `state`, or by every topic."""
+    topics = state.topics.values() if topic_ids is None else [state.topics[t] for t in topic_ids if t in state.topics]
     out = set()
-    for topic in state.topics.values():
+    for topic in topics:
         for f in topic.fields.values():
             for entry in f.history:
                 for prov in entry.provenance:
                     out.add((prov.source_id, prov.event_id, prov.excerpt))
     return out
+
+
+def _lost_provenance(before: set, state: MemoryState, named: set[str]) -> set:
+    """The records of `before`, the provenance of the topics `named` before a
+    record, that `state`, after it, holds nowhere.  The other topics keep
+    theirs, so only records the named topics dropped need the whole store."""
+    lost = before - _reachable_provenance(state, named)
+    return lost - _reachable_provenance(state) if lost else lost
 
 
 # ---------------------------------------------------------------------------

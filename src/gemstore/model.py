@@ -925,19 +925,20 @@ def state_digest(state: MemoryState) -> str:
     are joined from each entry's bytes, encoded once when the entry is made,
     so a commit encodes only the new entries and the scalars around them,
     though it still hashes the whole topic.  Every section is
-    self-delimiting: the clock and epoch pair and the revision queue are
-    JSON values, the policies and the edges JSON lists of the encodings
-    memoised on each (`canonical_bytes`), the policies in list order and
-    the edges in byte order, and the topic hashes, in topic id order, are
-    fixed-width and preceded by their count.  The topic hashes, their order
-    and the edge section are read from the state's parts.
+    self-delimiting: the clock and epoch pair and the sorted revision queue
+    are their canonical JSON, written by hand; the policies and the edges
+    are JSON lists of the encodings memoised on each (`canonical_bytes`),
+    the policies in list order and the edges in byte order; and the topic
+    hashes, in topic id order, are fixed-width and preceded by their count.
+    The topic hashes, their order and the edge section are read from the
+    state's parts.
     """
     hashes = state.part("hashes").values
     h = hashlib.sha256()
-    h.update(canonical_json([state.clock, state.epoch]).encode())
+    h.update(b"[%d,%d]" % (state.clock, state.epoch))
     h.update(b"[" + b",".join([p.canonical_bytes for p in state.policies]) + b"]")
     h.update(state.part("edges").section)
-    h.update(canonical_json(sorted(list(pair) for pair in state.revision_queue)).encode())
+    h.update(("[" + ",".join(f"[{_json(t)},{_json(c)}]" for t, c in sorted(state.revision_queue)) + "]").encode())
     h.update(b"%d:" % len(hashes))
     h.update(b"".join(hashes.values()))
     return h.hexdigest()

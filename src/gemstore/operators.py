@@ -137,6 +137,9 @@ class RetrievalOutput:
     answers: list[Answer] = dc_field(default_factory=list)
     accessed_units: list[tuple[str, str]] = dc_field(default_factory=list)
     context: list[tuple[str, str]] = dc_field(default_factory=list)  # (topic id, summary)
+    # a ranked read's (-cosine, topic id) keys in ranking order; None for
+    # the other modes.  Only the auditor reads it (`audit.ProbeMemo`)
+    ranked: Optional[list[tuple[float, str]]] = None
 
 
 @dataclass(frozen=True)
@@ -327,11 +330,12 @@ def retrieve_read(state: MemoryState, q: Query, cfg: EngineConfig) -> RetrievalO
     if q.mode == "historical" and q.as_of is not None and q.as_of > state.clock:
         raise OperatorError("historical as_of is in the future")
 
-    ranked = [topic for _, _, topic in rank_topics(state, q.text, cfg.k_topics)]
+    ranked = rank_topics(state, q.text, cfg.k_topics)
+    out.ranked = [(score, tid) for score, tid, _ in ranked]
     q_tokens = set(tokenize(q.text))
 
     answered_topics = []
-    for topic in ranked:
+    for _, _, topic in ranked:
         topic_answered = False
         for name in sorted(topic.fields):
             f = topic.fields[name]

@@ -6,6 +6,7 @@ from gemstore.baseline import BaselineJournalAdapter
 from gemstore.config import BetaSpec, EngineConfig
 from gemstore import engine as engine_module
 from gemstore.engine import CorruptJournalError, Engine, EngineEvent, replay
+from gemstore.model import Field, ValueEntry
 from gemstore.operators import Fact, FactBundle, Query, RuleTable
 from gemstore.policy import default_policy_set, parse_policies
 
@@ -37,6 +38,20 @@ def test_c1_catches_stale_probe_answers():
     # the append-only store still surfaces the superseded March 15 record
     assert len(report.c1) >= 1
     assert any("March 15" in v.detail for v in report.c1)
+
+
+def test_c1_judges_an_answer_it_reuses_against_the_latest_ingest(monkeypatch):
+    # the second ingest commits without a delta, so the probe's answers are
+    # reused, but the ledger now expects April 20 of them
+    e = Engine()
+    e.submit(EngineEvent.ingest(bundle("website redesign deadline", hint="web", Deadline="March 15")))
+    monkeypatch.setattr(engine_module, "ingest", lambda txn, b, cfg: [])
+    _, records = e.submit(EngineEvent.ingest(bundle("moved", hint="web", Deadline="April 20")))
+    assert records[-1].committed and records[-1].deltas == []
+    report = audit(e.journal, [PROBE])
+    assert [(v.tick, v.subject, v.detail) for v in report.c1] == [
+        (2, "web.Deadline", "probe returned 'March 15', last ingested value is 'April 20'")]
+    assert report.totals() == {"c1": 1, "c2": 0, "c3": 0, "c4": 0, "c5": 0, "c6": 0}
 
 
 @pytest.mark.xfail(strict=True, reason="C1 compares a genesis-only topic with another topic's ingests (ROADMAP item 1)")
@@ -233,3 +248,30 @@ def test_c2_catches_an_update_that_leaves_the_superseded_entry_current(monkeypat
         "C6: 0",
         '{"c1":[],"c2":[{"detail":"' + detail + '","subject":"state","tick":2}],"c3":[],"c4":[],"c5":[],"c6":[]}',
     ]
+
+
+def _engine_with_notes(shared: bool) -> Engine:
+    """An engine on a genesis whose topic a holds the provenance record
+    ("seed", 1), as does topic c when `shared`; `_move_without_provenance`
+    revises a and b only."""
+    topics = [build_topic("a", fields={"Notes": "x"}, tick=1), build_topic("b", fields={"Owner": "kim"}, tick=2),
+              build_topic("c", fields={"Owner": "lee"}, tick=1 if shared else 3)]
+    return Engine(genesis=build_state(topics))
+
+
+def _move_without_provenance(txn, evidence, cfg, rules):
+    txn.install_field("b", Field("Notes", history=[ValueEntry("x", 1, ())]))
+    txn.remove_field("a", "Notes")
+    return []
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_c4_reports_a_provenance_record_only_when_no_topic_holds_it(monkeypatch, shared):
+    monkeypatch.setattr(engine_module, "revise", _move_without_provenance)
+    e = _engine_with_notes(shared)
+    _, records = e.submit(EngineEvent.revise(evidence=[]))
+    assert records[-1].committed
+    report = audit(e.journal, [])
+    lost = [] if shared else [(1, "seed", "provenance record lost: ('seed', 1, '')")]
+    assert [(v.tick, v.subject, v.detail) for v in report.c4] == lost
+    assert report.passed == shared

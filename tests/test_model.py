@@ -1,8 +1,9 @@
+import hashlib
 import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gemstore.model import (
     Edge,
@@ -250,6 +251,30 @@ def test_digest_ignores_edge_insertion_order():
     b.edges = dict(reversed(list(b.edges.items())))
     assert list(a.edges) != list(b.edges)
     assert state_digest(a) == state_digest(b)
+
+
+def _digest_by_canonical_json(state: MemoryState) -> str:
+    """`state_digest` with its clock and epoch pair and its revision queue
+    encoded by `canonical_json`."""
+    hashes = state.part("hashes").values
+    h = hashlib.sha256()
+    h.update(canonical_json([state.clock, state.epoch]).encode())
+    h.update(b"[" + b",".join([p.canonical_bytes for p in state.policies]) + b"]")
+    h.update(state.part("edges").section)
+    h.update(canonical_json(sorted(list(pair) for pair in state.revision_queue)).encode())
+    h.update(b"%d:" % len(hashes))
+    h.update(b"".join(hashes.values()))
+    return h.hexdigest()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.integers(), st.integers(), st.sets(st.tuples(st.sampled_from("pqr") | _TEXT, _TEXT), max_size=4))
+@example(0, 0, set())
+@example(7, 2, {("q", "p.A"), ("q", "r.A"), ("p", "Frist.März")})
+def test_the_digest_writes_the_clock_epoch_and_queue_as_canonical_json(clock, epoch, queue):
+    state = _digest_sample()
+    state.clock, state.epoch, state.revision_queue = clock, epoch, queue
+    assert state_digest(state) == _digest_by_canonical_json(state)
 
 
 # each decoder of a state's parts, and where its input sits in a state's dict

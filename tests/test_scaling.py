@@ -286,3 +286,33 @@ def test_the_audit_of_ingests_and_retrieves_recounts_only_the_topics_their_delta
     named = [tid for r in records for tid in {d["topic"] for d in r.deltas}]
     assert sorted(tallied[:N_TOPICS]) == sorted(engine.journal.genesis["topics"])
     assert Counter(tallied[N_TOPICS:]) == Counter(named)
+
+
+def test_the_audit_rereads_probes_and_rescans_provenance_only_for_the_topics_a_record_names(monkeypatch):
+    genesis = _large_state()
+    status = genesis.topics["t0300"].fields["Status"]
+    status.history = [ValueEntry(f"s{j}", j, (Provenance("seed", j),), superseded=True) for j in range(5)]
+    status.history.append(ValueEntry("s300", 5, (Provenance("seed", 5),)))
+    status.salience = 0.52  # below theta_summary after one decay step: the tick folds three entries
+    engine = Engine(config=EngineConfig(beta=BetaSpec(base=2 * N_TOPICS)), genesis=genesis)
+    for i in (100, 500, 900):
+        bundle = FactBundle((Fact("Status", "done"),), "status update", topic_hint=f"t{i:04d}")
+        engine.submit(EngineEvent.ingest(bundle))
+        engine.submit(EngineEvent.retrieve(Query(text=f"w{i}a w{i}b status")))
+    engine.submit(EngineEvent.tick())
+    records = engine.journal.records
+    assert [r.operator for r in records] == ["ingest", "retrieve"] * 3 + ["tick"] and all(r.committed for r in records)
+    assert {(d["kind"], d.get("topic")) for d in records[-1].deltas} == {
+        ("epoch_advanced", None), ("history_compressed", "t0300"), ("tier_set", "t0300")}
+
+    # the probes' top k holds none of the topics the records name
+    probes = [Query(text="w7a w7b w7c"), Query(text="w20a w20b", mode="historical")]
+    ranked, scanned = [], []
+    real_rank, real_scan = operators.rank_topics, audit_module._reachable_provenance
+    monkeypatch.setattr(operators, "rank_topics", lambda *args: ranked.append(1) or real_rank(*args))
+    monkeypatch.setattr(audit_module, "_reachable_provenance",
+                        lambda state, topic_ids=None: scanned.append(topic_ids) or real_scan(state, topic_ids))
+    assert audit_module.audit(engine.journal, probes).passed
+    # each probe is read once; each retrieve record once, for its read set
+    assert len(ranked) == len(probes) + 3
+    assert scanned == [{"t0300"}, {"t0300"}]
