@@ -81,7 +81,9 @@ class ViolationReport:
 
 
 class ShadowLedger:
-    """Last-writer-wins view of ingestion inputs, keyed by concept + field.
+    """Last-writer-wins view of ingestion inputs: the last ingested value of
+    each field of each concept, so that it grows with the units, not with
+    the ingests.
 
     The concept key is the bundle's topic_hint; an unhinted bundle joins the
     unique concept already owning the fact's field name, else starts an
@@ -89,7 +91,7 @@ class ShadowLedger:
     """
 
     def __init__(self):
-        self.concepts: dict[str, dict[str, list[tuple[int, str]]]] = {}
+        self.concepts: dict[str, dict[str, str]] = {}
 
     def ingest(self, bundle: FactBundle, tick: int) -> None:
         for fact in bundle.facts:
@@ -98,11 +100,11 @@ class ShadowLedger:
             if concept is None:
                 owners = _owners(self, name)
                 concept = owners[0] if len(owners) == 1 else f"anon-{tick}"
-            self.concepts.setdefault(concept, {}).setdefault(name, []).append((tick, fact.value))
+            self.concepts.setdefault(concept, {})[name] = fact.value
 
     def latest_values(self, field_name: str) -> list[str]:
         """The last ingested value of every concept holding `field_name`."""
-        return [fields[field_name][-1][1] for fields in self.concepts.values() if field_name in fields]
+        return [fields[field_name] for fields in self.concepts.values() if field_name in fields]
 
 
 def _owners(ledger: ShadowLedger, field_name: str) -> list[str]:
@@ -111,12 +113,10 @@ def _owners(ledger: ShadowLedger, field_name: str) -> list[str]:
 
 def shadow_expected(ledger: ShadowLedger, topic_id: str, field_name: str) -> Optional[str]:
     if topic_id in ledger.concepts:
-        writes = ledger.concepts[topic_id].get(field_name)
-        return writes[-1][1] if writes else None
+        return ledger.concepts[topic_id].get(field_name)
     owners = _owners(ledger, field_name)
     if len(owners) == 1:
-        writes = ledger.concepts[owners[0]][field_name]
-        return writes[-1][1]
+        return ledger.concepts[owners[0]][field_name]
     return None  # unknown or ambiguous: no opinion
 
 
@@ -276,7 +276,7 @@ def audit(journal: Journal, probes: list[Query]) -> ViolationReport:
         rank_check = bool(accessed_units) and _ranks_may_worsen(record.deltas, accessed_set)
         pre_ranks = _hide_ranks(pre_state, lam, accessed_set) if rank_check else {}
         pre_prov = None
-        if record.operator in ("revise", "forget", "tick") and delta_kinds & _PROVENANCE_RISK_DELTAS:
+        if delta_kinds & _PROVENANCE_RISK_DELTAS:
             pre_prov = _reachable_provenance(pre_state, named)
 
         replay_record(state, record)

@@ -16,13 +16,14 @@ from .embedding import RoutingError
 from .model import (
     INT,
     LIST,
+    LIST_OR_NULL,
     OBJECT,
+    OBJECT_OR_NULL,
     STR,
     STR_OR_NULL,
     MemoryState,
-    check_keys,
     check_references,
-    check_types,
+    decode,
     decoding,
     state_digest,
     state_from_dict,
@@ -101,22 +102,21 @@ class EngineEvent:
 
     @staticmethod
     def from_dict(d: dict) -> "EngineEvent":
-        check_keys(ValueError, "event", d, ("bundle", "query", "evidence", *_EVENT_TYPES))
-        event = EngineEvent(
+        d = decode("event", d, _EVENT_TYPES, bundle=None, query=None, evidence=None, target=None)
+        if d["kind"] not in _EVENT_KINDS:
+            raise ValueError(f"event kind must be one of {', '.join(_EVENT_KINDS)}, got {d['kind']!r}")
+        return EngineEvent(
             kind=d["kind"],
-            bundle=FactBundle.from_dict(d["bundle"]) if d.get("bundle") else None,
-            query=Query.from_dict(d["query"]) if d.get("query") else None,
-            evidence=tuple(EvidenceItem.from_dict(e) for e in d["evidence"]) if d.get("evidence") is not None else None,
-            target=d.get("target"),
+            bundle=FactBundle.from_dict(d["bundle"]) if d["bundle"] else None,  # an empty object is no bundle
+            query=Query.from_dict(d["query"]) if d["query"] else None,
+            evidence=None if d["evidence"] is None else tuple(map(EvidenceItem.from_dict, d["evidence"])),
+            target=d["target"],
         )
-        check_types(TypeError, "event", vars(event), _EVENT_TYPES)
-        if event.kind not in _EVENT_KINDS:
-            raise ValueError(f"event kind must be one of {', '.join(_EVENT_KINDS)}, got {event.kind!r}")
-        return event
 
 
 _EVENT_KINDS = ("ingest", "retrieve", "revise", "forget", "tick")
-_EVENT_TYPES = {"kind": STR, "target": STR_OR_NULL}
+_EVENT_TYPES = {"kind": STR, "bundle": OBJECT_OR_NULL, "query": OBJECT_OR_NULL, "evidence": LIST_OR_NULL,
+                "target": STR_OR_NULL}
 
 
 @dataclass
@@ -142,7 +142,7 @@ class TransitionRecord:
         """Decode a record frame, which must carry exactly its fields, each
         with its type; any other frame raises KeyError, TypeError or
         ValueError."""
-        check_types(TypeError, "record", d, _RECORD_TYPES)
+        d = decode("record", d, _RECORD_TYPES)
         if d["outcome"] not in ("committed", "aborted"):
             raise ValueError(f"record outcome must be committed or aborted, got {d['outcome']!r}")
         kind = d["input"].get("kind")

@@ -46,8 +46,7 @@ class Provenance:
 
     @staticmethod
     def from_dict(d: dict) -> "Provenance":
-        _check_fields("provenance", d, _PROVENANCE_TYPES)
-        return Provenance(d["source_id"], d["event_id"], d["excerpt"])
+        return Provenance(**decode("provenance", d, _PROVENANCE_TYPES))
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,7 +77,7 @@ class ValueEntry:
 
     @staticmethod
     def from_dict(d: dict) -> "ValueEntry":
-        _check_fields("entry", d, _ENTRY_TYPES)
+        d = decode("entry", d, _ENTRY_TYPES)
         return ValueEntry(
             value=d["value"],
             at=d["at"],
@@ -147,7 +146,7 @@ class Field:
 
     @staticmethod
     def from_dict(d: dict) -> "Field":
-        _check_fields("field", d, _FIELD_TYPES)
+        d = decode("field", d, _FIELD_TYPES)
         return Field(
             name=d["name"],
             entity_tag=d["entity_tag"],
@@ -220,7 +219,7 @@ class Topic:
 
     @staticmethod
     def from_dict(d: dict) -> "Topic":
-        _check_fields("topic", d, _TOPIC_TYPES)
+        d = decode("topic", d, _TOPIC_TYPES)
         fields = {name: Field.from_dict(f) for name, f in d["fields"].items()}
         for name, f in fields.items():
             if f.name != name:
@@ -276,7 +275,7 @@ class Edge:
 
     @staticmethod
     def from_dict(d: dict) -> "Edge":
-        _check_fields("edge", d, _EDGE_TYPES)
+        d = decode("edge", d, _EDGE_TYPES)
         return Edge(d["src"], d["dst"], EdgeKind(d["kind"]), d["created_at"])
 
 
@@ -837,6 +836,7 @@ def decoding(error: type[ValueError], what: str):
 # int, while an int may stand for a float
 STR, INT, NUMBER, BOOL, OBJECT, LIST = (str,), (int,), (int, float), (bool,), (dict,), (list,)
 STR_OR_NULL, INT_OR_NULL, NUMBER_OR_NULL = (str, type(None)), (int, type(None)), (int, float, type(None))
+OBJECT_OR_NULL, LIST_OR_NULL = (dict, type(None)), (list, type(None))
 
 
 def check_types(error: type[Exception], what: str, values: dict, types: dict[str, tuple[type, ...]]) -> None:
@@ -855,18 +855,22 @@ def check_keys(error: type[Exception], what: str, values: dict, known) -> None:
         raise error(f"{what} has an unknown key {unknown[0]!r}")
 
 
-def _check_fields(what: str, d: dict, types: dict[str, tuple[type, ...]]) -> None:
-    """Check a decoder's input `d` against `types`: a missing key raises
-    KeyError, a value of another type TypeError (`check_types`), and a key
-    that `types` does not name ValueError (`check_keys`).  Once every key of
-    `types` is found, `d` has another exactly when it is longer."""
-    check_types(TypeError, what, d, types)
-    if len(d) != len(types):
-        check_keys(ValueError, what, d, types)
+def decode(what: str, d: dict, types: dict[str, tuple[type, ...]], **defaults) -> dict:
+    """The values of a decoder's input `d`, each key that `d` lacks taking
+    its value from `defaults`, checked against `types`: a key missing
+    without a default raises KeyError, a value of another type TypeError
+    (`check_types`), and a key that `types` does not name ValueError
+    (`check_keys`).  Every decoder of outside input checks it here before
+    it builds anything from it."""
+    values = {**defaults, **d} if defaults else d
+    check_types(TypeError, what, values, types)
+    if len(values) != len(types):  # once every key of `types` is found, another makes it longer
+        check_keys(ValueError, what, values, types)
+    return values
 
 
 # the keys and value types of each part of a state, and of the nested
-# payloads of deltas, that a decoder checks by `_check_fields`
+# payloads of deltas
 _PROVENANCE_TYPES = {"source_id": STR, "event_id": INT, "excerpt": STR}
 _ENTRY_TYPES = {"value": STR, "at": INT, "provenance": LIST, "superseded": BOOL, "compressed": BOOL}
 _FIELD_TYPES = {"name": STR, "entity_tag": STR_OR_NULL, "history": LIST, "salience": NUMBER, "since": INT,
@@ -893,7 +897,7 @@ def state_from_dict(d: dict) -> MemoryState:
     """Decode a genesis or snapshot state, each of whose parts must carry its
     keys with their types and no other key, each topic and field keyed under
     its own name; anything else raises KeyError, TypeError or ValueError."""
-    _check_fields("state", d, _STATE_TYPES)
+    d = decode("state", d, _STATE_TYPES)
     edges = {}
     for ed in d["edges"]:
         e = Edge.from_dict(ed)
@@ -902,16 +906,17 @@ def state_from_dict(d: dict) -> MemoryState:
     for tid, topic in topics.items():
         if topic.id != tid:
             raise ValueError(f"topic {topic.id!r} keyed under {tid!r}")
+    queue = {(a, b) for a, b in d["revision_queue"]}
+    if any(type(a) is not str or type(b) is not str for a, b in queue):
+        raise TypeError("state revision_queue must hold pairs of strings")
     state = MemoryState(
         topics=topics,
         edges=edges,
         policies=[parse_policy(text) for text in d["policies"]],
         clock=d["clock"],
         epoch=d["epoch"],
-        revision_queue={(a, b) for a, b in d["revision_queue"]},
+        revision_queue=queue,
     )
-    if any(type(a) is not str or type(b) is not str for a, b in state.revision_queue):
-        raise TypeError("state revision_queue must hold pairs of strings")
     check_references(state)
     return state
 

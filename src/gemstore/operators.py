@@ -17,6 +17,8 @@ from .embedding import cosine, rank_topics, select_host, tokenize
 from .model import (
     INT,
     INT_OR_NULL,
+    LIST,
+    LIST_OR_NULL,
     NUMBER_OR_NULL,
     STR,
     STR_OR_NULL,
@@ -24,8 +26,7 @@ from .model import (
     MemoryState,
     Provenance,
     ValueEntry,
-    check_keys,
-    check_types,
+    decode,
 )
 from .salience import ACTIVE, HIDDEN, SalienceParams, bump, compress_cut, decay, dormant, tier_of
 from .transaction import Txn
@@ -56,10 +57,7 @@ class Fact:
 
     @staticmethod
     def from_dict(d: dict) -> "Fact":
-        check_keys(ValueError, "fact", d, _FACT_TYPES)
-        fact = Fact(d["field"], d["value"], d.get("entity_tag"), d.get("excerpt", ""))
-        check_types(TypeError, "fact", vars(fact), _FACT_TYPES)
-        return fact
+        return Fact(**decode("fact", d, _FACT_TYPES, entity_tag=None, excerpt=""))
 
 
 @dataclass(frozen=True)
@@ -74,19 +72,12 @@ class FactBundle:
 
     @staticmethod
     def from_dict(d: dict) -> "FactBundle":
-        check_keys(ValueError, "bundle", d, ("facts", *_BUNDLE_TYPES))
-        bundle = FactBundle(
-            facts=tuple(Fact.from_dict(f) for f in d["facts"]),
-            text=d["text"],
-            source_id=d.get("source_id", "session"),
-            topic_hint=d.get("topic_hint"),
-        )
-        check_types(TypeError, "bundle", vars(bundle), _BUNDLE_TYPES)
-        return bundle
+        d = decode("bundle", d, _BUNDLE_TYPES, source_id="session", topic_hint=None)
+        return FactBundle(tuple(map(Fact.from_dict, d["facts"])), d["text"], d["source_id"], d["topic_hint"])
 
 
 _FACT_TYPES = {"field": STR, "value": STR, "entity_tag": STR_OR_NULL, "excerpt": STR}
-_BUNDLE_TYPES = {"text": STR, "source_id": STR, "topic_hint": STR_OR_NULL}
+_BUNDLE_TYPES = {"facts": LIST, "text": STR, "source_id": STR, "topic_hint": STR_OR_NULL}
 
 
 @dataclass(frozen=True)
@@ -103,24 +94,17 @@ class Query:
 
     @staticmethod
     def from_dict(d: dict) -> "Query":
-        check_keys(ValueError, "query", d, ("explicit", *_QUERY_TYPES))
-        explicit = d.get("explicit")
-        q = Query(
-            text=d.get("text", ""),
-            mode=d.get("mode", "default"),
-            as_of=d.get("as_of"),
-            root=d.get("root"),
-            depth=d.get("depth", 1),
-            explicit=tuple(explicit) if isinstance(explicit, list) else explicit,
-        )
-        pair = isinstance(q.explicit, tuple) and len(q.explicit) == 2 and all(isinstance(v, str) for v in q.explicit)
-        if not (q.explicit is None or pair):
-            raise TypeError("query explicit must be null or a pair of strings")
-        check_types(TypeError, "query", vars(q), _QUERY_TYPES)
-        return q
+        d = decode("query", d, _QUERY_TYPES, text="", mode="default", as_of=None, root=None, depth=1, explicit=None)
+        explicit = d["explicit"]
+        if explicit is not None:
+            if len(explicit) != 2 or not all(isinstance(v, str) for v in explicit):
+                raise TypeError("query explicit must be null or a pair of strings")
+            explicit = tuple(explicit)
+        return Query(d["text"], d["mode"], d["as_of"], d["root"], d["depth"], explicit)
 
 
-_QUERY_TYPES = {"text": STR, "mode": STR, "as_of": INT_OR_NULL, "root": STR_OR_NULL, "depth": INT}
+_QUERY_TYPES = {"text": STR, "mode": STR, "as_of": INT_OR_NULL, "root": STR_OR_NULL, "depth": INT,
+                "explicit": LIST_OR_NULL}
 
 
 @dataclass(frozen=True)
@@ -155,9 +139,7 @@ class EvidenceItem:
 
     @staticmethod
     def from_dict(d: dict) -> "EvidenceItem":
-        check_keys(ValueError, "evidence", d, _EVIDENCE_TYPES)
-        check_types(TypeError, "evidence", d, _EVIDENCE_TYPES)
-        return EvidenceItem(d["kind"], d["topic"], d["other"], d["field"], d["similarity"])
+        return EvidenceItem(**decode("evidence", d, _EVIDENCE_TYPES))
 
 
 _EVIDENCE_TYPES = {"kind": STR, "topic": STR, "other": STR_OR_NULL, "field": STR_OR_NULL, "similarity": NUMBER_OR_NULL}

@@ -1,14 +1,13 @@
 from gemstore.config import EngineConfig
+from gemstore.embedding import embed
 from gemstore.model import (
     Edge,
     EdgeKind,
     Field,
     MemoryState,
     Provenance,
-    Timestamp,
     Topic,
     ValueEntry,
-    fresh_embedding_for,
 )
 from gemstore.policy import default_policy_set
 
@@ -16,12 +15,12 @@ from gemstore.policy import default_policy_set
 def build_topic(tid, title=None, fields=None, tick=1):
     """Topic with one history entry per field value."""
     title = title or tid.replace("-", " ")
-    topic = Topic(id=tid, title=title, summary=title, embedding=None)
+    topic = Topic(id=tid, title=title, summary=title)
     for name, value in (fields or {}).items():
         f = Field(name=name, last_access=tick)
-        f.history.append(ValueEntry(value, Timestamp(tick), (Provenance("seed", tick),)))
+        f.history.append(ValueEntry(value, tick, (Provenance("seed", tick),)))
         topic.fields[name] = f
-    topic.embedding = fresh_embedding_for(topic)
+    topic.embedding = embed(topic.content_text())
     return topic
 
 
@@ -30,9 +29,9 @@ def build_state(topics=(), edges=(), policies=None, tick=0):
     for topic in topics:
         state.topics[topic.id] = topic
     for src, dst, kind in edges:
-        e = Edge(src, dst, EdgeKind(kind), Timestamp(0))
+        e = Edge(src, dst, EdgeKind(kind), 0)
         state.edges[e.key()] = e
-    state.clock = Timestamp(tick)
+    state.clock = tick
     return state
 
 

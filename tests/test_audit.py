@@ -1,14 +1,21 @@
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from conftest import build_state, build_topic
 from gemstore.audit import audit, render_report, report_to_dict
 from gemstore.baseline import BaselineJournalAdapter
+from gemstore.cli import _load_probes
 from gemstore.config import BetaSpec, EngineConfig
-from gemstore import engine as engine_module
+from gemstore import engine as engine_module, operators, transaction
 from gemstore.engine import CorruptJournalError, Engine, EngineEvent, replay
-from gemstore.model import Field, ValueEntry
+from gemstore.model import Field, Provenance, ValueEntry
 from gemstore.operators import Fact, FactBundle, Query, RuleTable
 from gemstore.policy import default_policy_set, parse_policies
+from gemstore.workload import load_workload, run_workload
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "workloads"
 
 
 def bundle(text, hint=None, **facts):
@@ -275,3 +282,58 @@ def test_c4_reports_a_provenance_record_only_when_no_topic_holds_it(monkeypatch,
     lost = [] if shared else [(1, "seed", "provenance record lost: ('seed', 1, '')")]
     assert [(v.tick, v.subject, v.detail) for v in report.c4] == lost
     assert report.passed == shared
+
+
+def _fired(report) -> dict[str, int]:
+    return {name: count for name, count in report.totals().items() if count}
+
+
+def test_c6_catches_an_access_that_bumps_nothing(monkeypatch):
+    monkeypatch.setattr(operators, "_bumped", lambda s, p: s)
+    engine = Engine()
+    run_workload(engine, load_workload(WORKLOADS / "deadline.workload"))
+    report = audit(engine.journal, _load_probes(str(WORKLOADS / "deadline.probes")))
+    assert _fired(report) == {"c6": 3}
+
+
+def _lossy_summary(monkeypatch) -> None:
+    """Make a compression fold its run into a summary without the run's
+    provenance."""
+    real = transaction._summary
+    monkeypatch.setattr(transaction, "_summary", lambda run: real([replace(e, provenance=()) for e in run]))
+
+
+def _notes_engine(policies, beta: int) -> Engine:
+    """An engine on a genesis topic `plan` with an Owner field and a Notes
+    field of five entries at salience 0.3, below theta_summary: the forget
+    ladder folds its two oldest entries, whose one provenance record
+    ("notes", 1) no other entry holds."""
+    topic = build_topic("plan", fields={"Owner": "kim"})
+    history = [ValueEntry(f"n{i}", at, (Provenance("notes", at),), superseded=i < 4)
+               for i, at in enumerate((1, 1, 2, 3, 4))]
+    topic.fields["Notes"] = Field("Notes", history=history, salience=0.3)
+    genesis = build_state([topic], policies=policies, tick=4)
+    return Engine(config=EngineConfig(beta=BetaSpec(base=beta)), genesis=genesis)
+
+
+@pytest.mark.parametrize("lossy", [False, True])
+def test_c4_catches_a_lossy_compression_inside_an_ingest(monkeypatch, lossy):
+    # a pre_commit attenuate folds a history inside the ingest that fired it
+    if lossy:
+        _lossy_summary(monkeypatch)
+    trim = parse_policies("POLICY trim ON pre_commit WHEN active_footprint > beta DO attenuate")
+    e = _notes_engine(trim + default_policy_set(), beta=1)
+    _, records = e.submit(EngineEvent.ingest(FactBundle((Fact("Lead", "lee"),), "plan lead", topic_hint="plan")))
+    assert records[-1].committed and "history_compressed" in {d["kind"] for d in records[-1].deltas}
+    report = audit(e.journal, [])
+    lost = [(5, "notes", "provenance record lost: ('notes', 1, '')")] if lossy else []
+    assert [(v.tick, v.subject, v.detail) for v in report.c4] == lost
+    assert _fired(report) == ({"c4": 1} if lossy else {})
+
+
+def test_c4_catches_a_lossy_compression_in_a_tick(monkeypatch):
+    _lossy_summary(monkeypatch)
+    e = _notes_engine(default_policy_set(), beta=200)
+    _, records = e.submit(EngineEvent.tick())
+    assert records[-1].committed and "history_compressed" in {d["kind"] for d in records[-1].deltas}
+    assert _fired(audit(e.journal, [])) == {"c4": 1}

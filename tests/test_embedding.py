@@ -27,7 +27,7 @@ from gemstore.embedding import (
     tokenize,
 )
 from gemstore.engine import Engine
-from gemstore.model import MemoryState, fresh_embedding_for, Topic
+from gemstore.model import MemoryState, Topic
 from gemstore.operators import Query, retrieve_read
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,8 +38,8 @@ import gen  # noqa: E402  (perfbench/gen.py, imported read-only)
 def make_state(*topics):
     state = MemoryState()
     for tid, text in topics:
-        topic = Topic(id=tid, title=text, summary=text, embedding=None)
-        topic.embedding = fresh_embedding_for(topic)
+        topic = Topic(id=tid, title=text, summary=text)
+        topic.embedding = embed(topic.content_text())
         state.topics[tid] = topic
     return state
 

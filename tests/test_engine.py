@@ -9,12 +9,10 @@ from gemstore.engine import Engine, EngineEvent, replay
 from gemstore.model import (
     Field,
     Provenance,
-    Timestamp,
     Topic,
     ValueEntry,
     canonical_json,
     current_value,
-    fresh_embedding_for,
     state_digest,
     state_to_dict,
 )
@@ -384,11 +382,11 @@ def _conflicting_plan():
     # the current value
     topic = build_topic("plan")
     history = [
-        ValueEntry("June 9", Timestamp(5), (Provenance("seed", 5),)),
-        ValueEntry("May 1", Timestamp(1), (Provenance("seed", 1),)),
+        ValueEntry("June 9", 5, (Provenance("seed", 5),)),
+        ValueEntry("May 1", 1, (Provenance("seed", 1),)),
     ]
     topic.fields["Deadline"] = Field(name="Deadline", history=history)
-    topic.embedding = fresh_embedding_for(topic)  # memo of the pre-revise text
+    topic.embedding = embed(topic.content_text())  # memo of the pre-revise text
     return topic
 
 

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from gemstore.embedding import embed
 from gemstore.model import (
     Edge,
     EdgeKind,
@@ -12,13 +13,11 @@ from gemstore.model import (
     MemoryState,
     Provenance,
     Tier,
-    Timestamp,
     Topic,
     ValueEntry,
     active_footprint,
     canonical_json,
     current_value,
-    fresh_embedding_for,
     history,
     stale_current_exists,
     state_digest,
@@ -30,25 +29,24 @@ from gemstore.transaction import apply_delta
 
 
 def make_topic(tid, title="a title", **field_values):
-    topic = Topic(id=tid, title=title, summary=title, embedding=None)
-    topic.embedding = fresh_embedding_for(topic)
+    topic = Topic(id=tid, title=title, summary=title)
     for i, (name, value) in enumerate(field_values.items()):
         f = Field(name=name)
-        f.history.append(ValueEntry(value, Timestamp(i + 1), (Provenance("s", i + 1),)))
+        f.history.append(ValueEntry(value, i + 1, (Provenance("s", i + 1),)))
         topic.fields[name] = f
-    topic.embedding = fresh_embedding_for(topic)
+    topic.embedding = embed(topic.content_text())
     return topic
 
 
 def test_current_entry_skips_superseded_and_compressed():
     f = Field(name="Deadline")
     f.history = [
-        ValueEntry("old", Timestamp(1), (), superseded=True),
-        ValueEntry("summary", Timestamp(2), (), superseded=True, compressed=True),
-        ValueEntry("new", Timestamp(3), ()),
+        ValueEntry("old", 1, (), superseded=True),
+        ValueEntry("summary", 2, (), superseded=True, compressed=True),
+        ValueEntry("new", 3, ()),
     ]
     assert f.current_entry().value == "new"
-    f.history = [ValueEntry("only", Timestamp(1), (), superseded=True)]
+    f.history = [ValueEntry("only", 1, (), superseded=True)]
     assert f.current_entry() is None
 
 
@@ -168,8 +166,8 @@ def test_stale_current_detection():
     f = state.topics["t"].fields["A"]
     # latest non-compressed entry superseded while an older current remains
     f.history = [
-        ValueEntry("keep", Timestamp(1), ()),
-        ValueEntry("superseded-latest", Timestamp(2), (), superseded=True),
+        ValueEntry("keep", 1, ()),
+        ValueEntry("superseded-latest", 2, (), superseded=True),
     ]
     assert stale_current_exists(state)
 
@@ -177,7 +175,7 @@ def test_stale_current_detection():
 def test_state_round_trip_is_digest_exact():
     state = MemoryState()
     state.topics["t"] = make_topic("t", Deadline="March 15", Owner="dana")
-    state.clock = Timestamp(7)
+    state.clock = 7
     state.revision_queue.add(("t", "x.y"))
     d = state_to_dict(state)
     restored = state_from_dict(d)
@@ -210,7 +208,7 @@ def _digest_sample():
     for tid in ("p", "q", "r"):
         state.topics[tid] = make_topic(tid, A="1")
     for src, dst in (("p", "q"), ("q", "r")):
-        e = Edge(src, dst, EdgeKind.EXTENSION, Timestamp(0))
+        e = Edge(src, dst, EdgeKind.EXTENSION, 0)
         state.edges[e.key()] = e
     return state
 

@@ -315,4 +315,7 @@ def test_the_audit_rereads_probes_and_rescans_provenance_only_for_the_topics_a_r
     assert audit_module.audit(engine.journal, probes).passed
     # each probe is read once; each retrieve record once, for its read set
     assert len(ranked) == len(probes) + 3
-    assert scanned == [{"t0300"}, {"t0300"}]
+    # C4 scans, before and after, the topics each record that can drop an
+    # entry names: the three updating ingests supersede one, and the tick
+    # folds t0300's history; none scans the whole store
+    assert scanned == [{f"t{i:04d}"} for i in (100, 100, 500, 500, 900, 900, 300, 300)]
