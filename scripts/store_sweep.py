@@ -2,7 +2,8 @@
 """Store-size sweep: run the benchmark's store-large episodes at several
 store sizes and print, per size, one JSON line with the p50 and p99 latency
 of each operator (hinted and unhinted ingest apart), each one's ratio to the
-first size, and the engine and audit time per journal record.
+first size, and the engine, journal write, replay and audit time per
+journal record, each with its ratio to the first size.
 
 Usage: store_sweep.py [--sizes 250,1000,4000]
 
@@ -43,6 +44,7 @@ import harness  # noqa: E402  (perfbench/harness.py, imported read-only)
 SEED = 11
 EPISODES = 2
 REPEATS = 3
+PER_RECORD = ("engine_ms_per_record", "write_ms_per_record", "replay_ms_per_record", "audit_ms_per_record")
 
 
 def _operator(event) -> str:
@@ -62,7 +64,7 @@ def run_size(n: int, workdir: Path) -> dict:
     stats = harness.RunStats()
     cpu = harness.CpuPicker()
     samples: dict[str, list[float]] = {}
-    engine_ms = audit_ms = 0.0
+    engine_ms = write_ms = replay_ms = audit_ms = 0.0
     records = 0
     try:
         for index in range(EPISODES):
@@ -77,6 +79,8 @@ def run_size(n: int, workdir: Path) -> dict:
                 if ns is not None:
                     samples.setdefault(_operator(op.event), []).append(ns / 1e6)
                     engine_ms += ns / 1e6
+            write_ms += times.write_s * 1e3
+            replay_ms += times.replay_s * 1e3
             audit_ms += times.audit_s * 1e3
             records += times.records
     finally:
@@ -90,6 +94,8 @@ def run_size(n: int, workdir: Path) -> dict:
             for name, values in sorted(samples.items())
         },
         "engine_ms_per_record": engine_ms / records,
+        "write_ms_per_record": write_ms / records,
+        "replay_ms_per_record": replay_ms / records,
         "audit_ms_per_record": audit_ms / records,
     }
 
@@ -102,7 +108,7 @@ def add_ratios(rows: list[dict]) -> None:
             base = first["operators"].get(name)
             for key in ("p50", "p99"):
                 stats[f"{key}_ratio"] = stats[f"{key}_ms"] / base[f"{key}_ms"] if base else None
-        for key in ("engine_ms_per_record", "audit_ms_per_record"):
+        for key in PER_RECORD:
             row[f"{key}_ratio"] = row[key] / first[key]
 
 

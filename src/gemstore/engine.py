@@ -8,7 +8,9 @@ so auditors can distinguish "rejected" from "never attempted".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import json
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .config import EngineConfig
@@ -22,12 +24,13 @@ from .model import (
     STR,
     STR_OR_NULL,
     MemoryState,
+    canonical_json,
     check_references,
     decode,
     decoding,
     state_digest,
+    state_bytes,
     state_from_dict,
-    state_to_dict,
     unbuilt_parts,
 )
 from .operators import (
@@ -155,12 +158,37 @@ _RECORD_TYPES = {"tick": INT, "operator": STR, "input": OBJECT, "deltas": LIST, 
                  "outcome": STR, "reason": STR_OR_NULL, "digest_after": STR}
 
 
-@dataclass
 class Journal:
-    config: EngineConfig
-    genesis: dict  # serialized genesis MemoryState
-    genesis_digest: str
-    records: list[TransitionRecord] = dc_field(default_factory=list)
+    """A config, a genesis state with its digest, and the records since it.
+    The genesis is kept in the form the journal was made with, the decoded
+    JSON object (`genesis`, as `read_journal` makes it) or its canonical JSON
+    bytes (`genesis_bytes`, as `of_state` makes it), and the other form is
+    derived at most once, on its first use."""
+
+    def __init__(self, config: EngineConfig, genesis: Optional[dict], genesis_digest: str,
+                 records: Optional[list[TransitionRecord]] = None):
+        self.config = config
+        if genesis is not None:
+            self.genesis = genesis
+        self.genesis_digest = genesis_digest
+        self.records = [] if records is None else records
+
+    @staticmethod
+    def of_state(config: EngineConfig, state: MemoryState) -> "Journal":
+        """A journal with no records whose genesis is `state`, kept as bytes."""
+        journal = Journal(config, None, state_digest(state))
+        journal.genesis_bytes = state_bytes(state)
+        return journal
+
+    @cached_property
+    def genesis(self) -> dict:
+        """The genesis as `state_to_dict` writes it."""
+        return json.loads(self.genesis_bytes)
+
+    @cached_property
+    def genesis_bytes(self) -> bytes:
+        """The genesis as `state_bytes` writes it."""
+        return canonical_json(self.genesis).encode()
 
     def genesis_state(self) -> MemoryState:
         """The genesis state, checked against its digest."""
@@ -205,12 +233,7 @@ class Engine:
         # that builds a part and then aborts cannot discard the build
         self.state.parts = unbuilt_parts()
         self._build_parts()
-        genesis_dict = state_to_dict(self.state)
-        self.journal = Journal(
-            config=self.config,
-            genesis=genesis_dict,
-            genesis_digest=state_digest(self.state),
-        )
+        self.journal = Journal.of_state(self.config, self.state)
 
     # -- public API -------------------------------------------------------
 

@@ -883,6 +883,8 @@ _STATE_TYPES = {"topics": OBJECT, "edges": LIST, "policies": LIST, "clock": INT,
 
 
 def state_to_dict(state: MemoryState) -> dict:
+    """The state as the JSON object a journal's genesis holds; the program
+    writes it by `state_bytes`, and this is the reference for those bytes."""
     return {
         "topics": {tid: t.to_dict() for tid, t in sorted(state.topics.items())},
         "edges": [e.to_dict() for _, e in sorted(state.edges.items())],
@@ -891,6 +893,24 @@ def state_to_dict(state: MemoryState) -> dict:
         "epoch": state.epoch,
         "revision_queue": sorted(list(pair) for pair in state.revision_queue),
     }
+
+
+def state_bytes(state: MemoryState) -> bytes:
+    """`canonical_json(state_to_dict(state))`, encoded, joined from the
+    encodings its topics, edges and policies already make: each topic's
+    `canonical_bytes()` in id order, each edge's and each policy's memoised
+    `canonical_bytes`, the edges in key order, and the clock, epoch and
+    revision queue written by hand, the queue as `state_digest` writes it."""
+    topics = [b'%s:%s' % (_encode_str(tid).encode(), t.canonical_bytes()) for tid, t in sorted(state.topics.items())]
+    return b"".join([
+        b'{"clock":%s,"edges":[' % _json(state.clock).encode(),
+        b",".join([e.canonical_bytes for _, e in sorted(state.edges.items())]),
+        b'],"epoch":%s,"policies":[' % _json(state.epoch).encode(),
+        b",".join([p.canonical_bytes for p in state.policies]),
+        b'],"revision_queue":%s,"topics":{' % _queue_bytes(state.revision_queue),
+        b",".join(topics),
+        b"}}",
+    ])
 
 
 def state_from_dict(d: dict) -> MemoryState:
@@ -921,6 +941,11 @@ def state_from_dict(d: dict) -> MemoryState:
     return state
 
 
+def _queue_bytes(queue: set[tuple[str, str]]) -> bytes:
+    """The revision queue's canonical JSON, its pairs sorted, by hand."""
+    return ("[" + ",".join(f"[{_json(t)},{_json(c)}]" for t, c in sorted(queue)) + "]").encode()
+
+
 def state_digest(state: MemoryState) -> str:
     """Content digest independent of container iteration order.
 
@@ -943,7 +968,7 @@ def state_digest(state: MemoryState) -> str:
     h.update(b"[%d,%d]" % (state.clock, state.epoch))
     h.update(b"[" + b",".join([p.canonical_bytes for p in state.policies]) + b"]")
     h.update(state.part("edges").section)
-    h.update(("[" + ",".join(f"[{_json(t)},{_json(c)}]" for t, c in sorted(state.revision_queue)) + "]").encode())
+    h.update(_queue_bytes(state.revision_queue))
     h.update(b"%d:" % len(hashes))
     h.update(b"".join(hashes.values()))
     return h.hexdigest()

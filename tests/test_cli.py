@@ -109,10 +109,14 @@ def _edit_first_delta(frames: list[bytes], kind: str, edit) -> list[bytes]:
     raise AssertionError(f"no {kind} delta in the journal")
 
 
-def _edit_header_config(frames: list[bytes], edit) -> list[bytes]:
+def _edit_header(frames: list[bytes], edit) -> list[bytes]:
     header = json.loads(frames[0])
-    edit(header["config"])
+    edit(header)
     return [json.dumps(header).encode(), *frames[1:]]
+
+
+def _edit_header_config(frames: list[bytes], edit) -> list[bytes]:
+    return _edit_header(frames, lambda header: edit(header["config"]))
 
 
 def _edit_first_query(frames: list[bytes], edit) -> list[bytes]:
@@ -169,6 +173,7 @@ JOURNAL_MUTANTS = {
     "query-depth-not-an-integer": lambda frames: _edit_first_query(
         frames, lambda q: q.update(depth="2")),
     "config-unknown-key": lambda frames: _edit_header_config(frames, lambda config: config.update(bogus=1)),
+    "header-unknown-key": lambda frames: _edit_header(frames, lambda header: header.update(note="x")),
     "fact-value-not-a-string": lambda frames: _edit_first_bundle(
         frames, lambda b: b["facts"][0].update(value=5)),
     "delta-with-an-extra-operand": lambda frames: _edit_first_delta(

@@ -4,12 +4,15 @@ unless the key has a default, which then decodes as if written out; a value
 of a type the key does not allow raises TypeError naming the key; and one
 key more raises ValueError naming it."""
 
+import json
+
 import pytest
 
 from conftest import build_state, build_topic
 from gemstore.engine import Engine, EngineEvent, TransitionRecord
 from gemstore.model import Edge, Field, Provenance, Topic, ValueEntry, state_from_dict, state_to_dict
 from gemstore.operators import EvidenceItem, Fact, FactBundle, Query
+from gemstore.storage import header_bytes, journal_from_header
 
 
 def _examples():
@@ -40,6 +43,7 @@ def _examples():
         ("event", EngineEvent.from_dict, EngineEvent.retrieve(query).to_dict(), event_defaults),
         ("event", EngineEvent.from_dict, EngineEvent.revise([evidence], target="plan").to_dict(), event_defaults),
         ("record", TransitionRecord.from_dict, records[-1].to_dict(), {}),
+        ("journal header", journal_from_header, json.loads(header_bytes(engine.journal)), {}),
     ]
 
 

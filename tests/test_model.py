@@ -21,10 +21,12 @@ from gemstore.model import (
     history,
     stale_current_exists,
     state_digest,
+    state_bytes,
     state_from_dict,
     state_to_dict,
     LookupError_,
 )
+from gemstore.policy import default_policy_set, parse_policy
 from gemstore.transaction import apply_delta
 
 
@@ -107,6 +109,28 @@ def test_canonical_bytes_equal_canonical_json(topic):
     for f in topic.fields.values():
         f.history = [replace(e, superseded=not e.superseded) for e in f.history]
     _assert_encoded_as_json(topic)
+
+
+_POLICIES = default_policy_set() + [
+    parse_policy('POLICY cap ON pre_commit WHEN active_footprint > 2 DO reject_transition("Grenze überschritten")')]
+_EDGES = st.builds(Edge, _TEXT, _TEXT, st.sampled_from(EdgeKind), st.integers())
+_STATES = st.builds(
+    lambda topics, edges, policies, clock, epoch, queue: MemoryState(
+        topics={t.id: t for t in topics}, edges={e.key(): e for e in edges}, policies=policies, clock=clock,
+        epoch=epoch, revision_queue=queue),
+    st.lists(_TOPICS, max_size=3), st.lists(_EDGES, max_size=3), st.lists(st.sampled_from(_POLICIES), max_size=4),
+    st.integers(), st.integers(), st.sets(st.tuples(_TEXT, _TEXT), max_size=3),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_STATES)
+@example(MemoryState())
+@example(MemoryState(topics={"ü": Topic("ü", "", "", fields={"F": Field("F", salience=-0.0)})},
+                     policies=_POLICIES, revision_queue={("ü", "Frist.März"), ("a", "\ud800")}))
+@example(MemoryState(topics={"t": Topic("t", "", "", fields={"F": Field("F", salience=math.nan)})}))
+def test_state_bytes_equal_canonical_json_of_state_to_dict(state):
+    assert state_bytes(state) == canonical_json(state_to_dict(state)).encode()
 
 
 def test_canonical_bytes_of_a_decoded_genesis_equal_canonical_json():
@@ -202,8 +226,6 @@ def test_digest_changes_on_content_change():
 
 
 def _digest_sample():
-    from gemstore.policy import default_policy_set
-
     state = MemoryState(policies=default_policy_set())
     for tid in ("p", "q", "r"):
         state.topics[tid] = make_topic(tid, A="1")

@@ -5,7 +5,7 @@ import importlib
 from collections import Counter
 
 from conftest import build_state, build_topic
-from gemstore import embedding, model, operators
+from gemstore import embedding, model, operators, storage
 from gemstore.config import BetaSpec, EngineConfig
 from gemstore.engine import Engine, EngineEvent
 from gemstore.embedding import EmbeddingVector, embed
@@ -16,6 +16,7 @@ from gemstore.salience import decay
 N_TOPICS = 1000
 
 audit_module = importlib.import_module("gemstore.audit")  # `gemstore.audit` names the function
+engine_module = importlib.import_module("gemstore.engine")
 
 
 def _large_state(edges=()):
@@ -124,6 +125,20 @@ def test_hinted_ingest_serialises_only_the_touched_topic(monkeypatch):
     _, records = engine.submit(EngineEvent.ingest(bundle))
     assert [r.outcome for r in records] == ["committed"]
     assert serialised == ["t0500"]
+
+
+def test_an_engine_writes_its_journal_without_building_the_genesis_as_dicts(monkeypatch, tmp_path):
+    built = []
+    real_topic, real_state = Topic.to_dict, model.state_to_dict
+    monkeypatch.setattr(Topic, "to_dict", lambda self: built.append(self.id) or real_topic(self))
+    for module in (model, engine_module, storage):
+        if hasattr(module, "state_to_dict"):
+            monkeypatch.setattr(module, "state_to_dict", lambda state: built.append("state") or real_state(state))
+    engine = Engine(config=EngineConfig(beta=BetaSpec(base=2 * N_TOPICS)), genesis=_large_state())
+    path = tmp_path / "x.journal"
+    storage.write_journal(path, engine.journal)
+    assert built == []
+    assert len(storage.read_journal(path).genesis["topics"]) == N_TOPICS
 
 
 def test_an_ingest_into_a_long_history_encodes_only_the_entries_it_makes(monkeypatch):

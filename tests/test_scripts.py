@@ -86,6 +86,9 @@ def test_hot_field_reports_each_window_of_updates(decoy):
     assert rows[0]["ingest_p50_ratio"] == rows[0]["retrieve_p50_ratio"] == 1.0
 
 
+PER_RECORD = ("engine_ms_per_record", "write_ms_per_record", "replay_ms_per_record", "audit_ms_per_record")
+
+
 def test_store_sweep_reports_each_size_and_operator(decoy):
     result = _run("store_sweep.py", "--sizes", "20,40", pythonpath=decoy)
     rows = [json.loads(line) for line in result.stdout.splitlines()]
@@ -100,7 +103,8 @@ def test_store_sweep_reports_each_size_and_operator(decoy):
         assert set(row["operators"]) == operators
         for stats in row["operators"].values():
             assert 0 < stats["p50_ms"] <= stats["p99_ms"]
-        assert row["engine_ms_per_record"] > 0 and row["audit_ms_per_record"] > 0
+        for key in PER_RECORD:
+            assert row[key] > 0 and row[f"{key}_ratio"] == row[key] / rows[0][key]
     first = rows[0]
     assert all(stats["p50_ratio"] == stats["p99_ratio"] == 1.0 for stats in first["operators"].values())
-    assert first["engine_ms_per_record_ratio"] == first["audit_ms_per_record_ratio"] == 1.0
+    assert all(first[f"{key}_ratio"] == 1.0 for key in PER_RECORD)
